@@ -9,7 +9,6 @@ the two pole pairs merge into two double poles on the real axis.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence

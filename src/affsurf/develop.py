@@ -24,10 +24,9 @@ them adds 2*pi*i*Res(g') to g.
 
 from __future__ import annotations
 
-import cmath
 import math
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -251,11 +250,10 @@ class DevelopingMap:
             u = np.exp(1j * np.asarray(theta, dtype=complex))
             return self.derivative(center + radius * u) * 1j * radius * u
 
+        # eight equal arcs seed the first level; the length-proportional
+        # tolerance share gives each arc tol/8, as eight separate calls would
         arcs = np.linspace(0.0, 2.0 * math.pi, 9)
-        share = tol / 8.0
-        return sum(
-            integrate_segment(f, arcs[i], arcs[i + 1], share) for i in range(8)
-        )
+        return integrate_segment(f, 0.0, 2.0 * math.pi, tol, points=arcs[1:-1])
 
     def additive_monodromy_series(self, pole: complex, n_terms: int = 48) -> complex:
         """2*pi*i times the residue of g' at an essential point, by series.

@@ -24,7 +24,7 @@ from scipy.spatial import cKDTree
 
 from .develop import DevelopingMap
 from .quadrature import QuadratureError
-from .tracking import TrackResult, segment_target, track_level_curve
+from .tracking import segment_target, track_level_curve
 
 SQUARE_CORNERS = (1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j)
 
@@ -283,6 +283,8 @@ def limit_image_cloud(
                 quad_tol=quad_tol, max_steps=8000,
             )
             cloud.add(f"mouth_{label}_{updown}", resample_curve(r.w, spacing))
+            if not r.completed:
+                cloud.notes[f"mouth_{label}_{updown}"] = f"partial: {r.reason}"
 
     # glued edge: the identified top/bottom pair develops onto the real
     # segment between the singular points
@@ -308,7 +310,6 @@ def limit_image_cloud(
         # truncate by winding depth from the seam so mirror corners cut
         # at the same depth even though their absolute angles differ by pi
         stops = [(a, lbl) for a, lbl in stops if abs(a - seam0) <= theta_max + 1e-9]
-        ok = True
         for angle, label in stops:
             # bridge to the next stop angle; not part of the cloud
             scale = tau / max(abs(angle), math.pi)
@@ -321,7 +322,6 @@ def limit_image_cloud(
                 )
                 if not br.completed:
                     cloud.notes[label] = f"unreached: bridge {br.reason}"
-                    ok = False
                     break
                 w, g, m = complex(br.w[-1]), complex(br.g[-1]), int(br.branch[-1])
                 th = angle
@@ -336,8 +336,6 @@ def limit_image_cloud(
                 cloud.add(f"{label}_{tag}", piece)
                 if not rr.completed:
                     cloud.notes[f"{label}_{tag}"] = f"partial: {rr.reason}"
-        if not ok:
-            continue
 
     cloud.add("singular_points", np.array([x0 + 0j, -x0 + 0j]),
               "accumulation points of the deep sheets")

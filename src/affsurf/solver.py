@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .develop import DevelopingMap
+from .quadrature import integrate_segment
 
 CORNER_TARGET = 1 + 1j
 
@@ -35,15 +36,34 @@ class SolveResult:
 def corner_residual(K: float, prevertex: complex, quad_tol: float = 1e-12) -> complex:
     """g(prevertex) - (1+i), approached along the vertical ray from above.
 
-    The ray stops 1e-12*(1+|prevertex|) short of the prevertex; since
-    |g'| <= 1 on the ray the truncation error is below that.
+    The ray runs from the tail radius, where the tail expansion supplies
+    g, down to delta = 1e-12*(1+|prevertex|) above the prevertex; since
+    |g'| <= 1 on the ray the truncation error is below delta. Near the
+    prevertex g' ~ (w - z1)^(-beta) h(w) with beta purely imaginary, so
+    it oscillates in log|w - z1|. The first quadrature level is therefore
+    graded geometrically, in the Schwarz-Christoffel manner: break points
+    at distances from z1 halving from tail_radius - Im z1 down to delta,
+    about 43 panels on each of which the integrand is smooth, so one or two
+    refinement levels finish the ray. The quadrature error budget is
+    quad_tol, shared over the ray in proportion to panel length with a
+    floor of 1e-4*quad_tol per panel; with the truncation the residual is
+    accurate to about quad_tol + delta.
     """
     z1 = complex(prevertex)
     dev = DevelopingMap.from_aspect(K, z1)
     delta = 1e-12 * (1.0 + abs(z1))
     anchor = complex(z1.real, dev.tail_radius)
-    g = dev.develop([anchor, z1 + 1j * delta], tol=quad_tol)[-1]
-    return g - CORNER_TARGET
+    end = z1 + 1j * delta
+    # the ray runs down the slit's line but stops above the slit
+    if dev.first_slit_crossing(anchor, end) is not None:
+        raise ValueError(f"corner ray {anchor} -> {end} crosses a branch slit")
+    grid = []
+    d = 0.5 * (dev.tail_radius - z1.imag)
+    while d > 2.0 * delta:
+        grid.append(z1 + 1j * d)
+        d *= 0.5
+    ray = integrate_segment(dev.derivative, anchor, end, quad_tol, points=grid)
+    return anchor + dev.tail_integral(anchor) + ray - CORNER_TARGET
 
 
 def _newton(K, z0, tol, quad_tol, max_iter):
@@ -106,11 +126,17 @@ def solve_prevertex(
 
     Without an initial guess the solve is seeded by continuation from the
     square, where the map is the identity and the prevertex is 1+i itself.
+    The solver tolerance must exceed quad_tol: a residual cannot be
+    certified below its own quadrature error budget.
     """
     if math.isinf(K):
         raise ValueError("the limit has no finite prevertex; extrapolate a sweep instead")
     if not K >= 1.0:
         raise ValueError(f"aspect must be >= 1, got {K}")
+    if tol <= quad_tol:
+        raise ArithmeticError(
+            f"residual tolerance {tol:.1e} is not above the quadrature tolerance {quad_tol:.1e}"
+        )
     if K == 1.0:
         r = corner_residual(1.0, CORNER_TARGET, quad_tol)
         return SolveResult(1.0, CORNER_TARGET, abs(r), 0, 1, abs(r) <= tol)

@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .develop import DevelopingMap
-from .quadrature import QuadratureError, integrate_segment, segment_slit_crossing
+from .quadrature import integrate_segment, segment_slit_crossing
 
 
 def _chord_crossings(dev: DevelopingMap, a: complex, b: complex):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from affsurf.connection import RationalConnection
 from affsurf.develop import DevelopingMap, _log1p_c
@@ -36,6 +38,30 @@ class TestQuadrature:
         with pytest.raises(QuadratureError):
             integrate_segment(lambda t: np.abs(t - 0.123456) ** -0.99, 0.0, 1.0,
                               tol=1e-14, max_panels=8)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        a=st.complex_numbers(max_magnitude=2.0),
+        b=st.complex_numbers(max_magnitude=2.0),
+        c=st.complex_numbers(min_magnitude=0.5, max_magnitude=3.0),
+        ts=st.lists(st.floats(0.01, 0.99), max_size=6),
+    )
+    def test_break_points_leave_the_integral_unchanged(self, a, b, c, ts):
+        assume(abs(b - a) >= 1e-3)
+        f = lambda w: np.exp(c * w) + w**3
+        exact = (b**4 - a**4) / 4 + (cmath.exp(c * b) - cmath.exp(c * a)) / c
+        plain = integrate_segment(f, a, b)
+        graded = integrate_segment(f, a, b, points=[a + t * (b - a) for t in ts])
+        scale = 1.0 + abs(exact)
+        assert abs(plain - exact) <= 1e-9 * scale
+        assert abs(graded - exact) <= 1e-9 * scale
+        assert abs(graded - plain) <= 1e-9 * scale
+
+    def test_break_points_off_the_segment_are_rejected(self):
+        with pytest.raises(ValueError):
+            integrate_segment(np.sin, 0.0, 1.0, points=[1.5])
+        with pytest.raises(ValueError):
+            integrate_segment(np.sin, 0.0, 1.0, points=[0.5 + 0.5j])
 
     def test_slit_crossing_detection(self):
         assert segment_slit_crossing(0j, 2 + 0j, 1.0, 0.5) == pytest.approx(0.5)

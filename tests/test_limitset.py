@@ -1,5 +1,6 @@
 """Boundary clouds, limit configuration, and Hausdorff comparisons."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from affsurf.limitset import (
     sample_limit_region,
 )
 from affsurf.solver import continuation_sweep, extract_limit
+from affsurf.tracking import track_level_curve
 
 Z1_K2 = 1.248075111571 + 0.767644410562j
 X0 = 1.9132015196
@@ -182,6 +184,17 @@ class TestLimitCloud:
             first = complex(limit_cloud.pieces[name][0])
             assert abs(first.imag) < 1e-12
             assert abs(first.real) > X0
+
+    def test_stalled_mouth_track_is_noted(self, monkeypatch):
+        def stalled(*args, **kwargs):
+            r = track_level_curve(*args, **kwargs)
+            return dataclasses.replace(r, status="stalled", reason="forced stall")
+
+        monkeypatch.setattr("affsurf.limitset.track_level_curve", stalled)
+        cloud = limit_image_cloud(X0, TAU, theta_max=2 * math.pi)
+        for side in ("right", "left"):
+            for updown in ("upper", "lower"):
+                assert cloud.notes[f"mouth_{side}_{updown}"] == "partial: forced stall"
 
     def test_deeper_truncation_only_adds_near_singularities(self, limit_cloud):
         wider = limit_image_cloud(X0, TAU, theta_max=10 * math.pi)

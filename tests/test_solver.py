@@ -13,6 +13,7 @@ import pytest
 
 from affsurf.connection import RationalConnection, connection_limit_check
 from affsurf.develop import DevelopingMap
+from affsurf.quadrature import integrate_segment
 from affsurf.solver import (
     LimitEstimate,
     SolveResult,
@@ -29,6 +30,8 @@ ORACLE_Z1_K2 = 1.2480750 + 0.7676440j
 Z1_K2 = 1.248075111571 + 0.767644410562j
 Z1_K5 = 1.514013550379 + 0.541678941556j
 Z1_K1000 = 1.883446848935 + 0.157918326981j
+# a converged solve at K=1e6, for quadrature checks only
+Z1_K1E6 = 1.906663602817 + 0.078963146880j
 # frozen limit extraction from the 10^1..10^8 sweep
 X0_LIMIT = 1.9132015196
 TAU_LIMIT = 0.3470332389
@@ -55,6 +58,38 @@ class TestSolve:
     def test_residual_definition(self):
         # at the solution the corner condition holds by construction
         assert abs(corner_residual(2.0, Z1_K2)) < 1e-9
+
+    @pytest.mark.parametrize(
+        "K, z1", [(2.0, Z1_K2), (5.0, Z1_K5), (1e3, Z1_K1000), (1e6, Z1_K1E6)]
+    )
+    def test_graded_ray_matches_plain_bisection(self, K, z1):
+        # reference: the same ray by plain bisection at a tenfold stricter
+        # tolerance, without break points
+        dev = DevelopingMap.from_aspect(K, z1)
+        anchor = complex(z1.real, dev.tail_radius)
+        end = z1 + 1e-12j * (1.0 + abs(z1))
+        ray = integrate_segment(dev.derivative, anchor, end, 1e-13)
+        reference = anchor + dev.tail_integral(anchor) + ray - (1 + 1j)
+        assert abs(corner_residual(K, z1) - reference) < 1e-12
+
+    @pytest.mark.parametrize("K, z1", [(2.0, Z1_K2), (5.0, Z1_K5), (1e3, Z1_K1000)])
+    def test_residual_makes_few_derivative_calls(self, K, z1, monkeypatch):
+        # one vectorised call per refinement level on a graded first level;
+        # per-panel evaluation would take over a hundred calls
+        calls = []
+        derivative = DevelopingMap.derivative
+
+        def counted(self, w):
+            calls.append(np.size(w))
+            return derivative(self, w)
+
+        monkeypatch.setattr(DevelopingMap, "derivative", counted)
+        corner_residual(K, z1)
+        assert 1 <= len(calls) <= 4
+
+    def test_tolerance_must_exceed_quadrature_tolerance(self):
+        with pytest.raises(ArithmeticError, match="residual"):
+            solve_prevertex(7.0, tol=1e-12, quad_tol=1e-12)
 
     def test_cold_and_warm_agree(self):
         cold = solve_prevertex(1000.0)
