@@ -4,21 +4,11 @@ from .similitude import Similitude
 from .surface import (
     ChartId,
     SurfacePoint,
-    SurfaceSpec,
-    GeodesicTrace,
-    chart_contains,
     corner_holonomy,
     gluing_map,
     hole_monodromy,
-    trace_geodesic,
-    transport,
 )
-from .connection import (
-    RationalConnection,
-    connection_limit_check,
-    prevertex_ring,
-)
-from .develop import DevelopingMap
+from .develop import DevelopingMap, connection_limit_check, prevertex_ring
 from .embedding import (
     EmbedChart,
     VirtualPointRep,
@@ -34,13 +24,11 @@ from .embedding import (
 from .limitset import (
     HAUSDORFF_ACCEPT,
     CurveCloud,
-    RegionSample,
     convergence_report,
     hausdorff_distance,
     limit_image_cloud,
     rectangle_image_boundary,
     resample_curve,
-    sample_limit_region,
 )
 from .pointcloud import PointCloud, read_points, write_points
 from .quadrature import QuadratureError, integrate_polyline, integrate_segment
@@ -65,18 +53,12 @@ __all__ = [
     "Similitude",
     "ChartId",
     "SurfacePoint",
-    "SurfaceSpec",
-    "GeodesicTrace",
-    "chart_contains",
     "corner_holonomy",
     "gluing_map",
     "hole_monodromy",
-    "trace_geodesic",
-    "transport",
-    "RationalConnection",
+    "DevelopingMap",
     "connection_limit_check",
     "prevertex_ring",
-    "DevelopingMap",
     "QuadratureError",
     "integrate_polyline",
     "integrate_segment",
@@ -92,13 +74,11 @@ __all__ = [
     "track_level_curve",
     "HAUSDORFF_ACCEPT",
     "CurveCloud",
-    "RegionSample",
     "convergence_report",
     "hausdorff_distance",
     "limit_image_cloud",
     "rectangle_image_boundary",
     "resample_curve",
-    "sample_limit_region",
     "EmbedChart",
     "VirtualPointRep",
     "edge_strip_chart",

@@ -21,7 +21,6 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .connection import RationalConnection
 from .develop import DevelopingMap
 from .embedding import (
     VirtualPointRep,
@@ -45,13 +44,17 @@ from .svg import PALETTE, PlaneCurve, PlaneDots, figure
 
 COMMANDS = ("solve", "sweep", "render", "limit", "hausdorff", "verify")
 
+# depth of the limit strips kept explicitly: the flank rays stop at
+# flank_outer = STRIP_DEPTH + 1 (limit_image_cloud's default), and point
+# files record the cutoff in their truncation header
+STRIP_DEPTH = 40.0
+
 _DEFAULTS = {
     "k": (),
     "k_grid": (),
     "tol_solver": 1e-10,
     "tol_quad": 1e-12,
     "theta_max": 8.0 * math.pi,
-    "strip_depth": 40.0,
     "density": 250.0,
     "out": "out",
     "seed": 0,
@@ -134,7 +137,6 @@ class RunConfig:
     tol_solver: float
     tol_quad: float
     theta_max: float
-    strip_depth: float
     density: float
     out: str
     seed: int
@@ -143,7 +145,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.command not in COMMANDS:
             raise UsageError(f"unknown command {self.command!r}")
-        for name in ("tol_solver", "tol_quad", "theta_max", "strip_depth", "density"):
+        for name in ("tol_solver", "tol_quad", "theta_max", "density"):
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
                 raise UsageError(f"{name} must be a positive number, got {v!r}")
@@ -173,7 +175,6 @@ class RunConfig:
             "tol_solver": self.tol_solver,
             "tol_quad": self.tol_quad,
             "theta_max": self.theta_max,
-            "strip_depth": self.strip_depth,
             "density": self.density,
             "out": self.out,
             "seed": self.seed,
@@ -396,7 +397,7 @@ def _limit_boundary(config: RunConfig, est):
         est.tau,
         theta_max=config.theta_max,
         spacing=1.0 / config.density,
-        flank_outer=config.strip_depth + 1.0,
+        flank_outer=STRIP_DEPTH + 1.0,
         quad_tol=config.tol_quad,
     )
 
@@ -420,7 +421,7 @@ def _run_render(config: RunConfig, rec: _Recorder) -> dict:
                     "markers": ("singular_points",),
                     "truncation": {
                         "theta_max": config.theta_max,
-                        "strip_depth": config.strip_depth,
+                        "strip_depth": STRIP_DEPTH,
                     },
                 }
             )
@@ -486,7 +487,7 @@ def _run_limit(config: RunConfig, rec: _Recorder) -> dict:
             "limit-boundary",
             config.density,
             k=math.inf,
-            truncation={"theta_max": config.theta_max, "strip_depth": config.strip_depth},
+            truncation={"theta_max": config.theta_max, "strip_depth": STRIP_DEPTH},
         ),
     )
     return {
@@ -529,10 +530,9 @@ def _run_hausdorff(config: RunConfig, rec: _Recorder) -> dict:
 def _check_square(config: RunConfig, shared: dict):
     sol = solve_prevertex(1.0, tol=config.tol_solver, quad_tol=config.tol_quad)
     shared[1.0] = sol
-    conn = RationalConnection.from_aspect(1.0, sol.prevertex)
-    grid = 1j * np.linspace(-2.0, 2.0, 100)
-    zeta_sup = float(np.max(np.abs(conn.value(grid))))
     dev = DevelopingMap.from_aspect(1.0, sol.prevertex)
+    grid = 1j * np.linspace(-2.0, 2.0, 100)
+    zeta_sup = float(np.max(np.abs(dev.connection(grid))))
     cloud = rectangle_image_boundary(dev, spacing=1.0 / config.density, quad_tol=config.tol_quad)
     pts = cloud.points
     square_dev = float(np.max(np.abs(np.maximum(np.abs(pts.real), np.abs(pts.imag)) - 1.0)))
@@ -624,7 +624,7 @@ def _check_symmetry(config: RunConfig, shared: dict):
     d_anti = hausdorff_distance(pts, -np.conj(pts))
     rng = np.random.default_rng(config.seed)
     xs = rng.uniform(-6.0, 6.0, 64)
-    zeta_imag = float(np.max(np.abs(RationalConnection.from_aspect(K, sol.prevertex).value(xs).imag)))
+    zeta_imag = float(np.max(np.abs(dev.connection(xs).imag)))
     ok = d_conj < 1e-6 and d_anti < 1e-6 and zeta_imag < 1e-10
     return ok, {
         "k": _k_label(K),
@@ -867,7 +867,7 @@ def _build_config(ns: argparse.Namespace) -> RunConfig:
             merged["seed"] = int(merged["seed"])
         except (TypeError, ValueError):
             raise UsageError(f"seed must be an integer, got {merged['seed']!r}") from None
-    for key in ("tol_solver", "tol_quad", "theta_max", "strip_depth", "density"):
+    for key in ("tol_solver", "tol_quad", "theta_max", "density"):
         try:
             merged[key] = float(merged[key])
         except (TypeError, ValueError):

@@ -20,6 +20,10 @@ In the limit the pole pairs merge and
 
 is single-valued with essential singularities at +-x0; a loop around one of
 them adds 2*pi*i*Res(g') to g.
+
+The rational connection g''/g' = d/dw log g' carries the degeneration in
+its pole structure: four simple poles at the prevertices with alternating
+residues +-beta at finite aspect, two double poles at +-x0 in the limit.
 """
 
 from __future__ import annotations
@@ -30,10 +34,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .connection import prevertex_ring
 from .quadrature import integrate_segment, segment_slit_crossing
 
 SERIES_TERMS = 26
+
+# residue sign of the connection at each prevertex, in prevertex_ring order
+PREVERTEX_SIGNS = (-1.0, +1.0, -1.0, +1.0)
+
+
+def prevertex_ring(z1: complex) -> tuple[complex, complex, complex, complex]:
+    """The four prevertices in counterclockwise order from the first quadrant."""
+    z1 = complex(z1)
+    return (z1, -z1.conjugate(), -z1, z1.conjugate())
 
 
 def _log1p_c(u):
@@ -57,7 +69,12 @@ def _log1p_c(u):
 
 
 class DevelopingMap:
-    """Derivative, tail expansion, and path integration of the developing map."""
+    """One family member: its connection, and the derivative, tail expansion
+    and path integration of its developing map.
+
+    Use from_aspect (finite K) or merged_limit (K = inf). Pointwise methods
+    accept scalars or arrays.
+    """
 
     def __init__(self, kind: str, K: float = 1.0, z1: complex = 0j,
                  x0: float = 0.0, tau: float = 0.0):
@@ -98,16 +115,32 @@ class DevelopingMap:
 
     # -- pointwise evaluation ------------------------------------------------
 
-    def _guard_poles(self, arr) -> None:
-        clearance = 1e-13 * (1.0 + max(abs(p) for p in self.poles))
+    def _guard_poles(self, arr, rel: float) -> None:
+        """Raise if any point lies within rel*(1 + max|pole|) of a pole."""
+        clearance = rel * (1.0 + max(abs(p) for p in self.poles))
         for p in self.poles:
             if np.any(np.abs(arr - p) < clearance):
                 raise ValueError(f"evaluation too close to the singular point {p}")
 
+    def connection(self, w):
+        """The rational connection g''/g' = d/dw log g'. Scalar or ndarray."""
+        arr = np.asarray(w, dtype=complex)
+        self._guard_poles(arr, 1e-12)
+        if self.is_trivial:
+            out = np.zeros_like(arr)
+        elif self.kind == "finite":
+            out = np.zeros_like(arr)
+            for sign, p in zip(PREVERTEX_SIGNS, self.poles):
+                out += sign / (arr - p)
+            out *= self.beta
+        else:
+            out = -self.tau / (arr - self.x0) ** 2 + self.tau / (arr + self.x0) ** 2
+        return complex(out) if arr.ndim == 0 else out
+
     def log_derivative(self, w):
         """Principal branch of log g'. Scalar or ndarray."""
         arr = np.asarray(w, dtype=complex)
-        self._guard_poles(arr)
+        self._guard_poles(arr, 1e-13)
         if self.kind == "finite":
             if self.is_trivial:
                 out = np.zeros_like(arr)
@@ -279,3 +312,19 @@ class DevelopingMap:
             a[n + 1] = np.dot(q[: n + 1], a[n::-1]) / (n + 1)
         res = sum(a[n] * c ** (n + 1) / math.factorial(n + 1) for n in range(n_terms + 1))
         return 2j * math.pi * res
+
+
+def connection_limit_check(
+    finite_family: Sequence[DevelopingMap],
+    limit: DevelopingMap,
+    samples: np.ndarray,
+) -> tuple[list[float], bool]:
+    """Sup of |finite connection - limit connection| over the samples, one per member.
+
+    The family should be ordered by increasing aspect; the returned flag
+    reports whether the sups are strictly decreasing along it.
+    """
+    ref = limit.connection(samples)
+    sups = [float(np.max(np.abs(m.connection(samples) - ref))) for m in finite_family]
+    decreasing = all(b < a for a, b in zip(sups, sups[1:]))
+    return sups, decreasing

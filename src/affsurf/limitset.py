@@ -342,52 +342,6 @@ def limit_image_cloud(
     return cloud
 
 
-@dataclass(frozen=True)
-class RegionSample:
-    chart: str
-    coords: np.ndarray
-
-
-def sample_limit_region(
-    theta_max: float = 8 * math.pi,
-    sigma_max: float = 40.0,
-    density: int = 24,
-) -> List[RegionSample]:
-    """Deterministic coordinate samples of the beyond-first-sheet region.
-
-    Strip interiors are sampled on a log-by-linear grid, spiral sheets on
-    log-radius by angle grids inside their quarter-turn windows, and the
-    glued edge along its parameter. Coordinates are chart-native: strips
-    in their own plane, spirals as log coordinates, the edge as the
-    outer-chart top-edge parametrization t + i.
-    """
-    out: List[RegionSample] = []
-    sig = np.geomspace(1e-3, sigma_max, density)
-    ys = np.linspace(-1 + 1e-3, 1 - 1e-3, density)
-    grid = (sig[:, None] + 1j * ys[None, :]).ravel()
-    out.append(RegionSample("strip_left", grid))
-    out.append(RegionSample("strip_right", -np.conj(grid)))
-
-    n_max = max(1, int(round(theta_max / (2 * math.pi))))
-    windows = {
-        "spiral_ul": [(2 * math.pi * n - 0.5 * math.pi, 2 * math.pi * n) for n in range(1, n_max + 1)],
-        "spiral_bl": [(-2 * math.pi * n, -2 * math.pi * n + 0.5 * math.pi) for n in range(1, n_max + 1)],
-        "spiral_ur": [(math.pi - 2 * math.pi * n, 1.5 * math.pi - 2 * math.pi * n) for n in range(1, n_max + 1)],
-        "spiral_br": [(2 * math.pi * n - 1.5 * math.pi, 2 * math.pi * n - math.pi) for n in range(1, n_max + 1)],
-    }
-    lnr = np.linspace(math.log(1e-3), math.log(10.0), density)
-    for chart, wins in windows.items():
-        pieces = []
-        for lo, hi in wins:
-            th = np.linspace(lo + 1e-6, hi - 1e-6, max(6, density // 3))
-            pieces.append((lnr[:, None] + 1j * th[None, :]).ravel())
-        out.append(RegionSample(chart, np.concatenate(pieces)))
-
-    tt = np.linspace(-1 + 1e-3, 1 - 1e-3, density * density // 4)
-    out.append(RegionSample("glued_edge", tt + 1j))
-    return out
-
-
 # frozen from the oracle run recorded in the build notes (distance at
 # aspect 1e6 was 3.93e-2 and still shrinking); the convergence statement
 # carries no rate, so the bar is empirical

@@ -1,7 +1,8 @@
 """Orientation-preserving affine maps z -> a*z + b of the complex plane.
 
-Every change of charts on the glued surfaces is such a map, so the whole
-transport/holonomy layer reduces to composing and inverting these.
+Every gluing between charts of the glued surfaces is such a map, so the
+corner holonomies and hole monodromies are compositions and inverses of
+these.
 """
 
 from __future__ import annotations
@@ -36,11 +37,6 @@ class Similitude:
     def inverse(self) -> "Similitude":
         return Similitude(1.0 / self.a, -self.b / self.a)
 
-    @property
-    def ratio(self) -> float:
-        """Scaling factor |a|; 1 for translations and rotations."""
-        return abs(self.a)
-
     def fixed_point(self) -> complex:
         if self.a == 1.0:
             raise ValueError("translation or identity has no isolated fixed point")
@@ -48,10 +44,3 @@ class Similitude:
 
     def is_identity(self, tol: float = 0.0) -> bool:
         return abs(self.a - 1.0) <= tol and abs(self.b) <= tol
-
-    @staticmethod
-    def identity() -> "Similitude":
-        return Similitude(1.0, 0.0)
-
-    def almost_equal(self, other: "Similitude", tol: float = 1e-12) -> bool:
-        return abs(self.a - other.a) <= tol and abs(self.b - other.b) <= tol

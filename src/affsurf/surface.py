@@ -2,21 +2,21 @@
 
 Finite aspect K: an outer chart (the plane minus the closed unit square
 [-1,1]^2) and an open rectangle ]-1,1[ x ]-1/K,1/K[, glued edge to edge by
-similitudes that match corresponding corners. At K = inf the rectangle is
-gone: the outer chart's top and bottom edges are glued to each other, a
-half-infinite strip hangs off each of the left and right edges, and a
-spiral end (half of the universal cover of C*) is attached along each
-strip edge. Spiral points are stored in logarithmic coordinates
-ln(r) + i*theta so that the winding never has to be unwrapped.
+similitudes that match corresponding corners. Going once around a square
+corner picks up the corner holonomy (a scaling by K or 1/K about the
+corner), and going around a corner pair picks up the hole monodromy (a
+translation). At K = inf the rectangle is gone: the outer chart's top and
+bottom edges are glued to each other, a half-infinite strip hangs off each
+of the left and right edges, and a spiral end (half of the universal cover
+of C*) is attached along each strip edge; the embedding module builds its
+charts for these pieces from the ids and corner coordinates defined here.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 from .similitude import Similitude
 
@@ -32,7 +32,6 @@ class ChartId(Enum):
     SPIRAL_BR = "spiral_br"
 
 
-SIDES = ("top", "bottom", "left", "right")
 CORNERS = ("ul", "ur", "bl", "br")
 
 CORNER_COORD = {
@@ -40,36 +39,6 @@ CORNER_COORD = {
     "ur": 1.0 + 1.0j,
     "bl": -1.0 - 1.0j,
     "br": 1.0 - 1.0j,
-}
-
-SPIRAL_CHARTS = (
-    ChartId.SPIRAL_UL,
-    ChartId.SPIRAL_UR,
-    ChartId.SPIRAL_BL,
-    ChartId.SPIRAL_BR,
-)
-
-SPIRAL_CORNER = {
-    ChartId.SPIRAL_UL: "ul",
-    ChartId.SPIRAL_UR: "ur",
-    ChartId.SPIRAL_BL: "bl",
-    ChartId.SPIRAL_BR: "br",
-}
-
-# theta value of the seam along which each spiral is glued to its strip,
-# and the side of that seam the spiral occupies (+1: theta above the seam).
-SPIRAL_SEAM = {
-    ChartId.SPIRAL_UL: (0.0, +1),
-    ChartId.SPIRAL_BL: (0.0, -1),
-    ChartId.SPIRAL_UR: (math.pi, -1),
-    ChartId.SPIRAL_BR: (-math.pi, +1),
-}
-
-SPIRAL_STRIP = {
-    ChartId.SPIRAL_UL: ChartId.STRIP_LEFT,
-    ChartId.SPIRAL_BL: ChartId.STRIP_LEFT,
-    ChartId.SPIRAL_UR: ChartId.STRIP_RIGHT,
-    ChartId.SPIRAL_BR: ChartId.STRIP_RIGHT,
 }
 
 
@@ -83,53 +52,6 @@ class SurfacePoint:
 
     chart: ChartId
     coord: complex
-
-
-@dataclass(frozen=True)
-class SurfaceSpec:
-    """One member of the family: aspect K in [1, inf]. K = inf is the limit."""
-
-    K: float
-
-    def __post_init__(self) -> None:
-        if not (self.K >= 1.0):
-            raise ValueError(f"aspect must be >= 1, got {self.K}")
-
-    @property
-    def is_limit(self) -> bool:
-        return math.isinf(self.K)
-
-    def charts(self) -> tuple[ChartId, ...]:
-        if self.is_limit:
-            return (ChartId.OUTER, ChartId.STRIP_LEFT, ChartId.STRIP_RIGHT) + SPIRAL_CHARTS
-        return (ChartId.OUTER, ChartId.RECT)
-
-    def contains(self, p: SurfacePoint, tol: float = 0.0) -> bool:
-        return chart_contains(p.chart, p.coord, self.K, tol)
-
-
-def chart_contains(chart: ChartId, coord: complex, K: float, tol: float = 0.0) -> bool:
-    """Membership of a coordinate in a chart's domain, relaxed outward by tol.
-
-    tol = 0 tests the open domain; tol > 0 admits a boundary collar, which
-    is how edge points (shared between charts) are handled.
-    """
-    x, y = coord.real, coord.imag
-    if chart is ChartId.OUTER:
-        return max(abs(x), abs(y)) > 1.0 - tol
-    if chart is ChartId.RECT:
-        if math.isinf(K):
-            return False
-        return abs(x) < 1.0 + tol and abs(y) < 1.0 / K + tol
-    if not math.isinf(K):
-        return False
-    if chart is ChartId.STRIP_LEFT:
-        return x > -tol and abs(y) < 1.0 + tol
-    if chart is ChartId.STRIP_RIGHT:
-        return x < tol and abs(y) < 1.0 + tol
-    # spiral: y is the unwrapped angle theta of the log coordinate
-    seam, side = SPIRAL_SEAM[chart]
-    return side * (y - seam) > -tol
 
 
 def gluing_map(K: float, side: str, direction: str = "rect_to_outer") -> Similitude:
@@ -157,128 +79,6 @@ def gluing_map(K: float, side: str, direction: str = "rect_to_outer") -> Similit
     if direction == "outer_to_rect":
         return sim.inverse()
     raise ValueError(f"unknown direction {direction!r}")
-
-
-def strip_attachment(side: str) -> Similitude:
-    """Strip coordinate -> outer coordinate across the strip mouth (K = inf).
-
-    The left strip ]0,inf[ x ]-1,1[ attaches to the square's left edge by
-    z -> z-1, the right strip ]-inf,0[ x ]-1,1[ by z -> z+1.
-    """
-    if side == "left":
-        return Similitude(1.0, -1.0)
-    if side == "right":
-        return Similitude(1.0, 1.0)
-    raise ValueError(f"unknown strip side {side!r}")
-
-
-def spiral_projection_shift(chart: ChartId) -> Similitude:
-    """Strip coordinate -> spiral projection coordinate across the seam.
-
-    Upper spirals sit past the strip's top edge (shift -i), lower spirals
-    past the bottom edge (shift +i). The projection is e**(log coordinate).
-    """
-    if chart in (ChartId.SPIRAL_UL, ChartId.SPIRAL_UR):
-        return Similitude(1.0, -1j)
-    if chart in (ChartId.SPIRAL_BL, ChartId.SPIRAL_BR):
-        return Similitude(1.0, 1j)
-    raise ValueError(f"{chart} is not a spiral chart")
-
-
-def glued_edge_map() -> Similitude:
-    """Top-edge coordinate -> bottom-edge coordinate of the limit gluing."""
-    return Similitude(1.0, -2j)
-
-
-def spiral_log(chart: ChartId, projection: complex) -> complex:
-    """Log coordinate of a projection point adjacent to the chart's seam."""
-    z = cmath.log(projection)
-    seam, side = SPIRAL_SEAM[chart]
-    # principal log returns +pi on the negative reals; the bottom-right
-    # spiral's seam is the -pi lift of that ray
-    if chart is ChartId.SPIRAL_BR and z.imag > seam + math.pi:
-        z -= 2j * math.pi
-    if side * (z.imag - seam) < -1e-9:
-        raise ValueError("projection lies on the wrong side of the seam")
-    return z
-
-
-_EDGE_AXES = {
-    # side -> (axis, level): axis 0 tests the real part, 1 the imaginary part
-    "top": (1, 1.0),
-    "bottom": (1, -1.0),
-    "left": (0, -1.0),
-    "right": (0, 1.0),
-}
-
-
-def _near_square_edge(w: complex, tol: float) -> Optional[str]:
-    best = None
-    best_d = tol
-    for side, (axis, level) in _EDGE_AXES.items():
-        perp = (w.real if axis == 0 else w.imag) - level
-        along = w.imag if axis == 0 else w.real
-        if abs(along) <= 1.0 + tol and abs(perp) <= best_d:
-            best, best_d = side, abs(perp)
-    return best
-
-
-def transport(p: SurfacePoint, target: ChartId, K: float, tol: float = 1e-9) -> complex:
-    """Coordinate of p in the target chart.
-
-    Only defined on the shared boundary collar (within tol of a glued edge);
-    interior points of a single chart raise. Transporting to p's own chart
-    is the identity.
-    """
-    if target is p.chart:
-        return p.coord
-    w = p.coord
-    finite = not math.isinf(K)
-
-    if finite and p.chart is ChartId.OUTER and target is ChartId.RECT:
-        side = _near_square_edge(w, tol)
-        if side is None:
-            raise ValueError("point is not on the square's boundary collar")
-        return gluing_map(K, side, "outer_to_rect")(w)
-
-    if finite and p.chart is ChartId.RECT and target is ChartId.OUTER:
-        best, best_d = None, tol
-        for side, (axis, level) in _EDGE_AXES.items():
-            lvl = level if axis == 0 else level / K
-            perp = (w.real if axis == 0 else w.imag) - lvl
-            if abs(perp) <= best_d:
-                best, best_d = side, abs(perp)
-        if best is None:
-            raise ValueError("point is not on the rectangle's boundary collar")
-        return gluing_map(K, best, "rect_to_outer")(w)
-
-    if not finite:
-        if p.chart is ChartId.OUTER and target in (ChartId.STRIP_LEFT, ChartId.STRIP_RIGHT):
-            side = "left" if target is ChartId.STRIP_LEFT else "right"
-            if _near_square_edge(w, tol) != side:
-                raise ValueError(f"point is not on the square's {side} edge collar")
-            return strip_attachment(side).inverse()(w)
-        if p.chart in (ChartId.STRIP_LEFT, ChartId.STRIP_RIGHT) and target is ChartId.OUTER:
-            side = "left" if p.chart is ChartId.STRIP_LEFT else "right"
-            if abs(w.real) > tol:
-                raise ValueError("point is not on the strip mouth collar")
-            return strip_attachment(side)(w)
-        if p.chart in (ChartId.STRIP_LEFT, ChartId.STRIP_RIGHT) and target in SPIRAL_CHARTS:
-            if SPIRAL_STRIP[target] is not p.chart:
-                raise ValueError(f"{target} is not attached to {p.chart}")
-            edge = 1.0 if target in (ChartId.SPIRAL_UL, ChartId.SPIRAL_UR) else -1.0
-            if abs(w.imag - edge) > tol:
-                raise ValueError("point is not on the strip's glued edge collar")
-            return spiral_log(target, spiral_projection_shift(target)(w))
-        if p.chart in SPIRAL_CHARTS and target in (ChartId.STRIP_LEFT, ChartId.STRIP_RIGHT):
-            if SPIRAL_STRIP[p.chart] is not target:
-                raise ValueError(f"{p.chart} is not attached to {target}")
-            seam, _ = SPIRAL_SEAM[p.chart]
-            if abs(w.imag - seam) > tol:
-                raise ValueError("point is not on the seam collar")
-            return spiral_projection_shift(p.chart).inverse()(cmath.exp(w))
-
-    raise ValueError(f"no shared collar between {p.chart} and {target} at K={K}")
 
 
 def corner_holonomy(K: float, corner: str, orientation: str = "ccw") -> Similitude:
@@ -330,240 +130,3 @@ def hole_monodromy(K: float, side: str, orientation: str = "ccw") -> Similitude:
     elif orientation != "ccw":
         raise ValueError(f"unknown orientation {orientation!r}")
     return Similitude(1.0, shift)
-
-
-@dataclass
-class GeodesicTrace:
-    points: list[SurfacePoint] = field(default_factory=list)
-    times: list[float] = field(default_factory=list)
-    status: str = "alive"
-    corner: Optional[str] = None
-
-
-def _ray_box_entry(z: complex, v: complex, hx: float, hy: float):
-    """First parameter at which z + t*v enters the open box |x|<hx, |y|<hy.
-
-    Returns (t_enter, side) or None. Assumes z outside the closed box.
-    """
-    t_lo, t_hi = -math.inf, math.inf
-    side_lo = None
-    for axis, h in ((0, hx), (1, hy)):
-        p = z.real if axis == 0 else z.imag
-        d = v.real if axis == 0 else v.imag
-        if d == 0.0:
-            if abs(p) >= h:
-                return None
-            continue
-        t1 = (-h - p) / d
-        t2 = (h - p) / d
-        if t1 > t2:
-            t1, t2 = t2, t1
-        if t1 > t_lo:
-            t_lo = t1
-            if axis == 0:
-                side_lo = "left" if v.real > 0 else "right"
-            else:
-                side_lo = "bottom" if v.imag > 0 else "top"
-        t_hi = min(t_hi, t2)
-    if t_lo >= t_hi or side_lo is None:
-        return None
-    return t_lo, side_lo
-
-
-def _ray_box_exit(z: complex, v: complex, hx: float, hy: float):
-    """First parameter at which z + t*v leaves the box. Assumes z inside."""
-    t_hi = math.inf
-    side = None
-    for axis, h in ((0, hx), (1, hy)):
-        p = z.real if axis == 0 else z.imag
-        d = v.real if axis == 0 else v.imag
-        if d == 0.0:
-            continue
-        t2 = ((h if d > 0 else -h) - p) / d
-        if t2 < t_hi:
-            t_hi = t2
-            if axis == 0:
-                side = "right" if d > 0 else "left"
-            else:
-                side = "top" if d > 0 else "bottom"
-    if side is None:
-        return None
-    return t_hi, side
-
-
-_SIDE_CORNERS = {
-    "top": ("ul", "ur"),
-    "bottom": ("bl", "br"),
-    "left": ("ul", "bl"),
-    "right": ("ur", "br"),
-}
-
-
-def trace_geodesic(
-    surface: SurfaceSpec,
-    start: SurfacePoint,
-    velocity: complex,
-    t_max: float,
-    corner_tol: float = 1e-9,
-    max_events: int = 10000,
-) -> GeodesicTrace:
-    """Trace the constant-speed straight curve from start for time t_max.
-
-    The curve is advanced analytically to each gluing crossing (event-driven,
-    no stepping). Crossing a gluing multiplies the velocity by the gluing's
-    linear part. Both coordinate representations of every crossing point are
-    recorded. Status is hit_corner when a crossing lands within corner_tol of
-    a square corner; at K = 1 corners are regular points and never hit.
-
-    On a spiral chart the motion is straight in the projection e**coord, and
-    velocity means the projection velocity.
-    """
-    if velocity == 0:
-        raise ValueError("velocity must be nonzero")
-    K = surface.K
-    if not surface.contains(start, tol=1e-9):
-        raise ValueError(f"start {start} is not on the surface at K={K}")
-
-    chart, z, v = start.chart, complex(start.coord), complex(velocity)
-    t_done = 0.0
-    trace = GeodesicTrace(points=[start], times=[0.0])
-    check_corners = K != 1.0
-
-    def finish_at(t_cross: float, c: complex, corner_name: Optional[str]):
-        trace.points.append(SurfacePoint(chart, c))
-        trace.times.append(t_done + t_cross)
-        trace.status = "hit_corner"
-        trace.corner = corner_name
-
-    for _ in range(max_events):
-        remaining = t_max - t_done
-        if remaining <= 0:
-            break
-        event = None  # (t_cross, new_chart, new_coord, new_velocity, crossing coord)
-
-        if chart is ChartId.OUTER:
-            # entry at t = 0 happens for starts placed on the square boundary
-            # with inward velocity; points emerging outward give t < 0
-            hit = _ray_box_entry(z, v, 1.0, 1.0)
-            if hit is not None and 0.0 <= hit[0] <= remaining:
-                t_cross, side = hit
-                c = z + v * t_cross
-                if check_corners:
-                    for name in _SIDE_CORNERS[side]:
-                        if abs(c - CORNER_COORD[name]) <= corner_tol:
-                            finish_at(t_cross, c, name)
-                            return trace
-                if not surface.is_limit:
-                    g = gluing_map(K, side, "outer_to_rect")
-                    event = (t_cross, ChartId.RECT, g(c), v * g.a, c)
-                elif side in ("top", "bottom"):
-                    m = glued_edge_map() if side == "top" else glued_edge_map().inverse()
-                    event = (t_cross, ChartId.OUTER, m(c), v, c)
-                else:
-                    target = ChartId.STRIP_LEFT if side == "left" else ChartId.STRIP_RIGHT
-                    event = (t_cross, target, strip_attachment(side).inverse()(c), v, c)
-
-        elif chart is ChartId.RECT:
-            res = _ray_box_exit(z, v, 1.0, 1.0 / K)
-            if res is not None and res[0] <= remaining:
-                t_cross, side = res
-                c = z + v * t_cross
-                if check_corners:
-                    for name in _SIDE_CORNERS[side]:
-                        rc = complex(CORNER_COORD[name].real, CORNER_COORD[name].imag / K)
-                        if abs(c - rc) <= corner_tol:
-                            finish_at(t_cross, c, name)
-                            return trace
-                g = gluing_map(K, side, "rect_to_outer")
-                event = (t_cross, ChartId.OUTER, g(c), v * g.a, c)
-
-        elif chart in (ChartId.STRIP_LEFT, ChartId.STRIP_RIGHT):
-            sgn = 1.0 if chart is ChartId.STRIP_LEFT else -1.0
-            crossings = []
-            if v.real * sgn < 0:  # toward the mouth at Re = 0
-                crossings.append(((0.0 - z.real) / v.real, "mouth"))
-            if v.imag > 0:
-                crossings.append(((1.0 - z.imag) / v.imag, "up"))
-            elif v.imag < 0:
-                crossings.append(((-1.0 - z.imag) / v.imag, "down"))
-            crossings = [(t, tag) for t, tag in crossings if 0.0 < t <= remaining]
-            if crossings:
-                t_cross, tag = min(crossings)
-                c = z + v * t_cross
-                if check_corners and abs(c.real) <= corner_tol and abs(abs(c.imag) - 1.0) <= corner_tol:
-                    prefix = "u" if c.imag > 0 else "b"
-                    suffix = "l" if chart is ChartId.STRIP_LEFT else "r"
-                    finish_at(t_cross, c, prefix + suffix)
-                    return trace
-                if tag == "mouth":
-                    side = "left" if chart is ChartId.STRIP_LEFT else "right"
-                    event = (t_cross, ChartId.OUTER, strip_attachment(side)(c), v, c)
-                else:
-                    if chart is ChartId.STRIP_LEFT:
-                        target = ChartId.SPIRAL_UL if tag == "up" else ChartId.SPIRAL_BL
-                    else:
-                        target = ChartId.SPIRAL_UR if tag == "up" else ChartId.SPIRAL_BR
-                    proj = spiral_projection_shift(target)(c)
-                    event = (t_cross, target, spiral_log(target, proj), v, c)
-
-        else:  # spiral: straight in the projection, theta tracked continuously
-            p0 = cmath.exp(z)
-            theta0 = z.imag
-            seam, _ = SPIRAL_SEAM[chart]
-            # the seam is a ray from 0; the projection line leaves through it
-            # where the continuously tracked angle equals the seam value (a
-            # crossing at the wrong 2*pi*n lift stays inside the spiral)
-            t_seam = None
-            seam_dir = cmath.exp(1j * seam)
-            b = (v / seam_dir).imag
-            if b != 0.0:
-                t_c = -(p0 / seam_dir).imag / b
-                if 0.0 < t_c <= remaining:
-                    pc = p0 + v * t_c
-                    if (pc / seam_dir).real > 0.0:
-                        dtheta = cmath.phase(pc / p0)
-                        if abs(theta0 + dtheta - seam) < 1e-9:
-                            t_seam = t_c
-            if check_corners:
-                # closest approach of the projection line to the puncture at 0,
-                # relevant only if it precedes the seam exit
-                t_star = -(p0.real * v.real + p0.imag * v.imag) / abs(v) ** 2
-                if 0.0 < t_star <= remaining and (t_seam is None or t_star < t_seam):
-                    p_hit = p0 + v * t_star
-                    if abs(p_hit) <= corner_tol:
-                        r = max(abs(p_hit), 1e-300)
-                        theta_hit = theta0 + cmath.phase(p_hit / p0)
-                        trace.points.append(SurfacePoint(chart, complex(math.log(r), theta_hit)))
-                        trace.times.append(t_done + t_star)
-                        trace.status = "hit_corner"
-                        trace.corner = SPIRAL_CORNER[chart]
-                        return trace
-            if t_seam is not None:
-                pc = p0 + v * t_seam
-                strip_coord = spiral_projection_shift(chart).inverse()(pc)
-                cross_log = complex(math.log(abs(pc)), seam)
-                event = (t_seam, SPIRAL_STRIP[chart], strip_coord, v, cross_log)
-
-        if event is None:
-            if chart in SPIRAL_CHARTS:
-                p_end = cmath.exp(z) + v * remaining
-                dtheta = cmath.phase(p_end / cmath.exp(z))
-                z_end = complex(math.log(abs(p_end)), z.imag + dtheta)
-            else:
-                z_end = z + v * remaining
-            trace.points.append(SurfacePoint(chart, z_end))
-            trace.times.append(t_max)
-            trace.status = "alive"
-            return trace
-
-        t_cross, new_chart, new_coord, new_v, cross_coord = event
-        trace.points.append(SurfacePoint(chart, cross_coord))
-        trace.times.append(t_done + t_cross)
-        trace.points.append(SurfacePoint(new_chart, new_coord))
-        trace.times.append(t_done + t_cross)
-        chart, z, v = new_chart, complex(new_coord), complex(new_v)
-        t_done += t_cross
-
-    if t_done < t_max:
-        raise RuntimeError(f"geodesic exceeded {max_events} chart crossings")
-    return trace

@@ -16,8 +16,7 @@ import numpy as np
 import pytest
 
 from affsurf.cli import make_config, run
-from affsurf.connection import RationalConnection, connection_limit_check
-from affsurf.develop import DevelopingMap
+from affsurf.develop import DevelopingMap, connection_limit_check
 from affsurf.embedding import (
     VirtualPointRep,
     edge_strip_chart,
@@ -90,8 +89,8 @@ def test_criterion_01_square_exactness():
     sol = solve_prevertex(1.0)
     if sol.prevertex != 1.0 + 1.0j or sol.residual >= 1e-10:
         problems.append(f"solve gave {sol.prevertex} residual {sol.residual:.2e}")
-    conn = RationalConnection.from_aspect(1.0, sol.prevertex)
-    zeta_sup = float(np.max(np.abs(conn.value(1j * np.linspace(-2.0, 2.0, 100)))))
+    conn = DevelopingMap.from_aspect(1.0, sol.prevertex)
+    zeta_sup = float(np.max(np.abs(conn.connection(1j * np.linspace(-2.0, 2.0, 100)))))
     if zeta_sup != 0.0:
         problems.append(f"zeta not identically zero, sup {zeta_sup:.2e}")
     dev = DevelopingMap.from_aspect(1.0, sol.prevertex)
@@ -173,8 +172,8 @@ def test_criterion_05_merge_and_limit_data(sweep8, limit_fit):
 def test_criterion_06_connection_convergence(sweep8, limit_fit):
     problems = []
     samples = 1j * np.linspace(-2.0, 2.0, 201)
-    family = [RationalConnection.from_aspect(r.K, r.prevertex) for r in sweep8]
-    limit = RationalConnection.merged_limit(limit_fit.x0, limit_fit.tau)
+    family = [DevelopingMap.from_aspect(r.K, r.prevertex) for r in sweep8]
+    limit = DevelopingMap.merged_limit(limit_fit.x0, limit_fit.tau)
     sups, decreasing = connection_limit_check(family, limit, samples)
     if not decreasing:
         problems.append(f"sups not strictly decreasing: {['%.3e' % s for s in sups]}")
@@ -268,13 +267,13 @@ def test_criterion_09_symmetry_suite(cold_solutions, limit_fit, limit_cloud_poin
     rng = np.random.default_rng(20260817)
     xs = rng.uniform(-6.0, 6.0, 128)
     for K, sol in cold_solutions.items():
-        conn = RationalConnection.from_aspect(K, sol.prevertex)
-        sup = float(np.max(np.abs(conn.value(xs).imag)))
+        conn = DevelopingMap.from_aspect(K, sol.prevertex)
+        sup = float(np.max(np.abs(conn.connection(xs).imag)))
         if sup >= 1e-10:
             problems.append(f"zeta at k={K:g} not real on axis, sup {sup:.2e}")
-    limit_conn = RationalConnection.merged_limit(limit_fit.x0, limit_fit.tau)
+    limit_conn = DevelopingMap.merged_limit(limit_fit.x0, limit_fit.tau)
     off_poles = xs[np.abs(np.abs(xs) - limit_fit.x0) > 0.3]
-    sup = float(np.max(np.abs(limit_conn.value(off_poles).imag)))
+    sup = float(np.max(np.abs(limit_conn.connection(off_poles).imag)))
     if sup >= 1e-10:
         problems.append(f"limit zeta not real on axis, sup {sup:.2e}")
     _criterion(9, "reflection symmetries and real axis reality", problems)

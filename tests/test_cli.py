@@ -72,6 +72,8 @@ class TestConfig:
     def test_rejects_unknown_setting(self):
         with pytest.raises(UsageError):
             make_config("verify", colour="red")
+        with pytest.raises(UsageError, match="unknown setting"):
+            make_config("verify", strip_depth=40.0)
 
 
 class TestReports:

@@ -15,7 +15,6 @@ from affsurf.limitset import (
     limit_image_cloud,
     rectangle_image_boundary,
     resample_curve,
-    sample_limit_region,
 )
 from affsurf.solver import continuation_sweep, extract_limit
 from affsurf.tracking import track_level_curve
@@ -213,42 +212,6 @@ class TestLimitCloud:
         away = np.minimum(np.abs(fresh - X0), np.abs(fresh + X0))
         assert len(fresh) > 0
         assert away.max() < 0.05
-
-
-class TestRegionSamples:
-    def test_chart_inventory(self):
-        charts = [r.chart for r in sample_limit_region()]
-        assert charts.count("strip_left") == 1
-        assert charts.count("strip_right") == 1
-        assert sum(1 for c in charts if c.startswith("spiral_")) == 4
-        assert charts.count("glued_edge") == 1
-
-    def test_strip_grid_ranges(self):
-        by = {r.chart: r.coords for r in sample_limit_region(density=16)}
-        left = by["strip_left"]
-        assert left.shape == (16 * 16,)
-        assert left.real.min() > 0.0
-        assert np.abs(left.imag).max() < 1.0
-        right = by["strip_right"]
-        assert np.max(np.abs(right + np.conj(left))) == 0.0
-
-    def test_spiral_angle_windows(self):
-        by = {r.chart: r.coords for r in sample_limit_region()}
-        assert by["spiral_ul"].imag.min() > math.pi
-        assert by["spiral_bl"].imag.max() < -math.pi
-        assert by["spiral_ur"].imag.max() < -0.4 * math.pi
-        assert by["spiral_br"].imag.min() > 0.4 * math.pi
-
-    def test_winding_cut_scales_sheet_count(self):
-        deep = {r.chart: r.coords for r in sample_limit_region(theta_max=8 * math.pi)}
-        shallow = {r.chart: r.coords for r in sample_limit_region(theta_max=4 * math.pi)}
-        assert len(deep["spiral_ul"]) == 2 * len(shallow["spiral_ul"])
-
-    def test_glued_edge_parametrization(self):
-        by = {r.chart: r.coords for r in sample_limit_region()}
-        edge = by["glued_edge"]
-        assert np.all(edge.imag == 1.0)
-        assert edge.real.min() > -1.0 and edge.real.max() < 1.0
 
 
 class TestLimitParameters:

@@ -11,8 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from affsurf.connection import RationalConnection, connection_limit_check
-from affsurf.develop import DevelopingMap
+from affsurf.develop import DevelopingMap, connection_limit_check
 from affsurf.quadrature import integrate_segment
 from affsurf.solver import (
     LimitEstimate,
@@ -189,8 +188,8 @@ class TestLimitConsistency:
 
     def test_connection_gap_decays(self):
         sweep = continuation_sweep([1e2, 1e4, 1e6])
-        lim = RationalConnection.merged_limit(X0_LIMIT, TAU_LIMIT)
-        fams = [RationalConnection.from_aspect(r.K, r.prevertex) for r in sweep]
+        lim = DevelopingMap.merged_limit(X0_LIMIT, TAU_LIMIT)
+        fams = [DevelopingMap.from_aspect(r.K, r.prevertex) for r in sweep]
         sups, decreasing = connection_limit_check(
             fams, lim, np.linspace(-2j, 2j, 201)
         )

@@ -3,52 +3,23 @@ import math
 
 import pytest
 
+from affsurf.embedding import (
+    edge_strip_chart,
+    embed_eval,
+    embed_invert,
+    half_strip_chart,
+    spiral_ball_chart,
+)
 from affsurf.surface import (
     CORNER_COORD,
     ChartId,
     SurfacePoint,
-    SurfaceSpec,
-    chart_contains,
     corner_holonomy,
-    glued_edge_map,
     gluing_map,
     hole_monodromy,
-    spiral_log,
-    trace_geodesic,
-    transport,
 )
 
 INF = math.inf
-
-
-class TestSpec:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SurfaceSpec(0.5)
-        SurfaceSpec(1.0)
-        SurfaceSpec(INF)
-
-    def test_charts(self):
-        assert len(SurfaceSpec(2.0).charts()) == 2
-        assert len(SurfaceSpec(INF).charts()) == 7
-        assert SurfaceSpec(INF).is_limit
-        assert not SurfaceSpec(5.0).is_limit
-
-    def test_membership(self):
-        assert chart_contains(ChartId.OUTER, 2 + 0j, 2.0)
-        assert not chart_contains(ChartId.OUTER, 0.5 + 0.5j, 2.0)
-        # boundary needs the collar
-        assert not chart_contains(ChartId.OUTER, -1 + 0.5j, 2.0)
-        assert chart_contains(ChartId.OUTER, -1 + 0.5j, 2.0, tol=1e-9)
-        assert chart_contains(ChartId.RECT, 0.3 + 0.4j, 2.0)
-        assert not chart_contains(ChartId.RECT, 0.3 + 0.6j, 2.0)
-        assert not chart_contains(ChartId.RECT, 0j, INF)
-        assert chart_contains(ChartId.STRIP_LEFT, 5 + 0.2j, INF)
-        assert not chart_contains(ChartId.STRIP_LEFT, -0.1 + 0.2j, INF)
-        assert chart_contains(ChartId.SPIRAL_UL, 3.0 + 20.0j, INF)
-        assert not chart_contains(ChartId.SPIRAL_UL, 3.0 - 1.0j, INF)
-        assert chart_contains(ChartId.SPIRAL_BR, 0.0 - 2.5j, INF)
-        assert not chart_contains(ChartId.SPIRAL_BR, 0.0 - 3.5j, INF)
 
 
 class TestGluing:
@@ -89,58 +60,63 @@ class TestGluing:
 
 
 class TestTransport:
+    # Coordinate changes across glued edges. Outer <-> rectangle is the
+    # gluing similitude; at K = inf the strip mouths and the strip-to-spiral
+    # seams are the embedding charts' limit leaf (t = 0).
+
     def test_outer_to_rect_left_edge(self):
-        p = SurfacePoint(ChartId.OUTER, -1 + 0.5j)
-        assert transport(p, ChartId.RECT, 2.0) == pytest.approx(-1 + 0.25j)
+        g = gluing_map(2.0, "left", "outer_to_rect")
+        assert g(-1 + 0.5j) == pytest.approx(-1 + 0.25j)
 
     def test_round_trip_all_edges(self):
         K = 3.0
-        for coord in (0.4 + 1j, 0.4 - 1j, -1 + 0.6j, 1 - 0.3j):
-            p = SurfacePoint(ChartId.OUTER, coord)
-            q = transport(p, ChartId.RECT, K)
-            assert chart_contains(ChartId.RECT, q, K, tol=1e-9)
-            back = transport(SurfacePoint(ChartId.RECT, q), ChartId.OUTER, K)
+        for side, coord in (
+            ("top", 0.4 + 1j),
+            ("bottom", 0.4 - 1j),
+            ("left", -1 + 0.6j),
+            ("right", 1 - 0.3j),
+        ):
+            q = gluing_map(K, side, "outer_to_rect")(coord)
+            assert abs(q.real) <= 1.0 + 1e-9 and abs(q.imag) <= 1.0 / K + 1e-9
+            back = gluing_map(K, side, "rect_to_outer")(q)
             assert back == pytest.approx(coord)
 
-    def test_interior_point_rejected(self):
-        with pytest.raises(ValueError):
-            transport(SurfacePoint(ChartId.OUTER, 3 + 3j), ChartId.RECT, 2.0)
-        with pytest.raises(ValueError):
-            transport(SurfacePoint(ChartId.RECT, 0j), ChartId.OUTER, 2.0)
-
-    def test_same_chart_identity(self):
-        p = SurfacePoint(ChartId.OUTER, 5 + 5j)
-        assert transport(p, ChartId.OUTER, 2.0) == p.coord
-
     def test_limit_strip_mouth(self):
-        p = SurfacePoint(ChartId.OUTER, -1 + 0.5j)
-        assert transport(p, ChartId.STRIP_LEFT, INF) == pytest.approx(0.5j)
-        q = SurfacePoint(ChartId.STRIP_RIGHT, -0.7j)
-        assert transport(q, ChartId.OUTER, INF) == pytest.approx(1 - 0.7j)
+        left = half_strip_chart("left")
+        a = embed_invert(left, 0.0, SurfacePoint(ChartId.OUTER, -1 + 0.5j))
+        assert a == pytest.approx(0.5j)
+        inside = embed_eval(left, 0.0, 0.1 + 0.5j)
+        assert inside.chart is ChartId.STRIP_LEFT
+        assert inside.coord == pytest.approx(0.1 + 0.5j)
+        q = embed_eval(half_strip_chart("right"), 0.0, -0.7j)
+        assert q.chart is ChartId.OUTER
+        assert q.coord == pytest.approx(1 - 0.7j)
 
     def test_limit_strip_to_spiral(self):
-        p = SurfacePoint(ChartId.STRIP_LEFT, 3 + 1j)
-        assert transport(p, ChartId.SPIRAL_UL, INF) == pytest.approx(math.log(3))
-        back = transport(SurfacePoint(ChartId.SPIRAL_UL, math.log(3)), ChartId.STRIP_LEFT, INF)
-        assert back == pytest.approx(3 + 1j)
+        chart = spiral_ball_chart("ul", complex(math.log(3)), 1.0)
+        p = embed_eval(chart, 0.0, 3 + 0j)
+        assert p.chart is ChartId.STRIP_LEFT
+        assert p.coord == pytest.approx(3 + 1j)
+        z = embed_invert(chart, 0.0, SurfacePoint(ChartId.STRIP_LEFT, 3 + 1j))
+        assert cmath.log(z) == pytest.approx(math.log(3))
 
     def test_bottom_right_seam_sign(self):
         # the seam of the bottom-right spiral is the -pi lift of the cut
-        p = SurfacePoint(ChartId.STRIP_RIGHT, -2 - 1j)
-        got = transport(p, ChartId.SPIRAL_BR, INF)
-        assert got == pytest.approx(math.log(2) - 1j * math.pi)
-        back = transport(SurfacePoint(ChartId.SPIRAL_BR, got), ChartId.STRIP_RIGHT, INF)
-        assert back == pytest.approx(-2 - 1j)
+        chart = spiral_ball_chart("br", complex(math.log(2), -math.pi), 1.0)
+        past = embed_eval(chart, 0.0, 2 * cmath.exp(1j * (0.1 - math.pi)))
+        assert past.chart is ChartId.SPIRAL_BR
+        assert past.coord == pytest.approx(math.log(2) - 1j * (math.pi - 0.1))
+        z = embed_invert(chart, 0.0, SurfacePoint(ChartId.STRIP_RIGHT, -2 - 1j))
+        assert z == pytest.approx(-2)
+        back = embed_eval(chart, 0.0, z)
+        assert back.chart is ChartId.STRIP_RIGHT
+        assert back.coord == pytest.approx(-2 - 1j)
 
     def test_unrelated_charts_rejected(self):
-        p = SurfacePoint(ChartId.STRIP_LEFT, 3 + 1j)
-        with pytest.raises(ValueError):
-            transport(p, ChartId.SPIRAL_UR, INF)
-
-
-def test_spiral_log_wrong_side():
-    with pytest.raises(ValueError):
-        spiral_log(ChartId.SPIRAL_UL, 1 - 0.5j)
+        chart = spiral_ball_chart("ur", complex(math.log(3), math.pi), 1.0)
+        assert embed_invert(chart, 0.0, SurfacePoint(ChartId.STRIP_LEFT, 3 + 1j)) is None
+        own = embed_invert(chart, 0.0, SurfacePoint(ChartId.STRIP_RIGHT, -3 + 1j))
+        assert own == pytest.approx(-3)
 
 
 class TestCornerHolonomy:
@@ -193,124 +169,39 @@ class TestHoleMonodromy:
 
 
 class TestGeodesics:
-    def test_straight_far_from_square(self):
-        s = SurfaceSpec(2.0)
-        tr = trace_geodesic(s, SurfacePoint(ChartId.OUTER, 3 + 0j), 1 + 0j, 2.0)
-        assert tr.status == "alive"
-        assert tr.points[-1].coord == pytest.approx(5 + 0j)
-        assert len(tr.points) == 2
+    # A straight segment inside one embedding chart is a geodesic of the
+    # member at that leaf, so its end point is read off with embed_eval.
 
     def test_vertical_through_square_k1(self):
-        s = SurfaceSpec(1.0)
-        tr = trace_geodesic(s, SurfacePoint(ChartId.OUTER, 1.5j), -1j, 3.0)
-        assert tr.status == "alive"
-        assert tr.points[-1].chart is ChartId.OUTER
-        assert tr.points[-1].coord == pytest.approx(-1.5j)
+        p = embed_eval(edge_strip_chart(), 1.0, 1.5j - 3j)
+        assert p.chart is ChartId.OUTER
+        assert p.coord == pytest.approx(-1.5j)
 
     def test_vertical_through_rect_k2(self):
         # crossing top then bottom shifts the straight-line endpoint by the
         # hole translation: -1.5j becomes -2.5j at K=2
-        s = SurfaceSpec(2.0)
-        tr = trace_geodesic(s, SurfacePoint(ChartId.OUTER, 1.5j), -1j, 3.0)
-        assert tr.status == "alive"
-        assert tr.points[-1].coord == pytest.approx(-2.5j)
-        assert tr.times[-1] == pytest.approx(3.0)
-        shift = tr.points[-1].coord - (-1.5j)
+        p = embed_eval(edge_strip_chart(), 0.5, 1.5j - 3j)
+        assert p.chart is ChartId.OUTER
+        assert p.coord == pytest.approx(-2.5j)
+        shift = p.coord - (-1.5j)
         assert shift == pytest.approx(hole_monodromy(2.0, "right", "cw").b)
-
-    def test_horizontal_through_hole(self):
-        s = SurfaceSpec(2.0)
-        tr = trace_geodesic(s, SurfacePoint(ChartId.OUTER, -2 + 0.5j), 1 + 0j, 6.0)
-        assert tr.status == "alive"
-        # 1 unit outside, 4 units across the rectangle at half speed, 1 after
-        assert tr.points[-1].coord == pytest.approx(2 + 0.5j)
-        charts = [p.chart for p in tr.points]
-        assert ChartId.RECT in charts
-
-    def test_corner_hit(self):
-        s = SurfaceSpec(2.0)
-        tr = trace_geodesic(s, SurfacePoint(ChartId.OUTER, -2 + 2j), 1 - 1j, 5.0)
-        assert tr.status == "hit_corner"
-        assert tr.corner == "ul"
-        assert tr.times[-1] == pytest.approx(1.0)
-
-    def test_no_corner_hit_on_a1(self):
-        s = SurfaceSpec(1.0)
-        tr = trace_geodesic(s, SurfacePoint(ChartId.OUTER, -2 + 2j), 1 - 1j, 5.0)
-        assert tr.status == "alive"
-        # the curve continues straight through the regular cone point
-        assert tr.points[-1].coord == pytest.approx(3 - 3j)
-
-    def test_chart_independence(self):
-        # same surface point and velocity expressed in both charts
-        s = SurfaceSpec(2.0)
-        a = trace_geodesic(s, SurfacePoint(ChartId.OUTER, -1 + 0.5j), -1 + 0j, 2.0)
-        b = trace_geodesic(s, SurfacePoint(ChartId.RECT, -1 + 0.25j), -0.5 + 0j, 2.0)
-        assert a.status == b.status == "alive"
-        assert a.points[-1].chart is ChartId.OUTER
-        assert b.points[-1].chart is ChartId.OUTER
-        assert a.points[-1].coord == pytest.approx(b.points[-1].coord)
 
     def test_limit_glued_edge(self):
         # the zero-height hole is crossed instantly, full deck shift -2i
-        s = SurfaceSpec(INF)
-        tr = trace_geodesic(s, SurfacePoint(ChartId.OUTER, 1.5j), -1j, 3.0)
-        assert tr.status == "alive"
-        assert tr.points[-1].coord == pytest.approx(-3.5j)
+        p = embed_eval(edge_strip_chart(), 0.0, 1.5j - 3j)
+        assert p.chart is ChartId.OUTER
+        assert p.coord == pytest.approx(-3.5j)
 
     def test_limit_into_strip(self):
-        s = SurfaceSpec(INF)
-        tr = trace_geodesic(s, SurfacePoint(ChartId.OUTER, -3 + 0.5j), 1 + 0j, 4.0)
-        assert tr.status == "alive"
-        assert tr.points[-1].chart is ChartId.STRIP_LEFT
-        assert tr.points[-1].coord == pytest.approx(2 + 0.5j)
+        chart = half_strip_chart("left")
+        a = embed_invert(chart, 0.0, SurfacePoint(ChartId.OUTER, -3 + 0.5j))
+        p = embed_eval(chart, 0.0, a + 4.0)
+        assert p.chart is ChartId.STRIP_LEFT
+        assert p.coord == pytest.approx(2 + 0.5j)
 
     def test_limit_strip_to_spiral(self):
-        s = SurfaceSpec(INF)
-        tr = trace_geodesic(s, SurfacePoint(ChartId.STRIP_LEFT, 2 + 0.5j), 1j, 1.5)
-        assert tr.status == "alive"
-        assert tr.points[-1].chart is ChartId.SPIRAL_UL
-        assert tr.points[-1].coord == pytest.approx(cmath.log(2 + 1j))
-
-    def test_limit_spiral_winding_stays_inside(self):
-        # a chord crossing the positive reals two sheets up does not exit
-        s = SurfaceSpec(INF)
-        start = SurfacePoint(ChartId.SPIRAL_UL, math.log(2) + 1j * (4 * math.pi + 0.1))
-        p0 = cmath.exp(start.coord)
-        v = -2j * p0  # clockwise-ish chord, angle decreases
-        tr = trace_geodesic(s, start, v, 0.4)
-        assert tr.status == "alive"
-        assert tr.points[-1].chart is ChartId.SPIRAL_UL
-        assert tr.points[-1].coord.imag > 2 * math.pi
-
-    def test_limit_spiral_exit_through_seam(self):
-        s = SurfaceSpec(INF)
-        start = SurfacePoint(ChartId.SPIRAL_UL, math.log(2) + 1j * (math.pi / 2))
-        tr = trace_geodesic(s, start, 1 - 1j, 4.0)
-        charts = [p.chart for p in tr.points]
-        assert ChartId.STRIP_LEFT in charts
-        # seam crossing at projection 2, strip coordinate 2 + i
-        idx = charts.index(ChartId.STRIP_LEFT)
-        assert tr.points[idx].coord == pytest.approx(2 + 1j)
-
-    def test_limit_spiral_corner_hit(self):
-        s = SurfaceSpec(INF)
-        start = SurfacePoint(ChartId.SPIRAL_UL, cmath.log(1 + 1j))
-        tr = trace_geodesic(s, start, -1 - 1j, 2.0)
-        assert tr.status == "hit_corner"
-        assert tr.corner == "ul"
-        assert tr.times[-1] == pytest.approx(1.0)
-
-    def test_invalid_start_rejected(self):
-        with pytest.raises(ValueError):
-            trace_geodesic(SurfaceSpec(2.0), SurfacePoint(ChartId.OUTER, 0j), 1 + 0j, 1.0)
-        with pytest.raises(ValueError):
-            trace_geodesic(SurfaceSpec(INF), SurfacePoint(ChartId.RECT, 0j), 1 + 0j, 1.0)
-        with pytest.raises(ValueError):
-            trace_geodesic(SurfaceSpec(2.0), SurfacePoint(ChartId.OUTER, 3 + 0j), 0j, 1.0)
-
-    def test_times_monotone(self):
-        s = SurfaceSpec(2.0)
-        tr = trace_geodesic(s, SurfacePoint(ChartId.OUTER, -2 + 0.3j), 1 + 0.1j, 7.0)
-        assert all(t2 >= t1 for t1, t2 in zip(tr.times, tr.times[1:]))
-        assert tr.times[-1] == pytest.approx(7.0)
+        chart = half_strip_chart("left")
+        a = embed_invert(chart, 0.0, SurfacePoint(ChartId.STRIP_LEFT, 2 + 0.5j))
+        p = embed_eval(chart, 0.0, a + 1.5j)
+        assert p.chart is ChartId.SPIRAL_UL
+        assert p.coord == pytest.approx(cmath.log(2 + 1j))
