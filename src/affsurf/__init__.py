@@ -43,7 +43,7 @@ from .solver import (
 from .svg import PALETTE, PlaneCurve, PlaneDots, figure
 from .tracking import (
     TrackResult,
-    circle_target,
+    arc_target,
     segment_target,
     track_level_curve,
 )
@@ -69,7 +69,7 @@ __all__ = [
     "extract_limit",
     "solve_prevertex",
     "TrackResult",
-    "circle_target",
+    "arc_target",
     "segment_target",
     "track_level_curve",
     "HAUSDORFF_ACCEPT",

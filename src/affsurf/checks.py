@@ -1,0 +1,238 @@
+"""The certificates of `affsurf verify`, shared with the acceptance gates.
+
+Each check takes values its caller has already computed (solve results,
+developing maps, point arrays, a quadrature tolerance) and returns
+``(problems, detail)``: one string per violated clause, empty when the
+check passes, and the detail dict that `verify` writes into its report.
+"""
+
+from __future__ import annotations
+
+import cmath
+import math
+from typing import Iterable, List, Mapping, Sequence, Tuple
+
+import numpy as np
+
+from . import surface
+from .develop import DevelopingMap
+from .embedding import (
+    VirtualPointRep,
+    edge_strip_chart,
+    half_strip_chart,
+    outer_chart,
+    separation_check,
+    spiral_ball_chart,
+    transition_continuity_check,
+)
+from .limitset import hausdorff_distance
+from .solver import SolveResult
+
+Outcome = Tuple[List[str], dict]
+
+
+def k_label(K: float) -> str:
+    """Aspect as written in reports and file names: integers without a dot."""
+    if math.isinf(K):
+        return "inf"
+    if K == int(K) and abs(K) < 1e15:
+        return str(int(K))
+    return "%.12g" % K
+
+
+def square_identity(sol: SolveResult, dev: DevelopingMap, points: np.ndarray) -> Outcome:
+    """The K = 1 member is the identity: exact solve, zero connection, square image."""
+    zeta_sup = float(np.max(np.abs(dev.connection(1j * np.linspace(-2.0, 2.0, 100)))))
+    square_dev = float(np.max(np.abs(np.maximum(abs(points.real), abs(points.imag)) - 1.0)))
+    problems = []
+    if sol.prevertex != 1.0 + 1.0j:
+        problems.append(f"prevertex {sol.prevertex} is not 1+1j")
+    if sol.residual >= 1e-10:
+        problems.append(f"residual {sol.residual:.2e}")
+    if zeta_sup != 0.0:
+        problems.append(f"zeta not identically zero, sup {zeta_sup:.2e}")
+    if square_dev >= 1e-9:
+        problems.append(f"square deviation {square_dev:.2e}")
+    return problems, {
+        "z1": sol.prevertex,
+        "residual": sol.residual,
+        "zeta_sup": zeta_sup,
+        "square_deviation": square_dev,
+    }
+
+
+def solver_residuals(
+    cold: Mapping[float, SolveResult], warm: Mapping[float, SolveResult]
+) -> Outcome:
+    """Cold and warm-started solves converge, agree, and stay in the open quadrant."""
+    problems = []
+    per = {}
+    for K, c in cold.items():
+        w = warm[K]
+        gap = abs(c.prevertex - w.prevertex)
+        if c.residual >= 1e-8 or w.residual >= 1e-8:
+            problems.append(f"k={K:g} residuals {c.residual:.2e}/{w.residual:.2e}")
+        if not (c.prevertex.real > 0 and c.prevertex.imag > 0):
+            problems.append(f"k={K:g} prevertex {c.prevertex} outside open first quadrant")
+        if gap >= 1e-8:
+            problems.append(f"k={K:g} cold/warm gap {gap:.2e}")
+        per[k_label(K)] = {
+            "z1": c.prevertex,
+            "residual_cold": c.residual,
+            "residual_warm": w.residual,
+            "cold_warm_gap": gap,
+        }
+    return problems, per
+
+
+def corner_holonomy(aspects: Iterable[float]) -> Outcome:
+    """Each corner holonomy scales by K or 1/K and fixes its square corner.
+
+    The fixed point is bounded, not exact: at K = 3 and 7 it is off by 1.1e-16.
+    """
+    problems = []
+    worst_scale = 0.0
+    worst_fix = 0.0
+    for K in aspects:
+        for corner in surface.CORNERS:
+            h = surface.corner_holonomy(K, corner)
+            scale = abs(h.a - K) if corner in ("ul", "br") else abs(h.a * K - 1.0)
+            worst_scale = max(worst_scale, scale)
+            if scale >= 1e-12:
+                problems.append(f"k={K:g} {corner} linear part off by {scale:.2e}")
+            if h.is_identity(tol=0.0):
+                continue
+            fix = abs(h.fixed_point() - surface.CORNER_COORD[corner])
+            worst_fix = max(worst_fix, fix)
+            if fix >= 1e-12:
+                problems.append(f"k={K:g} {corner} fixed point off by {fix:.2e}")
+    return problems, {"worst_scale_error": worst_scale, "worst_fixed_point_error": worst_fix}
+
+
+def hole_loop_translation(solutions: Iterable[SolveResult], tol: float) -> Outcome:
+    """Loop integrals of g' around each prevertex pair equal the hole translations."""
+    problems = []
+    per = {}
+    for sol in solutions:
+        K, z1 = sol.K, sol.prevertex
+        dev = DevelopingMap.from_aspect(K, z1)
+        radius = 2.2 * z1.imag
+        right = dev.loop_integral(complex(z1.real, 0.0), radius, tol=tol)
+        left = dev.loop_integral(complex(-z1.real, 0.0), radius, tol=tol)
+        gap = abs(right - surface.hole_monodromy(K, "right", "ccw").b)
+        balance = abs(left + right)
+        if gap >= 1e-6:
+            problems.append(f"k={K:g} loop vs translation {gap:.2e}")
+        if balance >= 1e-8:
+            problems.append(f"k={K:g} left+right {balance:.2e}")
+        per[k_label(K)] = {"loop_vs_translation": gap, "left_right_sum": balance}
+    return problems, per
+
+
+def reflection_symmetry(
+    clouds: Mapping[str, np.ndarray],
+    axis_samples: Iterable[Tuple[str, DevelopingMap, np.ndarray]],
+) -> Outcome:
+    """Reflection symmetry of boundary clouds and reality of connections.
+
+    Each named cloud must be invariant under z -> conj z and z -> -conj z,
+    and each connection must be real at its real sample points. The detail
+    holds the worst value of each quantity over all inputs.
+    """
+    problems = []
+    d_conj = d_anti = zeta_imag = 0.0
+    for name, pts in clouds.items():
+        c = hausdorff_distance(pts, np.conj(pts))
+        a = hausdorff_distance(pts, -np.conj(pts))
+        if c >= 1e-6:
+            problems.append(f"{name} conj asymmetry {c:.2e}")
+        if a >= 1e-6:
+            problems.append(f"{name} -conj asymmetry {a:.2e}")
+        d_conj, d_anti = max(d_conj, c), max(d_anti, a)
+    for name, dev, xs in axis_samples:
+        sup = float(np.max(np.abs(dev.connection(xs).imag)))
+        if sup >= 1e-10:
+            problems.append(f"zeta at {name} not real on axis, sup {sup:.2e}")
+        zeta_imag = max(zeta_imag, sup)
+    return problems, {
+        "conj_distance": d_conj,
+        "anticonj_distance": d_anti,
+        "zeta_imag_on_axis": zeta_imag,
+    }
+
+
+_T_GRID = (0.5, 0.1, 0.02, 0.004)
+
+# (name, chart a, chart b, compact sample set, tolerance on the final sup)
+TRANSITION_PAIRS = (
+    ("half-strip-left-vs-outer", half_strip_chart("left"), outer_chart(),
+     tuple(complex(x, y) for x in (-1.5, -0.6, 0.0) for y in (-0.7, 0.2, 0.7)), 1e-9),
+    ("edge-strip-vs-outer-upper", edge_strip_chart(), outer_chart(),
+     tuple(complex(x, y) for x in (-0.5, 0.3) for y in (1.2, 2.5)), 1e-9),
+    ("edge-strip-vs-outer-lower", edge_strip_chart(), outer_chart(),
+     tuple(complex(x, y) for x in (-0.5, 0.3) for y in (-1.2, -4.0)), 1e-2),
+    ("half-strip-vs-spiral-ball", half_strip_chart("left"),
+     spiral_ball_chart("ul", cmath.log(0.85 + 0.125j), 0.45),
+     (0.8 + 1.3j, 0.9 + 1.2j, 0.9 + 0.95j, 0.75 + 1.05j), 1e-9),
+)
+
+
+def chart_transitions(pairs: Sequence[tuple] = TRANSITION_PAIRS) -> Outcome:
+    """Coordinate changes converge to the limit change at rate at most 4t."""
+    problems = []
+    per = {}
+    for name, cha, chb, compact, tol in pairs:
+        rep = transition_continuity_check(cha, chb, compact, _T_GRID, tol=tol)
+        if rep["verdict"] != "pass":
+            problems.append(f"{name} verdict {rep['verdict']}")
+        if not rep["rate_bound"] <= 4.0:
+            problems.append(f"{name} rate bound {rep['rate_bound']:.3f} above 4")
+        per[name] = {
+            "verdict": rep["verdict"],
+            "rate_bound": rep["rate_bound"],
+            "final_sup": rep["sup"][-1],
+        }
+    return problems, per
+
+
+def _sheet(n: int) -> VirtualPointRep:
+    theta = 7 * math.pi / 4 + 2 * math.pi * (n - 1)
+    return VirtualPointRep(
+        cmath.exp(1j * (theta % (2 * math.pi))), spiral_ball_chart("ul", 1j * theta, 0.45)
+    )
+
+
+_STRIP = VirtualPointRep(1.0 + 0j, half_strip_chart("left"))
+
+# (name, point x, point y, disk radius around x, disk radius around y)
+SEPARATION_SCENARIOS = (
+    ("strip-vs-first-sheet", _STRIP, _sheet(1), 0.4, 0.4),
+    ("outer-vs-strip", VirtualPointRep(4.0 + 3.0j, outer_chart()), _STRIP, 0.5, 0.4),
+    ("sheet-one-vs-sheet-two", _sheet(1), _sheet(2), 0.4, 0.4),
+)
+SEPARATION_ASPECTS = (10.0, 100.0, 1000.0, 10000.0)
+
+
+def separation_scenarios(scenarios: Sequence[tuple] = SEPARATION_SCENARIOS) -> Outcome:
+    """Distinct limit points have disjoint disk images at every tested aspect."""
+    problems = []
+    per = {}
+    for name, x, y, rx, ry in scenarios:
+        rep = separation_check(x, y, SEPARATION_ASPECTS, rx, ry)
+        per[name] = {k_label(r["K"]): r["verdict"] for r in rep["per_k"]}
+        bad = [(r["K"], r["verdict"]) for r in rep["per_k"] if r["verdict"] != "disjoint"]
+        if bad:
+            problems.append(f"{name}: {bad}")
+    return problems, per
+
+
+# the checks of `affsurf verify`, in the order it runs and prints them
+REGISTRY = {
+    "square-identity": square_identity,
+    "solver-residuals": solver_residuals,
+    "corner-holonomy": corner_holonomy,
+    "hole-loop-translation": hole_loop_translation,
+    "reflection-symmetry": reflection_symmetry,
+    "chart-transitions": chart_transitions,
+    "separation-scenarios": separation_scenarios,
+}

@@ -10,7 +10,7 @@ check failed, 2 bad usage, 3 a numerical stage gave up.
 from __future__ import annotations
 
 import argparse
-import cmath
+import functools
 import hashlib
 import json
 import math
@@ -21,25 +21,12 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import checks
+from .checks import k_label
 from .develop import DevelopingMap
-from .embedding import (
-    VirtualPointRep,
-    edge_strip_chart,
-    half_strip_chart,
-    outer_chart,
-    separation_check,
-    spiral_ball_chart,
-    transition_continuity_check,
-)
-from .limitset import (
-    convergence_report,
-    hausdorff_distance,
-    limit_image_cloud,
-    rectangle_image_boundary,
-)
+from .limitset import convergence_report, limit_image_cloud, rectangle_image_boundary
 from .pointcloud import PointCloud, write_points
 from .solver import continuation_sweep, extract_limit, solve_prevertex
-from .surface import CORNER_COORD, CORNERS, corner_holonomy, hole_monodromy
 from .svg import PALETTE, PlaneCurve, PlaneDots, figure
 
 COMMANDS = ("solve", "sweep", "render", "limit", "hausdorff", "verify")
@@ -66,14 +53,6 @@ _FLAG_KEYS = tuple(_DEFAULTS)
 
 class UsageError(Exception):
     pass
-
-
-def _k_label(K: float) -> str:
-    if math.isinf(K):
-        return "inf"
-    if K == int(K) and abs(K) < 1e15:
-        return str(int(K))
-    return "%.12g" % K
 
 
 def _decades(lo: int, hi: int) -> Tuple[float, ...]:
@@ -170,7 +149,7 @@ class RunConfig:
     def as_dict(self) -> dict:
         return {
             "command": self.command,
-            "k": [_k_label(v) for v in self.k],
+            "k": [k_label(v) for v in self.k],
             "k_grid": list(self.k_grid),
             "tol_solver": self.tol_solver,
             "tol_quad": self.tol_quad,
@@ -276,13 +255,6 @@ class _Recorder:
         self.steps.append(entry)
         return ok
 
-    @property
-    def first_failed(self) -> Optional[str]:
-        for s in self.steps:
-            if s["status"] == "fail":
-                return s["name"]
-        return None
-
     def write_text(self, name: str, text: str) -> Path:
         path = self.out_dir / (self.prefix + name)
         path.write_text(text)
@@ -312,13 +284,6 @@ def _table(title: str, columns: Sequence[str], rows: Sequence[Sequence]) -> str:
 # ---------------------------------------------------------------- commands
 
 
-def _solve_sorted(ks, config) -> dict:
-    out = {}
-    for K in ks:
-        out[K] = solve_prevertex(K, tol=config.tol_solver, quad_tol=config.tol_quad)
-    return out
-
-
 def _run_solve(config: RunConfig, rec: _Recorder) -> dict:
     solves = []
     worst = 0.0
@@ -326,13 +291,13 @@ def _run_solve(config: RunConfig, rec: _Recorder) -> dict:
         sol = solve_prevertex(K, tol=config.tol_solver, quad_tol=config.tol_quad)
         worst = max(worst, sol.residual)
         rec.step(
-            f"solve k={_k_label(K)}",
+            f"solve k={k_label(K)}",
             True,
             {"residual": sol.residual, "iterations": sol.iterations},
         )
         solves.append(
             {
-                "k": _k_label(K),
+                "k": k_label(K),
                 "z1": sol.prevertex,
                 "residual": sol.residual,
                 "iterations": sol.iterations,
@@ -369,12 +334,12 @@ def _run_sweep(config: RunConfig, rec: _Recorder) -> dict:
     dev = DevelopingMap.merged_limit(est.x0, est.tau)
     shift = abs(dev.additive_monodromy_series(complex(est.x0)))
     rows = [
-        (_k_label(s.K), s.prevertex.real, s.prevertex.imag, s.residual, s.iterations)
+        (k_label(s.K), s.prevertex.real, s.prevertex.imag, s.residual, s.iterations)
         for s in sols
     ]
     rec.write_text("sweep.txt", _table("sweep", ("k", "re_z1", "im_z1", "residual", "iterations"), rows))
     return {
-        "aspects": [_k_label(s.K) for s in sols],
+        "aspects": [k_label(s.K) for s in sols],
         "x0": est.x0,
         "tau": est.tau,
         "x0_stability": est.x0_stability,
@@ -392,7 +357,8 @@ def _finite_boundary(config: RunConfig, K: float):
 
 
 def _limit_boundary(config: RunConfig, est):
-    return limit_image_cloud(
+    """The limit cloud and the truncation header of its point file."""
+    cloud = limit_image_cloud(
         est.x0,
         est.tau,
         theta_max=config.theta_max,
@@ -400,17 +366,18 @@ def _limit_boundary(config: RunConfig, est):
         flank_outer=STRIP_DEPTH + 1.0,
         quad_tol=config.tol_quad,
     )
+    return cloud, {"theta_max": config.theta_max, "strip_depth": STRIP_DEPTH}
 
 
 def _run_render(config: RunConfig, rec: _Recorder) -> dict:
     entries = []
     est = None
     for K in config.k:
-        label = _k_label(K)
+        label = k_label(K)
         if math.isinf(K):
             if est is None:
                 _, est = _sweep_fit(config, rec)
-            cloud = _limit_boundary(config, est)
+            cloud, truncation = _limit_boundary(config, est)
             rec.step(f"boundary k={label}", True, {"points": len(cloud.points)})
             entries.append(
                 {
@@ -419,10 +386,7 @@ def _run_render(config: RunConfig, rec: _Recorder) -> dict:
                     "cloud": cloud,
                     "source": "limit-boundary",
                     "markers": ("singular_points",),
-                    "truncation": {
-                        "theta_max": config.theta_max,
-                        "strip_depth": STRIP_DEPTH,
-                    },
+                    "truncation": truncation,
                 }
             )
         else:
@@ -479,7 +443,7 @@ def _run_render(config: RunConfig, rec: _Recorder) -> dict:
 
 def _run_limit(config: RunConfig, rec: _Recorder) -> dict:
     _, est = _sweep_fit(config, rec)
-    cloud = _limit_boundary(config, est)
+    cloud, truncation = _limit_boundary(config, est)
     rec.write_cloud(
         "limit.txt",
         PointCloud(
@@ -487,7 +451,7 @@ def _run_limit(config: RunConfig, rec: _Recorder) -> dict:
             "limit-boundary",
             config.density,
             k=math.inf,
-            truncation={"theta_max": config.theta_max, "strip_depth": STRIP_DEPTH},
+            truncation=truncation,
         ),
     )
     return {
@@ -508,7 +472,7 @@ def _run_hausdorff(config: RunConfig, rec: _Recorder) -> dict:
         quad_tol=config.tol_quad,
     )
     rows = [
-        (_k_label(r["K"]), r["hausdorff"], r["boundary_points"]) for r in report["rows"]
+        (k_label(r["K"]), r["hausdorff"], r["boundary_points"]) for r in report["rows"]
     ]
     rec.write_text("hausdorff.txt", _table("hausdorff", ("k", "hausdorff", "boundary_points"), rows))
     rec.step(
@@ -527,216 +491,48 @@ def _run_hausdorff(config: RunConfig, rec: _Recorder) -> dict:
 # ------------------------------------------------------------------ verify
 
 
-def _check_square(config: RunConfig, shared: dict):
-    sol = solve_prevertex(1.0, tol=config.tol_solver, quad_tol=config.tol_quad)
-    shared[1.0] = sol
-    dev = DevelopingMap.from_aspect(1.0, sol.prevertex)
-    grid = 1j * np.linspace(-2.0, 2.0, 100)
-    zeta_sup = float(np.max(np.abs(dev.connection(grid))))
-    cloud = rectangle_image_boundary(dev, spacing=1.0 / config.density, quad_tol=config.tol_quad)
-    pts = cloud.points
-    square_dev = float(np.max(np.abs(np.maximum(np.abs(pts.real), np.abs(pts.imag)) - 1.0)))
-    ok = (
-        sol.prevertex == 1.0 + 1.0j
-        and sol.residual < 1e-10
-        and zeta_sup == 0.0
-        and square_dev < 1e-9
-    )
-    return ok, {
-        "z1": sol.prevertex,
-        "residual": sol.residual,
-        "zeta_sup": zeta_sup,
-        "square_deviation": square_dev,
-    }
-
-
-def _check_residuals(config: RunConfig, shared: dict):
-    ks = [K for K in config.k if not math.isinf(K)]
-    cold = _solve_sorted(ks, config)
-    warm = {s.K: s for s in continuation_sweep(ks, tol=config.tol_solver, quad_tol=config.tol_quad)}
-    ok = True
-    per = {}
-    for K in ks:
-        c, w = cold[K], warm[K]
-        agreement = abs(c.prevertex - w.prevertex)
-        good = (
-            c.residual < 1e-8
-            and w.residual < 1e-8
-            and c.prevertex.real > 0
-            and c.prevertex.imag > 0
-            and agreement < 1e-8
-        )
-        per[_k_label(K)] = {
-            "z1": c.prevertex,
-            "residual_cold": c.residual,
-            "residual_warm": w.residual,
-            "cold_warm_gap": agreement,
-        }
-        ok = ok and good
-    shared.update(cold)
-    return ok, per
-
-
-def _check_holonomy(config: RunConfig, shared: dict):
-    ks = [K for K in config.k if not math.isinf(K)]
-    worst_scale = 0.0
-    worst_fix = 0.0
-    for K in ks:
-        for corner in CORNERS:
-            h = corner_holonomy(K, corner)
-            if corner in ("ul", "br"):
-                worst_scale = max(worst_scale, abs(h.a - K))
-            else:
-                worst_scale = max(worst_scale, abs(h.a * K - 1.0))
-            if not h.is_identity(tol=0.0):
-                worst_fix = max(worst_fix, abs(h.fixed_point() - CORNER_COORD[corner]))
-    ok = worst_scale < 1e-12 and worst_fix < 1e-12
-    return ok, {"worst_scale_error": worst_scale, "worst_fixed_point_error": worst_fix}
-
-
-def _check_loops(config: RunConfig, shared: dict):
-    ok = True
-    per = {}
-    for K in (2.0, 5.0):
-        sol = shared.get(K) or solve_prevertex(K, tol=config.tol_solver, quad_tol=config.tol_quad)
-        z1 = sol.prevertex
-        dev = DevelopingMap.from_aspect(K, z1)
-        radius = 2.2 * z1.imag
-        right = dev.loop_integral(complex(z1.real, 0.0), radius, tol=config.tol_quad)
-        left = dev.loop_integral(complex(-z1.real, 0.0), radius, tol=config.tol_quad)
-        shift = hole_monodromy(K, "right", "ccw").b
-        gap = abs(right - shift)
-        balance = abs(left + right)
-        per[_k_label(K)] = {"loop_vs_translation": gap, "left_right_sum": balance}
-        ok = ok and gap < 1e-6 and balance < 1e-8
-    return ok, per
-
-
-def _check_symmetry(config: RunConfig, shared: dict):
-    above = [K for K in config.k if 1.0 < K < math.inf]
-    K = above[0] if above else 2.0
-    sol = shared.get(K) or solve_prevertex(K, tol=config.tol_solver, quad_tol=config.tol_quad)
-    dev = DevelopingMap.from_aspect(K, sol.prevertex)
-    pts = rectangle_image_boundary(
-        dev, spacing=1.0 / config.density, quad_tol=config.tol_quad
-    ).points
-    d_conj = hausdorff_distance(pts, np.conj(pts))
-    d_anti = hausdorff_distance(pts, -np.conj(pts))
-    rng = np.random.default_rng(config.seed)
-    xs = rng.uniform(-6.0, 6.0, 64)
-    zeta_imag = float(np.max(np.abs(dev.connection(xs).imag)))
-    ok = d_conj < 1e-6 and d_anti < 1e-6 and zeta_imag < 1e-10
-    return ok, {
-        "k": _k_label(K),
-        "conj_distance": d_conj,
-        "anticonj_distance": d_anti,
-        "zeta_imag_on_axis": zeta_imag,
-    }
-
-
-_T_GRID = (0.5, 0.1, 0.02, 0.004)
-
-
-def _transition_pairs():
-    ball = spiral_ball_chart("ul", cmath.log(0.85 + 0.125j), 0.45)
-    return (
-        (
-            "half-strip-left-vs-outer",
-            half_strip_chart("left"),
-            outer_chart(),
-            [complex(x, y) for x in (-1.5, -0.6, 0.0) for y in (-0.7, 0.2, 0.7)],
-            1e-9,
-        ),
-        (
-            "edge-strip-vs-outer-upper",
-            edge_strip_chart(),
-            outer_chart(),
-            [complex(x, y) for x in (-0.5, 0.3) for y in (1.2, 2.5)],
-            1e-9,
-        ),
-        (
-            "edge-strip-vs-outer-lower",
-            edge_strip_chart(),
-            outer_chart(),
-            [complex(x, y) for x in (-0.5, 0.3) for y in (-1.2, -4.0)],
-            1e-2,
-        ),
-        (
-            "half-strip-vs-spiral-ball",
-            half_strip_chart("left"),
-            ball,
-            [0.8 + 1.3j, 0.9 + 1.2j, 0.9 + 0.95j, 0.75 + 1.05j],
-            1e-9,
-        ),
-    )
-
-
-def _check_transitions(config: RunConfig, shared: dict):
-    ok = True
-    per = {}
-    for name, cha, chb, compact, tol in _transition_pairs():
-        rep = transition_continuity_check(cha, chb, compact, _T_GRID, tol=tol)
-        per[name] = {
-            "verdict": rep["verdict"],
-            "rate_bound": rep["rate_bound"],
-            "final_sup": rep["sup"][-1],
-        }
-        ok = ok and rep["verdict"] == "pass" and math.isfinite(rep["rate_bound"])
-    return ok, per
-
-
-def _separation_scenarios():
-    def sheet(n: int) -> VirtualPointRep:
-        theta = 7 * math.pi / 4 + 2 * math.pi * (n - 1)
-        return VirtualPointRep(
-            cmath.exp(1j * (theta % (2 * math.pi))),
-            spiral_ball_chart("ul", 1j * theta, 0.45),
-        )
-
-    strip = VirtualPointRep(1.0 + 0j, half_strip_chart("left"))
-    far_outer = VirtualPointRep(4.0 + 3.0j, outer_chart())
-    return (
-        ("strip-vs-first-sheet", strip, sheet(1), 0.4, 0.4),
-        ("outer-vs-strip", far_outer, strip, 0.5, 0.4),
-        ("sheet-one-vs-sheet-two", sheet(1), sheet(2), 0.4, 0.4),
-    )
-
-
-def _check_separation(config: RunConfig, shared: dict):
-    ks = (10.0, 100.0, 1000.0)
-    ok = True
-    per = {}
-    for name, x, y, rx, ry in _separation_scenarios():
-        rep = separation_check(x, y, ks, rx, ry)
-        verdicts = {str(_k_label(r["K"])): r["verdict"] for r in rep["per_k"]}
-        per[name] = verdicts
-        ok = ok and all(v == "disjoint" for v in verdicts.values())
-    return ok, per
-
-
-_VERIFY_CHECKS = (
-    ("square-identity", _check_square),
-    ("solver-residuals", _check_residuals),
-    ("corner-holonomy", _check_holonomy),
-    ("hole-loop-translation", _check_loops),
-    ("reflection-symmetry", _check_symmetry),
-    ("chart-transitions", _check_transitions),
-    ("separation-scenarios", _check_separation),
-)
-
-
 def _run_verify(config: RunConfig, rec: _Recorder) -> dict:
-    shared: dict = {}
-    failed = []
-    for name, fn in _VERIFY_CHECKS:
-        ok, detail = fn(config, shared)
-        rec.step(name, ok, detail)
-        if not ok:
-            failed.append(name)
-    return {
-        "checks": [name for name, _ in _VERIFY_CHECKS],
-        "failed": failed,
+    @functools.lru_cache(maxsize=None)
+    def solve(K):
+        return solve_prevertex(K, tol=config.tol_solver, quad_tol=config.tol_quad)
+
+    def member(K):
+        return DevelopingMap.from_aspect(K, solve(K).prevertex)
+
+    def boundary(K):
+        return rectangle_image_boundary(
+            member(K), spacing=1.0 / config.density, quad_tol=config.tol_quad
+        ).points
+
+    def residual_inputs():
+        cold = {K: solve(K) for K in config.k}
+        warm = continuation_sweep(config.k, tol=config.tol_solver, quad_tol=config.tol_quad)
+        return cold, {s.K: s for s in warm}
+
+    sym_k = next((K for K in config.k if K > 1.0), 2.0)
+    label = k_label(sym_k)
+    xs = np.random.default_rng(config.seed).uniform(-6.0, 6.0, 64)
+    # each check's inputs are computed when it runs, so a numerical failure
+    # still leaves the steps before it in the report
+    inputs = {
+        "square-identity": lambda: (solve(1.0), member(1.0), boundary(1.0)),
+        "solver-residuals": residual_inputs,
+        "corner-holonomy": lambda: (config.k,),
+        "hole-loop-translation": lambda: ((solve(2.0), solve(5.0)), config.tol_quad),
+        "reflection-symmetry": lambda: (
+            {label: boundary(sym_k)}, [(label, member(sym_k), xs)]
+        ),
+        "chart-transitions": tuple,
+        "separation-scenarios": tuple,
     }
+    failed = []
+    for name, check in checks.REGISTRY.items():
+        problems, detail = check(*inputs[name]())
+        if name == "reflection-symmetry":
+            detail = {"k": label, **detail}
+        if not rec.step(name, not problems, detail):
+            failed.append(name)
+    return {"checks": list(checks.REGISTRY), "failed": failed}
 
 
 _HANDLERS = {
@@ -762,7 +558,7 @@ def run(config: RunConfig) -> RunReport:
     status = "pass"
     try:
         results = _HANDLERS[config.command](config, rec)
-        if rec.first_failed is not None:
+        if any(s["status"] == "fail" for s in rec.steps):
             status = "fail"
     except (ArithmeticError, ValueError) as exc:
         rec.steps.append(
@@ -860,8 +656,6 @@ def _build_config(ns: argparse.Namespace) -> RunConfig:
         value = getattr(ns, key, None)
         if value is not None:
             merged[key] = value
-    merged["k"] = _parse_k(merged["k"])
-    merged["k_grid"] = _parse_grid(merged["k_grid"])
     if not isinstance(merged["seed"], int) or isinstance(merged["seed"], bool):
         try:
             merged["seed"] = int(merged["seed"])

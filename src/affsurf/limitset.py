@@ -24,7 +24,7 @@ from scipy.spatial import cKDTree
 
 from .develop import DevelopingMap
 from .quadrature import QuadratureError
-from .tracking import segment_target, track_level_curve
+from .tracking import arc_target, segment_target, track_level_curve
 
 SQUARE_CORNERS = (1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j)
 
@@ -227,18 +227,6 @@ _LIMIT_ASSEMBLY = {
 }
 
 
-def _arc_target(center: complex, radius: float, th0: float, th1: float):
-    om = th1 - th0
-
-    def p(s):
-        return center + radius * np.exp(1j * (th0 + om * s))
-
-    def dp(s):
-        return radius * 1j * om * np.exp(1j * (th0 + om * s))
-
-    return p, dp
-
-
 def _ray_target(center: complex, theta: float, r0: float, r1: float):
     """Radial developed-plane target, log-uniform in radius."""
     lr0, lr1 = math.log(r0), math.log(r1)
@@ -313,7 +301,7 @@ def limit_image_cloud(
         for angle, label in stops:
             # bridge to the next stop angle; not part of the cloud
             scale = tau / max(abs(angle), math.pi)
-            p, dp = _arc_target(corner, 1.0, th, angle)
+            p, dp = arc_target(corner, 1.0, th, angle)
             if abs(angle - th) > 1e-12:
                 br = track_level_curve(
                     dev, p, dp, w, g0=g, branch0=m,

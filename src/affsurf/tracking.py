@@ -20,7 +20,6 @@ and must scale the derivative by 1/K.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -112,20 +111,18 @@ def segment_target(a: complex, b: complex):
     return (lambda s: a + s * (b - a)), (lambda s: b - a)
 
 
-def circle_target(center: complex, start: complex, turns: float):
-    """Developed-plane circular arc around center, beginning at start.
+def arc_target(center: complex, radius: float, th0: float, th1: float):
+    """Developed-plane circular arc around center from angle th0 to th1.
 
-    Positive turns wind counterclockwise; s in [0, 1] covers the arc.
+    s in [0, 1] covers the arc; th1 > th0 winds counterclockwise.
     """
-    center, start = complex(center), complex(start)
-    rho = start - center
-    om = 2j * math.pi * turns
+    om = th1 - th0
 
     def p(s):
-        return center + rho * np.exp(om * s)
+        return center + radius * np.exp(1j * (th0 + om * s))
 
     def dp(s):
-        return rho * om * np.exp(om * s)
+        return radius * 1j * om * np.exp(1j * (th0 + om * s))
 
     return p, dp
 

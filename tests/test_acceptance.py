@@ -6,8 +6,6 @@ printed lines. Failures collect every violated clause into that line
 instead of stopping at the first assert.
 """
 
-import json
-import math
 import subprocess
 import sys
 import time
@@ -15,26 +13,15 @@ import time
 import numpy as np
 import pytest
 
-from affsurf.cli import make_config, run
+from affsurf import checks
 from affsurf.develop import DevelopingMap, connection_limit_check
-from affsurf.embedding import (
-    VirtualPointRep,
-    edge_strip_chart,
-    half_strip_chart,
-    outer_chart,
-    separation_check,
-    spiral_ball_chart,
-    transition_continuity_check,
-)
 from affsurf.limitset import (
     HAUSDORFF_ACCEPT,
     convergence_report,
-    hausdorff_distance,
     limit_image_cloud,
     rectangle_image_boundary,
 )
 from affsurf.solver import continuation_sweep, extract_limit, solve_prevertex
-from affsurf.surface import CORNER_COORD, CORNERS, corner_holonomy, hole_monodromy
 
 DECADES = tuple(10.0**j for j in range(1, 9))
 TIMINGS: dict = {}
@@ -84,20 +71,11 @@ def limit_cloud_points(limit_fit):
 
 
 def test_criterion_01_square_exactness():
-    problems = []
     t0 = time.perf_counter()
     sol = solve_prevertex(1.0)
-    if sol.prevertex != 1.0 + 1.0j or sol.residual >= 1e-10:
-        problems.append(f"solve gave {sol.prevertex} residual {sol.residual:.2e}")
-    conn = DevelopingMap.from_aspect(1.0, sol.prevertex)
-    zeta_sup = float(np.max(np.abs(conn.connection(1j * np.linspace(-2.0, 2.0, 100)))))
-    if zeta_sup != 0.0:
-        problems.append(f"zeta not identically zero, sup {zeta_sup:.2e}")
     dev = DevelopingMap.from_aspect(1.0, sol.prevertex)
     pts = rectangle_image_boundary(dev, spacing=0.004).points
-    square_gap = float(np.max(np.abs(np.maximum(np.abs(pts.real), np.abs(pts.imag)) - 1.0)))
-    if square_gap >= 1e-9:
-        problems.append(f"square deviation {square_gap:.2e}")
+    problems, _ = checks.square_identity(sol, dev, pts)
     elapsed = time.perf_counter() - t0
     if elapsed >= 1.0:
         problems.append(f"took {elapsed:.2f}s, budget 1s")
@@ -105,16 +83,7 @@ def test_criterion_01_square_exactness():
 
 
 def test_criterion_02_solver_success(cold_solutions, warm_solutions):
-    problems = []
-    for K in (2.0, 5.0, 1000.0):
-        c, w = cold_solutions[K], warm_solutions[K]
-        if c.residual >= 1e-8 or w.residual >= 1e-8:
-            problems.append(f"k={K:g} residuals {c.residual:.2e}/{w.residual:.2e}")
-        if not (c.prevertex.real > 0 and c.prevertex.imag > 0):
-            problems.append(f"k={K:g} prevertex {c.prevertex} outside open first quadrant")
-        gap = abs(c.prevertex - w.prevertex)
-        if gap >= 1e-8:
-            problems.append(f"k={K:g} cold/warm gap {gap:.2e}")
+    problems, _ = checks.solver_residuals(cold_solutions, warm_solutions)
     elapsed = TIMINGS["cold"] + TIMINGS["warm"]
     if elapsed >= 60.0:
         problems.append(f"took {elapsed:.1f}s, budget 60s")
@@ -122,31 +91,17 @@ def test_criterion_02_solver_success(cold_solutions, warm_solutions):
 
 
 def test_criterion_03_monodromy_cross_check(cold_solutions):
-    problems = []
-    for K in (2.0, 5.0):
-        z1 = cold_solutions[K].prevertex
-        dev = DevelopingMap.from_aspect(K, z1)
-        radius = 2.2 * z1.imag
-        right = dev.loop_integral(complex(z1.real, 0.0), radius)
-        left = dev.loop_integral(complex(-z1.real, 0.0), radius)
-        shift = hole_monodromy(K, "right", "ccw").b
-        if abs(right - shift) >= 1e-6:
-            problems.append(f"k={K:g} loop vs translation {abs(right - shift):.2e}")
-        if abs(left + right) >= 1e-8:
-            problems.append(f"k={K:g} left+right {abs(left + right):.2e}")
+    problems, _ = checks.hole_loop_translation(
+        (cold_solutions[2.0], cold_solutions[5.0]), tol=1e-11
+    )
     _criterion(3, "loop integrals match hole translations", problems)
 
 
 def test_criterion_04_holonomy_exactness():
-    problems = []
-    for K in (2.0, 5.0, 1000.0):
-        for corner in CORNERS:
-            h = corner_holonomy(K, corner)
-            scale = abs(h.a - K) if corner in ("ul", "br") else abs(h.a * K - 1.0)
-            if scale >= 1e-12:
-                problems.append(f"k={K:g} {corner} linear part off by {scale:.2e}")
-            if h.fixed_point() != CORNER_COORD[corner]:
-                problems.append(f"k={K:g} {corner} fixed point {h.fixed_point()}")
+    problems, detail = checks.corner_holonomy((2.0, 5.0, 1000.0))
+    # exact fixed points at these aspects, stricter than the shared bound
+    if detail["worst_fixed_point_error"] != 0.0:
+        problems.append(f"fixed point off by {detail['worst_fixed_point_error']:.2e}")
     _criterion(4, "corner holonomy is the exact similitude", problems)
 
 
@@ -209,73 +164,21 @@ def test_criterion_07_hausdorff_convergence(sweep8):
 
 
 def test_criterion_08_embedding_contract():
-    problems = []
-    t_grid = (0.5, 0.1, 0.02, 0.004)
-    ball = spiral_ball_chart("ul", np.log(0.85 + 0.125j), 0.45)
-    pairs = (
-        ("half-strip/outer", half_strip_chart("left"), outer_chart(),
-         [complex(x, y) for x in (-1.5, -0.6, 0.0) for y in (-0.7, 0.2, 0.7)], 1e-9),
-        ("edge-strip/outer upper", edge_strip_chart(), outer_chart(),
-         [complex(x, y) for x in (-0.5, 0.3) for y in (1.2, 2.5)], 1e-9),
-        ("edge-strip/outer lower", edge_strip_chart(), outer_chart(),
-         [complex(x, y) for x in (-0.5, 0.3) for y in (-1.2, -4.0)], 1e-2),
-        ("half-strip/spiral ball", half_strip_chart("left"), ball,
-         [0.8 + 1.3j, 0.9 + 1.2j, 0.9 + 0.95j, 0.75 + 1.05j], 1e-9),
-    )
-    for name, cha, chb, compact, tol in pairs:
-        rep = transition_continuity_check(cha, chb, compact, t_grid, tol=tol)
-        if rep["verdict"] != "pass":
-            problems.append(f"{name} verdict {rep['verdict']}")
-        if not rep["rate_bound"] <= 4.0:
-            problems.append(f"{name} rate bound {rep['rate_bound']:.3f} above 4")
-
-    def sheet(n):
-        theta = 7 * math.pi / 4 + 2 * math.pi * (n - 1)
-        return VirtualPointRep(
-            np.exp(1j * (theta % (2 * math.pi))), spiral_ball_chart("ul", 1j * theta, 0.45)
-        )
-
-    strip = VirtualPointRep(1.0 + 0j, half_strip_chart("left"))
-    far = VirtualPointRep(4.0 + 3.0j, outer_chart())
-    scenarios = (
-        ("strip vs first sheet", strip, sheet(1), 0.4, 0.4),
-        ("outer vs strip", far, strip, 0.5, 0.4),
-        ("equal-projection sheets", sheet(1), sheet(2), 0.4, 0.4),
-    )
-    ks = (10.0, 100.0, 1000.0, 10000.0)
-    for name, x, y, rx, ry in scenarios:
-        rep = separation_check(x, y, ks, rx, ry)
-        bad = [r for r in rep["per_k"] if r["verdict"] != "disjoint"]
-        if bad:
-            problems.append(f"{name}: {[(r['K'], r['verdict']) for r in bad]}")
+    problems = checks.chart_transitions()[0] + checks.separation_scenarios()[0]
     _criterion(8, "leaf charts stay continuous and separated", problems)
 
 
 def test_criterion_09_symmetry_suite(cold_solutions, limit_fit, limit_cloud_points):
-    problems = []
     clouds = {"limit": limit_cloud_points}
+    xs = np.random.default_rng(20260817).uniform(-6.0, 6.0, 128)
+    axis = []
     for K, sol in cold_solutions.items():
         dev = DevelopingMap.from_aspect(K, sol.prevertex)
         clouds[f"k={K:g}"] = rectangle_image_boundary(dev, spacing=0.01).points
-    for name, pts in clouds.items():
-        d_conj = hausdorff_distance(pts, np.conj(pts))
-        d_anti = hausdorff_distance(pts, -np.conj(pts))
-        if d_conj >= 1e-6:
-            problems.append(f"{name} conj asymmetry {d_conj:.2e}")
-        if d_anti >= 1e-6:
-            problems.append(f"{name} -conj asymmetry {d_anti:.2e}")
-    rng = np.random.default_rng(20260817)
-    xs = rng.uniform(-6.0, 6.0, 128)
-    for K, sol in cold_solutions.items():
-        conn = DevelopingMap.from_aspect(K, sol.prevertex)
-        sup = float(np.max(np.abs(conn.connection(xs).imag)))
-        if sup >= 1e-10:
-            problems.append(f"zeta at k={K:g} not real on axis, sup {sup:.2e}")
-    limit_conn = DevelopingMap.merged_limit(limit_fit.x0, limit_fit.tau)
-    off_poles = xs[np.abs(np.abs(xs) - limit_fit.x0) > 0.3]
-    sup = float(np.max(np.abs(limit_conn.connection(off_poles).imag)))
-    if sup >= 1e-10:
-        problems.append(f"limit zeta not real on axis, sup {sup:.2e}")
+        axis.append((f"k={K:g}", dev, xs))
+    limit = DevelopingMap.merged_limit(limit_fit.x0, limit_fit.tau)
+    axis.append(("limit", limit, xs[np.abs(np.abs(xs) - limit_fit.x0) > 0.3]))
+    problems, _ = checks.reflection_symmetry(clouds, axis)
     _criterion(9, "reflection symmetries and real axis reality", problems)
 
 

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from affsurf.checks import SEPARATION_SCENARIOS, TRANSITION_PAIRS
 from affsurf.embedding import (
-    EmbedChart,
     VirtualPointRep,
     edge_strip_chart,
     embed_eval,
@@ -190,39 +190,30 @@ class TestTransitions:
     T_GRID = [0.5, 0.1, 0.02, 0.004]
 
     def test_outer_vs_half_strip_constant(self):
-        compact = [complex(x, y) for x in (-1.5, -0.6, 0.0) for y in (-0.7, 0.2, 0.7)]
-        rep = transition_continuity_check(
-            half_strip_chart("left"), outer_chart(), compact, self.T_GRID
-        )
+        _, cha, chb, compact, _ = TRANSITION_PAIRS[0]
+        rep = transition_continuity_check(cha, chb, compact, self.T_GRID)
         assert rep["verdict"] == "pass"
         assert max(rep["sup"]) == 0.0
         assert rep["rate_bound"] == 0.0
 
     def test_edge_strip_vs_outer_upper_identity(self):
-        compact = [complex(x, y) for x in (-0.5, 0.3) for y in (1.2, 2.5)]
-        rep = transition_continuity_check(
-            edge_strip_chart(), outer_chart(), compact, self.T_GRID
-        )
+        _, cha, chb, compact, _ = TRANSITION_PAIRS[1]
+        rep = transition_continuity_check(cha, chb, compact, self.T_GRID)
         assert rep["verdict"] == "pass"
         assert max(rep["sup"]) == 0.0
 
     def test_edge_strip_vs_outer_lower_rate(self):
         # below the rectangle the change is z - 2i + 2it: sup is exactly 2t
-        compact = [complex(x, y) for x in (-0.5, 0.3) for y in (-1.2, -4.0)]
-        rep = transition_continuity_check(
-            edge_strip_chart(), outer_chart(), compact, self.T_GRID, tol=1e-2
-        )
+        _, cha, chb, compact, tol = TRANSITION_PAIRS[2]
+        rep = transition_continuity_check(cha, chb, compact, self.T_GRID, tol=tol)
         assert rep["verdict"] == "pass"
         for s, t in zip(rep["sup"], rep["t_grid"]):
             assert s == pytest.approx(2 * t, rel=1e-12)
         assert rep["rate_bound"] == pytest.approx(2.0, rel=1e-12)
 
     def test_half_strip_vs_spiral_flap(self):
-        ball = spiral_ball_chart("ul", cmath.log(0.85 + 0.125j), 0.45)
-        compact = [0.8 + 1.3j, 0.9 + 1.2j, 0.9 + 0.95j, 0.75 + 1.05j]
-        rep = transition_continuity_check(
-            half_strip_chart("left"), ball, compact, self.T_GRID
-        )
+        _, cha, ball, compact, _ = TRANSITION_PAIRS[3]
+        rep = transition_continuity_check(cha, ball, compact, self.T_GRID)
         assert rep["verdict"] == "pass"
         assert rep["n_samples"] == len(compact)
         assert max(rep["sup"]) < 1e-13
@@ -256,19 +247,11 @@ class TestTransitions:
 
 class TestSeparation:
     K_LIST = [1.0, 2.0, 5.0, 10.0, 100.0, 1000.0]
-
-    def strip_point(self):
-        return VirtualPointRep(1.0 + 0j, half_strip_chart("left"))
-
-    def sheet_point(self, n):
-        theta = 7 * math.pi / 4 + 2 * math.pi * (n - 1)
-        return VirtualPointRep(
-            cmath.exp(1j * (theta % (2 * math.pi))),
-            spiral_ball_chart("ul", 1j * theta, 0.45),
-        )
+    STRIP = SEPARATION_SCENARIOS[0][1]
 
     def test_strip_vs_first_sheet(self):
-        rep = separation_check(self.strip_point(), self.sheet_point(1), self.K_LIST, 0.4, 0.4)
+        _, strip, sheet, rx, ry = SEPARATION_SCENARIOS[0]
+        rep = separation_check(strip, sheet, self.K_LIST, rx, ry)
         rows = {r["K"]: r for r in rep["per_k"]}
         assert rows[1.0]["verdict"] == "overlapping"
         for K in (2.0, 5.0, 10.0, 100.0, 1000.0):
@@ -279,7 +262,8 @@ class TestSeparation:
         assert rows[10.0]["radius_y"] == pytest.approx(0.004)
 
     def test_equal_projection_sheets(self):
-        rep = separation_check(self.sheet_point(1), self.sheet_point(2), self.K_LIST, 0.4, 0.4)
+        _, sheet1, sheet2, rx, ry = SEPARATION_SCENARIOS[2]
+        rep = separation_check(sheet1, sheet2, self.K_LIST, rx, ry)
         rows = {r["K"]: r for r in rep["per_k"]}
         assert rows[2.0]["verdict"] == "overlapping"
         for K in (5.0, 10.0, 100.0, 1000.0):
@@ -287,23 +271,20 @@ class TestSeparation:
         assert rep["threshold_K"] == 5.0
 
     def test_identical_points_rejected(self):
-        p = self.strip_point()
         with pytest.raises(ValueError):
-            separation_check(p, VirtualPointRep(1.0 + 0j, half_strip_chart("left")),
+            separation_check(self.STRIP, VirtualPointRep(1.0 + 0j, half_strip_chart("left")),
                              self.K_LIST, 0.1, 0.1)
 
     def test_straddling_disk_rejected(self):
         x = VirtualPointRep(1.2 + 1.2j, outer_chart())
-        y = self.strip_point()
         with pytest.raises(ValueError):
-            separation_check(x, y, [10.0], 0.5, 0.1)
+            separation_check(x, self.STRIP, [10.0], 0.5, 0.1)
 
     def test_different_charts_disjoint(self):
         # an outer point far from the square vs a strip point landing in
         # the rectangle: separate charts, both disks strictly inside
-        x = VirtualPointRep(4 + 3j, outer_chart())
-        y = self.strip_point()
-        rep = separation_check(x, y, [10.0, 100.0], 0.5, 0.4)
+        _, x, y, rx, ry = SEPARATION_SCENARIOS[1]
+        rep = separation_check(x, y, [10.0, 100.0], rx, ry)
         assert all(r["verdict"] == "disjoint" for r in rep["per_k"])
         assert rep["threshold_K"] == 10.0
 

@@ -1,18 +1,22 @@
 """Level-curve tracker: branch bookkeeping against exact holonomy facts."""
 
+import cmath
+import math
+
 import numpy as np
 import pytest
 
 from affsurf.develop import DevelopingMap
-from affsurf.tracking import (
-    TrackResult,
-    circle_target,
-    segment_target,
-    track_level_curve,
-)
+from affsurf.tracking import arc_target, segment_target, track_level_curve
 
 Z1_K2 = 1.248075111571 + 0.767644410562j
 CORNER = 1 + 1j
+
+
+def circle(g0, turns):
+    """Developed-plane circle around CORNER through g0; positive turns wind ccw."""
+    th0 = cmath.phase(g0 - CORNER)
+    return arc_target(CORNER, abs(g0 - CORNER), th0, th0 + 2 * math.pi * turns)
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +92,7 @@ class TestHolonomyLoops:
 
     def test_ccw_loop(self, dev2, seed2):
         w0, g0 = seed2
-        p, dp = circle_target(CORNER, g0, +1.0)
+        p, dp = circle(g0, +1.0)
         r = track_level_curve(dev2, p, dp, w0, g0=g0, max_step=0.08)
         assert r.completed
         assert r.branch[-1] == -1
@@ -100,7 +104,7 @@ class TestHolonomyLoops:
 
     def test_cw_loop(self, dev2, seed2):
         w0, g0 = seed2
-        p, dp = circle_target(CORNER, g0, -1.0)
+        p, dp = circle(g0, -1.0)
         r = track_level_curve(dev2, p, dp, w0, g0=g0, max_step=0.08)
         assert r.completed
         assert r.branch[-1] == +1
@@ -112,7 +116,7 @@ class TestHolonomyLoops:
     def test_two_turns(self, dev2):
         w0 = Z1_K2 + 0.05
         g0 = complex(dev2.develop_at(w0))
-        p, dp = circle_target(CORNER, g0, -2.0)
+        p, dp = circle(g0, -2.0)
         r = track_level_curve(dev2, p, dp, w0, g0=g0, max_step=0.006, first_step=1 / 400)
         assert r.completed
         assert r.branch[-1] == +2
@@ -122,9 +126,9 @@ class TestHolonomyLoops:
     def test_loop_composition_returns_home(self, dev2, seed2):
         # ccw then cw around the same developed circle: back to the seed
         w0, g0 = seed2
-        p, dp = circle_target(CORNER, g0, +1.0)
+        p, dp = circle(g0, +1.0)
         out = track_level_curve(dev2, p, dp, w0, g0=g0, max_step=0.08)
-        p2, dp2 = circle_target(CORNER, g0, -1.0)
+        p2, dp2 = circle(g0, -1.0)
         back = track_level_curve(
             dev2, p2, dp2, out.w[-1], g0=out.g[-1], branch0=out.branch[-1], max_step=0.08
         )
@@ -136,7 +140,7 @@ class TestHolonomyLoops:
 class TestStepControl:
     def test_budget_exhaustion_reports_stall(self, dev2, seed2):
         w0, g0 = seed2
-        p, dp = circle_target(CORNER, g0, +1.0)
+        p, dp = circle(g0, +1.0)
         r = track_level_curve(dev2, p, dp, w0, g0=g0, max_step=0.08, max_steps=3)
         assert r.status == "stalled"
         assert "budget" in r.reason
