@@ -55,8 +55,12 @@ def _log1p_c(u):
     part when |u| is near rounding scale.
     """
     u = np.asarray(u, dtype=complex)
-    out = np.empty_like(u)
     small = np.abs(u) < 1e-4
+    if not small.any():
+        # the common case; skips the series on an empty selection, which
+        # costs dozens of numpy calls on a single point
+        return np.log(1.0 + u)
+    out = np.empty_like(u)
     us = u[small]
     acc = np.zeros_like(us)
     term = np.ones_like(us)
@@ -88,6 +92,9 @@ class DevelopingMap:
             self.K = float(K)
             self.beta = math.log(K) / (2j * math.pi)
             self.poles = prevertex_ring(z1)
+            p1, p2, p3, p4 = self.poles
+            # numerators of the two Moebius ratios in log g'
+            self._numerators = np.array([p1 - p4, p3 - p2])
             self.slits = ((z1.real, z1.imag), (-z1.real, z1.imag))
         elif kind == "limit":
             if not (x0 > 0 and tau > 0):
@@ -99,7 +106,11 @@ class DevelopingMap:
             self.slits = ()
         else:
             raise ValueError(f"unknown kind {kind!r}")
-        self.tail_radius = 10.0 * (1.0 + max(abs(p) for p in self.poles))
+        # pole array and scale are fixed per member; the pointwise methods
+        # run once per tracker stage and must not rebuild them per call
+        self._pole_array = np.array(self.poles, dtype=complex)
+        self._pole_scale = 1.0 + max(abs(p) for p in self.poles)
+        self.tail_radius = 10.0 * self._pole_scale
 
     @classmethod
     def from_aspect(cls, K: float, prevertex: complex) -> "DevelopingMap":
@@ -115,17 +126,21 @@ class DevelopingMap:
 
     # -- pointwise evaluation ------------------------------------------------
 
-    def _guard_poles(self, arr, rel: float) -> None:
-        """Raise if any point lies within rel*(1 + max|pole|) of a pole."""
-        clearance = rel * (1.0 + max(abs(p) for p in self.poles))
-        for p in self.poles:
-            if np.any(np.abs(arr - p) < clearance):
-                raise ValueError(f"evaluation too close to the singular point {p}")
+    def _pole_offsets(self, arr, rel: float) -> np.ndarray:
+        """arr[..., None] - poles, after refusing any point that lies within
+        rel*(1 + max|pole|) of a pole."""
+        offsets = arr[..., None] - self._pole_array
+        near = np.abs(offsets) < rel * self._pole_scale
+        if near.any():
+            # name the first pole in ring order that some point is too close to
+            p = self.poles[int(near.reshape(-1, len(self.poles)).any(axis=0).argmax())]
+            raise ValueError(f"evaluation too close to the singular point {p}")
+        return offsets
 
     def connection(self, w):
         """The rational connection g''/g' = d/dw log g'. Scalar or ndarray."""
         arr = np.asarray(w, dtype=complex)
-        self._guard_poles(arr, 1e-12)
+        self._pole_offsets(arr, 1e-12)
         if self.is_trivial:
             out = np.zeros_like(arr)
         elif self.kind == "finite":
@@ -137,32 +152,33 @@ class DevelopingMap:
             out = -self.tau / (arr - self.x0) ** 2 + self.tau / (arr + self.x0) ** 2
         return complex(out) if arr.ndim == 0 else out
 
+    def _log_derivative(self, arr: np.ndarray):
+        """log g' on a complex ndarray, before the public methods' scalar conversion."""
+        offsets = self._pole_offsets(arr, 1e-13)
+        if self.kind == "finite":
+            if self.is_trivial:
+                return np.zeros_like(arr)
+            # both Moebius logs in one call: (z1-z4)/(w-z1) and (z3-z2)/(w-z3)
+            logs = _log1p_c(self._numerators / offsets[..., 0::2])
+            return self.beta * (logs[..., 0] + logs[..., 1])
+        # 1/(w-x0) - 1/(w+x0) written without cancellation at large w
+        return self.tau * 2.0 * self.x0 / ((arr - self.x0) * (arr + self.x0))
+
     def log_derivative(self, w):
         """Principal branch of log g'. Scalar or ndarray."""
         arr = np.asarray(w, dtype=complex)
-        self._guard_poles(arr, 1e-13)
-        if self.kind == "finite":
-            if self.is_trivial:
-                out = np.zeros_like(arr)
-            else:
-                z1, z2, z3, z4 = self.poles
-                out = self.beta * (
-                    _log1p_c((z1 - z4) / (arr - z1)) + _log1p_c((z3 - z2) / (arr - z3))
-                )
-        else:
-            # 1/(w-x0) - 1/(w+x0) written without cancellation at large w
-            out = self.tau * 2.0 * self.x0 / ((arr - self.x0) * (arr + self.x0))
+        out = self._log_derivative(arr)
         return complex(out) if arr.ndim == 0 else out
 
     def derivative(self, w):
         arr = np.asarray(w, dtype=complex)
-        out = np.exp(self.log_derivative(arr))
+        out = np.exp(self._log_derivative(arr))
         return complex(out) if arr.ndim == 0 else out
 
     def derivative_minus_one(self, w):
         """g' - 1 without cancellation where log g' is small."""
         arr = np.asarray(w, dtype=complex)
-        out = np.expm1(self.log_derivative(arr))
+        out = np.expm1(self._log_derivative(arr))
         return complex(out) if arr.ndim == 0 else out
 
     # -- expansion at infinity -----------------------------------------------

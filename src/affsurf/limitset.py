@@ -123,12 +123,13 @@ def _track_toward_corner(
     branch0: int,
     corner_clip: float,
     quad_tol: float,
-) -> List[np.ndarray]:
+) -> Tuple[List[np.ndarray], str]:
     """Follow the square side radially into a corner value.
 
     The curve winds into the prevertex on a shrinking scale, so the
     approach runs in stages with the step cap tied to the current
-    distance from the nearest prevertex.
+    distance from the nearest prevertex. Returns the stage curves and
+    the reason the approach stalled ("" when it reached corner_clip).
     """
     rho = abs(g0 - corner)
     direction = (g0 - corner) / rho
@@ -151,9 +152,9 @@ def _track_toward_corner(
         pieces.append(r.w)
         w, g, m = complex(r.w[-1]), complex(r.g[-1]), int(r.branch[-1])
         if not r.completed:
-            break
+            return pieces, r.reason
         rho = rho_next
-    return pieces
+    return pieces, ""
 
 
 def rectangle_image_boundary(
@@ -198,11 +199,11 @@ def rectangle_image_boundary(
         clip = corner_clip / dev.K if side in ("top", "bottom") else corner_clip
         for corner in halves[side]:
             name = f"{side}_to_{corner.real:+.0f}{corner.imag:+.0f}"
-            pieces = _track_toward_corner(
+            pieces, stall = _track_toward_corner(
                 dev, corner, w0, g0, 0, clip, quad_tol
             )
             joined = np.concatenate(pieces) if pieces else np.array([w0])
-            cloud.add(name, resample_curve(joined, spacing))
+            cloud.add(name, resample_curve(joined, spacing), f"partial: {stall}" if stall else "")
     cloud.add("prevertices", np.array(dev.poles), "isolated corner preimages")
     return cloud
 

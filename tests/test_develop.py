@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -127,7 +128,139 @@ class TestDerivative:
         assert abs(got) < 1e-13
 
 
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _close_to_log1p(got: complex, u: complex) -> bool:
+    """Real and imaginary part each within 1e-12 relative of log(1+u)."""
+    re_ref = 0.5 * math.log1p(2 * u.real + abs(u) ** 2)
+    im_ref = math.atan2(u.imag, 1 + u.real)
+    return (got.real == pytest.approx(re_ref, rel=1e-12, abs=0)
+            and got.imag == pytest.approx(im_ref, rel=1e-12, abs=0))
+
+
+# the direct-solve limit parameters
+LIMIT = DevelopingMap.merged_limit(1.913348079505, 0.347148385025)
+POLE_CASES = [(d, p) for d in (K2, LIMIT) for p in d.poles]
+POINTWISE = ("log_derivative", "derivative", "derivative_minus_one", "connection")
+
+
+class TestPoleGuard:
+    @pytest.mark.parametrize("method, rel", [
+        ("log_derivative", 1e-13), ("derivative", 1e-13), ("connection", 1e-12),
+    ])
+    @pytest.mark.parametrize("dev, pole", POLE_CASES, ids=[f"{d.kind}-{p}" for d, p in POLE_CASES])
+    def test_clearance_names_the_pole(self, dev, pole, method, rel):
+        clearance = rel * (1.0 + max(abs(p) for p in dev.poles))
+        # approach toward the origin, where the limit map decays instead of
+        # overflowing
+        inward = -pole / abs(pole)
+        evaluate = getattr(dev, method)
+        message = re.escape(f"singular point {pole}")
+        with pytest.raises(ValueError, match=message):
+            evaluate(pole + 0.5 * clearance * inward)
+        with pytest.raises(ValueError, match=message):
+            evaluate(np.array([5 + 5j, pole + 0.5 * clearance * inward]))
+        assert np.isfinite(evaluate(pole + 2.0 * clearance * inward))
+        assert np.all(np.isfinite(evaluate(np.array([5 + 5j, pole + 2.0 * clearance * inward]))))
+
+    def test_first_pole_in_ring_order_is_named(self):
+        _, z2, _, z4 = K2.poles
+        with pytest.raises(ValueError, match=re.escape(f"singular point {z2}")):
+            K2.derivative(np.array([z4, z2]))
+
+    @pytest.mark.parametrize("method", POINTWISE)
+    @pytest.mark.parametrize("dev", [K2, LIMIT, DevelopingMap.from_aspect(1.0, 1 + 1j)],
+                             ids=["finite", "limit", "trivial"])
+    def test_empty_input_gives_empty_output(self, dev, method):
+        out = getattr(dev, method)(np.array([], dtype=complex))
+        assert isinstance(out, np.ndarray)
+        assert out.shape == (0,)
+
+
+_POINTS = st.lists(
+    st.one_of(
+        st.complex_numbers(max_magnitude=6.0, allow_nan=False, allow_infinity=False),
+        st.complex_numbers(min_magnitude=2e3, max_magnitude=1e8,
+                           allow_nan=False, allow_infinity=False),
+    ),
+    min_size=1, max_size=12,
+)
+
+
+class TestScalarArrayAgreement:
+    # the tracker evaluates single points and the quadrature whole node
+    # arrays, so a point must develop the same way in both
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(ws=_POINTS, dev=st.sampled_from([K2, DevelopingMap.from_aspect(1e3, 1.88 + 0.158j)]))
+    def test_finite_scalar_equals_array_element(self, ws, dev):
+        assume(all(min(abs(w - p) for p in dev.poles) > 1e-3 for w in ws))
+        for method in ("log_derivative", "derivative", "derivative_minus_one"):
+            evaluate = getattr(dev, method)
+            batch = evaluate(np.array(ws, dtype=complex))
+            for w, v in zip(ws, batch):
+                assert _same_bits(evaluate(w), v), (method, w)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(ws=_POINTS)
+    def test_limit_scalar_within_rounding_of_array_element(self, ws):
+        # a single point takes numpy's scalar complex multiply in
+        # (w-x0)*(w+x0) and a batch the vectorised ufunc loop, which round
+        # differently in the last bit; exp carries that as a relative error
+        # of about |log g'| ulps
+        assume(all(min(abs(w - p) for p in LIMIT.poles) > 1e-3 for w in ws))
+        eps = np.finfo(float).eps
+        logs = LIMIT.log_derivative(np.array(ws, dtype=complex))
+        for method in ("log_derivative", "derivative", "derivative_minus_one"):
+            evaluate = getattr(LIMIT, method)
+            batch = evaluate(np.array(ws, dtype=complex))
+            for w, v, lg in zip(ws, batch, logs):
+                bound = 4 * eps * (1.0 + abs(lg)) * max(abs(v), abs(cmath.exp(lg)))
+                assert abs(evaluate(w) - v) <= bound, (method, w)
+
+
 class TestSeries:
+    def test_log1p_zero_dim(self):
+        big, small = np.array(0.3 + 0.1j), np.array(1e-6 - 2e-6j)
+        assert np.ndim(_log1p_c(big)) == 0
+        assert _same_bits(_log1p_c(big), np.log(1 + big))
+        got = _log1p_c(small)
+        assert np.ndim(got) == 0
+        assert _close_to_log1p(complex(got), complex(small))
+
+    def test_log1p_all_large_is_plain_log(self):
+        u = np.array([1e-4, -1e-4j, 0.3 + 0.1j, -0.999, 5e3 - 7e2j])
+        assert _same_bits(_log1p_c(u), np.log(1 + u))
+
+    def test_log1p_all_small(self):
+        # where the plain log of 1 + u loses the real part to rounding
+        u = np.array([1e-18 + 1e-18j, -3e-9, 9.9e-5j, 7e-5 - 7e-5j])
+        got = _log1p_c(u)
+        assert got.shape == u.shape
+        for g, x in zip(got, u):
+            assert _close_to_log1p(complex(g), complex(x))
+
+    def test_log1p_empty(self):
+        got = _log1p_c(np.array([], dtype=complex))
+        assert got.shape == (0,)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        large=st.lists(st.complex_numbers(min_magnitude=1e-4, max_magnitude=1e6,
+                                          allow_nan=False, allow_infinity=False),
+                       min_size=1, max_size=8),
+        small=st.lists(st.complex_numbers(max_magnitude=9e-5, allow_nan=False,
+                                          allow_infinity=False), max_size=4),
+    )
+    def test_log1p_large_elements_are_plain_log(self, large, small):
+        # with or without small neighbours in the same array
+        u = np.array(large + small, dtype=complex)
+        big = np.abs(u) >= 1e-4
+        assert _same_bits(_log1p_c(u)[big], np.log(1 + u[big]))
+
     def test_log1p_small(self):
         u = np.array([1e-18 + 1e-18j, 1e-6 - 2e-6j, 0.3 + 0.1j])
         got = _log1p_c(u)

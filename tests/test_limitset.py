@@ -155,6 +155,21 @@ class TestFiniteBoundary:
             endgap = min(abs(complex(arr[-1]) - z) for z in dev.poles)
             assert endgap < 0.05
 
+    def test_stalled_corner_approach_is_noted(self, cloud2, monkeypatch):
+        # completed approaches leave only the prevertex note
+        assert set(cloud2.notes) == {"prevertices"}
+
+        def stalled(*args, **kwargs):
+            r = track_level_curve(*args, **kwargs)
+            return dataclasses.replace(r, status="stalled", reason="forced stall")
+
+        monkeypatch.setattr("affsurf.limitset.track_level_curve", stalled)
+        cloud = rectangle_image_boundary(DevelopingMap.from_aspect(2.0, Z1_K2))
+        halves = [name for name in cloud.pieces if name != "prevertices"]
+        assert len(halves) == 8
+        for name in halves:
+            assert cloud.notes[name] == "partial: forced stall"
+
 
 class TestLimitCloud:
     def test_singular_points_present(self, limit_cloud):
