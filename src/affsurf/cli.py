@@ -4,7 +4,8 @@ Subcommands: solve, sweep, render, limit, hausdorff, verify. Every run
 writes one structured report whose manifest lists each emitted file, and
 identical configurations produce byte-identical outputs, so reports and
 figures diff cleanly across reruns. Exit codes: 0 all checks pass, 1 a
-check failed, 2 bad usage, 3 a numerical stage gave up.
+check failed or is inconclusive (a curve it measured stopped short), 2
+bad usage, 3 a numerical stage gave up.
 """
 
 from __future__ import annotations
@@ -241,6 +242,10 @@ def _resolve_out(config: RunConfig) -> Tuple[Path, Path, str]:
     return out, out / "report.json", ""
 
 
+# step statuses that make a run fail (exit 1)
+_FAILING = ("fail", "inconclusive")
+
+
 class _Recorder:
     def __init__(self, out_dir: Path, prefix: str):
         self.out_dir = out_dir
@@ -248,12 +253,23 @@ class _Recorder:
         self.steps: list = []
         self.files: list = []
 
-    def step(self, name: str, ok: bool, detail: Optional[dict] = None) -> bool:
-        entry = {"name": name, "status": "ok" if ok else "fail"}
+    def step(
+        self, name: str, ok: bool, detail: Optional[dict] = None, incomplete: Optional[dict] = None
+    ) -> bool:
+        """Record one step and return whether it passed.
+
+        incomplete holds the notes of curves that stopped short; any make
+        the step "inconclusive", since the curves it rests on are truncated.
+        """
+        status = "ok" if ok else "fail"
+        if incomplete:
+            detail = {**(detail or {}), "incomplete": incomplete}
+            status = "inconclusive"
+        entry = {"name": name, "status": status}
         if detail:
             entry["detail"] = _plain(detail)
         self.steps.append(entry)
-        return ok
+        return status == "ok"
 
     def write_text(self, name: str, text: str) -> Path:
         path = self.out_dir / (self.prefix + name)
@@ -378,7 +394,7 @@ def _run_render(config: RunConfig, rec: _Recorder) -> dict:
             if est is None:
                 _, est = _sweep_fit(config, rec)
             cloud, truncation = _limit_boundary(config, est)
-            rec.step(f"boundary k={label}", True, {"points": len(cloud.points)})
+            rec.step(f"boundary k={label}", True, {"points": len(cloud.points)}, cloud.incomplete)
             entries.append(
                 {
                     "k": K,
@@ -395,6 +411,7 @@ def _run_render(config: RunConfig, rec: _Recorder) -> dict:
                 f"boundary k={label}",
                 True,
                 {"residual": sol.residual, "points": len(cloud.points)},
+                cloud.incomplete,
             )
             entries.append(
                 {
@@ -444,6 +461,8 @@ def _run_render(config: RunConfig, rec: _Recorder) -> dict:
 def _run_limit(config: RunConfig, rec: _Recorder) -> dict:
     _, est = _sweep_fit(config, rec)
     cloud, truncation = _limit_boundary(config, est)
+    if cloud.incomplete:
+        rec.step("boundary k=inf", True, {"points": len(cloud.points)}, cloud.incomplete)
     rec.write_cloud(
         "limit.txt",
         PointCloud(
@@ -484,6 +503,7 @@ def _run_hausdorff(config: RunConfig, rec: _Recorder) -> dict:
             "threshold": report["threshold"],
             "strictly_decreasing": report["strictly_decreasing"],
         },
+        report.get("incomplete"),
     )
     return report
 
@@ -499,10 +519,15 @@ def _run_verify(config: RunConfig, rec: _Recorder) -> dict:
     def member(K):
         return DevelopingMap.from_aspect(K, solve(K).prevertex)
 
+    incomplete = {}
+
     def boundary(K):
-        return rectangle_image_boundary(
+        cloud = rectangle_image_boundary(
             member(K), spacing=1.0 / config.density, quad_tol=config.tol_quad
-        ).points
+        )
+        if cloud.incomplete:
+            incomplete[f"k={k_label(K)}"] = cloud.incomplete
+        return cloud.points
 
     def residual_inputs():
         cold = {K: solve(K) for K in config.k}
@@ -527,10 +552,11 @@ def _run_verify(config: RunConfig, rec: _Recorder) -> dict:
     }
     failed = []
     for name, check in checks.REGISTRY.items():
+        incomplete.clear()
         problems, detail = check(*inputs[name]())
         if name == "reflection-symmetry":
             detail = {"k": label, **detail}
-        if not rec.step(name, not problems, detail):
+        if not rec.step(name, not problems, detail, dict(incomplete)):
             failed.append(name)
     return {"checks": list(checks.REGISTRY), "failed": failed}
 
@@ -558,7 +584,7 @@ def run(config: RunConfig) -> RunReport:
     status = "pass"
     try:
         results = _HANDLERS[config.command](config, rec)
-        if any(s["status"] == "fail" for s in rec.steps):
+        if any(s["status"] in _FAILING for s in rec.steps):
             status = "fail"
     except (ArithmeticError, ValueError) as exc:
         rec.steps.append(
@@ -669,6 +695,10 @@ def _build_config(ns: argparse.Namespace) -> RunConfig:
     return make_config(ns.command, **merged)
 
 
+# how a step status is printed; every other status prints as FAIL
+_STATUS_WORD = {"ok": "PASS", "inconclusive": "INCONCLUSIVE"}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
@@ -687,14 +717,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     if config.command == "verify":
         for step in report.steps:
-            print(("PASS " if step["status"] == "ok" else "FAIL ") + step["name"])
+            print(_STATUS_WORD.get(step["status"], "FAIL") + " " + step["name"])
     _, report_path, _ = _resolve_out(config)
     if report.status == "pass":
         print(f"PASS {config.command}: report at {report_path}")
         return 0
     if report.status == "fail":
-        first = next(s["name"] for s in report.steps if s["status"] == "fail")
-        print(f"FAIL {config.command}: {first}")
+        first = next(s for s in report.steps if s["status"] in _FAILING)
+        print(f"{_STATUS_WORD.get(first['status'], 'FAIL')} {config.command}: {first['name']}")
         return 1
     message = report.steps[-1]["detail"]["message"] if report.steps else "unknown"
     print(f"ERROR {config.command}: {message}", file=sys.stderr)

@@ -19,8 +19,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.spatial import cKDTree
 
 from .develop import DevelopingMap
 from .quadrature import QuadratureError
@@ -57,21 +55,144 @@ class CurveCloud:
             self.notes[name] = note
 
     @property
+    def incomplete(self) -> Dict[str, str]:
+        """Notes of tracks that stopped short: partial pieces, unreached rays."""
+        return {k: v for k, v in self.notes.items() if v.startswith(("partial:", "unreached:"))}
+
+    @property
     def points(self) -> np.ndarray:
         if not self.pieces:
             return np.empty(0, dtype=complex)
         return np.concatenate([self.pieces[k] for k in sorted(self.pieces)])
 
 
+# query points per block of the nearest-neighbour pass, and the x-rank
+# neighbours on each side whose distances bound a query's nearest one
+_NN_BLOCK = 64
+_NN_RANK_WINDOW = 4
+
+
+def _farthest_nearest_sq(qx, qy, tx, ty, slack: float) -> float:
+    """max over queries of min over targets of dx*dx + dy*dy.
+
+    Exact: the minimum is over every target that can attain it. The
+    targets are sorted by x; each query's distance to its x-rank
+    neighbours bounds its nearest distance from above. Queries go in
+    x-ordered blocks, each compared with the targets inside its x-slice
+    and y-box widened by the block's largest bound. Blocks run in order
+    of that bound, and the pass stops once no remaining block can raise
+    the maximum found so far. slack widens the boxes by more than the
+    rounding of the bound's square root and of the box edges, a few ulp
+    of the largest coordinate.
+    """
+    order = np.argsort(tx, kind="stable")
+    tx, ty = tx[order], ty[order]
+    pos = np.searchsorted(tx, qx)
+    near = np.clip(pos[:, None] + np.arange(-_NN_RANK_WINDOW, _NN_RANK_WINDOW), 0, len(tx) - 1)
+    bound = ((tx[near] - qx[:, None]) ** 2 + (ty[near] - qy[:, None]) ** 2).min(axis=1)
+    order = np.argsort(qx, kind="stable")
+    qx, qy, bound = qx[order], qy[order], bound[order]
+    starts = np.arange(0, len(qx), _NN_BLOCK)
+    block_bound = np.maximum.reduceat(bound, starts)
+    best = -1.0
+    for i in np.argsort(-block_bound, kind="stable"):
+        if block_bound[i] <= best:
+            break
+        block = slice(starts[i], starts[i] + _NN_BLOCK)
+        # only queries whose bound exceeds the maximum so far can raise it
+        open_ = bound[block] > best
+        bx, by = qx[block][open_], qy[block][open_]
+        pad = math.sqrt(block_bound[i]) + slack
+        lo = np.searchsorted(tx, bx[0] - pad, side="left")
+        hi = np.searchsorted(tx, bx[-1] + pad, side="right")
+        cx, cy = tx[lo:hi], ty[lo:hi]
+        inside = (cy >= by.min() - pad) & (cy <= by.max() + pad)
+        cx, cy = cx[inside], cy[inside]
+        d2 = (cx - bx[:, None]) ** 2 + (cy - by[:, None]) ** 2
+        best = max(best, float(d2.min(axis=1).max()))
+    return best
+
+
 def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Symmetric Hausdorff distance between two planar point sets."""
-    pa = np.column_stack([np.real(a), np.imag(a)])
-    pb = np.column_stack([np.real(b), np.imag(b)])
-    if len(pa) == 0 or len(pb) == 0:
+    """Symmetric Hausdorff distance between two planar point sets.
+
+    Squared distances are compared as dx*dx + dy*dy and the square root
+    is taken once, the arithmetic of a k-d tree query, so the value is
+    the same float a scipy.spatial.cKDTree query gives.
+    """
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    if len(a) == 0 or len(b) == 0:
         raise ValueError("empty point set")
-    d_ab = cKDTree(pb).query(pa)[0].max()
-    d_ba = cKDTree(pa).query(pb)[0].max()
-    return float(max(d_ab, d_ba))
+    ax, ay, bx, by = a.real, a.imag, b.real, b.imag
+    coords = np.concatenate((ax, ay, bx, by))
+    if not np.all(np.isfinite(coords)):
+        raise ValueError("point sets must be finite, found nan or inf")
+    slack = 16.0 * np.finfo(float).eps * float(np.abs(coords).max())
+    d2 = max(_farthest_nearest_sq(ax, ay, bx, by, slack), _farthest_nearest_sq(bx, by, ax, ay, slack))
+    return float(np.sqrt(d2))
+
+
+_BRENT_RTOL = 4.0 * np.finfo(float).eps
+_BRENT_MAXITER = 100
+
+
+def _brent(f, a: float, b: float, xtol: float) -> float:
+    """Root of f in [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    Follows scipy.optimize.brentq (rtol 4 eps, 100 iterations) step for
+    step, so roots and the number of calls to f are the same as with it.
+    A bracket without a sign change, a NaN value of f, or no convergence
+    raises ArithmeticError naming the bracket.
+    """
+    bracket = f"[{a!r}, {b!r}]"
+
+    def value(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ArithmeticError(f"Brent bracket {bracket}: f({x!r}) is nan")
+        return fx
+
+    xpre, xcur = a, b
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ArithmeticError(f"Brent bracket {bracket}: no sign change")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # inverse quadratic interpolation; where C would divide
+                # by zero the trial step is infinite, so it bisects
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den != 0.0 else math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise ArithmeticError(f"Brent bracket {bracket}: no convergence in {_BRENT_MAXITER} iterations")
 
 
 def _axis_anchor_real(dev: DevelopingMap, side: int) -> float:
@@ -100,7 +221,7 @@ def _axis_anchor_real(dev: DevelopingMap, side: int) -> float:
     else:
         raise ArithmeticError("no sign change toward the singular point")
     ua, ub = (lo, hi) if lo < hi else (hi, lo)
-    return float(brentq(f, ua, ub, xtol=1e-13))
+    return _brent(f, ua, ub, 1e-13)
 
 
 def _axis_anchor_imag(dev: DevelopingMap, side: int) -> float:
@@ -112,7 +233,7 @@ def _axis_anchor_imag(dev: DevelopingMap, side: int) -> float:
     """
     f = lambda v: complex(dev.develop_at(complex(0.0, v))).imag - side
     lo, hi = (1e-9, 0.95 * dev.tail_radius) if side > 0 else (-0.95 * dev.tail_radius, -1e-9)
-    return float(brentq(f, lo, hi, xtol=1e-13))
+    return _brent(f, lo, hi, 1e-13)
 
 
 def _track_toward_corner(
@@ -351,9 +472,11 @@ def convergence_report(
     extrapolated limit parameters, per-aspect distances, the truncation
     sensitivity of the final distance, and a verdict. The verdict is
     "pass" when the distances decrease along the grid and the final one
-    is under the threshold, "inconclusive" when the truncation
-    sensitivity exceeds a fifth of the final distance (the comparison
-    cannot resolve the gap it is asked to certify), otherwise "fail".
+    is under the threshold, "inconclusive" when a compared curve stopped
+    short (its notes are listed under "incomplete", by cloud) or the
+    truncation sensitivity exceeds a fifth of the final distance (the
+    comparison cannot resolve the gap it is asked to certify), otherwise
+    "fail".
     """
     from .solver import continuation_sweep, extract_limit
 
@@ -366,9 +489,13 @@ def convergence_report(
         solutions = continuation_sweep(grid)
     by_k = {r.K: r for r in solutions}
     est = extract_limit(solutions)
-    lim_pts = limit_image_cloud(
+    incomplete = {}
+    lim = limit_image_cloud(
         est.x0, est.tau, theta_max=theta_max, spacing=spacing, quad_tol=quad_tol
-    ).points
+    )
+    lim_pts = lim.points
+    if lim.incomplete:
+        incomplete["limit"] = lim.incomplete
 
     rows = []
     finite_pts = {}
@@ -376,6 +503,8 @@ def convergence_report(
         dev = DevelopingMap.from_aspect(K, by_k[K].prevertex)
         cloud = rectangle_image_boundary(dev, spacing=spacing, quad_tol=quad_tol)
         finite_pts[K] = cloud.points
+        if cloud.incomplete:
+            incomplete[f"K={K:g}"] = cloud.incomplete
         d = hausdorff_distance(cloud.points, lim_pts)
         rows.append({"K": K, "hausdorff": d, "boundary_points": int(len(cloud.points))})
     dists = [row["hausdorff"] for row in rows]
@@ -385,22 +514,25 @@ def convergence_report(
     # tau/theta_max of the limit points, so a large swing means the
     # distances are dominated by truncation, not by the K-trend
     theta_alt = max(2 * math.pi, theta_max - 2 * math.pi)
-    alt_pts = limit_image_cloud(
+    alt = limit_image_cloud(
         est.x0, est.tau, theta_max=theta_alt, spacing=spacing, quad_tol=quad_tol
-    ).points
+    )
+    alt_pts = alt.points
+    if alt.incomplete:
+        incomplete["limit_alt"] = alt.incomplete
     final_alt = (
         hausdorff_distance(finite_pts[ks[-1]], alt_pts) if ks else math.nan
     )
     sensitivity = abs(final - final_alt)
 
     decreasing = all(b < a for a, b in zip(dists, dists[1:]))
-    if dists and sensitivity > 0.2 * final:
+    if dists and (incomplete or sensitivity > 0.2 * final):
         verdict = "inconclusive"
     elif dists and decreasing and final < threshold:
         verdict = "pass"
     else:
         verdict = "fail"
-    return {
+    report = {
         "k_values": ks,
         "x0": est.x0,
         "tau": est.tau,
@@ -418,3 +550,6 @@ def convergence_report(
         },
         "verdict": verdict,
     }
+    if incomplete:
+        report["incomplete"] = incomplete
+    return report

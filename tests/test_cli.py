@@ -1,5 +1,6 @@
 """Front end behavior: flags, config merging, files, exit codes."""
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -7,6 +8,7 @@ import sys
 
 import pytest
 
+from affsurf import limitset
 from affsurf.cli import UsageError, main, make_config, run
 from affsurf.pointcloud import read_points
 
@@ -210,3 +212,69 @@ class TestArtifacts:
         assert report["config"]["k"] == ["1"]
         assert report["config"]["density"] == 40.0
         assert report["config"]["seed"] == 11
+
+
+@pytest.fixture
+def stalled_tracks(monkeypatch):
+    """Every boundary track runs to its end and then reports a stall."""
+    track = limitset.track_level_curve
+
+    def stalled(*args, **kwargs):
+        return dataclasses.replace(track(*args, **kwargs), status="stalled", reason="forced stall")
+
+    monkeypatch.setattr(limitset, "track_level_curve", stalled)
+
+
+class TestIncompleteCurves:
+    """A curve that stopped short makes its step inconclusive, never a pass."""
+
+    def _report(self, path):
+        return json.loads((path / "report.json").read_text())
+
+    def test_render_step_is_inconclusive(self, tmp_path, stalled_tracks, capsys):
+        assert main(["render", "--k", "2", "--density", "40", "--out", str(tmp_path / "r")]) == 1
+        report = self._report(tmp_path / "r")
+        assert report["status"] == "fail"
+        (step,) = report["steps"]
+        assert (step["name"], step["status"]) == ("boundary k=2", "inconclusive")
+        incomplete = step["detail"]["incomplete"]
+        assert len(incomplete) == 8
+        assert set(incomplete.values()) == {"partial: forced stall"}
+        assert "INCONCLUSIVE render: boundary k=2" in capsys.readouterr().out
+
+    def test_limit_adds_a_flagged_step(self, tmp_path, stalled_tracks):
+        assert main(["limit", "--density", "40", "--out", str(tmp_path / "l")]) == 1
+        step = self._report(tmp_path / "l")["steps"][-1]
+        assert (step["name"], step["status"]) == ("boundary k=inf", "inconclusive")
+        incomplete = step["detail"]["incomplete"]
+        assert incomplete["mouth_right_upper"] == "partial: forced stall"
+        assert incomplete["seam_ul"] == "unreached: bridge forced stall"
+
+    def test_hausdorff_verdict_is_inconclusive(self, tmp_path, stalled_tracks):
+        code = main(
+            ["hausdorff", "--k-grid", "1e2:1e3:2", "--density", "60",
+             "--out", str(tmp_path / "h")]
+        )
+        assert code == 1
+        report = self._report(tmp_path / "h")
+        assert report["results"]["verdict"] == "inconclusive"
+        step = report["steps"][-1]
+        assert step["status"] == "inconclusive"
+        assert set(step["detail"]["incomplete"]) == {"limit", "K=100", "K=1000", "limit_alt"}
+
+    def test_verify_flags_the_checks_that_measure_boundaries(
+        self, tmp_path, stalled_tracks, capsys
+    ):
+        assert main(["verify", "--k", "2", "--density", "50", "--out", str(tmp_path / "v")]) == 1
+        steps = {s["name"]: s for s in self._report(tmp_path / "v")["steps"]}
+        flagged = {"square-identity": "k=1", "reflection-symmetry": "k=2"}
+        for name, step in steps.items():
+            if name in flagged:
+                assert step["status"] == "inconclusive"
+                assert set(step["detail"]["incomplete"]) == {flagged[name]}
+            else:
+                assert step["status"] == "ok"
+                assert "incomplete" not in step.get("detail", {})
+        out = capsys.readouterr().out.splitlines()
+        assert "INCONCLUSIVE square-identity" in out
+        assert "INCONCLUSIVE verify: square-identity" in out

@@ -5,11 +5,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq
+from scipy.spatial import cKDTree
 
+import affsurf.limitset as limitset
 from affsurf.develop import DevelopingMap
 from affsurf.limitset import (
     HAUSDORFF_ACCEPT,
+    _axis_anchor_imag,
+    _axis_anchor_real,
+    _brent,
     convergence_report,
     hausdorff_distance,
     limit_image_cloud,
@@ -20,6 +28,7 @@ from affsurf.solver import continuation_sweep, extract_limit
 from affsurf.tracking import track_level_curve
 
 Z1_K2 = 1.248075111571 + 0.767644410562j
+Z1_K1000 = 1.883446848935 + 0.157918326981j
 X0 = 1.9132015196
 TAU = 0.3470332389
 
@@ -104,8 +113,162 @@ class TestHausdorff:
         assert dac <= dab + dbc + 1e-12
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            hausdorff_distance(np.array([], dtype=complex), np.array([0j]))
+        good = np.array([0j, 1 + 1j])
+        bad = [np.array([], dtype=complex)] + [
+            np.array([0j, v]) for v in (complex(math.nan, 0), complex(0, math.inf), -math.inf)
+        ]
+        for pts in bad:
+            with pytest.raises(ValueError):
+                hausdorff_distance(pts, good)
+            with pytest.raises(ValueError):
+                hausdorff_distance(good, pts)
+
+
+def _kdtree_hausdorff(a, b):
+    """Reference value: the k-d tree query the nearest-neighbour pass replaces."""
+    pa = np.column_stack([a.real, a.imag])
+    pb = np.column_stack([b.real, b.imag])
+    return float(max(cKDTree(pb).query(pa)[0].max(), cKDTree(pa).query(pb)[0].max()))
+
+
+def _cloud(kind, n, rng):
+    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    if kind == "duplicates":
+        return np.round(z, 1)
+    if kind == "single":
+        return z[:1]
+    if kind == "equal_x":
+        return 0.5 + 1j * z.imag
+    if kind == "equal_y":
+        return z.real - 2.0j
+    if kind == "clusters":
+        return z * 1e-3 + rng.choice([0.0, 1e3, -7e2j], n)
+    if kind == "columns":
+        # vertical lines in shuffled order: x-rank neighbours are poor bounds
+        return rng.choice([-1.0, 0.0, 2.5], n) + 1j * rng.uniform(-50.0, 50.0, n)
+    return z
+
+
+_CLOUD_KINDS = ("random", "duplicates", "single", "equal_x", "equal_y", "clusters", "columns")
+
+
+class TestHausdorffMatchesKDTree:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        kinds=st.tuples(st.sampled_from(_CLOUD_KINDS), st.sampled_from(_CLOUD_KINDS)),
+        sizes=st.tuples(st.integers(1, 3000), st.integers(1, 3000)),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1.0, 1e-9, 1e6]),
+        shift=st.sampled_from([0j, 1e3 - 2e3j]),
+    )
+    def test_same_float_as_kdtree(self, kinds, sizes, seed, scale, shift):
+        rng = np.random.default_rng(seed)
+        a = _cloud(kinds[0], sizes[0], rng) * scale + shift
+        b = _cloud(kinds[1], sizes[1], rng) * scale + shift
+        assert hausdorff_distance(a, b) == _kdtree_hausdorff(a, b)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        kinds=st.tuples(st.sampled_from(_CLOUD_KINDS), st.sampled_from(_CLOUD_KINDS)),
+        sizes=st.tuples(st.integers(1, 1500), st.integers(1, 1500)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_directed_pass_is_the_brute_force_maximum(self, kinds, sizes, seed):
+        # the block pruning may skip work, never a query that sets the maximum
+        rng = np.random.default_rng(seed)
+        q, t = _cloud(kinds[0], sizes[0], rng), _cloud(kinds[1], sizes[1], rng)
+        brute = ((t.real - q.real[:, None]) ** 2 + (t.imag - q.imag[:, None]) ** 2).min(axis=1).max()
+        slack = 16 * np.finfo(float).eps * max(np.abs(q.view(float)).max(), np.abs(t.view(float)).max())
+        assert limitset._farthest_nearest_sq(q.real, q.imag, t.real, t.imag, slack) == brute
+
+    def test_box_edges_absorb_rounding(self):
+        # 3 - (-1e-17) rounds to 3, so an unpadded box edge at 3 - 3 = 0
+        # would leave out the only target
+        for a, b in ((3.0, -1e-17), (3j, -1e-17j), (1e6 + 0j, 1e6 - 3e-10 + 4e-10j)):
+            pa, pb = np.array([a], dtype=complex), np.array([b], dtype=complex)
+            assert hausdorff_distance(pa, pb) == _kdtree_hausdorff(pa, pb)
+
+    def test_same_float_on_boundary_clouds(self, square_cloud, cloud2, limit_cloud):
+        pts = cloud2.points
+        pairs = [
+            (square_cloud.points, limit_cloud.points),
+            (pts, limit_cloud.points),
+            (pts, np.conj(pts)),
+            (pts, -np.conj(pts)),
+        ]
+        for a, b in pairs:
+            assert hausdorff_distance(a, b) == _kdtree_hausdorff(a, b)
+
+
+def _counted(f):
+    calls = [0]
+
+    def g(x):
+        calls[0] += 1
+        return f(x)
+
+    return g, calls
+
+
+def _assert_brent_matches_brentq(f, a, b, xtol):
+    g, ours = _counted(f)
+    h, theirs = _counted(f)
+    assert _brent(g, a, b, xtol) == float(brentq(h, a, b, xtol=xtol))
+    assert ours[0] == theirs[0]
+
+
+class TestBrent:
+    MAPS = {
+        "K=2": DevelopingMap.from_aspect(2.0, Z1_K2),
+        "K=1000": DevelopingMap.from_aspect(1000.0, Z1_K1000),
+        "limit": DevelopingMap.merged_limit(X0, TAU),
+    }
+
+    @pytest.mark.parametrize("name", list(MAPS))
+    @pytest.mark.parametrize("anchor", [_axis_anchor_real, _axis_anchor_imag])
+    @pytest.mark.parametrize("side", [1, -1])
+    def test_axis_anchors_match_brentq(self, monkeypatch, name, anchor, side):
+        solves = []
+
+        def recording(f, a, b, xtol):
+            solves.append((f, a, b, xtol))
+            return _brent(f, a, b, xtol)
+
+        monkeypatch.setattr(limitset, "_brent", recording)
+        anchor(self.MAPS[name], side)
+        assert len(solves) == 1
+        _assert_brent_matches_brentq(*solves[0])
+
+    SYNTHETIC = (
+        (lambda x: math.tanh(x - 0.3), -4.0, 4.0),
+        (lambda x: math.exp(x) - 5.0, -4.0, 4.0),
+        (lambda x: x * x - 2.0, 0.0, 4.0),
+        (lambda x: math.atan(1e6 * (x - 1.7)), -4.0, 4.0),
+        (lambda x: math.cos(x) - x, 0.0, 1.0),
+        (lambda x: x**5 - x - 1.0, 1.0, 2.0),
+        (lambda x: x, 0.0, 1.0),
+        (lambda x: x - 1.0, 0.0, 1.0),
+        # roots far from 0, where the relative tolerance sets the stop
+        (lambda x: math.log(x) - 7.0, 1.0, 1e4),
+        (lambda x: math.tanh(1e-3 * (x - 31415.9)), 1e4, 1e5),
+    )
+
+    @pytest.mark.parametrize("case", range(len(SYNTHETIC)))
+    @pytest.mark.parametrize("xtol", [1e-4, 2e-12, 1e-300])
+    def test_synthetic_roots_match_brentq(self, case, xtol):
+        _assert_brent_matches_brentq(*self.SYNTHETIC[case], xtol)
+
+    def test_failures_raise_arithmetic_error(self):
+        with pytest.raises(ArithmeticError, match=r"\[1.0, 2.0\]: no sign change"):
+            _brent(lambda x: x, 1.0, 2.0, 1e-13)
+        with pytest.raises(ArithmeticError, match="is nan"):
+            _brent(lambda x: math.nan if x > 0.5 else x - 0.6, 0.0, 1.0, 1e-13)
+        # a triple root is still bisecting at 1e-13 when the iterations run
+        # out; brentq gives up after the same 102 calls
+        g, calls = _counted(lambda x: (x - 0.3) ** 3)
+        with pytest.raises(ArithmeticError, match="no convergence"):
+            _brent(g, -4.0, 4.0, 1e-13)
+        assert calls[0] == 102
 
 
 class TestSquareBaseline:
@@ -216,7 +379,6 @@ class TestLimitCloud:
         pts = wider.points
         pa = np.column_stack([base.real, base.imag])
         pb = np.column_stack([pts.real, pts.imag])
-        from scipy.spatial import cKDTree
 
         # the shallow configuration is a subset of the deeper one
         assert cKDTree(pb).query(pa)[0].max() < 1e-6
