@@ -48,11 +48,28 @@ class CurveCloud:
 
     pieces: Dict[str, np.ndarray] = field(default_factory=dict)
     notes: Dict[str, str] = field(default_factory=dict)
+    # winding depth from the seam of each spiral piece and stop note
+    depths: Dict[str, float] = field(default_factory=dict)
 
     def add(self, name: str, points: np.ndarray, note: str = "") -> None:
         self.pieces[name] = np.asarray(points, dtype=complex)
         if note:
             self.notes[name] = note
+
+    def truncated(self, theta_max: float) -> "CurveCloud":
+        """This cloud without the pieces and notes deeper than theta_max.
+
+        On a limit cloud this is the cloud limit_image_cloud tracks at
+        that theta_max: the bridges lay the stops in order of depth, so
+        the shallower ones do not depend on how deep the walk goes.
+        Pieces without a depth are kept.
+        """
+        keep = lambda name: _within_depth(self.depths.get(name, 0.0), theta_max)
+        return CurveCloud(
+            {k: v for k, v in self.pieces.items() if keep(k)},
+            {k: v for k, v in self.notes.items() if keep(k)},
+            {k: v for k, v in self.depths.items() if keep(k)},
+        )
 
     @property
     def incomplete(self) -> Dict[str, str]:
@@ -136,24 +153,28 @@ _BRENT_RTOL = 4.0 * np.finfo(float).eps
 _BRENT_MAXITER = 100
 
 
-def _brent(f, a: float, b: float, xtol: float) -> float:
+def _brent(
+    f, a: float, b: float, xtol: float, fa: Optional[float] = None, fb: Optional[float] = None
+) -> float:
     """Root of f in [a, b] by Brent's method (Brent 1973, ch. 4).
 
     Follows scipy.optimize.brentq (rtol 4 eps, 100 iterations) step for
     step, so roots and the number of calls to f are the same as with it.
-    A bracket without a sign change, a NaN value of f, or no convergence
-    raises ArithmeticError naming the bracket.
+    fa and fb are f(a) and f(b) where the caller already has them; each
+    one given saves a call. A bracket without a sign change, a NaN value
+    of f, or no convergence raises ArithmeticError naming the bracket.
     """
     bracket = f"[{a!r}, {b!r}]"
 
-    def value(x: float) -> float:
-        fx = f(x)
+    def value(x: float, fx: Optional[float] = None) -> float:
+        if fx is None:
+            fx = f(x)
         if math.isnan(fx):
             raise ArithmeticError(f"Brent bracket {bracket}: f({x!r}) is nan")
         return fx
 
     xpre, xcur = a, b
-    fpre, fcur = value(xpre), value(xcur)
+    fpre, fcur = value(xpre, fa), value(xcur, fb)
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
@@ -211,17 +232,19 @@ def _axis_anchor_real(dev: DevelopingMap, side: int) -> float:
     for _ in range(40):
         lo = side * (base + delta)
         try:
-            if f(lo) * fhi < 0.0:
-                break
+            flo = f(lo)
         except (QuadratureError, OverflowError, FloatingPointError):
             raise ArithmeticError(
                 f"boundary axis crossing not bracketed before the singular scale at delta={delta:.3g}"
             )
+        if flo * fhi < 0.0:
+            break
         delta *= 0.5
     else:
         raise ArithmeticError("no sign change toward the singular point")
-    ua, ub = (lo, hi) if lo < hi else (hi, lo)
-    return _brent(f, ua, ub, 1e-13)
+    if lo < hi:
+        return _brent(f, lo, hi, 1e-13, flo, fhi)
+    return _brent(f, hi, lo, 1e-13, fhi, flo)
 
 
 def _axis_anchor_imag(dev: DevelopingMap, side: int) -> float:
@@ -349,6 +372,11 @@ _LIMIT_ASSEMBLY = {
 }
 
 
+def _within_depth(depth: float, theta_max: float) -> bool:
+    """Whether a stop at this winding depth from its seam is resolved at theta_max."""
+    return depth <= theta_max + 1e-9
+
+
 def _ray_target(center: complex, theta: float, r0: float, r1: float):
     """Radial developed-plane target, log-uniform in radius."""
     lr0, lr1 = math.log(r0), math.log(r1)
@@ -382,14 +410,20 @@ def limit_image_cloud(
     cloud = CurveCloud()
     n_max = max(1, int(round(theta_max / (2 * math.pi))))
 
+    # each side's real-axis anchor starts its two mouth curves and the
+    # bridges of its two spiral assemblies
+    anchors = {}
+    for side in (+1, -1):
+        u = complex(_axis_anchor_real(dev, side))
+        anchors[side] = (u, complex(dev.develop_at(u)))
+
     # mouth curves: developed value on the left and right square edges
     for side, label in ((+1, "right"), (-1, "left")):
-        u = _axis_anchor_real(dev, side)
-        g0 = complex(dev.develop_at(complex(u)))
+        u, g0 = anchors[side]
         for updown, cy in (("upper", 1.0), ("lower", -1.0)):
             p, dp = segment_target(side * (1 + 0j), side + 1j * cy * (1 - flank_inner))
             r = track_level_curve(
-                dev, p, dp, complex(u), g0=g0, max_step=0.05,
+                dev, p, dp, u, g0=g0, max_step=0.05,
                 quad_tol=quad_tol, max_steps=8000,
             )
             cloud.add(f"mouth_{label}_{updown}", resample_curve(r.w, spacing))
@@ -407,9 +441,7 @@ def limit_image_cloud(
         corner = spec["corner"]
         orient = spec["orient"]
         th = spec["anchor_theta"]
-        u = _axis_anchor_real(dev, int(np.sign(corner.real)))
-        w = complex(u)
-        g = complex(dev.develop_at(w))
+        w, g = anchors[int(np.sign(corner.real))]
         m = 0
         off_a, off_b = spec["offsets"]
         seam0 = orient * spec["seam"]
@@ -419,8 +451,9 @@ def limit_image_cloud(
             stops.append((orient * (2 * math.pi * n - off_b), f"flank_{name}_n{n}b"))
         # truncate by winding depth from the seam so mirror corners cut
         # at the same depth even though their absolute angles differ by pi
-        stops = [(a, lbl) for a, lbl in stops if abs(a - seam0) <= theta_max + 1e-9]
+        stops = [(a, lbl) for a, lbl in stops if _within_depth(abs(a - seam0), theta_max)]
         for angle, label in stops:
+            depth = abs(angle - seam0)
             # bridge to the next stop angle; not part of the cloud
             scale = tau / max(abs(angle), math.pi)
             p, dp = arc_target(corner, 1.0, th, angle)
@@ -432,6 +465,7 @@ def limit_image_cloud(
                 )
                 if not br.completed:
                     cloud.notes[label] = f"unreached: bridge {br.reason}"
+                    cloud.depths[label] = depth
                     break
                 w, g, m = complex(br.w[-1]), complex(br.g[-1]), int(br.branch[-1])
                 th = angle
@@ -444,6 +478,7 @@ def limit_image_cloud(
                 )
                 piece = resample_curve(rr.w, spacing)
                 cloud.add(f"{label}_{tag}", piece)
+                cloud.depths[f"{label}_{tag}"] = depth
                 if not rr.completed:
                     cloud.notes[f"{label}_{tag}"] = f"partial: {rr.reason}"
 
@@ -490,9 +525,15 @@ def convergence_report(
     by_k = {r.K: r for r in solutions}
     est = extract_limit(solutions)
     incomplete = {}
-    lim = limit_image_cloud(
-        est.x0, est.tau, theta_max=theta_max, spacing=spacing, quad_tol=quad_tol
+    # one coarser truncation level; the spiral tails it drops sit within
+    # tau/theta_max of the limit points, so a large swing means the
+    # distances are dominated by truncation, not by the K-trend. Both
+    # levels come from one tracking pass to the deeper of the two.
+    theta_alt = max(2 * math.pi, theta_max - 2 * math.pi)
+    deep = limit_image_cloud(
+        est.x0, est.tau, theta_max=max(theta_max, theta_alt), spacing=spacing, quad_tol=quad_tol
     )
+    lim = deep.truncated(theta_max)
     lim_pts = lim.points
     if lim.incomplete:
         incomplete["limit"] = lim.incomplete
@@ -510,13 +551,7 @@ def convergence_report(
     dists = [row["hausdorff"] for row in rows]
     final = dists[-1] if dists else math.nan
 
-    # one coarser truncation level; the spiral tails it drops sit within
-    # tau/theta_max of the limit points, so a large swing means the
-    # distances are dominated by truncation, not by the K-trend
-    theta_alt = max(2 * math.pi, theta_max - 2 * math.pi)
-    alt = limit_image_cloud(
-        est.x0, est.tau, theta_max=theta_alt, spacing=spacing, quad_tol=quad_tol
-    )
+    alt = deep.truncated(theta_alt)
     alt_pts = alt.points
     if alt.incomplete:
         incomplete["limit_alt"] = alt.incomplete

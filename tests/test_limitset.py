@@ -210,11 +210,14 @@ def _counted(f):
     return g, calls
 
 
-def _assert_brent_matches_brentq(f, a, b, xtol):
+def _assert_brent_matches_brentq(f, a, b, xtol, fa=None, fb=None):
+    for x, fx in ((a, fa), (b, fb)):
+        assert fx is None or fx == f(x)
     g, ours = _counted(f)
     h, theirs = _counted(f)
-    assert _brent(g, a, b, xtol) == float(brentq(h, a, b, xtol=xtol))
-    assert ours[0] == theirs[0]
+    assert _brent(g, a, b, xtol, fa, fb) == float(brentq(h, a, b, xtol=xtol))
+    # each bracket value the caller passes saves one call
+    assert ours[0] == theirs[0] - (fa is not None) - (fb is not None)
 
 
 class TestBrent:
@@ -230,13 +233,16 @@ class TestBrent:
     def test_axis_anchors_match_brentq(self, monkeypatch, name, anchor, side):
         solves = []
 
-        def recording(f, a, b, xtol):
-            solves.append((f, a, b, xtol))
-            return _brent(f, a, b, xtol)
+        def recording(f, a, b, xtol, fa=None, fb=None):
+            solves.append((f, a, b, xtol, fa, fb))
+            return _brent(f, a, b, xtol, fa, fb)
 
         monkeypatch.setattr(limitset, "_brent", recording)
         anchor(self.MAPS[name], side)
         assert len(solves) == 1
+        if anchor is _axis_anchor_real:
+            # the bracket search has evaluated both ends already
+            assert None not in solves[0][4:]
         _assert_brent_matches_brentq(*solves[0])
 
     SYNTHETIC = (
@@ -372,6 +378,43 @@ class TestLimitCloud:
         for side in ("right", "left"):
             for updown in ("upper", "lower"):
                 assert cloud.notes[f"mouth_{side}_{updown}"] == "partial: forced stall"
+
+    def test_each_anchor_solved_once(self, monkeypatch):
+        # one real-axis anchor per side serves its mouth curves and both of
+        # its spiral assemblies; outside the two solves the cloud develops
+        # only the anchors themselves
+        calls = {"develop_at": 0, "in_anchors": 0, "anchors": 0}
+        develop_at, anchor = DevelopingMap.develop_at, limitset._axis_anchor_real
+
+        def counted_develop_at(self, *args, **kwargs):
+            calls["develop_at"] += 1
+            return develop_at(self, *args, **kwargs)
+
+        def counted_anchor(dev, side):
+            before = calls["develop_at"]
+            u = anchor(dev, side)
+            calls["anchors"] += 1
+            calls["in_anchors"] += calls["develop_at"] - before
+            return u
+
+        monkeypatch.setattr(DevelopingMap, "develop_at", counted_develop_at)
+        monkeypatch.setattr(limitset, "_axis_anchor_real", counted_anchor)
+        limit_image_cloud(X0, TAU, theta_max=2 * math.pi)
+        assert calls["anchors"] == 2
+        assert calls["develop_at"] == calls["in_anchors"] + 2
+        assert calls["develop_at"] <= 20
+
+    @pytest.mark.parametrize("turns", [2, 3])
+    def test_truncation_equals_direct_cloud(self, limit_cloud, turns):
+        theta = 2 * math.pi * turns
+        cut = limit_cloud.truncated(theta)
+        direct = limit_image_cloud(X0, TAU, theta_max=theta)
+        assert sorted(cut.pieces) == sorted(direct.pieces)
+        for name, pts in direct.pieces.items():
+            assert np.array_equal(cut.pieces[name], pts), name
+        assert cut.notes == direct.notes
+        assert cut.depths == direct.depths
+        assert len(cut.pieces) < len(limit_cloud.pieces)
 
     def test_deeper_truncation_only_adds_near_singularities(self, limit_cloud):
         wider = limit_image_cloud(X0, TAU, theta_max=10 * math.pi)
