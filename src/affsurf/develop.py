@@ -161,8 +161,12 @@ class DevelopingMap:
             # both Moebius logs in one call: (z1-z4)/(w-z1) and (z3-z2)/(w-z3)
             logs = _log1p_c(self._numerators / offsets[..., 0::2])
             return self.beta * (logs[..., 0] + logs[..., 1])
-        # 1/(w-x0) - 1/(w+x0) written without cancellation at large w
-        return self.tau * 2.0 * self.x0 / ((arr - self.x0) * (arr + self.x0))
+        # 1/(w-x0) - 1/(w+x0) written without cancellation at large w, with
+        # w-x0 and w+x0 the pole offsets. They are arrays (0-d for a single
+        # point), so their product takes numpy's array loop either way; the
+        # numpy scalars that w-x0 gives for a single point multiply with
+        # different rounding
+        return self.tau * 2.0 * self.x0 / (offsets[..., 0] * offsets[..., 1])
 
     def log_derivative(self, w):
         """Principal branch of log g'. Scalar or ndarray."""

@@ -4,9 +4,12 @@ For each aspect K the developing map must send the first-quadrant
 prevertex to the upper-right square corner 1+i; that single complex
 condition pins the prevertex. The residual integrates g' down a vertical
 ray onto the prevertex, where |g'| <= 1 keeps the quadrature tame at any
-aspect. A damped two-real-dimensional Newton iteration drives it to zero,
-with continuation in log K supplying starts that the plain iteration
-could not reach on its own.
+aspect. A damped Broyden quasi-Newton iteration in two real dimensions
+drives it to zero, with continuation in log K supplying starts that the
+plain iteration could not reach on its own. The residual is not
+holomorphic in the prevertex, so the Jacobian is a real 2x2 matrix: one
+finite-difference Jacobian starts a continuation path, and rank-one
+updates carry it from step to step and from aspect to aspect.
 """
 
 from __future__ import annotations
@@ -66,25 +69,53 @@ def corner_residual(K: float, prevertex: complex, quad_tol: float = 1e-12) -> co
     return anchor + dev.tail_integral(anchor) + ray - CORNER_TARGET
 
 
-def _newton(K, z0, tol, quad_tol, max_iter):
+# an accepted step that leaves |r| above this fraction of its previous
+# value has outrun the Broyden Jacobian; the next step takes a fresh one
+_SLOW_STEP = 0.1
+
+
+def _fd_jacobian(K, z, quad_tol):
+    """Real 2x2 Jacobian of the residual at z by central differences.
+
+    The residual is not holomorphic in z, so both columns are probed:
+    four residuals.
+    """
+    jac = np.empty((2, 2))
+    for col, h in enumerate((1e-6 * (1 + abs(z.real)), 1e-6 * (1 + abs(z.imag)))):
+        dz = h if col == 0 else 1j * h
+        d = (corner_residual(K, z + dz, quad_tol) - corner_residual(K, z - dz, quad_tol)) / (2 * h)
+        jac[0, col], jac[1, col] = d.real, d.imag
+    return jac
+
+
+def _broyden(K, z0, tol, quad_tol, max_iter, jac=None):
+    """Damped Broyden iteration (Broyden, Math. Comp. 19, 1965) from z0.
+
+    jac is a Jacobian carried from the previous solve on the path; without
+    one the first step takes a finite-difference Jacobian. Each accepted
+    step updates it by rank one. A fresh one is taken only after a failed
+    line search or a step that left |r| above _SLOW_STEP times its old
+    value; a failed line search on a fresh Jacobian ends the iteration.
+    Returns
+    (z, |r|, iterations, residuals, converged, jac), jac the Jacobian to
+    carry on.
+    """
     z = complex(z0)
     r = corner_residual(K, z, quad_tol)
     evals = 1
+    refresh = jac is None
     for it in range(max_iter):
         if abs(r) <= tol:
-            return z, abs(r), it, evals, True
-        jac = np.empty((2, 2))
-        for col, h in enumerate((1e-6 * (1 + abs(z.real)), 1e-6 * (1 + abs(z.imag)))):
-            dz = h if col == 0 else 1j * h
-            rp = corner_residual(K, z + dz, quad_tol)
-            rm = corner_residual(K, z - dz, quad_tol)
-            evals += 2
-            d = (rp - rm) / (2 * h)
-            jac[0, col], jac[1, col] = d.real, d.imag
+            return z, abs(r), it, evals, True, jac
+        if refresh:
+            jac = _fd_jacobian(K, z, quad_tol)
+            evals += 4
+        fresh, refresh = refresh, False
         try:
             sx, sy = np.linalg.solve(jac, [-r.real, -r.imag])
         except np.linalg.LinAlgError:
-            break
+            # no step: the quadrant guard rejects it like a failed line search
+            sx = sy = math.nan
         step = complex(sx, sy)
         lam, accepted = 1.0, False
         for _ in range(8):
@@ -93,26 +124,37 @@ def _newton(K, z0, tol, quad_tol, max_iter):
                 r_new = corner_residual(K, cand, quad_tol)
                 evals += 1
                 if abs(r_new) < abs(r) * (1 - 0.25 * lam) or abs(r_new) <= tol:
-                    z, r, accepted = cand, r_new, True
+                    accepted = True
                     break
             lam /= 2
         if not accepted:
-            break
-    return z, abs(r), max_iter, evals, abs(r) <= tol
+            if fresh:
+                break
+            refresh = True
+            continue
+        s = np.array([lam * sx, lam * sy])
+        dr = r_new - r
+        jac = jac + np.outer(np.array([dr.real, dr.imag]) - jac @ s, s) / (s @ s)
+        refresh = abs(r_new) > _SLOW_STEP * abs(r)
+        z, r = cand, r_new
+    return z, abs(r), max_iter, evals, abs(r) <= tol, jac
 
 
-def _cold_start(K: float, quad_tol: float) -> complex:
-    """Walk the solution from aspect 1, a few geometric steps per decade."""
-    z = CORNER_TARGET
+def _cold_start(K: float, quad_tol: float):
+    """Walk the solution from aspect 1, a few geometric steps per decade.
+
+    Returns the start for aspect K and the Jacobian carried up the ladder.
+    """
+    z, jac = CORNER_TARGET, None
     if K <= 1.3:
-        return z
+        return z, jac
     n = max(2, math.ceil(4 * math.log10(K)))
     for j in range(1, n + 1):
         Kj = K ** (j / n)
-        z, res, _, _, ok = _newton(Kj, z, 1e-8, quad_tol, 40)
+        z, res, _, _, ok, jac = _broyden(Kj, z, 1e-8, quad_tol, 40, jac)
         if not ok:
             raise ArithmeticError(f"continuation stalled at aspect {Kj:.4g} (residual {res:.2e})")
-    return z
+    return z, jac
 
 
 def solve_prevertex(
@@ -129,6 +171,14 @@ def solve_prevertex(
     The solver tolerance must exceed quad_tol: a residual cannot be
     certified below its own quadrature error budget.
     """
+    return _solve(K, initial, None, tol, quad_tol, max_iter)[0]
+
+
+def _solve(K, initial, jac, tol, quad_tol, max_iter=60):
+    """solve_prevertex, starting from a carried Jacobian (None for none).
+
+    Returns the result and the Jacobian to carry to the next aspect.
+    """
     if math.isinf(K):
         raise ValueError("the limit has no finite prevertex; extrapolate a sweep instead")
     if not K >= 1.0:
@@ -139,12 +189,13 @@ def solve_prevertex(
         )
     if K == 1.0:
         r = corner_residual(1.0, CORNER_TARGET, quad_tol)
-        return SolveResult(1.0, CORNER_TARGET, abs(r), 0, 1, abs(r) <= tol)
-    z0 = initial if initial is not None else _cold_start(K, quad_tol)
-    z, res, its, evals, ok = _newton(K, z0, tol, quad_tol, max_iter)
+        return SolveResult(1.0, CORNER_TARGET, abs(r), 0, 1, abs(r) <= tol), jac
+    if initial is None:
+        initial, jac = _cold_start(K, quad_tol)
+    z, res, its, evals, ok, jac = _broyden(K, initial, tol, quad_tol, max_iter, jac)
     if not ok:
         raise ArithmeticError(f"no convergence at aspect {K:.6g}: residual {res:.2e} after {its} iterations")
-    return SolveResult(float(K), z, res, its, evals, True)
+    return SolveResult(float(K), z, res, its, evals, True), jac
 
 
 def _warm_guess(prev: Sequence[SolveResult], K: float) -> Optional[complex]:
@@ -179,15 +230,18 @@ def continuation_sweep(
     if ks and ks[0] < 1.0:
         raise ValueError(f"aspects must be >= 1, got {ks[0]}")
     results: list[SolveResult] = []
+    jac = None
     for K in ks:
         guess = _warm_guess(results, K)
         try:
-            results.append(solve_prevertex(K, initial=guess, tol=tol, quad_tol=quad_tol))
+            res, next_jac = _solve(K, guess, jac, tol, quad_tol)
         except ArithmeticError:
             mid = math.sqrt(results[-1].K * K) if results else math.sqrt(K)
-            bridge = solve_prevertex(mid, initial=guess, tol=tol, quad_tol=quad_tol)
+            bridge, bridge_jac = _solve(mid, guess, jac, tol, quad_tol)
             retry = _warm_guess(results + [bridge], K)
-            results.append(solve_prevertex(K, initial=retry, tol=tol, quad_tol=quad_tol))
+            res, next_jac = _solve(K, retry, bridge_jac, tol, quad_tol)
+        results.append(res)
+        jac = next_jac
     return results
 
 

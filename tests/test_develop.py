@@ -206,20 +206,13 @@ class TestScalarArrayAgreement:
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(ws=_POINTS)
-    def test_limit_scalar_within_rounding_of_array_element(self, ws):
-        # a single point takes numpy's scalar complex multiply in
-        # (w-x0)*(w+x0) and a batch the vectorised ufunc loop, which round
-        # differently in the last bit; exp carries that as a relative error
-        # of about |log g'| ulps
+    def test_limit_scalar_equals_array_element(self, ws):
         assume(all(min(abs(w - p) for p in LIMIT.poles) > 1e-3 for w in ws))
-        eps = np.finfo(float).eps
-        logs = LIMIT.log_derivative(np.array(ws, dtype=complex))
         for method in ("log_derivative", "derivative", "derivative_minus_one"):
             evaluate = getattr(LIMIT, method)
             batch = evaluate(np.array(ws, dtype=complex))
-            for w, v, lg in zip(ws, batch, logs):
-                bound = 4 * eps * (1.0 + abs(lg)) * max(abs(v), abs(cmath.exp(lg)))
-                assert abs(evaluate(w) - v) <= bound, (method, w)
+            for w, v in zip(ws, batch):
+                assert _same_bits(evaluate(w), v), (method, w)
 
 
 class TestSeries:

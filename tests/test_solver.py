@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+import affsurf.solver as solver
 from affsurf.develop import DevelopingMap, connection_limit_check
 from affsurf.quadrature import integrate_segment
 from affsurf.solver import (
@@ -100,6 +101,43 @@ class TestSolve:
             solve_prevertex(0.5)
         with pytest.raises(ValueError):
             solve_prevertex(math.inf)
+
+
+def _count_calls(monkeypatch, name):
+    """Count the calls the solver makes to one of its module functions."""
+    calls = [0]
+    fn = getattr(solver, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(solver, name, counted)
+    return calls
+
+
+class TestResidualBudget:
+    # Broyden updates replace the four central-difference probes per step
+
+    def test_decade_sweep(self, monkeypatch):
+        calls = _count_calls(monkeypatch, "corner_residual")
+        continuation_sweep([10.0**j for j in range(1, 9)])
+        assert calls[0] <= 110
+
+    def test_cold_solve(self, monkeypatch):
+        calls = _count_calls(monkeypatch, "corner_residual")
+        r = solve_prevertex(1000.0)
+        assert calls[0] <= 110
+        assert abs(r.prevertex - Z1_K1000) < 1e-9
+
+    def test_wrong_jacobian_is_refreshed(self, monkeypatch):
+        # a carried Jacobian with the wrong signs points every step uphill,
+        # so the line search fails and the solve must take a fresh one
+        refreshes = _count_calls(monkeypatch, "_fd_jacobian")
+        res, jac = solver._solve(5.0, Z1_K5 * (1 + 1e-3), -np.eye(2), 1e-10, 1e-12)
+        assert abs(res.prevertex - Z1_K5) < 1e-9
+        assert refreshes[0] >= 1
+        assert jac.shape == (2, 2)
 
 
 class TestSolvedGeometry:
