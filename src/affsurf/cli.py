@@ -489,6 +489,7 @@ def _run_hausdorff(config: RunConfig, rec: _Recorder) -> dict:
         theta_max=config.theta_max,
         spacing=1.0 / config.density,
         quad_tol=config.tol_quad,
+        solver_tol=config.tol_solver,
     )
     rows = [
         (k_label(r["K"]), r["hausdorff"], r["boundary_points"]) for r in report["rows"]

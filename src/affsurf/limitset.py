@@ -500,6 +500,7 @@ def convergence_report(
     quad_tol: float = 1e-12,
     solutions: Optional[Sequence] = None,
     threshold: Optional[float] = None,
+    solver_tol: float = 1e-10,
 ) -> dict:
     """Hausdorff distances from finite-aspect boundaries to the limit.
 
@@ -511,7 +512,8 @@ def convergence_report(
     short (its notes are listed under "incomplete", by cloud) or the
     truncation sensitivity exceeds a fifth of the final distance (the
     comparison cannot resolve the gap it is asked to certify), otherwise
-    "fail".
+    "fail". Without solutions, the sweep over k_values and the decades
+    1e1..1e8 is solved to residual solver_tol with quadrature at quad_tol.
     """
     from .solver import continuation_sweep, extract_limit
 
@@ -521,7 +523,7 @@ def convergence_report(
     if solutions is None:
         decades = [10.0**j for j in range(1, 9)]
         grid = sorted(set(ks) | set(decades))
-        solutions = continuation_sweep(grid)
+        solutions = continuation_sweep(grid, tol=solver_tol, quad_tol=quad_tol)
     by_k = {r.K: r for r in solutions}
     est = extract_limit(solutions)
     incomplete = {}

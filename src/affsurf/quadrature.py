@@ -7,6 +7,10 @@ level is evaluated in one vectorised integrand call, so a segment costs
 one call per refinement level rather than one per panel. Optional interior
 break points seed the first level, which lets a caller grade the panels
 toward an endpoint singularity instead of reaching it by bisection.
+Without break points the first level is one panel; its accept test runs on
+Python scalars, so a segment that GK15 accepts whole (a tracker chord,
+usually) skips the level bookkeeping, while its sums come from the same
+array arithmetic as every other level and so keep their rounding.
 Integrands take a 1-D complex ndarray and return an array of its shape.
 """
 
@@ -83,20 +87,33 @@ def integrate_segment(
             raise ValueError("break points must lie strictly inside the segment")
         order = sorted(range(len(t)), key=lambda i: t[i].real)
         edges = [a] + [complex(points[i]) for i in order] + [b]
-    edges = np.array(edges)
-    lo, hi = edges[:-1], edges[1:]
+    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
     acc = 0j
     splits = 0
     # the absolute floor keeps short panels near an endpoint from being
     # starved by the length-proportional share; with <= max_panels panels
     # the accepted error still sums to O(tol)
     floor = 1e-4 * tol
+    if len(edges) == 2:
+        # one first panel: the accept test on Python scalars, with the sums
+        # themselves from the array loop the later levels use (a scalar
+        # complex multiply can round differently); a rejected panel goes
+        # to the level loop as its two halves
+        h, sums = _level_sums(f, lo, hi)
+        kronrod, gauss = sums[0].tolist()
+        err = abs(kronrod - gauss)
+        length = 2.0 * abs(complex(h[0]))
+        if not (err > max((tol / total) * length, floor) and length > 1e-15 * total):
+            return acc + kronrod
+        splits = 1
+        if splits > max_panels:
+            raise QuadratureError(
+                f"no convergence after {max_panels} panel splits (err {err:.2e}, tol {tol:.2e})"
+            )
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
     while True:
-        h = 0.5 * (hi - lo)
-        hc = h[:, None]
-        nodes = (lo + h)[:, None] + hc * GK_NODES
-        vals = np.asarray(f(nodes.ravel()), dtype=complex).reshape(nodes.shape)
-        sums = (vals @ _PAIR_WEIGHTS) * hc
+        h, sums = _level_sums(f, lo, hi)
         err = np.abs(sums[:, 0] - sums[:, 1])
         length = 2.0 * np.abs(h)
         live = (err > np.maximum((tol / total) * length, floor)) & (length > 1e-15 * total)
@@ -112,6 +129,15 @@ def integrate_segment(
             )
         mid = 0.5 * (lo + hi)
         lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+
+
+def _level_sums(f: Callable, lo: np.ndarray, hi: np.ndarray):
+    """Half-widths and (Kronrod, Gauss) sums of the panels [lo, hi], from one call of f."""
+    h = 0.5 * (hi - lo)
+    hc = h[:, None]
+    nodes = (lo + h)[:, None] + hc * GK_NODES
+    vals = np.asarray(f(nodes.ravel()), dtype=complex).reshape(nodes.shape)
+    return h, (vals @ _PAIR_WEIGHTS) * hc
 
 
 def integrate_polyline(f: Callable, nodes: Sequence[complex], tol: float = 1e-11) -> complex:

@@ -8,6 +8,14 @@ preimage by a Runge-Kutta predictor on w' = p'(s)/g'(w) and a Newton
 corrector, maintaining the developed value incrementally by quadrature
 along every chord the iteration moves through.
 
+Each chord's quadrature also evaluates the continued derivative at the
+chord's end: the end point joins the nodes of the first level, in the same
+derivative call. That value is the Newton slope at the chord's end and,
+once the step is accepted, the first RK4 stage of the next step, so only a
+track's first stage is a separate evaluation ("first same as last",
+Dormand & Prince 1980). An array element equals the single-point value bit
+for bit, so the reuse leaves every tracked point unchanged.
+
 Branches: crossing one of the two vertical slits multiplies the continued
 derivative by the aspect or its reciprocal. An integer exponent per point
 records the current sheet, so curves may wind through any number of
@@ -71,7 +79,15 @@ def _continued_derivative(dev: DevelopingMap, a: complex, m: int, w: complex):
 
 
 def _chord_increment(dev: DevelopingMap, a: complex, b: complex, m: int, quad_tol: float):
-    """(integral of the continued derivative along [a, b], exponent at b)."""
+    """(integral of the continued derivative along [a, b], exponent at b,
+    continued g'(b) or None).
+
+    The end value comes from the first quadrature level of the chord's last
+    piece, whose derivative call takes b as one more node. It is None where
+    that piece is missing or has zero length (the chord ends on a slit, or
+    is shorter than the rounding of b) or where b lies on a slit's line;
+    there _continued_derivative decides between the value and its refusal.
+    """
     crossings = _chord_crossings(dev, a, b)
     total = 0j
     mm = m
@@ -83,11 +99,26 @@ def _chord_increment(dev: DevelopingMap, a: complex, b: complex, m: int, quad_to
             total += piece * (dev.K**mm if mm else 1.0)
         mm += _branch_delta(idx, d)
         t_prev = t
-    if t_prev < 1.0:
-        lo = a + t_prev * (b - a)
-        piece = integrate_segment(dev.derivative, lo, b, quad_tol)
-        total += piece * (dev.K**mm if mm else 1.0)
-    return total, mm
+    if t_prev >= 1.0:
+        return total, mm, None
+    end = []
+
+    def integrand(x):
+        if end:
+            return dev.derivative(x)
+        vals = dev.derivative(np.concatenate((x, (b,))))
+        end.append(vals[-1])
+        return vals[:-1]
+
+    lo = a + t_prev * (b - a)
+    piece = integrate_segment(integrand, lo, b, quad_tol)
+    total += piece * (dev.K**mm if mm else 1.0)
+    if not end or any(b.real == sx for sx, _ in dev.slits):
+        return total, mm, None
+    gp = complex(end[0])
+    if mm:
+        gp *= dev.K**mm
+    return total, mm, gp
 
 
 @dataclass
@@ -180,6 +211,8 @@ def track_level_curve(
     s = s0
     status, reason = "completed", ""
     steps = 0
+    # continued g'(w), carried from the accepted chord's end when it has one
+    gp = None
     while s < s1 - 1e-14 * span:
         if steps >= max_steps:
             status, reason = "stalled", f"step budget {max_steps} exhausted"
@@ -191,17 +224,20 @@ def track_level_curve(
         try:
             # RK4 stages; branch for each stage point is resolved along
             # the chord from the accepted point
-            k1 = dp(s) / _continued_derivative(dev, w, m, w)[0]
+            if gp is None:
+                gp = _continued_derivative(dev, w, m, w)[0]
+            k1 = dp(s) / gp
+            dp_mid = dp(s + 0.5 * h)
             w2 = w + 0.5 * h * k1
-            k2 = dp(s + 0.5 * h) / _continued_derivative(dev, w, m, w2)[0]
+            k2 = dp_mid / _continued_derivative(dev, w, m, w2)[0]
             w3 = w + 0.5 * h * k2
-            k3 = dp(s + 0.5 * h) / _continued_derivative(dev, w, m, w3)[0]
+            k3 = dp_mid / _continued_derivative(dev, w, m, w3)[0]
             w4 = w + h * k3
             k4 = dp(s_new) / _continued_derivative(dev, w, m, w4)[0]
             w_pred = w + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             chord = abs(w_pred - w)
             if chord <= max_step:
-                inc, m_cur = _chord_increment(dev, w, w_pred, m, quad_tol)
+                inc, m_cur, gp_cur = _chord_increment(dev, w, w_pred, m, quad_tol)
                 g_cur = g + inc
                 w_cur = w_pred
                 p_new = complex(p(s_new))
@@ -212,11 +248,14 @@ def track_level_curve(
                     if abs(r) <= tol * scale:
                         ok = True
                         break
-                    gp, _ = _continued_derivative(dev, w_cur, m_cur, w_cur)
-                    dw = -r / gp
+                    if gp_cur is None:
+                        gp_cur = _continued_derivative(dev, w_cur, m_cur, w_cur)[0]
+                    dw = -r / gp_cur
                     if abs(dw) > move_cap:
                         break
-                    inc, m_cur = _chord_increment(dev, w_cur, w_cur + dw, m_cur, quad_tol)
+                    inc, m_cur, gp_cur = _chord_increment(
+                        dev, w_cur, w_cur + dw, m_cur, quad_tol
+                    )
                     w_cur += dw
                     g_cur += inc
         except (ValueError, ArithmeticError):
@@ -225,7 +264,7 @@ def track_level_curve(
             ok = False
         if ok:
             arc += abs(w_cur - w)
-            s, w, g, m = s_new, w_cur, g_cur, m_cur
+            s, w, g, m, gp = s_new, w_cur, g_cur, m_cur, gp_cur
             ss.append(s), ws.append(w), gs.append(g), ms.append(m)
             h = min(h * 1.4, span)
         else:

@@ -159,6 +159,17 @@ class TestExitCodes:
         )
         assert code == 3
 
+    def test_hausdorff_sweep_keeps_the_tolerance_refusal(self, tmp_path):
+        # the sweep behind the report refuses a residual tolerance that
+        # does not exceed the quadrature tolerance, as solve and sweep do
+        code = main(
+            ["hausdorff", "--tol-solver", "1e-12", "--tol-quad", "1e-12",
+             "--out", str(tmp_path / "h")]
+        )
+        assert code == 3
+        report = json.loads((tmp_path / "h" / "report.json").read_text())
+        assert "residual" in report["steps"][-1]["detail"]["message"]
+
     # at K = 3 the computed corner fixed points are off by 1.1e-16, so the
     # holonomy check must bound the error rather than demand equality
     @pytest.mark.parametrize("k", ["2", "3"])

@@ -9,11 +9,66 @@ from hypothesis import strategies as st
 
 from affsurf.develop import DevelopingMap, _log1p_c
 from affsurf.quadrature import (
+    _PAIR_WEIGHTS,
+    GK_NODES,
     QuadratureError,
     integrate_polyline,
     integrate_segment,
     segment_slit_crossing,
 )
+
+
+def _reference_segment(f, a, b, tol=1e-11, max_panels=16384, points=()):
+    """(integral, levels): integrate_segment as a plain level loop with no
+    one-panel first level, kept to pin the fast path's sums bit for bit."""
+    a, b = complex(a), complex(b)
+    total = abs(b - a)
+    if total == 0.0:
+        return 0j, 0
+    edges = [a] + sorted((complex(p) for p in points), key=lambda p: abs(p - a)) + [b]
+    edges = np.array(edges)
+    lo, hi = edges[:-1], edges[1:]
+    acc = 0j
+    splits = 0
+    levels = 0
+    floor = 1e-4 * tol
+    while True:
+        levels += 1
+        h = 0.5 * (hi - lo)
+        hc = h[:, None]
+        nodes = (lo + h)[:, None] + hc * GK_NODES
+        vals = np.asarray(f(nodes.ravel()), dtype=complex).reshape(nodes.shape)
+        sums = (vals @ _PAIR_WEIGHTS) * hc
+        err = np.abs(sums[:, 0] - sums[:, 1])
+        length = 2.0 * np.abs(h)
+        live = (err > np.maximum((tol / total) * length, floor)) & (length > 1e-15 * total)
+        if not live.any():
+            return complex(acc + sums[:, 0].sum()), levels
+        acc += sums[~live, 0].sum()
+        lo, hi = lo[live], hi[live]
+        splits += lo.size
+        if splits > max_panels:
+            raise QuadratureError(
+                f"no convergence after {max_panels} panel splits "
+                f"(err {err[live].max():.2e}, tol {tol:.2e})"
+            )
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+
+
+def _counted_segment(f, *args, **kwargs):
+    """(integrate_segment's value, number of integrand calls)."""
+    calls = []
+
+    def g(x):
+        calls.append(x.size)
+        return f(x)
+
+    return integrate_segment(g, *args, **kwargs), len(calls)
+
+
+def _wave(omega):
+    return lambda w: np.exp(1j * omega * w)
 
 
 class TestQuadrature:
@@ -56,6 +111,59 @@ class TestQuadrature:
         assert abs(plain - exact) <= 1e-9 * scale
         assert abs(graded - exact) <= 1e-9 * scale
         assert abs(graded - plain) <= 1e-9 * scale
+
+    # the wave number sets how many levels the refinement takes
+    @pytest.mark.parametrize(
+        "f, points, levels",
+        [
+            (_wave(3.0), (), 1),
+            (_wave(5.0), (), 2),
+            (_wave(8.0), (), 3),
+            (_wave(20.0), (), 4),
+            (_wave(8.0), (0.7, 0.3), 1),
+            (_wave(20.0), (0.7, 0.3), 3),
+            (lambda w: np.zeros_like(w), (), 1),
+            (lambda w: np.full(w.shape, complex(-0.0, -0.0)), (), 1),
+            (lambda w: np.full(w.shape, complex(-0.0, -0.0)), (0.5,), 1),
+        ],
+    )
+    # backwards, a zero integrand's sums carry a negative zero
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (1.0, 0.0)])
+    def test_levels_match_the_reference_loop(self, f, points, levels, a, b):
+        want, want_levels = _reference_segment(f, a, b, points=points)
+        got, calls = _counted_segment(f, a, b, points=points)
+        assert want_levels == levels
+        assert calls == levels
+        assert _same_bits(got, want)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        ends=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2),
+        heights=st.lists(st.floats(-0.05, 0.05), min_size=2, max_size=2),
+        omega=st.floats(0.0, 30.0),
+        tol=st.sampled_from([1e-12, 1e-10, 1e-8]),
+        ts=st.lists(st.floats(0.01, 0.99), max_size=3),
+    )
+    def test_bit_identical_to_the_reference_loop(self, ends, heights, omega, tol, ts):
+        # small imaginary parts keep the wave's modulus near 1, so the
+        # absolute floor of the accept test stays reachable
+        a, b = (complex(x, y) for x, y in zip(ends, heights))
+        f = _wave(omega)
+        points = [a + t * (b - a) for t in ts] if abs(b - a) > 1e-3 else []
+        want, levels = _reference_segment(f, a, b, tol, points=points)
+        got, calls = _counted_segment(f, a, b, tol, points=points)
+        assert calls == levels
+        assert _same_bits(got, want)
+
+    @pytest.mark.parametrize("omega, max_panels", [(3.0, 0), (5.0, 0), (20.0, 2), (20.0, 4)])
+    def test_panel_budget_matches_the_reference_loop(self, omega, max_panels):
+        try:
+            want = _reference_segment(_wave(omega), 0.0, 1.0, max_panels=max_panels)[0]
+        except QuadratureError as exc:
+            with pytest.raises(QuadratureError, match=re.escape(str(exc))):
+                integrate_segment(_wave(omega), 0.0, 1.0, max_panels=max_panels)
+        else:
+            assert _same_bits(integrate_segment(_wave(omega), 0.0, 1.0, max_panels=max_panels), want)
 
     def test_break_points_off_the_segment_are_rejected(self):
         with pytest.raises(ValueError):

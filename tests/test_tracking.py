@@ -7,9 +7,16 @@ import numpy as np
 import pytest
 
 from affsurf.develop import DevelopingMap
-from affsurf.tracking import arc_target, segment_target, track_level_curve
+from affsurf.tracking import (
+    _chord_increment,
+    _continued_derivative,
+    arc_target,
+    segment_target,
+    track_level_curve,
+)
 
 Z1_K2 = 1.248075111571 + 0.767644410562j
+Z1_K1000 = 1.883446848935 + 0.157918326981j
 CORNER = 1 + 1j
 
 
@@ -165,3 +172,81 @@ class TestStepControl:
         r = track_level_curve(dev2, p, dp, w0, g0=g0)
         assert (np.diff(r.s) > 0).all()
         assert r.s[0] == 0.0 and r.s[-1] == pytest.approx(1.0, abs=1e-12)
+
+
+def _count_derivative_calls(monkeypatch):
+    calls = []
+    derivative = DevelopingMap.derivative
+
+    def counted(self, w):
+        calls.append(np.size(w))
+        return derivative(self, w)
+
+    monkeypatch.setattr(DevelopingMap, "derivative", counted)
+    return calls
+
+
+class TestDerivativeBudget:
+    # an accepted step makes three single-point stage calls and one call
+    # per quadrature level of each chord, whose end value serves as the
+    # next Newton slope or the next step's first stage; evaluating those
+    # on their own takes 7-8 calls per step on these tracks
+
+    def test_corner_approach(self, monkeypatch):
+        dev = DevelopingMap.from_aspect(1000.0, Z1_K1000)
+        w0 = Z1_K1000 + 0.2
+        g0 = complex(dev.develop_at(w0))
+        p, dp = segment_target(g0, CORNER + 1e-3 * (g0 - CORNER) / abs(g0 - CORNER))
+        calls = _count_derivative_calls(monkeypatch)
+        r = track_level_curve(dev, p, dp, w0, g0=g0, max_step=0.004, max_steps=4000)
+        steps = len(r.s) - 1
+        assert r.completed and steps > 50
+        assert len(calls) <= 6.5 * steps
+
+    def test_limit_ray(self, monkeypatch):
+        lim = DevelopingMap.merged_limit(1.9132015196, 0.3470332389)
+        w0 = 3.0 + 0j
+        g0 = complex(lim.develop_at(w0))
+        p, dp = segment_target(g0, g0 + 1.2j)
+        calls = _count_derivative_calls(monkeypatch)
+        r = track_level_curve(lim, p, dp, w0, g0=g0)
+        steps = len(r.s) - 1
+        assert r.completed and steps > 10
+        assert len(calls) <= 6.0 * steps
+
+
+class TestChordEnd:
+    """The end value a chord carries is the point evaluation it replaces."""
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (Z1_K2 + 0.1, Z1_K2 + 0.1 + 0.02j),  # one panel
+            (1.5 + 0.3j, 1.0 + 0.2j),  # across the right slit
+            (-1.5 + 0.3j, -1.0 - 0.2j),  # across the left slit
+            (1.5 + 0.3j, -1.5 + 0.1j),  # across both
+            (-1.45 + 0.87j, 0.4 - 0.2j),  # across the left slit, then refined
+            (0.3 + 0.1j, Z1_K2 + 0.02 + 0.5j),  # four levels
+        ],
+    )
+    @pytest.mark.parametrize("m", [0, 1, -2])
+    def test_end_value_equals_point_evaluation(self, dev2, a, b, m):
+        inc, mm, gp = _chord_increment(dev2, a, b, m, 1e-12)
+        want, want_m = _continued_derivative(dev2, a, m, b)
+        assert mm == want_m
+        assert gp is not None
+        assert np.complex128(gp).tobytes() == np.complex128(want).tobytes()
+
+    def test_chord_ending_on_a_slit_leaves_the_end_to_the_point_evaluation(self, dev2):
+        sx, _ = dev2.slits[0]
+        end = complex(sx, 0.2)
+        inc, mm, gp = _chord_increment(dev2, end + 0.1 + 0.05j, end, 0, 1e-12)
+        assert gp is None
+        with pytest.raises(ArithmeticError, match="slit"):
+            _continued_derivative(dev2, end, mm, end)
+
+    def test_end_inside_the_pole_guard_fails_the_chord(self, dev2):
+        # the end node shares the chord's derivative call, so the chord
+        # itself is refused and the tracker retries the step shorter
+        with pytest.raises(ValueError, match="singular point"):
+            _chord_increment(dev2, Z1_K2 + 0.01, Z1_K2 + 1e-15, 0, 1e-12)
