@@ -8,9 +8,10 @@ one call per refinement level rather than one per panel. Optional interior
 break points seed the first level, which lets a caller grade the panels
 toward an endpoint singularity instead of reaching it by bisection.
 Without break points the first level is one panel; its accept test runs on
-Python scalars, so a segment that GK15 accepts whole (a tracker chord,
-usually) skips the level bookkeeping, while its sums come from the same
-array arithmetic as every other level and so keep their rounding.
+Python scalars, so a segment that GK15 accepts whole skips the level
+bookkeeping, while its sums come from the same array arithmetic as every
+other level and so keep their rounding. Nearly every tracker chord is such
+a segment.
 Integrands take a 1-D complex ndarray and return an array of its shape.
 """
 
@@ -94,26 +95,17 @@ def integrate_segment(
     # starved by the length-proportional share; with <= max_panels panels
     # the accepted error still sums to O(tol)
     floor = 1e-4 * tol
+    h, sums = _level_sums(f, lo, hi)
     if len(edges) == 2:
-        # one first panel: the accept test on Python scalars, with the sums
-        # themselves from the array loop the later levels use (a scalar
-        # complex multiply can round differently); a rejected panel goes
-        # to the level loop as its two halves
-        h, sums = _level_sums(f, lo, hi)
+        # one first panel: its accept test on Python scalars, while its sums
+        # come from the array loop every level uses (a scalar complex
+        # multiply can round differently); a rejected panel takes the level
+        # loop's accept test, panel budget and split like any other
         kronrod, gauss = sums[0].tolist()
-        err = abs(kronrod - gauss)
-        length = 2.0 * abs(complex(h[0]))
+        err, length = abs(kronrod - gauss), 2.0 * abs(complex(h[0]))
         if not (err > max((tol / total) * length, floor) and length > 1e-15 * total):
             return acc + kronrod
-        splits = 1
-        if splits > max_panels:
-            raise QuadratureError(
-                f"no convergence after {max_panels} panel splits (err {err:.2e}, tol {tol:.2e})"
-            )
-        mid = 0.5 * (lo + hi)
-        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
     while True:
-        h, sums = _level_sums(f, lo, hi)
         err = np.abs(sums[:, 0] - sums[:, 1])
         length = 2.0 * np.abs(h)
         live = (err > np.maximum((tol / total) * length, floor)) & (length > 1e-15 * total)
@@ -129,6 +121,7 @@ def integrate_segment(
             )
         mid = 0.5 * (lo + hi)
         lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+        h, sums = _level_sums(f, lo, hi)
 
 
 def _level_sums(f: Callable, lo: np.ndarray, hi: np.ndarray):
