@@ -8,7 +8,7 @@ from .surface import (
     gluing_map,
     hole_monodromy,
 )
-from .develop import DevelopingMap, connection_limit_check, prevertex_ring
+from .develop import DevelopingMap, prevertex_ring
 from .embedding import (
     EmbedChart,
     VirtualPointRep,
@@ -22,7 +22,6 @@ from .embedding import (
     transition_continuity_check,
 )
 from .limitset import (
-    HAUSDORFF_ACCEPT,
     CurveCloud,
     convergence_report,
     hausdorff_distance,
@@ -47,6 +46,7 @@ from .tracking import (
     segment_target,
     track_level_curve,
 )
+from .checks import HAUSDORFF_ACCEPT
 from .cli import RunConfig, RunReport, UsageError, make_config, run
 
 __all__ = [
@@ -57,7 +57,6 @@ __all__ = [
     "gluing_map",
     "hole_monodromy",
     "DevelopingMap",
-    "connection_limit_check",
     "prevertex_ring",
     "QuadratureError",
     "integrate_polyline",

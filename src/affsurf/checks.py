@@ -1,9 +1,11 @@
-"""The certificates of `affsurf verify`, shared with the acceptance gates.
+"""The certificates of `affsurf verify` and `affsurf hausdorff`, shared with
+the acceptance gates.
 
 Each check takes values its caller has already computed (solve results,
-developing maps, point arrays, a quadrature tolerance) and returns
-``(problems, detail)``: one string per violated clause, empty when the
-check passes, and the detail dict that `verify` writes into its report.
+a limit fit, developing maps, point arrays, a distance report, a
+quadrature tolerance) and returns ``(problems, detail)``: one string per
+violated clause, empty when the check passes, and the detail dict that
+the command writes into its report.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .embedding import (
     transition_continuity_check,
 )
 from .limitset import hausdorff_distance
-from .solver import SolveResult
+from .solver import LimitEstimate, SolveResult
 
 Outcome = Tuple[List[str], dict]
 
@@ -236,3 +238,101 @@ REGISTRY = {
     "chart-transitions": chart_transitions,
     "separation-scenarios": separation_scenarios,
 }
+
+
+# ------------------------------------------- the paper's convergence claims
+
+
+def limit_data(sweep: Sequence[SolveResult], fit: LimitEstimate) -> Outcome:
+    """Criterion 05: the prevertices merge and the limit data exist.
+
+    Along the sweep (increasing aspects) Im z1 decreases, the fitted x0
+    moves by less than 1e-3 when the sweep is thinned, tau is positive,
+    and the additive monodromy at x0 is the hole translation 2 within 5%.
+    """
+    heights = [r.prevertex.imag for r in sweep]
+    shift = math.nan
+    if fit.x0 > 0 and fit.tau > 0:
+        limit = DevelopingMap.merged_limit(fit.x0, fit.tau)
+        shift = abs(limit.additive_monodromy_series(complex(fit.x0)))
+    problems = []
+    if not all(b < a for a, b in zip(heights, heights[1:])):
+        problems.append("Im z1 not decreasing along the sweep")
+    if not fit.x0_stability < 1e-3:
+        problems.append(f"x0 drift {fit.x0_stability:.2e} under grid thinning")
+    if not fit.tau > 0:
+        problems.append(f"tau {fit.tau}")
+    if not 1.9 <= shift <= 2.1:
+        problems.append(f"hole translation magnitude {shift:.4f} not within 5% of 2")
+    return problems, {
+        "x0": fit.x0,
+        "tau": fit.tau,
+        "x0_stability": fit.x0_stability,
+        "hole_shift_magnitude": shift,
+    }
+
+
+# the segment [-2i, 2i] on which the connections are compared
+CONNECTION_SAMPLES = 1j * np.linspace(-2.0, 2.0, 201)
+
+
+def connection_convergence(sweep: Sequence[SolveResult], fit: LimitEstimate) -> Outcome:
+    """Criterion 06: the connections converge to the limit connection.
+
+    The sup over CONNECTION_SAMPLES of |finite - limit connection| must
+    decrease strictly along the sweep (increasing aspects), and at K = 1e8
+    be under a tenth of its value at K = 1e2; the sweep must hold both.
+    """
+    ref = DevelopingMap.merged_limit(fit.x0, fit.tau).connection(CONNECTION_SAMPLES)
+    sups = {}
+    for r in sweep:
+        member = DevelopingMap.from_aspect(r.K, r.prevertex)
+        sups[r.K] = float(np.max(np.abs(member.connection(CONNECTION_SAMPLES) - ref)))
+    gaps = list(sups.values())
+    ratio = sups[1e8] / sups[1e2]
+    problems = []
+    if not all(b < a for a, b in zip(gaps, gaps[1:])):
+        problems.append(f"sups not strictly decreasing: {['%.3e' % g for g in gaps]}")
+    if not ratio < 0.10:
+        problems.append(f"sup at 1e8 is {100 * ratio:.1f}% of the 1e2 value")
+    return problems, {"sups": {k_label(K): g for K, g in sups.items()}, "ratio": ratio}
+
+
+# bar on the last finite-to-limit distance, frozen from the first measured
+# run (3.93e-2 at aspect 1e6 and still shrinking); the convergence
+# statement carries no rate, so the bar is empirical
+HAUSDORFF_ACCEPT = 0.05
+
+
+def hausdorff_convergence(report: Mapping) -> Outcome:
+    """Criterion 07: the boundary images converge to the limit configuration.
+
+    report is a `limitset.convergence_report`. Its distances must decrease
+    along the aspects and end under HAUSDORFF_ACCEPT, and moving the
+    spiral cutoff must change the last one by less than a fifth of it.
+    The verdict in the detail is "inconclusive" when the cutoff moves it
+    more (the comparison cannot resolve the gap it is asked to certify)
+    or a compared curve stopped short (the report's "incomplete" notes),
+    "fail" for any other violated clause, and "pass" otherwise.
+    """
+    dists = [row["hausdorff"] for row in report["rows"]]
+    final = report["final_distance"]
+    sensitivity = report["truncation"]["sensitivity"]
+    decreasing = all(b < a for a, b in zip(dists, dists[1:]))
+    problems = []
+    if not decreasing:
+        problems.append(f"distances not decreasing: {['%.4f' % d for d in dists]}")
+    if not final < HAUSDORFF_ACCEPT:
+        problems.append(f"final distance {final:.4f} above {HAUSDORFF_ACCEPT}")
+    unresolved = []
+    if not sensitivity < 0.2 * final:
+        unresolved.append(f"truncation sensitivity {sensitivity:.2e} above 20%")
+    if "incomplete" in report:
+        unresolved.append("incomplete curves in " + ", ".join(sorted(report["incomplete"])))
+    verdict = "inconclusive" if unresolved else "fail" if problems else "pass"
+    return problems + unresolved, {
+        "verdict": verdict,
+        "final_distance": final,
+        "threshold": HAUSDORFF_ACCEPT,
+        "strictly_decreasing": decreasing,
+    }

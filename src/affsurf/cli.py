@@ -301,19 +301,18 @@ def _table(title: str, columns: Sequence[str], rows: Sequence[Sequence]) -> str:
 
 
 def _run_solve(config: RunConfig, rec: _Recorder) -> dict:
+    # one continuation path through all aspects, instead of one from K = 1 each
+    sols = continuation_sweep(config.k, tol=config.tol_solver, quad_tol=config.tol_quad)
     solves = []
-    worst = 0.0
-    for K in config.k:
-        sol = solve_prevertex(K, tol=config.tol_solver, quad_tol=config.tol_quad)
-        worst = max(worst, sol.residual)
+    for sol in sols:
         rec.step(
-            f"solve k={k_label(K)}",
+            f"solve k={k_label(sol.K)}",
             True,
             {"residual": sol.residual, "iterations": sol.iterations},
         )
         solves.append(
             {
-                "k": k_label(K),
+                "k": k_label(sol.K),
                 "z1": sol.prevertex,
                 "residual": sol.residual,
                 "iterations": sol.iterations,
@@ -321,7 +320,7 @@ def _run_solve(config: RunConfig, rec: _Recorder) -> dict:
                 "converged": sol.converged,
             }
         )
-    return {"solves": solves, "residual": worst}
+    return {"solves": solves, "residual": max(s.residual for s in sols)}
 
 
 def _sweep_fit(config: RunConfig, rec: _Recorder):
@@ -484,29 +483,31 @@ def _run_limit(config: RunConfig, rec: _Recorder) -> dict:
 
 
 def _run_hausdorff(config: RunConfig, rec: _Recorder) -> dict:
+    # the decades 1e1..1e8 give the limit fit and criterion 06 its aspects
+    grid = sorted(set(config.k_grid) | set(_decades(1, 8)))
+    sols = continuation_sweep(grid, tol=config.tol_solver, quad_tol=config.tol_quad)
+    fit = extract_limit(sols)
+    for name, check in (
+        ("limit-data", checks.limit_data),
+        ("connection-convergence", checks.connection_convergence),
+    ):
+        problems, detail = check(sols, fit)
+        rec.step(name, not problems, detail)
     report = convergence_report(
-        list(config.k_grid),
+        config.k_grid,
+        sols,
+        fit,
         theta_max=config.theta_max,
         spacing=1.0 / config.density,
         quad_tol=config.tol_quad,
-        solver_tol=config.tol_solver,
     )
     rows = [
         (k_label(r["K"]), r["hausdorff"], r["boundary_points"]) for r in report["rows"]
     ]
     rec.write_text("hausdorff.txt", _table("hausdorff", ("k", "hausdorff", "boundary_points"), rows))
-    rec.step(
-        "hausdorff-convergence",
-        report["verdict"] == "pass",
-        {
-            "verdict": report["verdict"],
-            "final_distance": report["final_distance"],
-            "threshold": report["threshold"],
-            "strictly_decreasing": report["strictly_decreasing"],
-        },
-        report.get("incomplete"),
-    )
-    return report
+    problems, detail = checks.hausdorff_convergence(report)
+    rec.step("hausdorff-convergence", not problems, detail, report.get("incomplete"))
+    return {**report, **detail}
 
 
 # ------------------------------------------------------------------ verify

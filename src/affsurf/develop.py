@@ -37,6 +37,8 @@ import numpy as np
 from .quadrature import integrate_segment, segment_slit_crossing
 
 SERIES_TERMS = 26
+# terms of the additive monodromy series at a limit map's essential point
+MONODROMY_TERMS = 48
 
 # residue sign of the connection at each prevertex, in prevertex_ring order
 PREVERTEX_SIGNS = (-1.0, +1.0, -1.0, +1.0)
@@ -224,7 +226,7 @@ class DevelopingMap:
 
     # -- branch-cut geometry ---------------------------------------------
 
-    def first_slit_crossing(self, a: complex, b: complex, pad: float = 0.0):
+    def first_slit_crossing(self, a: complex, b: complex):
         """Earliest crossing of segment a->b with either slit.
 
         Returns (t, slit_index) or None. Trivial and limit maps have no cuts.
@@ -233,7 +235,7 @@ class DevelopingMap:
             return None
         best = None
         for i, (sx, hh) in enumerate(self.slits):
-            t = segment_slit_crossing(a, b, sx, hh, pad)
+            t = segment_slit_crossing(a, b, sx, hh)
             if t is not None and (best is None or t < best[0]):
                 best = (t, i)
         return best
@@ -259,8 +261,8 @@ class DevelopingMap:
         share = tol / (len(nodes) - 1)
         for i in range(len(nodes) - 1):
             a, b = nodes[i], nodes[i + 1]
-            # pad 0: a segment running down the cut line but stopping above
-            # the slit (how the solver approaches a prevertex) is legal
+            # a segment running down the cut line but stopping above the
+            # slit (how the solver approaches a prevertex) is legal
             if self.first_slit_crossing(a, b) is not None:
                 raise ValueError(
                     f"path segment {a} -> {b} crosses a branch slit; "
@@ -308,7 +310,7 @@ class DevelopingMap:
         arcs = np.linspace(0.0, 2.0 * math.pi, 9)
         return integrate_segment(f, 0.0, 2.0 * math.pi, tol, points=arcs[1:-1])
 
-    def additive_monodromy_series(self, pole: complex, n_terms: int = 48) -> complex:
+    def additive_monodromy_series(self, pole: complex) -> complex:
         """2*pi*i times the residue of g' at an essential point, by series.
 
         Limit maps only. Writing w = pole + u, g' = exp(c/u) * exp(d/(u+e))
@@ -325,6 +327,7 @@ class DevelopingMap:
         else:
             raise ValueError(f"{pole} is not a singular point (have {self.poles})")
         # q(u) = d/du [d/(u+e)] = -d/(u+e)^2, expanded about u = 0
+        n_terms = MONODROMY_TERMS
         q = np.array([-(d / e**2) * (k + 1) * (-1.0 / e) ** k for k in range(n_terms)])
         a = np.zeros(n_terms + 1)
         a[0] = math.exp(d / e)
@@ -333,18 +336,3 @@ class DevelopingMap:
         res = sum(a[n] * c ** (n + 1) / math.factorial(n + 1) for n in range(n_terms + 1))
         return 2j * math.pi * res
 
-
-def connection_limit_check(
-    finite_family: Sequence[DevelopingMap],
-    limit: DevelopingMap,
-    samples: np.ndarray,
-) -> tuple[list[float], bool]:
-    """Sup of |finite connection - limit connection| over the samples, one per member.
-
-    The family should be ordered by increasing aspect; the returned flag
-    reports whether the sups are strictly decreasing along it.
-    """
-    ref = limit.connection(samples)
-    sups = [float(np.max(np.abs(m.connection(samples) - ref))) for m in finite_family]
-    decreasing = all(b < a for a, b in zip(sups, sups[1:]))
-    return sups, decreasing

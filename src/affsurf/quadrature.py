@@ -146,22 +146,21 @@ def segment_slit_crossing(
     b: complex,
     slit_x: float,
     half_height: float,
-    pad: float = 0.0,
 ) -> Optional[float]:
     """Parameter t in [0,1] where segment a->b meets the closed vertical slit
     {Re = slit_x, |Im| <= half_height}, or None. A segment running along the
-    slit's line within pad counts as a crossing at its start.
+    slit's line and meeting the slit counts as a crossing at its start.
     """
     dx = (b - a).real
     if dx == 0.0:
-        if abs(a.real - slit_x) <= pad:
+        if a.real == slit_x:
             lo, hi = sorted((a.imag, b.imag))
-            if lo <= half_height + pad and hi >= -half_height - pad:
+            if lo <= half_height and hi >= -half_height:
                 return 0.0
         return None
     t = (slit_x - a.real) / dx
     if 0.0 <= t <= 1.0:
         y = a.imag + t * (b - a).imag
-        if abs(y) <= half_height + pad:
+        if abs(y) <= half_height:
             return float(t)
     return None

@@ -162,7 +162,6 @@ def solve_prevertex(
     initial: Optional[complex] = None,
     tol: float = 1e-10,
     quad_tol: float = 1e-12,
-    max_iter: int = 60,
 ) -> SolveResult:
     """Prevertex of the aspect-K member, in the open first quadrant.
 
@@ -171,10 +170,14 @@ def solve_prevertex(
     The solver tolerance must exceed quad_tol: a residual cannot be
     certified below its own quadrature error budget.
     """
-    return _solve(K, initial, None, tol, quad_tol, max_iter)[0]
+    return _solve(K, initial, None, tol, quad_tol)[0]
 
 
-def _solve(K, initial, jac, tol, quad_tol, max_iter=60):
+# Broyden iterations allowed for one solve
+_MAX_ITER = 60
+
+
+def _solve(K, initial, jac, tol, quad_tol):
     """solve_prevertex, starting from a carried Jacobian (None for none).
 
     Returns the result and the Jacobian to carry to the next aspect.
@@ -192,7 +195,7 @@ def _solve(K, initial, jac, tol, quad_tol, max_iter=60):
         return SolveResult(1.0, CORNER_TARGET, abs(r), 0, 1, abs(r) <= tol), jac
     if initial is None:
         initial, jac = _cold_start(K, quad_tol)
-    z, res, its, evals, ok, jac = _broyden(K, initial, tol, quad_tol, max_iter, jac)
+    z, res, its, evals, ok, jac = _broyden(K, initial, tol, quad_tol, _MAX_ITER, jac)
     if not ok:
         raise ArithmeticError(f"no convergence at aspect {K:.6g}: residual {res:.2e} after {its} iterations")
     return SolveResult(float(K), z, res, its, evals, True), jac
@@ -266,7 +269,11 @@ class LimitEstimate:
     points_used: int
 
 
-def extract_limit(results: Sequence[SolveResult], order: int = 4) -> LimitEstimate:
+# Neville order of the limit fit; the stability fit is one lower
+_FIT_ORDER = 4
+
+
+def extract_limit(results: Sequence[SolveResult]) -> LimitEstimate:
     """Limit parameters by Richardson extrapolation of a solved sweep.
 
     The pole abscissa Re z1 and the rescaled height log(K) Im z1 / pi are
@@ -287,12 +294,12 @@ def extract_limit(results: Sequence[SolveResult], order: int = 4) -> LimitEstima
         k = min(kmax, len(vv) - 1)
         return _neville_at_zero(vv[-(k + 1):], ff[-(k + 1):])
 
-    x0 = fit(v, x, order)
-    tau = fit(v, t, order)
+    x0 = fit(v, x, _FIT_ORDER)
+    tau = fit(v, t, _FIT_ORDER)
     # thin to every other point, keeping the largest aspect
     idx = np.arange(len(usable) - 1, -1, -2)[::-1]
-    x0_h = fit(v[idx], x[idx], order - 1)
-    tau_h = fit(v[idx], t[idx], order - 1)
+    x0_h = fit(v[idx], x[idx], _FIT_ORDER - 1)
+    tau_h = fit(v[idx], t[idx], _FIT_ORDER - 1)
     return LimitEstimate(
         x0=x0,
         tau=tau,

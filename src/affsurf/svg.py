@@ -17,6 +17,11 @@ import numpy as np
 
 PALETTE = ("#26547c", "#b5442d", "#3d7a46", "#8450a0", "#947118", "#2d7d8a")
 
+# document width in user units, and the margin around the drawing as a
+# fraction of its larger extent
+WIDTH = 720.0
+MARGIN = 0.06
+
 
 @dataclass(frozen=True)
 class PlaneCurve:
@@ -57,8 +62,6 @@ def _path_data(pts: np.ndarray, closed: bool) -> str:
 def figure(
     curves: Sequence[PlaneCurve],
     dots: Sequence[PlaneDots] = (),
-    width: float = 720.0,
-    margin: float = 0.06,
 ) -> str:
     """Assemble one SVG document from plane curves and point markers."""
     for c in curves:
@@ -71,10 +74,10 @@ def figure(
     allpts = np.concatenate(everything)
     x0, x1 = float(np.min(allpts.real)), float(np.max(allpts.real))
     y0, y1 = float(np.min(allpts.imag)), float(np.max(allpts.imag))
-    pad = margin * max(x1 - x0, y1 - y0, 1e-9)
+    pad = MARGIN * max(x1 - x0, y1 - y0, 1e-9)
     vx, vy = x0 - pad, -(y1 + pad)
     vw, vh = (x1 - x0) + 2 * pad, (y1 - y0) + 2 * pad
-    height = width * vh / vw
+    height = WIDTH * vh / vw
     stroke = 0.005 * max(vw, vh)
     radius = 1.8 * stroke
 
@@ -82,7 +85,7 @@ def figure(
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_fmt(width)}" height="{_fmt(height)}" '
+        f'width="{_fmt(WIDTH)}" height="{_fmt(height)}" '
         f'viewBox="{_fmt(vx)} {_fmt(vy)} {_fmt(vw)} {_fmt(vh)}">',
         '<g transform="scale(1,-1)" fill="none" '
         f'stroke-width="{_fmt(stroke)}" stroke-linecap="round" stroke-linejoin="round">',

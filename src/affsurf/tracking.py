@@ -29,7 +29,7 @@ and must scale the derivative by 1/K.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -51,7 +51,7 @@ def _chord_crossings(dev: DevelopingMap, a: complex, b: complex):
     dx = (b - a).real
     out = []
     for idx, (sx, sy) in enumerate(dev.slits):
-        t = segment_slit_crossing(a, b, sx, sy, pad=0.0)
+        t = segment_slit_crossing(a, b, sx, sy)
         if t is None:
             continue
         if dx == 0.0:
@@ -158,35 +158,36 @@ def arc_target(center: complex, radius: float, th0: float, th1: float):
     return p, dp
 
 
+# relative mismatch allowed between g(w0) and p(0), and the step in s
+# below which a track stalls
+_ANCHOR_TOL = 1e-6
+_MIN_STEP = 1e-10
+
+
 def track_level_curve(
     dev: DevelopingMap,
     p: Callable[[float], complex],
     dp: Callable[[float], complex],
     w0: complex,
-    s_span: Tuple[float, float] = (0.0, 1.0),
     g0: Optional[complex] = None,
     branch0: int = 0,
     tol: float = 1e-10,
     quad_tol: float = 1e-13,
     max_step: float = 0.1,
     first_step: Optional[float] = None,
-    min_step_fraction: float = 1e-10,
     max_steps: int = 20000,
-    anchor_tol: float = 1e-6,
 ) -> TrackResult:
-    """Track the curve g(w(s)) = p(s) from a seed on it.
+    """Track the curve g(w(s)) = p(s), 0 <= s <= 1, from a seed on it.
 
-    w0 must satisfy g(w0) = p(s_span[0]) on the branch given by branch0
-    and g0; when g0 is omitted it is computed on the principal branch,
-    which requires w0 to be reachable by develop_at. max_step caps the
-    w-plane distance per step, so it should be set below the feature
-    scale of the curve (a petal four sheets in is far smaller than the
-    mouth of a strip). A track that cannot proceed returns the partial
-    curve with status "stalled" rather than raising.
+    w0 must satisfy g(w0) = p(0), to _ANCHOR_TOL relative, on the branch
+    given by branch0 and g0; when g0 is omitted it is computed on the
+    principal branch, which requires w0 to be reachable by develop_at.
+    max_step caps the w-plane distance per step, so it should be set below
+    the feature scale of the curve (a petal four sheets in is far smaller
+    than the mouth of a strip). A track that cannot proceed, or whose step
+    in s falls under _MIN_STEP, returns the partial curve with status
+    "stalled" rather than raising.
     """
-    s0, s1 = float(s_span[0]), float(s_span[1])
-    if not s1 > s0:
-        raise ValueError(f"need s_span with s1 > s0, got {s_span}")
     w = complex(w0)
     m = int(branch0)
     if g0 is None:
@@ -195,30 +196,28 @@ def track_level_curve(
         g = complex(dev.develop_at(w))
     else:
         g = complex(g0)
-    target0 = complex(p(s0))
-    if abs(g - target0) > anchor_tol * (1.0 + abs(target0)):
+    target0 = complex(p(0.0))
+    if abs(g - target0) > _ANCHOR_TOL * (1.0 + abs(target0)):
         raise ValueError(
             f"seed develops to {g:.6g}, not the target start {target0:.6g}"
         )
 
-    span = s1 - s0
-    h = first_step if first_step is not None else span / 200.0
-    h = min(h, span)
-    min_step = min_step_fraction * span
+    h = first_step if first_step is not None else 1.0 / 200.0
+    h = min(h, 1.0)
 
-    ss, ws, gs, ms = [s0], [w], [g], [m]
+    ss, ws, gs, ms = [0.0], [w], [g], [m]
     arc = 0.0
-    s = s0
+    s = 0.0
     status, reason = "completed", ""
     steps = 0
     # continued g'(w), carried from the accepted chord's end when it has one
     gp = None
-    while s < s1 - 1e-14 * span:
+    while s < 1.0 - 1e-14:
         if steps >= max_steps:
             status, reason = "stalled", f"step budget {max_steps} exhausted"
             break
         steps += 1
-        h = min(h, s1 - s)
+        h = min(h, 1.0 - s)
         s_new = s + h
         ok = False
         try:
@@ -266,10 +265,10 @@ def track_level_curve(
             arc += abs(w_cur - w)
             s, w, g, m, gp = s_new, w_cur, g_cur, m_cur, gp_cur
             ss.append(s), ws.append(w), gs.append(g), ms.append(m)
-            h = min(h * 1.4, span)
+            h = min(h * 1.4, 1.0)
         else:
             h *= 0.5
-            if h < min_step:
+            if h < _MIN_STEP:
                 status, reason = "stalled", f"step size underflow at s = {s:.6g}"
                 break
     return TrackResult(

@@ -14,13 +14,8 @@ import numpy as np
 import pytest
 
 from affsurf import checks
-from affsurf.develop import DevelopingMap, connection_limit_check
-from affsurf.limitset import (
-    HAUSDORFF_ACCEPT,
-    convergence_report,
-    limit_image_cloud,
-    rectangle_image_boundary,
-)
+from affsurf.develop import DevelopingMap
+from affsurf.limitset import convergence_report, limit_image_cloud, rectangle_image_boundary
 from affsurf.solver import continuation_sweep, extract_limit, solve_prevertex
 
 DECADES = tuple(10.0**j for j in range(1, 9))
@@ -106,18 +101,7 @@ def test_criterion_04_holonomy_exactness():
 
 
 def test_criterion_05_merge_and_limit_data(sweep8, limit_fit):
-    problems = []
-    heights = [r.prevertex.imag for r in sweep8]
-    if not all(b < a for a, b in zip(heights, heights[1:])):
-        problems.append("Im z1 not decreasing along the sweep")
-    if not limit_fit.x0_stability < 1e-3:
-        problems.append(f"x0 drift {limit_fit.x0_stability:.2e} under grid thinning")
-    if not limit_fit.tau > 0:
-        problems.append(f"tau {limit_fit.tau}")
-    dev = DevelopingMap.merged_limit(limit_fit.x0, limit_fit.tau)
-    shift = abs(dev.additive_monodromy_series(complex(limit_fit.x0)))
-    if not 1.9 <= shift <= 2.1:
-        problems.append(f"hole translation magnitude {shift:.4f} not within 5% of 2")
+    problems, _ = checks.limit_data(sweep8, limit_fit)
     elapsed = TIMINGS["sweep"]
     if elapsed >= 300.0:
         problems.append(f"sweep took {elapsed:.1f}s, budget 300s")
@@ -125,39 +109,15 @@ def test_criterion_05_merge_and_limit_data(sweep8, limit_fit):
 
 
 def test_criterion_06_connection_convergence(sweep8, limit_fit):
-    problems = []
-    samples = 1j * np.linspace(-2.0, 2.0, 201)
-    family = [DevelopingMap.from_aspect(r.K, r.prevertex) for r in sweep8]
-    limit = DevelopingMap.merged_limit(limit_fit.x0, limit_fit.tau)
-    sups, decreasing = connection_limit_check(family, limit, samples)
-    if not decreasing:
-        problems.append(f"sups not strictly decreasing: {['%.3e' % s for s in sups]}")
-    by_k = dict(zip([r.K for r in sweep8], sups))
-    ratio = by_k[1e8] / by_k[1e2]
-    if not ratio < 0.10:
-        problems.append(f"sup at 1e8 is {100 * ratio:.1f}% of the 1e2 value")
+    problems, _ = checks.connection_convergence(sweep8, limit_fit)
     _criterion(6, "connection converges on the segment [-2i, 2i]", problems)
 
 
-def test_criterion_07_hausdorff_convergence(sweep8):
-    problems = []
+def test_criterion_07_hausdorff_convergence(sweep8, limit_fit):
     t0 = time.perf_counter()
-    report = convergence_report(
-        [1e2, 1e3, 1e4, 1e5, 1e6], solutions=sweep8, threshold=HAUSDORFF_ACCEPT
-    )
+    report = convergence_report([1e2, 1e3, 1e4, 1e5, 1e6], sweep8, limit_fit)
+    problems, _ = checks.hausdorff_convergence(report)
     elapsed = time.perf_counter() - t0
-    dists = [row["hausdorff"] for row in report["rows"]]
-    if not report["strictly_decreasing"]:
-        problems.append(f"distances not decreasing: {['%.4f' % d for d in dists]}")
-    if not report["final_distance"] < HAUSDORFF_ACCEPT:
-        problems.append(
-            f"final distance {report['final_distance']:.4f} above {HAUSDORFF_ACCEPT}"
-        )
-    sensitivity = report["truncation"]["sensitivity"]
-    if not sensitivity < 0.2 * report["final_distance"]:
-        problems.append(f"truncation sensitivity {sensitivity:.2e} above 20%")
-    if report["verdict"] != "pass":
-        problems.append(f"verdict {report['verdict']}")
     if elapsed >= 600.0:
         problems.append(f"took {elapsed:.1f}s, budget 600s")
     _criterion(7, "boundary images converge to the limit configuration", problems)

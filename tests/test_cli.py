@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from affsurf import limitset
+from affsurf import limitset, solver
 from affsurf.cli import UsageError, main, make_config, run
 from affsurf.pointcloud import read_points
 
@@ -88,6 +88,23 @@ class TestReports:
         assert on_disk["results"]["solves"][0]["z1"] == [1.0, 1.0]
         assert on_disk["manifest"] == ["s.json"]
         assert on_disk["config_sha256"] == report.config_sha256
+
+    def test_solve_walks_one_continuation_path(self, tmp_path, monkeypatch):
+        # one path through the aspects, not one ladder from K = 1 each
+        # (three ladders take about 147 residuals)
+        cold = {K: solver.solve_prevertex(K).prevertex for K in (2.0, 5.0, 1000.0)}
+        calls = []
+        residual = solver.corner_residual
+        monkeypatch.setattr(
+            solver, "corner_residual", lambda *a, **kw: calls.append(a) or residual(*a, **kw)
+        )
+        report = run(make_config("solve", k="2,5,1000", out=str(tmp_path / "s")))
+        assert report.status == "pass"
+        assert len(calls) <= 50
+        solves = report.results["solves"]
+        assert [s["k"] for s in solves] == ["2", "5", "1000"]
+        for s in solves:
+            assert abs(complex(*s["z1"]) - cold[float(s["k"])]) < 1e-8
 
     def test_json_out_prefixes_artifacts(self, tmp_path):
         out = tmp_path / "runA.json"

@@ -3,12 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from affsurf.develop import (
-    PREVERTEX_SIGNS,
-    DevelopingMap,
-    connection_limit_check,
-    prevertex_ring,
-)
+from affsurf import checks
+from affsurf.develop import PREVERTEX_SIGNS, DevelopingMap, prevertex_ring
+from affsurf.solver import LimitEstimate, SolveResult
 
 
 def _contour_residue(c, center, radius=0.1, n=256):
@@ -101,14 +98,11 @@ def test_pole_pairs_merge_into_double_poles():
     # with Im z1 = pi*tau/log K the four simple poles converge to the
     # double-pole shape; the gap decays like 1/log(K)^2
     x0, tau = 0.5, 0.6
-    samples = np.linspace(-2j, 2j, 81)
     family = [
-        DevelopingMap.from_aspect(K, x0 + 1j * math.pi * tau / math.log(K))
+        SolveResult(K, x0 + 1j * math.pi * tau / math.log(K), 0.0, 0, 0, True)
         for K in (1e2, 1e4, 1e6, 1e8)
     ]
-    limit = DevelopingMap.merged_limit(x0, tau)
-    sups, decreasing = connection_limit_check(family, limit, samples)
-    assert decreasing
-    assert sups[-1] < 0.10 * sups[0]
+    problems, detail = checks.connection_convergence(family, LimitEstimate(x0, tau, 0.0, 0.0, 4))
+    assert problems == []
     y = math.pi * tau / math.log(1e8)
-    assert sups[-1] == pytest.approx(2 * tau * y**2 / x0**4, rel=0.5)
+    assert detail["sups"]["100000000"] == pytest.approx(2 * tau * y**2 / x0**4, rel=0.5)

@@ -12,9 +12,9 @@ from scipy.optimize import brentq
 from scipy.spatial import cKDTree
 
 import affsurf.limitset as limitset
+from affsurf import checks
 from affsurf.develop import DevelopingMap
 from affsurf.limitset import (
-    HAUSDORFF_ACCEPT,
     _axis_anchor_imag,
     _axis_anchor_real,
     _brent,
@@ -450,40 +450,24 @@ class TestLimitParameters:
 
 class TestConvergenceReport:
     def test_baseline_row(self, sweep):
-        rep = convergence_report([1.0], solutions=sweep)
+        rep = convergence_report([1.0], sweep, extract_limit(sweep))
         assert rep["k_values"] == [1.0]
         row = rep["rows"][0]
         assert row["K"] == 1.0
         assert row["hausdorff"] == pytest.approx(D_SQUARE_TO_LIMIT, rel=1e-3)
         assert row["boundary_points"] > 1500
         # the baseline sits far above the acceptance bar by construction
-        assert rep["final_distance"] > HAUSDORFF_ACCEPT
-        assert rep["verdict"] == "fail"
-
-    def test_loose_threshold_passes(self, sweep):
-        rep = convergence_report([1.0], solutions=sweep, threshold=2.0)
-        assert rep["verdict"] == "pass"
+        assert rep["final_distance"] > checks.HAUSDORFF_ACCEPT
 
     def test_two_decades_decrease(self, sweep):
-        rep = convergence_report([100.0, 1000.0], solutions=sweep)
+        rep = convergence_report([100.0, 1000.0], sweep, extract_limit(sweep))
         d = [row["hausdorff"] for row in rep["rows"]]
         assert d[0] == pytest.approx(D_AT_1E2, rel=2e-2)
         assert d[1] == pytest.approx(D_AT_1E3, rel=2e-2)
-        assert rep["strictly_decreasing"]
-        sens = rep["truncation"]["sensitivity"]
-        assert sens < 0.2 * rep["final_distance"]
-
-    def test_verdict_consistent_with_fields(self, sweep):
-        rep = convergence_report([100.0], solutions=sweep)
-        final = rep["final_distance"]
-        sens = rep["truncation"]["sensitivity"]
-        if sens > 0.2 * final:
-            expect = "inconclusive"
-        elif rep["strictly_decreasing"] and final < rep["threshold"]:
-            expect = "pass"
-        else:
-            expect = "fail"
-        assert rep["verdict"] == expect
+        # decreasing, resolved by the cutoff, and only the bar unmet
+        problems, detail = checks.hausdorff_convergence(rep)
+        assert problems == [f"final distance {d[1]:.4f} above {checks.HAUSDORFF_ACCEPT}"]
+        assert detail["strictly_decreasing"]
 
     def test_density_doubling_stable(self, sweep):
         by_k = {r.K: r for r in sweep}

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import affsurf.solver as solver
-from affsurf.develop import DevelopingMap, connection_limit_check
+from affsurf.develop import DevelopingMap
 from affsurf.quadrature import integrate_segment
 from affsurf.solver import (
     LimitEstimate,
@@ -227,9 +227,11 @@ class TestLimitConsistency:
     def test_connection_gap_decays(self):
         sweep = continuation_sweep([1e2, 1e4, 1e6])
         lim = DevelopingMap.merged_limit(X0_LIMIT, TAU_LIMIT)
-        fams = [DevelopingMap.from_aspect(r.K, r.prevertex) for r in sweep]
-        sups, decreasing = connection_limit_check(
-            fams, lim, np.linspace(-2j, 2j, 201)
-        )
-        assert decreasing
-        assert sups[-1] < 0.1 * sups[0]
+        samples = np.linspace(-2j, 2j, 201)
+        ref = lim.connection(samples)
+        sups = [
+            np.max(np.abs(DevelopingMap.from_aspect(r.K, r.prevertex).connection(samples) - ref))
+            for r in sweep
+        ]
+        assert sups[0] > sups[1] > sups[2]
+        assert sups[2] < 0.1 * sups[0]
