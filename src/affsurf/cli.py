@@ -16,7 +16,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
@@ -25,32 +25,17 @@ import numpy as np
 from . import checks
 from .checks import k_label
 from .develop import DevelopingMap
-from .limitset import convergence_report, limit_image_cloud, rectangle_image_boundary
+from .limitset import (
+    STRIP_DEPTH,
+    convergence_report,
+    limit_image_cloud,
+    rectangle_image_boundary,
+)
 from .pointcloud import PointCloud, write_points
 from .solver import continuation_sweep, extract_limit, solve_prevertex
 from .svg import PALETTE, PlaneCurve, PlaneDots, figure
 
 COMMANDS = ("solve", "sweep", "render", "limit", "hausdorff", "verify")
-
-# depth of the limit strips kept explicitly: the flank rays stop at
-# flank_outer = STRIP_DEPTH + 1 (limit_image_cloud's default), and point
-# files record the cutoff in their truncation header
-STRIP_DEPTH = 40.0
-
-_DEFAULTS = {
-    "k": (),
-    "k_grid": (),
-    "tol_solver": 1e-10,
-    "tol_quad": 1e-12,
-    "theta_max": 8.0 * math.pi,
-    "density": 250.0,
-    "out": "out",
-    "seed": 0,
-    "format": "svg",
-}
-
-_FLAG_KEYS = tuple(_DEFAULTS)
-
 
 class UsageError(Exception):
     pass
@@ -82,7 +67,7 @@ def _parse_grid(raw) -> Tuple[float, ...]:
     if raw is None:
         return ()
     if isinstance(raw, (list, tuple)):
-        values = [float(v) for v in raw]
+        values = [_number("grid aspect", v) for v in raw]
     else:
         text = str(raw).strip()
         if not text:
@@ -107,84 +92,105 @@ def _parse_grid(raw) -> Tuple[float, ...]:
     return tuple(sorted(set(values)))
 
 
+def _number(name: str, value) -> float:
+    """A numeric setting as a float; booleans and non-numbers are refused."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise UsageError(f"{name} must be a number, got {value!r}")
+
+
+def _seed(value) -> int:
+    """The seed as an int: integers, integral floats and integer strings."""
+    seed = value
+    if isinstance(seed, str):
+        try:
+            seed = int(seed)
+        except ValueError:
+            pass
+    elif isinstance(seed, float) and seed.is_integer():
+        seed = int(seed)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise UsageError(f"seed must be a nonnegative integer, got {value!r}")
+    return seed
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Effective settings of one invocation, already validated."""
+    """Effective settings of one invocation.
+
+    The field defaults are the only defaults. Flags, a config file and
+    make_config all pass raw values, which __post_init__ coerces and
+    checks once. An empty aspect list takes the command's fallback:
+    verify checks 2, 5 and 1000; hausdorff compares the decades 1e2 to
+    1e6, and the other commands sweep 1e1 to 1e8.
+    """
 
     command: str
-    k: Tuple[float, ...]
-    k_grid: Tuple[float, ...]
-    tol_solver: float
-    tol_quad: float
-    theta_max: float
-    density: float
-    out: str
-    seed: int
-    format: str
+    k: Tuple[float, ...] = ()
+    k_grid: Tuple[float, ...] = ()
+    tol_solver: float = 1e-10
+    tol_quad: float = 1e-12
+    theta_max: float = 8.0 * math.pi
+    density: float = 250.0
+    out: str = "out"
+    seed: int = 0
+    format: str = "svg"
 
     def __post_init__(self) -> None:
-        if self.command not in COMMANDS:
-            raise UsageError(f"unknown command {self.command!r}")
+        command = self.command
+        if command not in COMMANDS:
+            raise UsageError(f"unknown command {command!r}")
         for name in ("tol_solver", "tol_quad", "theta_max", "density"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+            v = _number(name, getattr(self, name))
+            if not (math.isfinite(v) and v > 0):
                 raise UsageError(f"{name} must be a positive number, got {v!r}")
+            object.__setattr__(self, name, v)
         if self.format not in ("svg", "txt"):
             raise UsageError(f"format must be svg or txt, got {self.format!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise UsageError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        ks = tuple(sorted(float(v) for v in self.k))
+        object.__setattr__(self, "seed", _seed(self.seed))
+        ks = _parse_k(self.k)
+        if not ks and command in ("solve", "render"):
+            raise UsageError(f"{command} needs at least one --k")
+        if not ks and command == "verify":
+            ks = (2.0, 5.0, 1000.0)
         for v in ks:
             if not v >= 1.0:
                 raise UsageError(f"aspects start at 1, got {v}")
-            if math.isinf(v) and self.command != "render":
+            if math.isinf(v) and command != "render":
                 raise UsageError("aspect inf is only drawable; use render, limit, or sweep")
-        grid = tuple(sorted(float(v) for v in self.k_grid))
+        grid = _parse_grid(self.k_grid)
+        if not grid:
+            grid = _decades(2, 6) if command == "hausdorff" else _decades(1, 8)
         for v in grid:
             if not (v >= 1.0 and math.isfinite(v)):
                 raise UsageError(f"grid aspects must be finite and >= 1, got {v}")
+        needs_sweep = command in ("sweep", "limit") or (
+            command == "render" and any(math.isinf(v) for v in ks)
+        )
+        if needs_sweep and len([v for v in grid if v > 1.0]) < 3:
+            raise UsageError("extrapolation needs a grid of at least three aspects above 1")
         object.__setattr__(self, "k", ks)
         object.__setattr__(self, "k_grid", grid)
         object.__setattr__(self, "out", str(self.out))
 
     def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "k": [k_label(v) for v in self.k],
-            "k_grid": list(self.k_grid),
-            "tol_solver": self.tol_solver,
-            "tol_quad": self.tol_quad,
-            "theta_max": self.theta_max,
-            "density": self.density,
-            "out": self.out,
-            "seed": self.seed,
-            "format": self.format,
-        }
+        echo = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {**echo, "k": [k_label(v) for v in self.k], "k_grid": list(self.k_grid)}
 
 
-def make_config(command: str, **overrides) -> RunConfig:
-    """RunConfig from defaults plus overrides, with per-command fallbacks."""
-    merged = dict(_DEFAULTS)
-    for key, value in overrides.items():
-        if key not in merged:
+# what a flag, a config file or make_config may set
+_SETTINGS = tuple(f.name for f in fields(RunConfig) if f.name != "command")
+
+
+def make_config(command: str, **settings) -> RunConfig:
+    """RunConfig of one command; settings not given keep their defaults."""
+    for key in settings:
+        if key not in _SETTINGS:
             raise UsageError(f"unknown setting {key!r}")
-        merged[key] = value
-    merged["k"] = _parse_k(merged["k"])
-    merged["k_grid"] = _parse_grid(merged["k_grid"])
-    if not merged["k"]:
-        if command in ("solve", "render"):
-            raise UsageError(f"{command} needs at least one --k")
-        if command == "verify":
-            merged["k"] = (2.0, 5.0, 1000.0)
-    if not merged["k_grid"]:
-        merged["k_grid"] = _decades(2, 6) if command == "hausdorff" else _decades(1, 8)
-    config = RunConfig(command=command, **merged)
-    needs_sweep = command in ("sweep", "limit") or (
-        command == "render" and any(math.isinf(v) for v in config.k)
-    )
-    if needs_sweep and len([v for v in config.k_grid if v > 1.0]) < 3:
-        raise UsageError("extrapolation needs a grid of at least three aspects above 1")
-    return config
+    return RunConfig(command, **settings)
 
 
 def _sha256(payload: dict) -> str:
@@ -378,7 +384,6 @@ def _limit_boundary(config: RunConfig, est):
         est.tau,
         theta_max=config.theta_max,
         spacing=1.0 / config.density,
-        flank_outer=STRIP_DEPTH + 1.0,
         quad_tol=config.tol_quad,
     )
     return cloud, {"theta_max": config.theta_max, "strip_depth": STRIP_DEPTH}
@@ -493,6 +498,12 @@ def _run_hausdorff(config: RunConfig, rec: _Recorder) -> dict:
     ):
         problems, detail = check(sols, fit)
         rec.step(name, not problems, detail)
+    missing = checks.missing_limit(fit)
+    if missing:
+        # no limit configuration to compare the boundaries with
+        detail = {"verdict": "fail", "reason": missing}
+        rec.step("hausdorff-convergence", False, detail)
+        return detail
     report = convergence_report(
         config.k_grid,
         sols,
@@ -664,7 +675,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _build_config(ns: argparse.Namespace) -> RunConfig:
-    merged = dict(_DEFAULTS)
+    settings = {}
     if ns.config:
         path = Path(ns.config)
         try:
@@ -677,24 +688,14 @@ def _build_config(ns: argparse.Namespace) -> RunConfig:
             raise UsageError(f"config file {path} must hold a JSON object")
         for key, value in loaded.items():
             norm = key.replace("-", "_")
-            if norm not in _FLAG_KEYS:
+            if norm not in _SETTINGS:
                 raise UsageError(f"config file sets unknown key {key!r}")
-            merged[norm] = value
-    for key in _FLAG_KEYS:
+            settings[norm] = value
+    for key in _SETTINGS:
         value = getattr(ns, key, None)
         if value is not None:
-            merged[key] = value
-    if not isinstance(merged["seed"], int) or isinstance(merged["seed"], bool):
-        try:
-            merged["seed"] = int(merged["seed"])
-        except (TypeError, ValueError):
-            raise UsageError(f"seed must be an integer, got {merged['seed']!r}") from None
-    for key in ("tol_solver", "tol_quad", "theta_max", "density"):
-        try:
-            merged[key] = float(merged[key])
-        except (TypeError, ValueError):
-            raise UsageError(f"{key} must be a number, got {merged[key]!r}") from None
-    return make_config(ns.command, **merged)
+            settings[key] = value
+    return make_config(ns.command, **settings)
 
 
 # how a step status is printed; every other status prints as FAIL

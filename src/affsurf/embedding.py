@@ -6,7 +6,11 @@ the limit leaf t = 0, carries charts defined on open subsets of
 a leaf coordinate (t, z) to a concrete surface point of the aspect-1/t
 member. Four cases cover the union: the outer plane, a vertical strip
 straddling the identified edge, a half-strip with its corner flaps, and
-a ball lifted into a spiral end. Two finite certificates accompany them:
+a ball lifted into a spiral end. Each leaf of a chart splits into
+regions, and each region carries one piece, a similitude into one chart
+of the member: one classifier and one table of pieces give membership,
+evaluation, inversion and disk images alike. Two finite certificates
+accompany them:
 a sampled continuity check of the coordinate changes as t -> 0, and a
 disk-image separation check between pairs of limit points.
 
@@ -20,7 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .surface import CORNER_COORD, ChartId, SurfacePoint
 
@@ -42,6 +46,9 @@ _STRIP_EDGE = {
     "br": ("right", -1.0),
 }
 
+# spiral reached through each corner flap of a half strip
+_FLAP_CORNER = {edge: corner for corner, edge in _STRIP_EDGE.items()}
+
 _STRIP_CHART = {"left": ChartId.STRIP_LEFT, "right": ChartId.STRIP_RIGHT}
 _SPIRAL_CHART = {
     "ul": ChartId.SPIRAL_UL,
@@ -51,7 +58,7 @@ _SPIRAL_CHART = {
 }
 
 
-def _window(corner: str, theta: float) -> Tuple[str, int]:
+def _window(corner: str, theta: float) -> Optional[Tuple[str, int]]:
     """Classify an unwrapped angle into a sheet window.
 
     Measured as depth u from the seam in the winding direction, the
@@ -60,12 +67,12 @@ def _window(corner: str, theta: float) -> Tuple[str, int]:
     turns land in the rectangle (sheet n, n >= 1). The collar
     (-pi/2, 0] below the seam belongs to the adjoining strip and is
     treated as the n = 0 rectangle window, which the strip formulas
-    agree with through the edge gluing.
+    agree with through the edge gluing. None beyond the cover.
     """
     s0, d = _SEAM_DIR[corner]
     u = d * (theta - s0)
     if u <= -0.5 * math.pi:
-        raise ValueError(f"angle {theta:.6g} beyond the {corner} cover")
+        return None
     if u <= 0.0:
         return ("rect", 0)
     n = int(math.floor(u / (2.0 * math.pi)))
@@ -104,36 +111,7 @@ class EmbedChart:
 
     def contains(self, t: float, z: complex) -> bool:
         """Membership of (t, z) in the chart's leaf-space domain."""
-        if not 0.0 <= t <= 1.0:
-            return False
-        x, y = z.real, z.imag
-        if self.case == 1:
-            return max(abs(x), abs(y)) > 1.0
-        if self.case == 2:
-            return -1.0 < x < 1.0
-        if self.case == 3:
-            s = 1.0 if self.strip == "left" else -1.0
-            xs = s * x
-            if t == 0.0:
-                return -1.0 < y < 1.0 or xs > 0.0
-            lim = 2.0 / t
-            return (-1.0 < y < 1.0 and xs < lim) or (0.0 < xs < lim)
-        if self.case == 4:
-            if abs(z - self.proj) >= self.radius:
-                return False
-            try:
-                kind, n = _window(self.corner, self._theta(z))
-            except ValueError:
-                return False
-            if kind == "rect" and n >= 1 and t > 0.0:
-                return abs(z) < 2.0 * (1.0 / t) ** n
-            return True
-        return False
-
-    def _theta(self, z: complex) -> float:
-        # inside the ball the angle moves by less than pi/2 around the
-        # base, so the principal log of the ratio carries the branch
-        return self.base_log.imag + cmath.log(z / self.proj).imag
+        return _region(self, t, z) is not None
 
     def describe(self) -> str:
         if self.case == 1:
@@ -173,6 +151,8 @@ def spiral_ball_chart(corner: str, base_log: complex, radius: float) -> EmbedCha
     if not 0.0 < radius < abs(proj):
         raise ValueError("radius must be positive and smaller than |base|")
     sheet = _window(corner, base_log.imag)
+    if sheet is None:
+        raise ValueError(f"angle {base_log.imag:.6g} beyond the {corner} cover")
     return EmbedChart(
         case=4, corner=corner, base_log=base_log, radius=radius, sheet=sheet
     )
@@ -193,196 +173,169 @@ class VirtualPointRep:
         return embed_eval(self.chart, 0.0, self.a)
 
 
+def _region(chart: EmbedChart, t: float, z: complex, r: float = 0.0):
+    """The region of the chart's t-leaf that holds the closed disk B(z, r).
+
+    r = 0 classifies the point z. None when the disk leaves the chart's
+    domain or meets two regions; a point on a shared edge goes to the
+    region tested first. The regions are "outer" (case 1); "above", "rect"
+    and "below" the rectangle band 1 - 2t < Im z < 1 (case 2); "outer"
+    (Re z <= 0 for the left strip), "strip" (|Im z| <= 1) and the corner
+    flaps ("flap", +-1) (case 3); the sheet window (kind, n) of the
+    angle (case 4).
+    """
+    if not 0.0 <= t <= 1.0:
+        return None
+    x, y = z.real, z.imag
+    if chart.case == 1:
+        return "outer" if max(abs(x), abs(y)) - r > 1.0 else None
+    if chart.case == 2:
+        if abs(x) + r >= 1.0:
+            return None
+        if y - r >= 1.0:
+            return "above"
+        if y + r <= 1.0 - 2.0 * t:
+            return "below"
+        if 1.0 - 2.0 * t < y - r and y + r < 1.0:
+            return "rect"
+        return None
+    if chart.case == 3:
+        # mirror the right strip onto the left: w -> -conj(w) is a
+        # symmetry of every member, so only signs on real parts flip
+        xs = x if chart.strip == "left" else -x
+        if t > 0.0 and xs + r >= 2.0 / t:
+            return None
+        if xs + r <= 0.0:
+            return "outer" if abs(y) + r < 1.0 else None
+        if xs - r >= 0.0 and abs(y) + r <= 1.0:
+            return "strip"
+        if xs - r > 0.0 and abs(y) - r >= 1.0:
+            return ("flap", 1.0 if y > 0.0 else -1.0)
+        return None
+    if abs(z - chart.proj) + r >= chart.radius:
+        return None
+    # inside the ball the angle moves by less than pi/2 around the base,
+    # so the principal log of the ratio carries the branch; the window
+    # must hold on the disk's whole angular span
+    theta = chart.base_log.imag + cmath.log(z / chart.proj).imag
+    span = math.asin(min(1.0, r / abs(z)))
+    windows = {_window(chart.corner, theta + d) for d in (-span, 0.0, span)}
+    if len(windows) > 1 or None in windows:
+        return None
+    ((kind, n),) = windows
+    if kind == "rect" and n >= 1 and t > 0.0 and not abs(z) + r < 2.0 * (1.0 / t) ** n:
+        return None
+    return (kind, n)
+
+
+class _Piece(NamedTuple):
+    """z -> a*z + b into the surface chart `target`.
+
+    On the limit leaf's spiral charts, whose coordinates are
+    logarithmic, the piece then takes w -> shift + Log w.
+    """
+
+    target: ChartId
+    a: complex
+    b: complex
+    shift: Optional[complex] = None
+
+    def __call__(self, z: complex) -> SurfacePoint:
+        w = self.a * z + self.b
+        if self.shift is not None:
+            w = self.shift + cmath.log(w)
+        return SurfacePoint(self.target, w)
+
+    def solve(self, coord: complex) -> Optional[complex]:
+        """The z sent to coord, None when coord is off the branch of Log."""
+        if self.shift is not None:
+            d = coord - self.shift
+            if abs(d.imag) >= math.pi:
+                return None
+            coord = cmath.exp(d)
+        return (coord - self.b) / self.a
+
+
+def _piece(chart: EmbedChart, t: float, region) -> _Piece:
+    """The formula of one region of the chart's t-leaf."""
+    if chart.case == 1:
+        return _Piece(ChartId.OUTER, 1.0, 0j)
+    if chart.case == 2:
+        # the band is the rectangle; below it the strip continues in the
+        # outer chart across the identified bottom edge
+        if region == "above":
+            return _Piece(ChartId.OUTER, 1.0, 0j)
+        if region == "rect":
+            return _Piece(ChartId.RECT, 1.0, 1j * t - 1j)
+        return _Piece(ChartId.OUTER, 1.0, 2j * t - 2j)
+    if chart.case == 3:
+        s = 1.0 if chart.strip == "left" else -1.0
+        if region == "outer":
+            return _Piece(ChartId.OUTER, 1.0, complex(-s))
+        if region == "strip":
+            if t == 0.0:
+                return _Piece(_STRIP_CHART[chart.strip], 1.0, 0j)
+            return _Piece(ChartId.RECT, t, complex(-s))
+        e = region[1]
+        if t == 0.0:
+            corner = _FLAP_CORNER[chart.strip, e]
+            return _Piece(_SPIRAL_CHART[corner], 1.0, complex(0.0, -e), 0j)
+        return _Piece(ChartId.OUTER, t, complex(-s, e) - 1j * e * t)
+    kind, n = region
+    if t == 0.0:
+        if region == ("rect", 0):
+            strip, e = _STRIP_EDGE[chart.corner]
+            return _Piece(_STRIP_CHART[strip], 1.0, complex(0.0, e))
+        return _Piece(_SPIRAL_CHART[chart.corner], 1.0 / chart.proj, 0j, chart.base_log)
+    # sheet n shrinks by K^(n+1) onto the corner, in the chart of its window
+    c = CORNER_COORD[chart.corner]
+    if kind == "outer":
+        return _Piece(ChartId.OUTER, t ** (n + 1), c)
+    return _Piece(ChartId.RECT, t ** (n + 1), complex(c.real, c.imag * t))
+
+
 def embed_eval(chart: EmbedChart, t: float, z: complex) -> SurfacePoint:
     """The surface point of the aspect-1/t member at leaf coordinate z.
 
     t = 0 addresses the limit member. Points on shared edges are
-    returned in the closure of whichever chart the case formula names.
+    returned in the closure of whichever chart their region's piece names.
     """
-    if not chart.contains(t, z):
+    region = _region(chart, t, z)
+    if region is None:
         raise ValueError("leaf coordinate outside the chart domain")
-    if chart.case == 1:
-        return SurfacePoint(ChartId.OUTER, z)
-    if chart.case == 2:
-        return _eval_edge_strip(t, z)
-    if chart.case == 3:
-        return _eval_half_strip(chart.strip, t, z)
-    return _eval_spiral(chart, t, z)
+    return _piece(chart, t, region)(z)
 
 
-def _eval_edge_strip(t: float, z: complex) -> SurfacePoint:
-    if t == 0.0:
-        if z.imag >= 1.0:
-            return SurfacePoint(ChartId.OUTER, z)
-        return SurfacePoint(ChartId.OUTER, z - 2j)
-    K = 1.0 / t
-    if z.imag >= 1.0:
-        return SurfacePoint(ChartId.OUTER, z)
-    if z.imag > 1.0 - 2.0 / K:
-        return SurfacePoint(ChartId.RECT, z + 1j / K - 1j)
-    return SurfacePoint(ChartId.OUTER, z - 2j + 2j / K)
-
-
-def _eval_half_strip(strip: str, t: float, z: complex) -> SurfacePoint:
-    s = 1.0 if strip == "left" else -1.0
-    # mirror the right strip onto the left formulas: w -> -conj(w) is a
-    # symmetry of every member, so only signs on real parts flip
-    x, y = s * z.real, z.imag
-    if t == 0.0:
-        if x <= 0.0:
-            return SurfacePoint(ChartId.OUTER, z - s)
-        if abs(y) <= 1.0:
-            return SurfacePoint(_STRIP_CHART[strip], z)
-        e = 1.0 if y > 0.0 else -1.0
-        corner = {("left", 1.0): "ul", ("left", -1.0): "bl",
-                  ("right", 1.0): "ur", ("right", -1.0): "br"}[(strip, e)]
-        return SurfacePoint(_SPIRAL_CHART[corner], cmath.log(z - 1j * e))
-    K = 1.0 / t
-    if x <= 0.0:
-        return SurfacePoint(ChartId.OUTER, z - s)
-    if abs(y) <= 1.0:
-        return SurfacePoint(ChartId.RECT, -s + z / K)
-    e = 1.0 if y > 0.0 else -1.0
-    c = complex(-s, e)
-    return SurfacePoint(ChartId.OUTER, c + (z - 1j * e) / K)
-
-
-def _eval_spiral(chart: EmbedChart, t: float, z: complex) -> SurfacePoint:
-    lam = complex(chart.base_log + cmath.log(z / chart.proj))
-    kind, n = _window(chart.corner, lam.imag)
-    if t == 0.0:
-        if kind == "rect" and n == 0:
-            strip, e = _STRIP_EDGE[chart.corner]
-            return SurfacePoint(_STRIP_CHART[strip], z + 1j * e)
-        return SurfacePoint(_SPIRAL_CHART[chart.corner], lam)
-    K = 1.0 / t
-    c = CORNER_COORD[chart.corner]
-    if kind == "outer":
-        return SurfacePoint(ChartId.OUTER, c + z / K ** (n + 1))
-    if n >= 1 and not abs(z) < 2.0 * K**n:
-        raise ValueError("rectangle window needs |z| < 2 K^n")
-    c_r = complex(c.real, c.imag / K)
-    return SurfacePoint(ChartId.RECT, c_r + z / K ** (n + 1))
+# the regions of cases 1-3; a spiral ball lists the windows it meets
+_REGIONS = {
+    1: ("outer",),
+    2: ("above", "rect", "below"),
+    3: ("outer", "strip", ("flap", 1.0), ("flap", -1.0)),
+}
 
 
 def embed_invert(chart: EmbedChart, t: float, p: SurfacePoint) -> Optional[complex]:
     """Leaf coordinate of a surface point, or None when out of range.
 
-    Inverts embed_eval(chart, t, .) at the same leaf. Returning None is
-    the normal signal that the point lives outside this chart.
+    Inverts embed_eval(chart, t, .) at the same leaf: each piece that
+    lands in p's chart is solved, and its z is kept only when z lies in
+    that piece's region. Returning None is the normal signal that the
+    point lives outside this chart.
     """
-    if chart.case == 1:
-        if p.chart is ChartId.OUTER and max(abs(p.coord.real), abs(p.coord.imag)) > 1.0:
-            return p.coord
-        return None
-    if chart.case == 2:
-        return _invert_edge_strip(t, p)
-    if chart.case == 3:
-        return _invert_half_strip(chart.strip, t, p)
-    return _invert_spiral(chart, t, p)
-
-
-def _invert_edge_strip(t: float, p: SurfacePoint) -> Optional[complex]:
-    if p.chart is ChartId.OUTER:
-        u = p.coord
-        if not -1.0 < u.real < 1.0:
-            return None
-        if u.imag >= 1.0:
-            return u
-        if u.imag <= -1.0:
-            return u + 2j if t == 0.0 else u + 2j - 2j * t
-        return None
-    if p.chart is ChartId.RECT and t > 0.0:
-        return p.coord - 1j * t + 1j
-    return None
-
-
-def _invert_half_strip(strip: str, t: float, p: SurfacePoint) -> Optional[complex]:
-    s = 1.0 if strip == "left" else -1.0
-    if p.chart is ChartId.OUTER:
-        u = p.coord
-        if s * u.real <= -1.0 and -1.0 < u.imag < 1.0:
-            return u + s
-        if t == 0.0:
-            return None
-        K = 1.0 / t
-        if -1.0 < s * u.real < 1.0 and abs(u.imag) >= 1.0:
-            e = 1.0 if u.imag > 0.0 else -1.0
-            z = 1j * e + K * (u - complex(-s, e))
-            return z if 0.0 < s * z.real < 2.0 * K else None
-        return None
-    if p.chart is ChartId.RECT and t > 0.0:
-        z = (p.coord + s) / t
-        return z if 0.0 < s * z.real < 2.0 / t else None
-    if t == 0.0 and p.chart is _STRIP_CHART[strip]:
-        return p.coord
-    if t == 0.0 and p.chart in _SPIRAL_CHART.values():
-        corner = next(k for k, v in _SPIRAL_CHART.items() if v is p.chart)
-        cst, e = _STRIP_EDGE[corner]
-        if cst != strip:
-            return None
-        w = cmath.exp(p.coord)
-        # only the first outward quarter turn of each spiral is reachable
-        # from the half-strip flaps
-        kind, n = _window(corner, p.coord.imag)
-        if kind != "outer" or n != 0:
-            return None
-        z = w + 1j * e
-        return z if abs(z.imag) >= 1.0 else None
-    return None
-
-
-def _invert_spiral(chart: EmbedChart, t: float, p: SurfacePoint) -> Optional[complex]:
-    def accept(z: complex, want: Tuple[str, int]) -> Optional[complex]:
-        if abs(z - chart.proj) >= chart.radius:
-            return None
-        try:
-            got = _window(chart.corner, chart._theta(z))
-        except ValueError:
-            return None
-        return z if got == want else None
-
-    if t == 0.0:
-        if p.chart is _SPIRAL_CHART[chart.corner]:
-            lam = p.coord
-            if abs(lam.imag - chart.base_log.imag) >= math.pi:
-                return None
-            return accept(cmath.exp(lam), _window(chart.corner, lam.imag))
-        strip, e = _STRIP_EDGE[chart.corner]
-        if p.chart is _STRIP_CHART[strip]:
-            return accept(p.coord - 1j * e, ("rect", 0))
-        return None
-    K = 1.0 / t
-    # the ball's angle span is under pi, so at most two consecutive
-    # windows can meet it; try the candidates that land in p's chart
-    lo = chart.base_log.imag - 0.5 * math.pi
-    hi = chart.base_log.imag + 0.5 * math.pi
-    cands = set()
-    th = lo
-    while th <= hi + 1e-12:
-        try:
-            cands.add(_window(chart.corner, th))
-        except ValueError:
-            pass
-        th += 0.25 * math.pi
-    c = CORNER_COORD[chart.corner]
-    if p.chart is ChartId.OUTER:
-        for kind, n in sorted(cands):
-            if kind != "outer":
-                continue
-            z = accept((p.coord - c) * K ** (n + 1), ("outer", n))
-            if z is not None:
+    if chart.case == 4:
+        # the ball's angle span is under pi, so samples a quarter turn
+        # apart meet every window it reaches
+        th = chart.base_log.imag
+        windows = (_window(chart.corner, th + 0.25 * math.pi * k) for k in range(-2, 3))
+        regions = [w for w in dict.fromkeys(windows) if w is not None]
+    else:
+        regions = _REGIONS[chart.case]
+    for region in regions:
+        piece = _piece(chart, t, region)
+        if piece.target is p.chart:
+            z = piece.solve(p.coord)
+            if z is not None and _region(chart, t, z) == region:
                 return z
-        return None
-    if p.chart is ChartId.RECT:
-        c_r = complex(c.real, c.imag / K)
-        for kind, n in sorted(cands):
-            if kind != "rect":
-                continue
-            z = accept((p.coord - c_r) * K ** (n + 1), ("rect", n))
-            if z is not None:
-                return z
-        return None
     return None
 
 
@@ -407,50 +360,37 @@ def transition_continuity_check(
     if not ts or ts[-1] <= 0.0 or ts[0] > 1.0:
         raise ValueError("t_grid must be decreasing values in ]0, 1]")
 
-    base: List[Tuple[complex, complex]] = []
-    for z in compact:
-        if not chart_a.contains(0.0, z):
-            continue
-        z2 = embed_invert(chart_b, 0.0, embed_eval(chart_a, 0.0, z))
-        if z2 is not None:
-            base.append((z, z2))
+    def change(t: float, z: complex) -> Optional[complex]:
+        # chart_b's coordinate of chart_a's point z, None off the overlap
+        region = _region(chart_a, t, z)
+        if region is None:
+            return None
+        return embed_invert(chart_b, t, _piece(chart_a, t, region)(z))
+
+    base = [(z, z2) for z in compact if (z2 := change(0.0, z)) is not None]
+    report = {
+        "chart_a": chart_a.describe(),
+        "chart_b": chart_b.describe(),
+        "t_grid": ts,
+        "n_samples": len(base),
+    }
     if not base:
-        return {
-            "chart_a": chart_a.describe(),
-            "chart_b": chart_b.describe(),
-            "t_grid": ts,
-            "sup": [],
-            "n_samples": 0,
-            "verdict": "empty",
-        }
+        return {**report, "sup": [], "verdict": "empty"}
 
     sups: List[float] = []
     skipped: List[int] = []
     for t in ts:
-        worst = 0.0
-        miss = 0
-        for z, z2 in base:
-            if not chart_a.contains(t, z):
-                miss += 1
-                continue
-            zb = embed_invert(chart_b, t, embed_eval(chart_a, t, z))
-            if zb is None:
-                miss += 1
-                continue
-            worst = max(worst, abs(zb - z2))
-        sups.append(worst)
-        skipped.append(miss)
+        gaps = [abs(zb - z2) for z, z2 in base if (zb := change(t, z)) is not None]
+        sups.append(max(gaps, default=0.0))
+        skipped.append(len(base) - len(gaps))
 
     # sequences resting at rounding noise need not be monotone
     below = all(s < tol for s in sups)
     decreasing = all(b <= a + 1e-15 for a, b in zip(sups, sups[1:]))
     verdict = "pass" if below or (decreasing and sups[-1] < tol) else "fail"
     return {
-        "chart_a": chart_a.describe(),
-        "chart_b": chart_b.describe(),
-        "t_grid": ts,
+        **report,
         "sup": sups,
-        "n_samples": len(base),
         "skipped": skipped,
         "rate_bound": max(s / t for s, t in zip(sups, ts)),
         "verdict": verdict,
@@ -462,55 +402,16 @@ def _disk_image(
 ) -> Tuple[ChartId, complex, float]:
     """Image of the closed disk B(a, r) on the aspect-K leaf.
 
-    Each case formula is a similitude on its region, so a disk that
-    stays inside one region maps to an exact disk; straddling disks are
+    Each piece is a similitude on its region, so a disk that stays
+    inside one region maps to an exact disk; straddling disks are
     rejected rather than approximated.
     """
     t = 1.0 / K
-    x, y = a.real, a.imag
-    if chart.case == 1:
-        if max(abs(x), abs(y)) - r <= 1.0:
-            raise ValueError("disk touches the square; shrink the radius")
-        return (ChartId.OUTER, a, r)
-    if chart.case == 2:
-        if abs(x) + r >= 1.0:
-            raise ValueError("disk leaves the edge strip; shrink the radius")
-        if y - r >= 1.0:
-            return (ChartId.OUTER, a, r)
-        if y + r <= 1.0 - 2.0 * t:
-            return (ChartId.OUTER, a - 2j + 2j * t, r)
-        if 1.0 - 2.0 * t < y - r and y + r < 1.0:
-            return (ChartId.RECT, a + 1j * t - 1j, r)
-        raise ValueError("disk straddles an edge of the rectangle band")
-    if chart.case == 3:
-        s = 1.0 if chart.strip == "left" else -1.0
-        xs = s * x
-        if xs + r <= 0.0 and abs(y) + r < 1.0:
-            return (ChartId.OUTER, a - s, r)
-        if xs - r >= 0.0 and abs(y) + r <= 1.0 and xs + r < 2.0 * K:
-            return (ChartId.RECT, -s + a * t, r * t)
-        e = 1.0 if y > 0.0 else -1.0
-        if e * y - r >= 1.0 and xs - r > 0.0 and xs + r < 2.0 * K:
-            return (ChartId.OUTER, complex(-s, e) + (a - 1j * e) * t, r * t)
-        raise ValueError("disk straddles half-strip regions; shrink the radius")
-    # case 4: the window must hold on the whole angular span of the disk
-    if abs(a - chart.proj) + r >= chart.radius:
-        raise ValueError("disk leaves the chart ball")
-    span = math.asin(min(1.0, r / abs(a)))
-    th = chart._theta(a)
-    kind, n = _window(chart.corner, th)
-    if _window(chart.corner, th - span) != (kind, n) or _window(
-        chart.corner, th + span
-    ) != (kind, n):
-        raise ValueError("disk straddles sheet windows; shrink the radius")
-    c = CORNER_COORD[chart.corner]
-    scale = K ** -(n + 1)
-    if kind == "outer":
-        return (ChartId.OUTER, c + a * scale, r * scale)
-    if n >= 1 and not abs(a) + r < 2.0 * K**n:
-        raise ValueError("rectangle window needs |z| < 2 K^n on the disk")
-    c_r = complex(c.real, c.imag / K)
-    return (ChartId.RECT, c_r + a * scale, r * scale)
+    region = _region(chart, t, a, r)
+    if region is None:
+        raise ValueError("disk leaves the chart or straddles two regions; shrink the radius")
+    piece = _piece(chart, t, region)
+    return (piece.target, piece(a).coord, r * abs(piece.a))
 
 
 def _strictly_inside(chart_id: ChartId, center: complex, r: float, K: float) -> bool:

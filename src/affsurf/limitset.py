@@ -25,7 +25,10 @@ from .quadrature import QuadratureError
 from .solver import LimitEstimate, SolveResult
 from .tracking import arc_target, segment_target, track_level_curve
 
-SQUARE_CORNERS = (1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j)
+# depth of the limit strips kept explicitly: the flank rays stop at
+# STRIP_DEPTH + 1, and limit point files record the cutoff in their
+# truncation header
+STRIP_DEPTH = 40.0
 
 
 def resample_curve(points: np.ndarray, spacing: float) -> np.ndarray:
@@ -398,7 +401,6 @@ def limit_image_cloud(
     theta_max: float = 8 * math.pi,
     spacing: float = 0.004,
     flank_inner: float = 1e-3,
-    flank_outer: float = 41.0,
     quad_tol: float = 1e-12,
 ) -> CurveCloud:
     """Limit boundary configuration around the two singular points.
@@ -470,7 +472,7 @@ def limit_image_cloud(
                     break
                 w, g, m = complex(br.w[-1]), complex(br.g[-1]), int(br.branch[-1])
                 th = angle
-            for rng, tag in (((1.0, flank_inner), "in"), ((1.0, flank_outer), "out")):
+            for rng, tag in (((1.0, flank_inner), "in"), ((1.0, STRIP_DEPTH + 1.0), "out")):
                 pr, dpr = _ray_target(corner, angle, rng[0], rng[1])
                 rr = track_level_curve(
                     dev, pr, dpr, w, g0=g, branch0=m,

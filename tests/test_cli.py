@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from affsurf import limitset, solver
+from affsurf import cli, limitset, solver
 from affsurf.cli import UsageError, main, make_config, run
 from affsurf.pointcloud import read_points
 
@@ -60,16 +60,31 @@ class TestConfig:
             make_config("verify", tol_solver=0.0)
         with pytest.raises(UsageError):
             make_config("verify", tol_quad=-1e-9)
+        with pytest.raises(UsageError):
+            make_config("verify", density=True)
 
     def test_rejects_bad_format_and_seed(self):
         with pytest.raises(UsageError):
             make_config("render", k="2", format="png")
         with pytest.raises(UsageError):
             make_config("verify", seed=-1)
+        for seed in (True, 3.7):
+            with pytest.raises(UsageError):
+                make_config("verify", seed=seed)
 
     def test_rejects_short_extrapolation_grid(self):
         with pytest.raises(UsageError):
             make_config("sweep", k_grid="10,100")
+
+    def test_config_file_and_make_config_agree(self, tmp_path):
+        # both take raw values through the same coercion and checks
+        settings = {"k": [5], "density": 40, "seed": "3", "tol_solver": "1e-9"}
+        cfg = tmp_path / "conf.json"
+        cfg.write_text(json.dumps(settings))
+        ns = cli._build_parser().parse_args(["solve", "--config", str(cfg)])
+        from_file = cli._build_config(ns)
+        assert from_file == make_config("solve", **settings)
+        assert (from_file.seed, from_file.density) == (3, 40.0)
 
     def test_rejects_unknown_setting(self):
         with pytest.raises(UsageError):
@@ -154,6 +169,11 @@ class TestExitCodes:
         assert main(["solve", "--out", str(tmp_path / "u")]) == 2
         assert main(["solve", "--k", "0.2", "--out", str(tmp_path / "u")]) == 2
         assert main(["solve", "--k", "2", "--config", str(tmp_path / "no.json")]) == 2
+        # a config file is held to the same rules as make_config
+        for bad in ({"seed": 3.7}, {"seed": True}, {"density": True}):
+            cfg = tmp_path / "bad.json"
+            cfg.write_text(json.dumps(bad))
+            assert main(["solve", "--k", "2", "--config", str(cfg), "--out", str(tmp_path / "u")]) == 2
 
     def test_unknown_flag_is_two(self, tmp_path):
         assert main(["solve", "--k", "2", "--frobnicate"]) == 2
@@ -168,6 +188,26 @@ class TestExitCodes:
         report = json.loads((tmp_path / "h" / "report.json").read_text())
         assert report["status"] == "fail"
         assert report["results"]["verdict"] == "fail"
+
+    def test_fit_without_a_limit_fails_every_hausdorff_step(self, tmp_path, monkeypatch):
+        # a fit with tau <= 0 has no limit map: each criterion fails and
+        # names it, and the report still lands on disk
+        fit = cli.extract_limit
+        monkeypatch.setattr(
+            cli, "extract_limit", lambda sols: dataclasses.replace(fit(sols), tau=-fit(sols).tau)
+        )
+        code = main(
+            ["hausdorff", "--k-grid", "1e2:1e3:2", "--density", "60",
+             "--out", str(tmp_path / "h")]
+        )
+        assert code == 1
+        report = json.loads((tmp_path / "h" / "report.json").read_text())
+        assert [(s["name"], s["status"]) for s in report["steps"]] == [
+            ("limit-data", "fail"),
+            ("connection-convergence", "fail"),
+            ("hausdorff-convergence", "fail"),
+        ]
+        assert report["steps"][-1]["detail"]["reason"].startswith("no limit map for the fit")
 
     def test_numerical_failure_is_three(self, tmp_path):
         code = main(

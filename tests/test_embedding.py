@@ -184,6 +184,11 @@ class TestInversion:
         q = SurfacePoint(ChartId.OUTER, 5 + 5j)
         assert embed_invert(edge_strip_chart(), 0.5, q) is None
         assert embed_invert(half_strip_chart("left"), 0.0, q) is None
+        # points whose solved coordinate lies in another region
+        in_rect = SurfacePoint(ChartId.RECT, 0.5 + 0.9j)
+        assert embed_invert(edge_strip_chart(), 0.5, in_rect) is None
+        on_edge = SurfacePoint(ChartId.OUTER, -0.5 + 1j)
+        assert embed_invert(half_strip_chart("left"), 0.5, on_edge) is None
 
 
 class TestTransitions:
@@ -279,6 +284,15 @@ class TestSeparation:
         x = VirtualPointRep(1.2 + 1.2j, outer_chart())
         with pytest.raises(ValueError):
             separation_check(x, self.STRIP, [10.0], 0.5, 0.1)
+
+    @pytest.mark.parametrize("K", [10.0, 100.0, 1000.0])
+    def test_disk_centres_are_evaluations(self, K):
+        # each disk image is centred at the chart's value at its base point
+        for _, x, y, rx, ry in SEPARATION_SCENARIOS:
+            (row,) = separation_check(x, y, [K], rx, ry)["per_k"]
+            for tag, v in (("x", x), ("y", y)):
+                p = embed_eval(v.chart, 1.0 / K, v.a)
+                assert (row[f"chart_{tag}"], row[f"center_{tag}"]) == (p.chart.value, p.coord)
 
     def test_different_charts_disjoint(self):
         # an outer point far from the square vs a strip point landing in
