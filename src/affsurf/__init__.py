@@ -17,9 +17,7 @@ from .embedding import (
     embed_invert,
     half_strip_chart,
     outer_chart,
-    separation_check,
     spiral_ball_chart,
-    transition_continuity_check,
 )
 from .limitset import (
     CurveCloud,
@@ -85,9 +83,7 @@ __all__ = [
     "embed_invert",
     "half_strip_chart",
     "outer_chart",
-    "separation_check",
     "spiral_ball_chart",
-    "transition_continuity_check",
     "PointCloud",
     "read_points",
     "write_points",

@@ -260,14 +260,22 @@ class _Recorder:
         self.files: list = []
 
     def step(
-        self, name: str, ok: bool, detail: Optional[dict] = None, incomplete: Optional[dict] = None
+        self,
+        name: str,
+        problems: Sequence[str],
+        detail: Optional[dict] = None,
+        incomplete: Optional[dict] = None,
     ) -> bool:
         """Record one step and return whether it passed.
 
-        incomplete holds the notes of curves that stopped short; any make
-        the step "inconclusive", since the curves it rests on are truncated.
+        problems holds one string per violated clause; any fail the step
+        and go into its detail. incomplete holds the notes of curves that
+        stopped short; any make the step "inconclusive", since the curves
+        it rests on are truncated.
         """
-        status = "ok" if ok else "fail"
+        status = "fail" if problems else "ok"
+        if problems:
+            detail = {**(detail or {}), "problems": list(problems)}
         if incomplete:
             detail = {**(detail or {}), "incomplete": incomplete}
             status = "inconclusive"
@@ -313,7 +321,7 @@ def _run_solve(config: RunConfig, rec: _Recorder) -> dict:
     for sol in sols:
         rec.step(
             f"solve k={k_label(sol.K)}",
-            True,
+            (),
             {"residual": sol.residual, "iterations": sol.iterations},
         )
         solves.append(
@@ -333,13 +341,13 @@ def _sweep_fit(config: RunConfig, rec: _Recorder):
     sols = continuation_sweep(config.k_grid, tol=config.tol_solver, quad_tol=config.tol_quad)
     rec.step(
         f"sweep {len(sols)} aspects",
-        True,
+        (),
         {"max_residual": max(s.residual for s in sols)},
     )
     est = extract_limit(sols)
     rec.step(
         "extrapolate",
-        True,
+        (),
         {
             "x0": est.x0,
             "tau": est.tau,
@@ -398,7 +406,7 @@ def _run_render(config: RunConfig, rec: _Recorder) -> dict:
             if est is None:
                 _, est = _sweep_fit(config, rec)
             cloud, truncation = _limit_boundary(config, est)
-            rec.step(f"boundary k={label}", True, {"points": len(cloud.points)}, cloud.incomplete)
+            rec.step(f"boundary k={label}", (), {"points": len(cloud.points)}, cloud.incomplete)
             entries.append(
                 {
                     "k": K,
@@ -413,7 +421,7 @@ def _run_render(config: RunConfig, rec: _Recorder) -> dict:
             sol, cloud = _finite_boundary(config, K)
             rec.step(
                 f"boundary k={label}",
-                True,
+                (),
                 {"residual": sol.residual, "points": len(cloud.points)},
                 cloud.incomplete,
             )
@@ -466,7 +474,7 @@ def _run_limit(config: RunConfig, rec: _Recorder) -> dict:
     _, est = _sweep_fit(config, rec)
     cloud, truncation = _limit_boundary(config, est)
     if cloud.incomplete:
-        rec.step("boundary k=inf", True, {"points": len(cloud.points)}, cloud.incomplete)
+        rec.step("boundary k=inf", (), {"points": len(cloud.points)}, cloud.incomplete)
     rec.write_cloud(
         "limit.txt",
         PointCloud(
@@ -497,12 +505,12 @@ def _run_hausdorff(config: RunConfig, rec: _Recorder) -> dict:
         ("connection-convergence", checks.connection_convergence),
     ):
         problems, detail = check(sols, fit)
-        rec.step(name, not problems, detail)
+        rec.step(name, problems, detail)
     missing = checks.missing_limit(fit)
     if missing:
         # no limit configuration to compare the boundaries with
         detail = {"verdict": "fail", "reason": missing}
-        rec.step("hausdorff-convergence", False, detail)
+        rec.step("hausdorff-convergence", [missing], detail)
         return detail
     report = convergence_report(
         config.k_grid,
@@ -517,7 +525,7 @@ def _run_hausdorff(config: RunConfig, rec: _Recorder) -> dict:
     ]
     rec.write_text("hausdorff.txt", _table("hausdorff", ("k", "hausdorff", "boundary_points"), rows))
     problems, detail = checks.hausdorff_convergence(report)
-    rec.step("hausdorff-convergence", not problems, detail, report.get("incomplete"))
+    rec.step("hausdorff-convergence", problems, detail, report.get("incomplete"))
     return {**report, **detail}
 
 
@@ -569,7 +577,7 @@ def _run_verify(config: RunConfig, rec: _Recorder) -> dict:
         problems, detail = check(*inputs[name]())
         if name == "reflection-symmetry":
             detail = {"k": label, **detail}
-        if not rec.step(name, not problems, detail, dict(incomplete)):
+        if not rec.step(name, problems, detail, dict(incomplete)):
             failed.append(name)
     return {"checks": list(checks.REGISTRY), "failed": failed}
 

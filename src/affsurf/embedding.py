@@ -1,4 +1,4 @@
-"""Leaf-space charts across the whole family, with finite certificates.
+"""Leaf-space charts across the whole family.
 
 The disjoint union of all the surfaces, one leaf per aspect t = 1/K plus
 the limit leaf t = 0, carries charts defined on open subsets of
@@ -9,10 +9,10 @@ straddling the identified edge, a half-strip with its corner flaps, and
 a ball lifted into a spiral end. Each leaf of a chart splits into
 regions, and each region carries one piece, a similitude into one chart
 of the member: one classifier and one table of pieces give membership,
-evaluation, inversion and disk images alike. Two finite certificates
-accompany them:
-a sampled continuity check of the coordinate changes as t -> 0, and a
-disk-image separation check between pairs of limit points.
+evaluation, inversion and disk images alike. Criterion 08 in `checks`
+measures them through two helpers: `transition`, the coordinate change
+between two charts on one leaf, and `disk_image`, the image of a closed
+disk on one leaf.
 
 Spiral leaf coordinates are points of the projection plane C*; the chart
 carries the branch (a base log-coordinate and a ball radius), so the
@@ -24,7 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .surface import CORNER_COORD, ChartId, SurfacePoint
 
@@ -112,16 +112,6 @@ class EmbedChart:
     def contains(self, t: float, z: complex) -> bool:
         """Membership of (t, z) in the chart's leaf-space domain."""
         return _region(self, t, z) is not None
-
-    def describe(self) -> str:
-        if self.case == 1:
-            return "case 1 (outer plane)"
-        if self.case == 2:
-            return "case 2 (edge strip)"
-        if self.case == 3:
-            return f"case 3 ({self.strip} half strip)"
-        kind, n = self.sheet
-        return f"case 4 ({self.corner} spiral, {kind} sheet {n})"
 
 
 def outer_chart() -> EmbedChart:
@@ -339,68 +329,16 @@ def embed_invert(chart: EmbedChart, t: float, p: SurfacePoint) -> Optional[compl
     return None
 
 
-def transition_continuity_check(
-    chart_a: EmbedChart,
-    chart_b: EmbedChart,
-    compact: Sequence[complex],
-    t_grid: Sequence[float],
-    tol: float = 1e-9,
-) -> dict:
-    """Sampled continuity certificate for one coordinate change.
-
-    For each positive t in the grid, evaluates the change of coordinates
-    from chart_a to chart_b on the samples that lie in the overlap at
-    the limit leaf and records the sup distance to the limit change. The
-    verdict is "pass" when the sups are non-increasing and end under
-    tol, "empty" when the charts do not overlap over the samples, and
-    "fail" otherwise. rate_bound is the largest sup/t ratio, finite for
-    every implemented pair.
-    """
-    ts = sorted((float(t) for t in t_grid), reverse=True)
-    if not ts or ts[-1] <= 0.0 or ts[0] > 1.0:
-        raise ValueError("t_grid must be decreasing values in ]0, 1]")
-
-    def change(t: float, z: complex) -> Optional[complex]:
-        # chart_b's coordinate of chart_a's point z, None off the overlap
-        region = _region(chart_a, t, z)
-        if region is None:
-            return None
-        return embed_invert(chart_b, t, _piece(chart_a, t, region)(z))
-
-    base = [(z, z2) for z in compact if (z2 := change(0.0, z)) is not None]
-    report = {
-        "chart_a": chart_a.describe(),
-        "chart_b": chart_b.describe(),
-        "t_grid": ts,
-        "n_samples": len(base),
-    }
-    if not base:
-        return {**report, "sup": [], "verdict": "empty"}
-
-    sups: List[float] = []
-    skipped: List[int] = []
-    for t in ts:
-        gaps = [abs(zb - z2) for z, z2 in base if (zb := change(t, z)) is not None]
-        sups.append(max(gaps, default=0.0))
-        skipped.append(len(base) - len(gaps))
-
-    # sequences resting at rounding noise need not be monotone
-    below = all(s < tol for s in sups)
-    decreasing = all(b <= a + 1e-15 for a, b in zip(sups, sups[1:]))
-    verdict = "pass" if below or (decreasing and sups[-1] < tol) else "fail"
-    return {
-        **report,
-        "sup": sups,
-        "skipped": skipped,
-        "rate_bound": max(s / t for s, t in zip(sups, ts)),
-        "verdict": verdict,
-    }
+def transition(chart_a: EmbedChart, chart_b: EmbedChart, t: float, z: complex) -> Optional[complex]:
+    """chart_b's coordinate of chart_a's point z on the t-leaf, None off the overlap."""
+    region = _region(chart_a, t, z)
+    if region is None:
+        return None
+    return embed_invert(chart_b, t, _piece(chart_a, t, region)(z))
 
 
-def _disk_image(
-    chart: EmbedChart, K: float, a: complex, r: float
-) -> Tuple[ChartId, complex, float]:
-    """Image of the closed disk B(a, r) on the aspect-K leaf.
+def disk_image(chart: EmbedChart, K: float, a: complex, r: float) -> Tuple[ChartId, complex, float]:
+    """Image of the closed disk B(a, r) on the aspect-K leaf: chart, centre, radius.
 
     Each piece is a similitude on its region, so a disk that stays
     inside one region maps to an exact disk; straddling disks are
@@ -412,63 +350,3 @@ def _disk_image(
         raise ValueError("disk leaves the chart or straddles two regions; shrink the radius")
     piece = _piece(chart, t, region)
     return (piece.target, piece(a).coord, r * abs(piece.a))
-
-
-def _strictly_inside(chart_id: ChartId, center: complex, r: float, K: float) -> bool:
-    x, y = abs(center.real), abs(center.imag)
-    if chart_id is ChartId.OUTER:
-        return max(x, y) - r > 1.0
-    if chart_id is ChartId.RECT:
-        return x + r < 1.0 and y + r < 1.0 / K
-    return False
-
-
-def separation_check(
-    x: VirtualPointRep,
-    y: VirtualPointRep,
-    k_list: Sequence[float],
-    r_x: float,
-    r_y: float,
-) -> dict:
-    """Disk-image separation of two limit points along the family.
-
-    For each aspect, the closed disks around the two base points are
-    pushed through their charts; radii are rounded outward so a
-    "disjoint" verdict survives the rounding. Returns the per-aspect
-    verdicts and the smallest tested aspect from which every later one
-    is disjoint.
-    """
-    if x.limit_point() == y.limit_point():
-        raise ValueError("identical limit points cannot be separated")
-    rows = []
-    for K in sorted(float(k) for k in k_list):
-        if K < 1.0:
-            raise ValueError("aspects must be >= 1")
-        cx, ox, rx = _disk_image(x.chart, K, x.a, r_x)
-        cy, oy, ry = _disk_image(y.chart, K, y.a, r_y)
-        pad = (rx + ry) * (1.0 + 1e-9)
-        if cx is cy:
-            verdict = "disjoint" if abs(ox - oy) > pad else "overlapping"
-        elif _strictly_inside(cx, ox, rx, K) and _strictly_inside(cy, oy, ry, K):
-            # different open charts are disjoint subsets of the surface
-            verdict = "disjoint"
-        else:
-            verdict = "indeterminate"
-        rows.append(
-            {
-                "K": K,
-                "chart_x": cx.value,
-                "center_x": ox,
-                "radius_x": rx,
-                "chart_y": cy.value,
-                "center_y": oy,
-                "radius_y": ry,
-                "verdict": verdict,
-            }
-        )
-    threshold = None
-    for row in reversed(rows):
-        if row["verdict"] != "disjoint":
-            break
-        threshold = row["K"]
-    return {"per_k": rows, "threshold_K": threshold}

@@ -16,7 +16,12 @@ import pytest
 from affsurf import checks
 from affsurf.cli import main
 from affsurf.develop import DevelopingMap
-from affsurf.embedding import VirtualPointRep, half_strip_chart
+from affsurf.embedding import (
+    VirtualPointRep,
+    edge_strip_chart,
+    half_strip_chart,
+    spiral_ball_chart,
+)
 from affsurf.solver import (
     LimitEstimate,
     SolveResult,
@@ -88,6 +93,14 @@ def test_chart_transitions_needs_the_final_sup_under_tol():
     assert checks.chart_transitions()[0] == []
     problems, _ = checks.chart_transitions(((name, cha, chb, compact, 1e-9),))
     assert problems == [f"{name} verdict fail"]
+
+
+def test_chart_transitions_name_a_pair_without_overlap():
+    ball = spiral_ball_chart("ul", 2.5j * math.pi, 0.3)
+    pair = ("strip-vs-ball", edge_strip_chart(), ball, (0.3 + 1.5j, -0.2 + 2j), 1e-9)
+    problems, detail = checks.chart_transitions((pair,))
+    assert problems == ["strip-vs-ball: charts do not overlap on the samples"]
+    assert detail["strip-vs-ball"]["verdict"] == "empty"
 
 
 def test_separation_scenarios_catch_overlapping_disks():

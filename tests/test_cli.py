@@ -76,6 +76,14 @@ class TestConfig:
         with pytest.raises(UsageError):
             make_config("sweep", k_grid="10,100")
 
+    def test_distinct_aspects_echo_distinct_labels(self):
+        # 12 digits would print 1.000000000001 as "1", the label of K = 1
+        near = make_config("verify", k="1.000000000001").as_dict()
+        square = make_config("verify", k="1").as_dict()
+        assert (near["k"], square["k"]) == (["1.000000000001"], ["1"])
+        assert cli._sha256(near) != cli._sha256(square)
+        assert make_config("render", k="2,1000,inf").as_dict()["k"] == ["2", "1000", "inf"]
+
     def test_config_file_and_make_config_agree(self, tmp_path):
         # both take raw values through the same coercion and checks
         settings = {"k": [5], "density": 40, "seed": "3", "tol_solver": "1e-9"}
@@ -208,6 +216,11 @@ class TestExitCodes:
             ("hausdorff-convergence", "fail"),
         ]
         assert report["steps"][-1]["detail"]["reason"].startswith("no limit map for the fit")
+        # each failing step lists its violated clauses, the missing limit among them
+        for step in report["steps"]:
+            assert any(
+                p.startswith("no limit map for the fit") for p in step["detail"]["problems"]
+            )
 
     def test_numerical_failure_is_three(self, tmp_path):
         code = main(

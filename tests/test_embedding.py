@@ -1,4 +1,4 @@
-"""Leaf-space charts: evaluation, inversion, continuity, separation."""
+"""Leaf-space charts: evaluation, inversion, and the measurements of criterion 08."""
 
 import cmath
 import math
@@ -6,17 +6,18 @@ import math
 import numpy as np
 import pytest
 
+from affsurf import checks
 from affsurf.checks import SEPARATION_SCENARIOS, TRANSITION_PAIRS
 from affsurf.embedding import (
     VirtualPointRep,
+    disk_image,
     edge_strip_chart,
     embed_eval,
     embed_invert,
     half_strip_chart,
     outer_chart,
-    separation_check,
     spiral_ball_chart,
-    transition_continuity_check,
+    transition,
 )
 from affsurf.surface import ChartId, SurfacePoint
 
@@ -191,51 +192,59 @@ class TestInversion:
         assert embed_invert(half_strip_chart("left"), 0.5, on_edge) is None
 
 
-class TestTransitions:
-    T_GRID = [0.5, 0.1, 0.02, 0.004]
+def _judge(entry):
+    """Criterion 08 on a one-entry table: its problems and the entry's detail."""
+    problems, detail = checks.chart_transitions((entry,))
+    return problems, detail[entry[0]]
 
+
+class TestTransitions:
     def test_outer_vs_half_strip_constant(self):
-        _, cha, chb, compact, _ = TRANSITION_PAIRS[0]
-        rep = transition_continuity_check(cha, chb, compact, self.T_GRID)
+        problems, rep = _judge(TRANSITION_PAIRS[0])
+        assert problems == []
         assert rep["verdict"] == "pass"
-        assert max(rep["sup"]) == 0.0
+        # a zero rate bound means every sup on the grid is zero
         assert rep["rate_bound"] == 0.0
 
     def test_edge_strip_vs_outer_upper_identity(self):
-        _, cha, chb, compact, _ = TRANSITION_PAIRS[1]
-        rep = transition_continuity_check(cha, chb, compact, self.T_GRID)
+        problems, rep = _judge(TRANSITION_PAIRS[1])
+        assert problems == []
         assert rep["verdict"] == "pass"
-        assert max(rep["sup"]) == 0.0
+        assert rep["rate_bound"] == rep["final_sup"] == 0.0
 
     def test_edge_strip_vs_outer_lower_rate(self):
         # below the rectangle the change is z - 2i + 2it: sup is exactly 2t
-        _, cha, chb, compact, tol = TRANSITION_PAIRS[2]
-        rep = transition_continuity_check(cha, chb, compact, self.T_GRID, tol=tol)
+        problems, rep = _judge(TRANSITION_PAIRS[2])
+        assert problems == []
         assert rep["verdict"] == "pass"
-        for s, t in zip(rep["sup"], rep["t_grid"]):
-            assert s == pytest.approx(2 * t, rel=1e-12)
+        assert rep["final_sup"] == pytest.approx(2 * checks._T_GRID[-1], rel=1e-12)
         assert rep["rate_bound"] == pytest.approx(2.0, rel=1e-12)
+        _, cha, chb, compact, _ = TRANSITION_PAIRS[2]
+        for t in checks._T_GRID:
+            gaps = [transition(cha, chb, t, z) - transition(cha, chb, 0.0, z) for z in compact]
+            sup = max(abs(g) for g in gaps)
+            assert sup == pytest.approx(2 * t, rel=1e-12)
 
     def test_half_strip_vs_spiral_flap(self):
-        _, cha, ball, compact, _ = TRANSITION_PAIRS[3]
-        rep = transition_continuity_check(cha, ball, compact, self.T_GRID)
+        problems, rep = _judge(TRANSITION_PAIRS[3])
+        assert problems == []
         assert rep["verdict"] == "pass"
-        assert rep["n_samples"] == len(compact)
-        assert max(rep["sup"]) < 1e-13
+        # every sample lies in the overlap on every leaf, within 1e-13 of its limit
+        _, cha, ball, compact, _ = TRANSITION_PAIRS[3]
+        for z in compact:
+            limit = transition(cha, ball, 0.0, z)
+            assert limit is not None
+            for t in checks._T_GRID:
+                assert abs(transition(cha, ball, t, z) - limit) < 1e-13
 
     def test_no_overlap_reported_empty(self):
-        ball = spiral_ball_chart("ul", 1j * 5 * math.pi / 2, 0.3)
-        compact = [0.3 + 1.5j, -0.2 + 2j]
-        rep = transition_continuity_check(edge_strip_chart(), ball, compact, self.T_GRID)
-        assert rep["verdict"] == "empty"
         # the two half strips only meet through the rectangle, which
-        # escapes every window at the limit
-        rep = transition_continuity_check(
-            half_strip_chart("left"),
-            half_strip_chart("right"),
-            [1 + 0.5j, 3 - 0.2j],
-            self.T_GRID,
+        # escapes every window at the limit (test_checks holds a ball case)
+        problems, rep = _judge(
+            ("left-vs-right", half_strip_chart("left"), half_strip_chart("right"),
+             (1 + 0.5j, 3 - 0.2j), 1e-9)
         )
+        assert problems == ["left-vs-right: charts do not overlap on the samples"]
         assert rep["verdict"] == "empty"
 
     def test_fixed_leaf_changes_are_affine(self):
@@ -245,62 +254,69 @@ class TestTransitions:
         zs = [0.5 + 0.4j, 1.2 - 0.3j, 2.0 + 0.1j]
         ws = [embed_invert(chb, t, embed_eval(cha, t, z)) for z in zs]
         assert all(w is not None for w in ws)
+        assert ws == [transition(cha, chb, t, z) for z in zs]
         b = (ws[1] - ws[0]) / (zs[1] - zs[0])
         a = ws[0] - b * zs[0]
         assert a + b * zs[2] == pytest.approx(ws[2], abs=1e-12)
 
 
 class TestSeparation:
-    K_LIST = [1.0, 2.0, 5.0, 10.0, 100.0, 1000.0]
+    K_LIST = (1.0, 2.0, 5.0, 10.0, 100.0, 1000.0)
     STRIP = SEPARATION_SCENARIOS[0][1]
 
-    def test_strip_vs_first_sheet(self):
-        _, strip, sheet, rx, ry = SEPARATION_SCENARIOS[0]
-        rep = separation_check(strip, sheet, self.K_LIST, rx, ry)
-        rows = {r["K"]: r for r in rep["per_k"]}
-        assert rows[1.0]["verdict"] == "overlapping"
-        for K in (2.0, 5.0, 10.0, 100.0, 1000.0):
-            assert rows[K]["verdict"] == "disjoint"
-        assert rep["threshold_K"] == 2.0
-        # radii scale one aspect power apart
-        assert rows[10.0]["radius_x"] == pytest.approx(0.04)
-        assert rows[10.0]["radius_y"] == pytest.approx(0.004)
+    @pytest.fixture
+    def k_list(self, monkeypatch):
+        # the aspects include the near-square members, where disks still meet
+        monkeypatch.setattr(checks, "SEPARATION_ASPECTS", self.K_LIST)
 
-    def test_equal_projection_sheets(self):
-        _, sheet1, sheet2, rx, ry = SEPARATION_SCENARIOS[2]
-        rep = separation_check(sheet1, sheet2, self.K_LIST, rx, ry)
-        rows = {r["K"]: r for r in rep["per_k"]}
-        assert rows[2.0]["verdict"] == "overlapping"
-        for K in (5.0, 10.0, 100.0, 1000.0):
-            assert rows[K]["verdict"] == "disjoint"
-        assert rep["threshold_K"] == 5.0
+    def test_strip_vs_first_sheet(self, k_list):
+        name, strip, sheet, rx, ry = SEPARATION_SCENARIOS[0]
+        problems, detail = checks.separation_scenarios((SEPARATION_SCENARIOS[0],))
+        assert detail[name] == {
+            "1": "overlapping", "2": "disjoint", "5": "disjoint",
+            "10": "disjoint", "100": "disjoint", "1000": "disjoint",
+        }
+        assert problems == [f"{name}: [(1.0, 'overlapping')]"]
+        # radii scale one aspect power apart
+        assert disk_image(strip.chart, 10.0, strip.a, rx)[2] == pytest.approx(0.04)
+        assert disk_image(sheet.chart, 10.0, sheet.a, ry)[2] == pytest.approx(0.004)
+
+    def test_equal_projection_sheets(self, k_list):
+        name = SEPARATION_SCENARIOS[2][0]
+        problems, detail = checks.separation_scenarios((SEPARATION_SCENARIOS[2],))
+        assert detail[name]["2"] == "overlapping"
+        for K in ("5", "10", "100", "1000"):
+            assert detail[name][K] == "disjoint"
+        assert problems == [f"{name}: [(1.0, 'overlapping'), (2.0, 'overlapping')]"]
 
     def test_identical_points_rejected(self):
+        twin = VirtualPointRep(1.0 + 0j, half_strip_chart("left"))
         with pytest.raises(ValueError):
-            separation_check(self.STRIP, VirtualPointRep(1.0 + 0j, half_strip_chart("left")),
-                             self.K_LIST, 0.1, 0.1)
+            checks.separation_scenarios((("twins", self.STRIP, twin, 0.1, 0.1),))
 
     def test_straddling_disk_rejected(self):
         x = VirtualPointRep(1.2 + 1.2j, outer_chart())
         with pytest.raises(ValueError):
-            separation_check(x, self.STRIP, [10.0], 0.5, 0.1)
+            disk_image(x.chart, 10.0, x.a, 0.5)
+        with pytest.raises(ValueError):
+            checks.separation_scenarios((("straddling", x, self.STRIP, 0.5, 0.1),))
 
     @pytest.mark.parametrize("K", [10.0, 100.0, 1000.0])
     def test_disk_centres_are_evaluations(self, K):
         # each disk image is centred at the chart's value at its base point
         for _, x, y, rx, ry in SEPARATION_SCENARIOS:
-            (row,) = separation_check(x, y, [K], rx, ry)["per_k"]
-            for tag, v in (("x", x), ("y", y)):
+            for v, r in ((x, rx), (y, ry)):
                 p = embed_eval(v.chart, 1.0 / K, v.a)
-                assert (row[f"chart_{tag}"], row[f"center_{tag}"]) == (p.chart.value, p.coord)
+                assert disk_image(v.chart, K, v.a, r)[:2] == (p.chart, p.coord)
 
     def test_different_charts_disjoint(self):
         # an outer point far from the square vs a strip point landing in
         # the rectangle: separate charts, both disks strictly inside
-        _, x, y, rx, ry = SEPARATION_SCENARIOS[1]
-        rep = separation_check(x, y, [10.0, 100.0], rx, ry)
-        assert all(r["verdict"] == "disjoint" for r in rep["per_k"])
-        assert rep["threshold_K"] == 10.0
+        name, x, y, rx, ry = SEPARATION_SCENARIOS[1]
+        assert disk_image(x.chart, 10.0, x.a, rx)[0] is not disk_image(y.chart, 10.0, y.a, ry)[0]
+        problems, detail = checks.separation_scenarios((SEPARATION_SCENARIOS[1],))
+        assert problems == []
+        assert set(detail[name].values()) == {"disjoint"}
 
 
 class TestInjectivity:
