@@ -94,7 +94,7 @@ class EmbedChart:
     case 3: a half strip and its corner flaps; `strip` picks the side.
     case 4: a ball in the projection plane lifted to a spiral end;
         `corner` picks the end, `base_log` fixes the branch, `radius`
-        the ball. `sheet` records the window of the base point.
+        the ball.
     """
 
     case: int
@@ -102,7 +102,6 @@ class EmbedChart:
     corner: Optional[str] = None
     base_log: complex = 0j
     radius: float = 0.0
-    sheet: Optional[Tuple[str, int]] = None
 
     @property
     def proj(self) -> complex:
@@ -140,12 +139,9 @@ def spiral_ball_chart(corner: str, base_log: complex, radius: float) -> EmbedCha
     proj = cmath.exp(base_log)
     if not 0.0 < radius < abs(proj):
         raise ValueError("radius must be positive and smaller than |base|")
-    sheet = _window(corner, base_log.imag)
-    if sheet is None:
+    if _window(corner, base_log.imag) is None:
         raise ValueError(f"angle {base_log.imag:.6g} beyond the {corner} cover")
-    return EmbedChart(
-        case=4, corner=corner, base_log=base_log, radius=radius, sheet=sheet
-    )
+    return EmbedChart(case=4, corner=corner, base_log=base_log, radius=radius)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,12 @@
 Everything here lives in the uniformized plane. For a finite aspect the
 glued rectangle occupies a region whose boundary is the preimage of the
 square boundary under the developing map; it is assembled from eight
-tracked half-side curves that meet at the four prevertices. In the limit
+tracked half-side curves that meet at the four prevertices. The eight
+corner approaches run in lock step (tracking.lock_step): each round makes
+one derivative call for all live approaches. Every point is bit-identical
+to tracking the approach alone, because the derivative is element-wise
+and a round whose pooled call meets the pole clearance is evaluated
+request by request. The limit cloud's tracks run one at a time. In the limit
 the prevertex pairs have merged and the boundary configuration consists
 of the two strip mouth curves, the seam rays between strips and spiral
 sheets, the flank rays bounding each spiral sheet, the glued-edge
@@ -16,14 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .develop import DevelopingMap
 from .quadrature import QuadratureError
 from .solver import LimitEstimate, SolveResult
-from .tracking import arc_target, segment_target, track_level_curve
+from .tracking import arc_target, level_curve_track, lock_step, segment_target, track_level_curve
 
 # depth of the limit strips kept explicitly: the flank rays stop at
 # STRIP_DEPTH + 1, and limit point files record the cutoff in their
@@ -271,13 +276,14 @@ def _track_toward_corner(
     branch0: int,
     corner_clip: float,
     quad_tol: float,
-) -> Tuple[List[np.ndarray], str]:
+) -> Generator[np.ndarray, np.ndarray, Tuple[np.ndarray, str]]:
     """Follow the square side radially into a corner value.
 
     The curve winds into the prevertex on a shrinking scale, so the
     approach runs in stages with the step cap tied to the current
-    distance from the nearest prevertex. Returns the stage curves and
-    the reason the approach stalled ("" when it reached corner_clip).
+    distance from the nearest prevertex. A tracking.lock_step track that
+    returns the joined stage curves and the reason the approach stalled
+    ("" when it reached corner_clip).
     """
     rho = abs(g0 - corner)
     direction = (g0 - corner) / rho
@@ -292,7 +298,7 @@ def _track_toward_corner(
         # prevertex, so the on-curve tolerance must shrink with it or
         # the Newton correction goes slack in w
         tol = float(np.clip(1e-3 * rho_next, 1e-13, 1e-10))
-        r = track_level_curve(
+        r = yield from level_curve_track(
             dev, p, dp, w, g0=g, branch0=m, max_step=step, tol=tol,
             quad_tol=min(quad_tol, 0.1 * tol),
             first_step=0.02, max_steps=4000,
@@ -300,9 +306,9 @@ def _track_toward_corner(
         pieces.append(r.w)
         w, g, m = complex(r.w[-1]), complex(r.g[-1]), int(r.branch[-1])
         if not r.completed:
-            return pieces, r.reason
+            return np.concatenate(pieces), r.reason
         rho = rho_next
-    return pieces, ""
+    return (np.concatenate(pieces) if pieces else np.array([w0])), ""
 
 
 def rectangle_image_boundary(
@@ -315,8 +321,9 @@ def rectangle_image_boundary(
 
     Eight half-side tracks start on the coordinate axes, where symmetry
     puts the boundary's axis crossings, and run into the four corner
-    values; the prevertices themselves are appended since the tracked
-    curves end corner_clip short of them (in developed distance).
+    values in lock step; the prevertices themselves are appended since
+    the tracked curves end corner_clip short of them (in developed
+    distance).
     """
     if dev.kind != "finite":
         raise ValueError("finite-aspect map required; use limit_image_cloud for the limit")
@@ -338,6 +345,7 @@ def rectangle_image_boundary(
         "top": (1 + 1j, -1 + 1j),
         "bottom": (1 - 1j, -1 - 1j),
     }
+    approaches = {}
     for side, (w0, g_anchor) in starts.items():
         g0 = complex(dev.develop_at(w0))
         # the top and bottom edges carry the strip seams in their last
@@ -347,11 +355,9 @@ def rectangle_image_boundary(
         clip = corner_clip / dev.K if side in ("top", "bottom") else corner_clip
         for corner in halves[side]:
             name = f"{side}_to_{corner.real:+.0f}{corner.imag:+.0f}"
-            pieces, stall = _track_toward_corner(
-                dev, corner, w0, g0, 0, clip, quad_tol
-            )
-            joined = np.concatenate(pieces) if pieces else np.array([w0])
-            cloud.add(name, resample_curve(joined, spacing), f"partial: {stall}" if stall else "")
+            approaches[name] = _track_toward_corner(dev, corner, w0, g0, 0, clip, quad_tol)
+    for name, (curve, stall) in zip(approaches, lock_step(dev, list(approaches.values()))):
+        cloud.add(name, resample_curve(curve, spacing), f"partial: {stall}" if stall else "")
     cloud.add("prevertices", np.array(dev.poles), "isolated corner preimages")
     return cloud
 

@@ -13,11 +13,15 @@ bookkeeping, while its sums come from the same array arithmetic as every
 other level and so keep their rounding. Nearly every tracker chord is such
 a segment.
 Integrands take a 1-D complex ndarray and return an array of its shape.
+The level loop itself is the generator segment_levels, which yields each
+level's nodes and takes their values; integrate_segment drives it with one
+integrand, and the tracker drives it with values it evaluates for several
+chords at once.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Generator, Optional, Sequence
 
 import numpy as np
 
@@ -77,6 +81,28 @@ def integrate_segment(
     nodes of all its live panels. Raises QuadratureError after more than
     max_panels bisections.
     """
+    levels = segment_levels(a, b, tol, max_panels, points)
+    try:
+        nodes = next(levels)
+        while True:
+            nodes = levels.send(f(nodes))
+    except StopIteration as done:
+        return done.value
+
+
+def segment_levels(
+    a: complex,
+    b: complex,
+    tol: float = 1e-11,
+    max_panels: int = 16384,
+    points: Sequence[complex] = (),
+) -> Generator[np.ndarray, np.ndarray, complex]:
+    """The refinement of integrate_segment, with the integrand left to the caller.
+
+    Yields each level's nodes as a 1-D complex array, takes the integrand's
+    values on them (any array of that size) and returns the integral, so a
+    caller can evaluate the nodes of several segments in one call.
+    """
     a, b = complex(a), complex(b)
     total = abs(b - a)
     if total == 0.0:
@@ -95,17 +121,25 @@ def integrate_segment(
     # starved by the length-proportional share; with <= max_panels panels
     # the accepted error still sums to O(tol)
     floor = 1e-4 * tol
-    h, sums = _level_sums(f, lo, hi)
-    if len(edges) == 2:
-        # one first panel: its accept test on Python scalars, while its sums
-        # come from the array loop every level uses (a scalar complex
-        # multiply can round differently); a rejected panel takes the level
-        # loop's accept test, panel budget and split like any other
-        kronrod, gauss = sums[0].tolist()
-        err, length = abs(kronrod - gauss), 2.0 * abs(complex(h[0]))
-        if not (err > max((tol / total) * length, floor) and length > 1e-15 * total):
-            return acc + kronrod
+    one_panel = len(edges) == 2
     while True:
+        # half-widths and (Kronrod, Gauss) sums of the panels [lo, hi]
+        h = 0.5 * (hi - lo)
+        hc = h[:, None]
+        nodes = (lo + h)[:, None] + hc * GK_NODES
+        vals = yield nodes.ravel()
+        sums = (np.asarray(vals, dtype=complex).reshape(nodes.shape) @ _PAIR_WEIGHTS) * hc
+        if one_panel:
+            # one first panel: its accept test on Python scalars, while its
+            # sums come from the array arithmetic every level uses (a scalar
+            # complex multiply can round differently); a rejected panel
+            # takes the level loop's accept test, panel budget and split
+            # like any other
+            one_panel = False
+            kronrod, gauss = sums[0].tolist()
+            err, length = abs(kronrod - gauss), 2.0 * abs(complex(h[0]))
+            if not (err > max((tol / total) * length, floor) and length > 1e-15 * total):
+                return acc + kronrod
         err = np.abs(sums[:, 0] - sums[:, 1])
         length = 2.0 * np.abs(h)
         live = (err > np.maximum((tol / total) * length, floor)) & (length > 1e-15 * total)
@@ -121,16 +155,6 @@ def integrate_segment(
             )
         mid = 0.5 * (lo + hi)
         lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
-        h, sums = _level_sums(f, lo, hi)
-
-
-def _level_sums(f: Callable, lo: np.ndarray, hi: np.ndarray):
-    """Half-widths and (Kronrod, Gauss) sums of the panels [lo, hi], from one call of f."""
-    h = 0.5 * (hi - lo)
-    hc = h[:, None]
-    nodes = (lo + h)[:, None] + hc * GK_NODES
-    vals = np.asarray(f(nodes.ravel()), dtype=complex).reshape(nodes.shape)
-    return h, (vals @ _PAIR_WEIGHTS) * hc
 
 
 def integrate_polyline(f: Callable, nodes: Sequence[complex], tol: float = 1e-11) -> complex:

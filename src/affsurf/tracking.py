@@ -16,6 +16,20 @@ track's first stage is a separate evaluation ("first same as last",
 Dormand & Prince 1980). An array element equals the single-point value bit
 for bit, so the reuse leaves every tracked point unchanged.
 
+The step logic is written once, as the generator level_curve_track: it
+yields every point set whose derivative it needs (the RK4 stages, the
+Newton slope, each chord's quadrature levels from
+quadrature.segment_levels) and is sent dev.derivative of it.
+track_level_curve runs one track alone. lock_step runs several tracks
+together, one derivative call per round on the requests of all live
+tracks, each handed its own slice. The pooled call changes no bit of any
+track: the derivative is element-wise array arithmetic, so each element is
+the value its request gets alone (TestScalarArrayAgreement checks single
+points against array elements). When a pooled call raises, because some
+point lies inside the pole clearance, every request of that round is
+evaluated alone and the error goes only into the tracks whose own request
+raised it; those retry their step shorter, as they would alone.
+
 Branches: crossing one of the two vertical slits multiplies the continued
 derivative by the aspect or its reciprocal. An integer exponent per point
 records the current sheet, so curves may wind through any number of
@@ -29,12 +43,14 @@ and must scale the derivative by 1/K.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Generator, Optional, Sequence
 
 import numpy as np
 
 from .develop import DevelopingMap
-from .quadrature import integrate_segment, segment_slit_crossing
+# integrate_segment is not called here; perfbench's tracer checks that it
+# rebinds the name in this module
+from .quadrature import integrate_segment, segment_levels, segment_slit_crossing  # noqa: F401
 
 
 def _chord_crossings(dev: DevelopingMap, a: complex, b: complex):
@@ -68,11 +84,14 @@ def _branch_delta(slit_index: int, direction: int) -> int:
 
 
 def _continued_derivative(dev: DevelopingMap, a: complex, m: int, w: complex):
-    """(continued g'(w), branch exponent at w) reached from (a, m) along the chord."""
+    """(continued g'(w), branch exponent at w) reached from (a, m) along the chord.
+
+    A lock_step track: requests the derivative at w.
+    """
     mm = m
     for _, idx, d in _chord_crossings(dev, a, w):
         mm += _branch_delta(idx, d)
-    gp = complex(dev.derivative(w))
+    gp = complex((yield w))
     if mm:
         gp *= dev.K**mm
     return gp, mm
@@ -82,11 +101,13 @@ def _chord_increment(dev: DevelopingMap, a: complex, b: complex, m: int, quad_to
     """(integral of the continued derivative along [a, b], exponent at b,
     continued g'(b) or None).
 
-    The end value comes from the first quadrature level of the chord's last
-    piece, whose derivative call takes b as one more node. It is None where
-    that piece is missing or has zero length (the chord ends on a slit, or
-    is shorter than the rounding of b) or where b lies on a slit's line;
-    there _continued_derivative decides between the value and its refusal.
+    A lock_step track: requests each quadrature level of each piece
+    between slit crossings. The end value comes from the first level of
+    the chord's last piece, whose request takes b as one more node. It is
+    None where that piece is missing or has zero length (the chord ends on
+    a slit, or is shorter than the rounding of b) or where b lies on a
+    slit's line; there _continued_derivative decides between the value and
+    its refusal.
     """
     crossings = _chord_crossings(dev, a, b)
     total = 0j
@@ -95,30 +116,99 @@ def _chord_increment(dev: DevelopingMap, a: complex, b: complex, m: int, quad_to
     for t, idx, d in crossings:
         if t > t_prev:
             lo, hi = a + t_prev * (b - a), a + t * (b - a)
-            piece = integrate_segment(dev.derivative, lo, hi, quad_tol)
+            piece = yield from segment_levels(lo, hi, quad_tol)
             total += piece * (dev.K**mm if mm else 1.0)
         mm += _branch_delta(idx, d)
         t_prev = t
     if t_prev >= 1.0:
         return total, mm, None
-    end = []
-
-    def integrand(x):
-        if end:
-            return dev.derivative(x)
-        vals = dev.derivative(np.concatenate((x, (b,))))
-        end.append(vals[-1])
-        return vals[:-1]
-
-    lo = a + t_prev * (b - a)
-    piece = integrate_segment(integrand, lo, b, quad_tol)
+    end = None
+    levels = segment_levels(a + t_prev * (b - a), b, quad_tol)
+    try:
+        nodes = next(levels)
+        vals = yield np.concatenate((nodes, (b,)))
+        end = vals[-1]
+        nodes = levels.send(vals[:-1])
+        while True:
+            nodes = levels.send((yield nodes))
+    except StopIteration as done:
+        piece = done.value
     total += piece * (dev.K**mm if mm else 1.0)
-    if not end or any(b.real == sx for sx, _ in dev.slits):
+    if end is None or any(b.real == sx for sx, _ in dev.slits):
         return total, mm, None
-    gp = complex(end[0])
+    gp = complex(end)
     if mm:
         gp *= dev.K**mm
     return total, mm, gp
+
+
+def lock_step(dev: DevelopingMap, tracks: Sequence[Generator]) -> list:
+    """Run tracks together; their return values, in order.
+
+    A track is a generator that yields derivative requests, each a point
+    (a complex) or a 1-D complex array of points, and is sent
+    dev.derivative of each. While two or more tracks are live, each round
+    makes one derivative call on all their requests and hands each track
+    its element or slice. Where that call raises ValueError or
+    ArithmeticError, every request of the round is evaluated alone, and an
+    error is thrown into the track whose own request raised it, at the
+    yield, as running that track alone would do. The last live track runs
+    on alone. An error that a track does not catch propagates.
+    """
+    results: list = [None] * len(tracks)
+    live = []
+
+    def advance(i, gen, resume, arg):
+        try:
+            live.append((i, gen, resume(arg)))
+        except StopIteration as done:
+            results[i] = done.value
+
+    for i, gen in enumerate(tracks):
+        advance(i, gen, gen.send, None)
+    while len(live) > 1:
+        batch, live = live, []
+        requests = [request for _, _, request in batch]
+        try:
+            pooled = dev.derivative(
+                np.concatenate([(r,) if isinstance(r, complex) else r for r in requests])
+            )
+        except (ValueError, ArithmeticError):
+            outcomes = [_alone(dev, r) for r in requests]
+        else:
+            outcomes, start = [], 0
+            for r in requests:
+                if isinstance(r, complex):
+                    outcomes.append(pooled[start])
+                    start += 1
+                else:
+                    outcomes.append(pooled[start:start + len(r)])
+                    start += len(r)
+        for (i, gen, _), out in zip(batch, outcomes):
+            if isinstance(out, Exception):
+                advance(i, gen, gen.throw, out)
+            else:
+                advance(i, gen, gen.send, out)
+    for i, gen, request in live:
+        try:
+            while True:
+                try:
+                    values = dev.derivative(request)
+                except (ValueError, ArithmeticError) as exc:
+                    request = gen.throw(exc)
+                else:
+                    request = gen.send(values)
+        except StopIteration as done:
+            results[i] = done.value
+    return results
+
+
+def _alone(dev: DevelopingMap, request):
+    """dev.derivative of one request, or the error it raises."""
+    try:
+        return dev.derivative(request)
+    except (ValueError, ArithmeticError) as exc:
+        return exc
 
 
 @dataclass
@@ -164,7 +254,12 @@ _ANCHOR_TOL = 1e-6
 _MIN_STEP = 1e-10
 
 
-def track_level_curve(
+def track_level_curve(dev: DevelopingMap, *args, **kwargs) -> TrackResult:
+    """level_curve_track(dev, ...) run alone: the tracked curve as a TrackResult."""
+    return lock_step(dev, [level_curve_track(dev, *args, **kwargs)])[0]
+
+
+def level_curve_track(
     dev: DevelopingMap,
     p: Callable[[float], complex],
     dp: Callable[[float], complex],
@@ -176,9 +271,11 @@ def track_level_curve(
     max_step: float = 0.1,
     first_step: Optional[float] = None,
     max_steps: int = 20000,
-) -> TrackResult:
+) -> Generator[np.ndarray, np.ndarray, TrackResult]:
     """Track the curve g(w(s)) = p(s), 0 <= s <= 1, from a seed on it.
 
+    A lock_step track that returns the TrackResult; track_level_curve runs
+    one alone.
     w0 must satisfy g(w0) = p(0), to _ANCHOR_TOL relative, on the branch
     given by branch0 and g0; when g0 is omitted it is computed on the
     principal branch, which requires w0 to be reachable by develop_at.
@@ -224,19 +321,19 @@ def track_level_curve(
             # RK4 stages; branch for each stage point is resolved along
             # the chord from the accepted point
             if gp is None:
-                gp = _continued_derivative(dev, w, m, w)[0]
+                gp = (yield from _continued_derivative(dev, w, m, w))[0]
             k1 = dp(s) / gp
             dp_mid = dp(s + 0.5 * h)
             w2 = w + 0.5 * h * k1
-            k2 = dp_mid / _continued_derivative(dev, w, m, w2)[0]
+            k2 = dp_mid / (yield from _continued_derivative(dev, w, m, w2))[0]
             w3 = w + 0.5 * h * k2
-            k3 = dp_mid / _continued_derivative(dev, w, m, w3)[0]
+            k3 = dp_mid / (yield from _continued_derivative(dev, w, m, w3))[0]
             w4 = w + h * k3
-            k4 = dp(s_new) / _continued_derivative(dev, w, m, w4)[0]
+            k4 = dp(s_new) / (yield from _continued_derivative(dev, w, m, w4))[0]
             w_pred = w + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             chord = abs(w_pred - w)
             if chord <= max_step:
-                inc, m_cur, gp_cur = _chord_increment(dev, w, w_pred, m, quad_tol)
+                inc, m_cur, gp_cur = yield from _chord_increment(dev, w, w_pred, m, quad_tol)
                 g_cur = g + inc
                 w_cur = w_pred
                 p_new = complex(p(s_new))
@@ -248,11 +345,11 @@ def track_level_curve(
                         ok = True
                         break
                     if gp_cur is None:
-                        gp_cur = _continued_derivative(dev, w_cur, m_cur, w_cur)[0]
+                        gp_cur = (yield from _continued_derivative(dev, w_cur, m_cur, w_cur))[0]
                     dw = -r / gp_cur
                     if abs(dw) > move_cap:
                         break
-                    inc, m_cur, gp_cur = _chord_increment(
+                    inc, m_cur, gp_cur = yield from _chord_increment(
                         dev, w_cur, w_cur + dw, m_cur, quad_tol
                     )
                     w_cur += dw

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from affsurf import cli, limitset, solver
+from affsurf import cli, limitset, solver, tracking
 from affsurf.cli import UsageError, main, make_config, run
 from affsurf.pointcloud import read_points
 
@@ -297,13 +297,19 @@ class TestArtifacts:
 
 @pytest.fixture
 def stalled_tracks(monkeypatch):
-    """Every boundary track runs to its end and then reports a stall."""
-    track = limitset.track_level_curve
+    """Every boundary track runs to its end and then reports a stall.
+
+    Both track_level_curve and the lock-step corner approaches look the
+    track generator up by name, in tracking and in limitset.
+    """
+    track = tracking.level_curve_track
 
     def stalled(*args, **kwargs):
-        return dataclasses.replace(track(*args, **kwargs), status="stalled", reason="forced stall")
+        result = yield from track(*args, **kwargs)
+        return dataclasses.replace(result, status="stalled", reason="forced stall")
 
-    monkeypatch.setattr(limitset, "track_level_curve", stalled)
+    monkeypatch.setattr(tracking, "level_curve_track", stalled)
+    monkeypatch.setattr(limitset, "level_curve_track", stalled)
 
 
 class TestIncompleteCurves:

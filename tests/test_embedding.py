@@ -10,6 +10,7 @@ from affsurf import checks
 from affsurf.checks import SEPARATION_SCENARIOS, TRANSITION_PAIRS
 from affsurf.embedding import (
     VirtualPointRep,
+    _window,
     disk_image,
     edge_strip_chart,
     embed_eval,
@@ -41,10 +42,13 @@ class TestChartConstruction:
             spiral_ball_chart("ul", -0.6j * math.pi, 0.1)
 
     def test_sheet_recorded(self):
-        c = spiral_ball_chart("ul", 1j * 7 * math.pi / 4, 0.45)
-        assert c.sheet == ("rect", 1)
-        c = spiral_ball_chart("ur", 1j * (math.pi - 0.3), 0.3)
-        assert c.sheet == ("outer", 0)
+        # a chart's sheet is the window of its base point's angle
+        for corner, base_log, radius, sheet in (
+            ("ul", 1j * 7 * math.pi / 4, 0.45, ("rect", 1)),
+            ("ur", 1j * (math.pi - 0.3), 0.3, ("outer", 0)),
+        ):
+            c = spiral_ball_chart(corner, base_log, radius)
+            assert _window(c.corner, c.base_log.imag) == sheet
 
     def test_virtual_point_validated(self):
         with pytest.raises(ValueError):

@@ -25,7 +25,7 @@ from affsurf.limitset import (
     resample_curve,
 )
 from affsurf.solver import continuation_sweep, extract_limit
-from affsurf.tracking import track_level_curve
+from affsurf.tracking import level_curve_track, track_level_curve
 
 Z1_K2 = 1.248075111571 + 0.767644410562j
 Z1_K1000 = 1.883446848935 + 0.157918326981j
@@ -329,10 +329,10 @@ class TestFiniteBoundary:
         assert set(cloud2.notes) == {"prevertices"}
 
         def stalled(*args, **kwargs):
-            r = track_level_curve(*args, **kwargs)
+            r = yield from level_curve_track(*args, **kwargs)
             return dataclasses.replace(r, status="stalled", reason="forced stall")
 
-        monkeypatch.setattr("affsurf.limitset.track_level_curve", stalled)
+        monkeypatch.setattr("affsurf.limitset.level_curve_track", stalled)
         cloud = rectangle_image_boundary(DevelopingMap.from_aspect(2.0, Z1_K2))
         halves = [name for name in cloud.pieces if name != "prevertices"]
         assert len(halves) == 8

@@ -6,11 +6,16 @@ import math
 import numpy as np
 import pytest
 
+import affsurf.limitset as limitset
 from affsurf.develop import DevelopingMap
+from affsurf.limitset import rectangle_image_boundary
+from affsurf.solver import continuation_sweep
 from affsurf.tracking import (
     _chord_increment,
     _continued_derivative,
     arc_target,
+    level_curve_track,
+    lock_step,
     segment_target,
     track_level_curve,
 )
@@ -215,6 +220,11 @@ class TestDerivativeBudget:
         assert len(calls) <= 6.0 * steps
 
 
+def _alone(dev, request):
+    """The return value of one derivative request run alone."""
+    return lock_step(dev, [request])[0]
+
+
 class TestChordEnd:
     """The end value a chord carries is the point evaluation it replaces."""
 
@@ -231,22 +241,113 @@ class TestChordEnd:
     )
     @pytest.mark.parametrize("m", [0, 1, -2])
     def test_end_value_equals_point_evaluation(self, dev2, a, b, m):
-        inc, mm, gp = _chord_increment(dev2, a, b, m, 1e-12)
-        want, want_m = _continued_derivative(dev2, a, m, b)
+        inc, mm, gp = _alone(dev2, _chord_increment(dev2, a, b, m, 1e-12))
+        want, want_m = _alone(dev2, _continued_derivative(dev2, a, m, b))
         assert mm == want_m
         assert gp is not None
         assert np.complex128(gp).tobytes() == np.complex128(want).tobytes()
+        # the scalar evaluation of b, continued to its sheet
+        point = complex(dev2.derivative(b))
+        if mm:
+            point *= dev2.K**mm
+        assert np.complex128(gp).tobytes() == np.complex128(point).tobytes()
 
     def test_chord_ending_on_a_slit_leaves_the_end_to_the_point_evaluation(self, dev2):
         sx, _ = dev2.slits[0]
         end = complex(sx, 0.2)
-        inc, mm, gp = _chord_increment(dev2, end + 0.1 + 0.05j, end, 0, 1e-12)
+        inc, mm, gp = _alone(dev2, _chord_increment(dev2, end + 0.1 + 0.05j, end, 0, 1e-12))
         assert gp is None
         with pytest.raises(ArithmeticError, match="slit"):
-            _continued_derivative(dev2, end, mm, end)
+            _alone(dev2, _continued_derivative(dev2, end, mm, end))
 
     def test_end_inside_the_pole_guard_fails_the_chord(self, dev2):
-        # the end node shares the chord's derivative call, so the chord
+        # the end node shares the chord's derivative request, so the chord
         # itself is refused and the tracker retries the step shorter
         with pytest.raises(ValueError, match="singular point"):
-            _chord_increment(dev2, Z1_K2 + 0.01, Z1_K2 + 1e-15, 0, 1e-12)
+            _alone(dev2, _chord_increment(dev2, Z1_K2 + 0.01, Z1_K2 + 1e-15, 0, 1e-12))
+
+
+def _same_bits(a, b) -> bool:
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def _one_at_a_time(dev, tracks):
+    return [lock_step(dev, [track])[0] for track in tracks]
+
+
+@pytest.fixture(scope="module")
+def solved():
+    return {r.K: r.prevertex for r in continuation_sweep([2.0, 1e3, 1e6])}
+
+
+class TestLockStep:
+    """Generators run in lock step return what each returns run alone.
+
+    A pooled derivative call evaluates each node by the same element-wise
+    arithmetic as a call on that node's request alone (see
+    TestScalarArrayAgreement in test_develop), so sharing a call changes
+    no bit of any track.
+    """
+
+    @pytest.mark.parametrize("K", [2.0, 1e3, 1e6])
+    def test_corner_approaches_match_their_solo_runs(self, K, solved, monkeypatch):
+        dev = DevelopingMap.from_aspect(K, solved[K])
+        batched = rectangle_image_boundary(dev)
+        monkeypatch.setattr(limitset, "lock_step", _one_at_a_time)
+        solo = rectangle_image_boundary(dev)
+        assert list(batched.pieces) == list(solo.pieces)
+        for name, points in batched.pieces.items():
+            assert _same_bits(points, solo.pieces[name]), name
+        assert batched.notes == solo.notes
+
+    def test_a_request_inside_the_pole_guard_fails_only_its_own_track(self, dev2, seed2, monkeypatch):
+        w0, g0 = seed2
+
+        def tracks():
+            # seeded inside the pole clearance (off the slit line): every
+            # first stage is refused, and the track halves its step until
+            # it stalls
+            p, dp = segment_target(CORNER, CORNER - 0.5j)
+            inside = dev2.poles[0] + 1e-14
+            return [
+                level_curve_track(dev2, *circle(g0, +1.0), w0, g0=g0, max_step=0.08),
+                level_curve_track(dev2, p, dp, inside, g0=CORNER, first_step=0.1),
+                level_curve_track(dev2, *segment_target(g0, g0 + 0.4 + 0.3j), w0, g0=g0),
+            ]
+
+        refused = []
+        derivative = DevelopingMap.derivative
+
+        def watched(self, w):
+            try:
+                return derivative(self, w)
+            except ValueError:
+                refused.append(np.size(w))
+                raise
+
+        monkeypatch.setattr(DevelopingMap, "derivative", watched)
+        batched = lock_step(dev2, tracks())
+        pooled, own = [n for n in refused if n > 1], [n for n in refused if n == 1]
+        refused.clear()
+        solo = _one_at_a_time(dev2, tracks())
+        # the pooled calls were refused, and then each of the failing
+        # track's requests alone, as often as in its solo run
+        assert pooled and own == refused
+        assert batched[1].status == "stalled" and "underflow" in batched[1].reason
+        assert batched[0].completed and batched[2].completed
+        for got, want in zip(batched, solo):
+            assert (got.status, got.reason) == (want.status, want.reason)
+            for field in ("s", "w", "g", "branch"):
+                assert _same_bits(getattr(got, field), getattr(want, field))
+            assert got.arc_length == want.arc_length
+
+    def test_pooling_keeps_the_nodes_in_fewer_calls(self, solved, monkeypatch):
+        dev = DevelopingMap.from_aspect(1e3, solved[1e3])
+        calls = _count_derivative_calls(monkeypatch)
+        rectangle_image_boundary(dev)
+        batched = list(calls)
+        calls.clear()
+        monkeypatch.setattr(limitset, "lock_step", _one_at_a_time)
+        rectangle_image_boundary(dev)
+        assert sum(batched) == sum(calls)
+        assert 2 * len(batched) <= len(calls)
