@@ -8,11 +8,14 @@ corner approaches run in lock step (tracking.lock_step): each round makes
 one derivative call for all live approaches. Every point is bit-identical
 to tracking the approach alone, because the derivative is element-wise
 and a round whose pooled call meets the pole clearance is evaluated
-request by request. The limit cloud's tracks run one at a time. In the limit
-the prevertex pairs have merged and the boundary configuration consists
-of the two strip mouth curves, the seam rays between strips and spiral
-sheets, the flank rays bounding each spiral sheet, the glued-edge
-segment, and the two singular points that everything accumulates on.
+request by request. The limit cloud runs its four mouth curves and the
+rays of every spiral stop in lock step the same way; only the bridges
+between stops run one at a time, since each starts where the previous one
+ended. In the limit the prevertex pairs have merged and the boundary
+configuration consists of the two strip mouth curves, the seam rays
+between strips and spiral sheets, the flank rays bounding each spiral
+sheet, the glued-edge segment, and the two singular points that
+everything accumulates on.
 Clouds are resampled to uniform arc-length spacing so that Hausdorff
 distances between them are meaningful at that resolution.
 """
@@ -414,6 +417,12 @@ def limit_image_cloud(
     theta_max caps the spiral winding that is resolved explicitly; the
     sheets beyond it lie within the accumulation scale tau/theta_max of
     the singular points, which are included as cloud points themselves.
+
+    Each spiral assembly first walks its bridges in order, one
+    track_level_curve per stop, and seeds the stop's two rays where the
+    bridge ends. The mouth curves and all rays then run in one lock_step.
+    Pieces, notes and depths are filled in the order of a sequential walk:
+    mouths, glued edge, then each assembly's stops by depth.
     """
     dev = DevelopingMap.merged_limit(x0, tau)
     cloud = CurveCloud()
@@ -427,25 +436,22 @@ def limit_image_cloud(
         anchors[side] = (u, complex(dev.develop_at(u)))
 
     # mouth curves: developed value on the left and right square edges
+    tracks = {}
     for side, label in ((+1, "right"), (-1, "left")):
         u, g0 = anchors[side]
         for updown, cy in (("upper", 1.0), ("lower", -1.0)):
             p, dp = segment_target(side * (1 + 0j), side + 1j * cy * (1 - flank_inner))
-            r = track_level_curve(
+            tracks[f"mouth_{label}_{updown}"] = level_curve_track(
                 dev, p, dp, u, g0=g0, max_step=0.05,
                 quad_tol=quad_tol, max_steps=8000,
             )
-            cloud.add(f"mouth_{label}_{updown}", resample_curve(r.w, spacing))
-            if not r.completed:
-                cloud.notes[f"mouth_{label}_{updown}"] = f"partial: {r.reason}"
-
-    # glued edge: the identified top/bottom pair develops onto the real
-    # segment between the singular points
-    t = np.linspace(-x0 + 1e-4, x0 - 1e-4, max(3, int(math.ceil(2 * x0 / spacing))))
-    cloud.add("glued_edge", t.astype(complex), "edge pair identified by the deck translation")
+    mouths = list(tracks)
 
     # spiral assemblies: bridge along the unit developed circle from the
-    # axis anchor, pausing at each seam or flank angle to lay rays
+    # axis anchor, pausing at each seam or flank angle to seed its two
+    # rays; each bridge starts where the previous one ended, so they run
+    # in order, and a stalled one ends its assembly
+    stops: List[Tuple[str, float, List[str], str]] = []
     for name, spec in _LIMIT_ASSEMBLY.items():
         corner = spec["corner"]
         orient = spec["orient"]
@@ -454,14 +460,14 @@ def limit_image_cloud(
         m = 0
         off_a, off_b = spec["offsets"]
         seam0 = orient * spec["seam"]
-        stops: List[Tuple[float, str]] = [(seam0, f"seam_{name}")]
+        angles: List[Tuple[float, str]] = [(seam0, f"seam_{name}")]
         for n in range(spec["first_n"], n_max + 2):
-            stops.append((orient * (2 * math.pi * n - off_a), f"flank_{name}_n{n}a"))
-            stops.append((orient * (2 * math.pi * n - off_b), f"flank_{name}_n{n}b"))
+            angles.append((orient * (2 * math.pi * n - off_a), f"flank_{name}_n{n}a"))
+            angles.append((orient * (2 * math.pi * n - off_b), f"flank_{name}_n{n}b"))
         # truncate by winding depth from the seam so mirror corners cut
         # at the same depth even though their absolute angles differ by pi
-        stops = [(a, lbl) for a, lbl in stops if _within_depth(abs(a - seam0), theta_max)]
-        for angle, label in stops:
+        angles = [(a, lbl) for a, lbl in angles if _within_depth(abs(a - seam0), theta_max)]
+        for angle, label in angles:
             depth = abs(angle - seam0)
             # bridge to the next stop angle; not part of the cloud
             scale = tau / max(abs(angle), math.pi)
@@ -473,23 +479,43 @@ def limit_image_cloud(
                     max_steps=20000, first_step=0.005,
                 )
                 if not br.completed:
-                    cloud.notes[label] = f"unreached: bridge {br.reason}"
-                    cloud.depths[label] = depth
+                    stops.append((label, depth, [], f"unreached: bridge {br.reason}"))
                     break
                 w, g, m = complex(br.w[-1]), complex(br.g[-1]), int(br.branch[-1])
                 th = angle
+            rays = []
             for rng, tag in (((1.0, flank_inner), "in"), ((1.0, STRIP_DEPTH + 1.0), "out")):
                 pr, dpr = _ray_target(corner, angle, rng[0], rng[1])
-                rr = track_level_curve(
+                rays.append(f"{label}_{tag}")
+                tracks[rays[-1]] = level_curve_track(
                     dev, pr, dpr, w, g0=g, branch0=m,
                     max_step=min(0.05, 0.5 * scale), quad_tol=quad_tol,
                     max_steps=20000, first_step=0.002,
                 )
-                piece = resample_curve(rr.w, spacing)
-                cloud.add(f"{label}_{tag}", piece)
-                cloud.depths[f"{label}_{tag}"] = depth
-                if not rr.completed:
-                    cloud.notes[f"{label}_{tag}"] = f"partial: {rr.reason}"
+            stops.append((label, depth, rays, ""))
+
+    # the mouths and every stop's rays are independent once seeded
+    results = dict(zip(tracks, lock_step(dev, list(tracks.values()))))
+
+    def add_track(name: str) -> None:
+        r = results[name]
+        cloud.add(name, resample_curve(r.w, spacing), "" if r.completed else f"partial: {r.reason}")
+
+    for name in mouths:
+        add_track(name)
+
+    # glued edge: the identified top/bottom pair develops onto the real
+    # segment between the singular points
+    t = np.linspace(-x0 + 1e-4, x0 - 1e-4, max(3, int(math.ceil(2 * x0 / spacing))))
+    cloud.add("glued_edge", t.astype(complex), "edge pair identified by the deck translation")
+
+    for label, depth, rays, unreached in stops:
+        for name in rays:
+            add_track(name)
+            cloud.depths[name] = depth
+        if unreached:
+            cloud.notes[label] = unreached
+            cloud.depths[label] = depth
 
     cloud.add("singular_points", np.array([x0 + 0j, -x0 + 0j]),
               "accumulation points of the deep sheets")

@@ -22,7 +22,9 @@ Newton slope, each chord's quadrature levels from
 quadrature.segment_levels) and is sent dev.derivative of it.
 track_level_curve runs one track alone. lock_step runs several tracks
 together, one derivative call per round on the requests of all live
-tracks, each handed its own slice. The pooled call changes no bit of any
+tracks, each handed its own slice; limitset uses it for a rectangle
+boundary's eight corner approaches and for the limit cloud's mouth curves
+and spiral rays. The pooled call changes no bit of any
 track: the derivative is element-wise array arithmetic, so each element is
 the value its request gets alone (TestScalarArrayAgreement checks single
 points against array elements). When a pooled call raises, because some

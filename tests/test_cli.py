@@ -299,8 +299,9 @@ class TestArtifacts:
 def stalled_tracks(monkeypatch):
     """Every boundary track runs to its end and then reports a stall.
 
-    Both track_level_curve and the lock-step corner approaches look the
-    track generator up by name, in tracking and in limitset.
+    track_level_curve (the limit cloud's bridges) looks the track generator
+    up by name in tracking; the lock-step corner approaches, mouth curves
+    and spiral rays look it up in limitset.
     """
     track = tracking.level_curve_track
 

@@ -25,7 +25,7 @@ from affsurf.limitset import (
     resample_curve,
 )
 from affsurf.solver import continuation_sweep, extract_limit
-from affsurf.tracking import level_curve_track, track_level_curve
+from affsurf.tracking import level_curve_track, lock_step
 
 Z1_K2 = 1.248075111571 + 0.767644410562j
 Z1_K1000 = 1.883446848935 + 0.157918326981j
@@ -369,15 +369,47 @@ class TestLimitCloud:
             assert abs(first.real) > X0
 
     def test_stalled_mouth_track_is_noted(self, monkeypatch):
+        # the mouths and rays run through limitset's level_curve_track; the
+        # bridges go through tracking unpatched and reach every stop
         def stalled(*args, **kwargs):
-            r = track_level_curve(*args, **kwargs)
+            r = yield from level_curve_track(*args, **kwargs)
             return dataclasses.replace(r, status="stalled", reason="forced stall")
 
-        monkeypatch.setattr("affsurf.limitset.track_level_curve", stalled)
+        monkeypatch.setattr("affsurf.limitset.level_curve_track", stalled)
         cloud = limit_image_cloud(X0, TAU, theta_max=2 * math.pi)
         for side in ("right", "left"):
             for updown in ("upper", "lower"):
                 assert cloud.notes[f"mouth_{side}_{updown}"] == "partial: forced stall"
+        rays = [name for name in cloud.pieces if name.endswith(("_in", "_out"))]
+        assert len(rays) == 24
+        for name in rays:
+            assert cloud.notes[name] == "partial: forced stall"
+            assert name in cloud.depths
+        assert not [note for note in cloud.notes.values() if note.startswith("unreached:")]
+
+    @pytest.mark.parametrize("turns", [1, 4])
+    def test_pooled_tracks_match_solo_runs(self, monkeypatch, turns):
+        calls = {"n": 0}
+        derivative = DevelopingMap.derivative
+
+        def counted(self, w):
+            calls["n"] += 1
+            return derivative(self, w)
+
+        def one_at_a_time(dev, tracks):
+            return [lock_step(dev, [track])[0] for track in tracks]
+
+        monkeypatch.setattr(DevelopingMap, "derivative", counted)
+        pooled = limit_image_cloud(X0, TAU, theta_max=2 * math.pi * turns)
+        pooled_calls, calls["n"] = calls["n"], 0
+        monkeypatch.setattr(limitset, "lock_step", one_at_a_time)
+        solo = limit_image_cloud(X0, TAU, theta_max=2 * math.pi * turns)
+        assert list(pooled.pieces) == list(solo.pieces)
+        for name, pts in solo.pieces.items():
+            assert np.array_equal(pooled.pieces[name], pts), name
+        assert list(pooled.notes.items()) == list(solo.notes.items())
+        assert list(pooled.depths.items()) == list(solo.depths.items())
+        assert pooled_calls <= calls["n"] / 2
 
     def test_each_anchor_solved_once(self, monkeypatch):
         # one real-axis anchor per side serves its mouth curves and both of
