@@ -123,7 +123,7 @@ def hole_loop_translation(solutions: Iterable[SolveResult], tol: float) -> Outco
         radius = 2.2 * z1.imag
         right = dev.loop_integral(complex(z1.real, 0.0), radius, tol=tol)
         left = dev.loop_integral(complex(-z1.real, 0.0), radius, tol=tol)
-        gap = abs(right - surface.hole_monodromy(K, "right", "ccw").b)
+        gap = abs(right - surface.hole_monodromy(K, "right").b)
         balance = abs(left + right)
         if gap >= 1e-6:
             problems.append(f"k={k_label(K)} loop vs translation {gap:.2e}")
@@ -275,18 +275,6 @@ def separation_scenarios(scenarios: Sequence[tuple] = SEPARATION_SCENARIOS) -> O
         if bad:
             problems.append(f"{name}: {bad}")
     return problems, per
-
-
-# the checks of `affsurf verify`, in the order it runs and prints them
-REGISTRY = {
-    "square-identity": square_identity,
-    "solver-residuals": solver_residuals,
-    "corner-holonomy": corner_holonomy,
-    "hole-loop-translation": hole_loop_translation,
-    "reflection-symmetry": reflection_symmetry,
-    "chart-transitions": chart_transitions,
-    "separation-scenarios": separation_scenarios,
-}
 
 
 # ------------------------------------------- the paper's convergence claims

@@ -337,6 +337,16 @@ def _run_solve(config: RunConfig, rec: _Recorder) -> dict:
     return {"solves": solves, "residual": max(s.residual for s in sols)}
 
 
+def _fit_fields(est) -> dict:
+    """The limit fit as the extrapolate step and the sweep and limit results give it."""
+    return {
+        "x0": est.x0,
+        "tau": est.tau,
+        "x0_stability": est.x0_stability,
+        "tau_stability": est.tau_stability,
+    }
+
+
 def _sweep_fit(config: RunConfig, rec: _Recorder):
     sols = continuation_sweep(config.k_grid, tol=config.tol_solver, quad_tol=config.tol_quad)
     rec.step(
@@ -345,16 +355,7 @@ def _sweep_fit(config: RunConfig, rec: _Recorder):
         {"max_residual": max(s.residual for s in sols)},
     )
     est = extract_limit(sols)
-    rec.step(
-        "extrapolate",
-        (),
-        {
-            "x0": est.x0,
-            "tau": est.tau,
-            "x0_stability": est.x0_stability,
-            "tau_stability": est.tau_stability,
-        },
-    )
+    rec.step("extrapolate", (), _fit_fields(est))
     return sols, est
 
 
@@ -369,130 +370,82 @@ def _run_sweep(config: RunConfig, rec: _Recorder) -> dict:
     rec.write_text("sweep.txt", _table("sweep", ("k", "re_z1", "im_z1", "residual", "iterations"), rows))
     return {
         "aspects": [k_label(s.K) for s in sols],
-        "x0": est.x0,
-        "tau": est.tau,
-        "x0_stability": est.x0_stability,
-        "tau_stability": est.tau_stability,
+        **_fit_fields(est),
         "points_used": est.points_used,
         "hole_shift_magnitude": shift,
     }
 
 
-def _finite_boundary(config: RunConfig, K: float):
+def _drawn(config: RunConfig, K: float, fit):
+    """The boundary cloud drawn at aspect K, its step detail and its point-file header.
+
+    A finite K is solved and its rectangle boundary traced; K = inf traces
+    the limit cloud of fit. The header holds every PointCloud field but the
+    points.
+    """
+    spacing = 1.0 / config.density
+    header = {"density": config.density, "k": K}
+    if math.isinf(K):
+        cloud = limit_image_cloud(
+            fit.x0, fit.tau, theta_max=config.theta_max, spacing=spacing, quad_tol=config.tol_quad
+        )
+        truncation = {"theta_max": config.theta_max, "strip_depth": STRIP_DEPTH}
+        header.update(source="limit-boundary", truncation=truncation)
+        return cloud, {"points": len(cloud.points)}, header
     sol = solve_prevertex(K, tol=config.tol_solver, quad_tol=config.tol_quad)
     dev = DevelopingMap.from_aspect(K, sol.prevertex)
-    cloud = rectangle_image_boundary(dev, spacing=1.0 / config.density, quad_tol=config.tol_quad)
-    return sol, cloud
+    cloud = rectangle_image_boundary(dev, spacing=spacing, quad_tol=config.tol_quad)
+    header["source"] = "rectangle-boundary"
+    return cloud, {"residual": sol.residual, "points": len(cloud.points)}, header
 
 
-def _limit_boundary(config: RunConfig, est):
-    """The limit cloud and the truncation header of its point file."""
-    cloud = limit_image_cloud(
-        est.x0,
-        est.tau,
-        theta_max=config.theta_max,
-        spacing=1.0 / config.density,
-        quad_tol=config.tol_quad,
-    )
-    return cloud, {"theta_max": config.theta_max, "strip_depth": STRIP_DEPTH}
+# pieces drawn as dots: a finite boundary's corner prevertices and the
+# limit cloud's singular points; no cloud has both
+_MARKERS = ("prevertices", "singular_points")
 
 
 def _run_render(config: RunConfig, rec: _Recorder) -> dict:
     entries = []
-    est = None
+    fit = None
     for K in config.k:
+        if math.isinf(K) and fit is None:
+            _, fit = _sweep_fit(config, rec)
+        cloud, detail, header = _drawn(config, K, fit)
         label = k_label(K)
-        if math.isinf(K):
-            if est is None:
-                _, est = _sweep_fit(config, rec)
-            cloud, truncation = _limit_boundary(config, est)
-            rec.step(f"boundary k={label}", (), {"points": len(cloud.points)}, cloud.incomplete)
-            entries.append(
-                {
-                    "k": K,
-                    "label": label,
-                    "cloud": cloud,
-                    "source": "limit-boundary",
-                    "markers": ("singular_points",),
-                    "truncation": truncation,
-                }
-            )
-        else:
-            sol, cloud = _finite_boundary(config, K)
-            rec.step(
-                f"boundary k={label}",
-                (),
-                {"residual": sol.residual, "points": len(cloud.points)},
-                cloud.incomplete,
-            )
-            entries.append(
-                {
-                    "k": K,
-                    "label": label,
-                    "cloud": cloud,
-                    "source": "rectangle-boundary",
-                    "markers": ("prevertices",),
-                    "truncation": {},
-                }
-            )
+        rec.step(f"boundary k={label}", (), detail, cloud.incomplete)
+        entries.append((label, cloud, header))
 
     if config.format == "svg":
         curves, dots = [], []
-        for i, entry in enumerate(entries):
+        for i, (label, cloud, _) in enumerate(entries):
             color = PALETTE[i % len(PALETTE)]
-            pieces = entry["cloud"].pieces
-            for piece in sorted(pieces):
-                pts = np.asarray(pieces[piece])
-                name = f"k{entry['label']}-{piece}"
-                if piece in entry["markers"] or pts.size < 2:
+            for piece in sorted(cloud.pieces):
+                pts = np.asarray(cloud.pieces[piece])
+                name = f"k{label}-{piece}"
+                if piece in _MARKERS or pts.size < 2:
                     dots.append(PlaneDots(name, pts, color))
                 else:
                     curves.append(PlaneCurve(name, pts, color))
         rec.write_text("figure.svg", figure(curves, dots))
     else:
-        for entry in entries:
-            rec.write_cloud(
-                f"cloud_k{entry['label']}.txt",
-                PointCloud(
-                    entry["cloud"].points,
-                    entry["source"],
-                    config.density,
-                    k=entry["k"],
-                    truncation=entry["truncation"],
-                ),
-            )
+        for label, cloud, header in entries:
+            rec.write_cloud(f"cloud_k{label}.txt", PointCloud(cloud.points, **header))
     return {
         "rendered": [
-            {"k": e["label"], "points": len(e["cloud"].points), "pieces": len(e["cloud"].pieces)}
-            for e in entries
+            {"k": label, "points": len(cloud.points), "pieces": len(cloud.pieces)}
+            for label, cloud, _ in entries
         ],
         "format": config.format,
     }
 
 
 def _run_limit(config: RunConfig, rec: _Recorder) -> dict:
-    _, est = _sweep_fit(config, rec)
-    cloud, truncation = _limit_boundary(config, est)
+    _, fit = _sweep_fit(config, rec)
+    cloud, detail, header = _drawn(config, math.inf, fit)
     if cloud.incomplete:
-        rec.step("boundary k=inf", (), {"points": len(cloud.points)}, cloud.incomplete)
-    rec.write_cloud(
-        "limit.txt",
-        PointCloud(
-            cloud.points,
-            "limit-boundary",
-            config.density,
-            k=math.inf,
-            truncation=truncation,
-        ),
-    )
-    return {
-        "x0": est.x0,
-        "tau": est.tau,
-        "x0_stability": est.x0_stability,
-        "tau_stability": est.tau_stability,
-        "points": len(cloud.points),
-        "pieces": sorted(cloud.pieces),
-    }
+        rec.step("boundary k=inf", (), detail, cloud.incomplete)
+    rec.write_cloud("limit.txt", PointCloud(cloud.points, **header))
+    return {**_fit_fields(fit), "points": len(cloud.points), "pieces": sorted(cloud.pieces)}
 
 
 def _run_hausdorff(config: RunConfig, rec: _Recorder) -> dict:
@@ -550,36 +503,43 @@ def _run_verify(config: RunConfig, rec: _Recorder) -> dict:
             incomplete[f"k={k_label(K)}"] = cloud.incomplete
         return cloud.points
 
-    def residual_inputs():
+    def residuals():
         cold = {K: solve(K) for K in config.k}
         warm = continuation_sweep(config.k, tol=config.tol_solver, quad_tol=config.tol_quad)
-        return cold, {s.K: s for s in warm}
+        return checks.solver_residuals(cold, {s.K: s for s in warm})
 
     sym_k = next((K for K in config.k if K > 1.0), 2.0)
     label = k_label(sym_k)
     xs = np.random.default_rng(config.seed).uniform(-6.0, 6.0, 64)
-    # each check's inputs are computed when it runs, so a numerical failure
-    # still leaves the steps before it in the report
-    inputs = {
-        "square-identity": lambda: (solve(1.0), member(1.0), boundary(1.0)),
-        "solver-residuals": residual_inputs,
-        "corner-holonomy": lambda: (config.k,),
-        "hole-loop-translation": lambda: ((solve(2.0), solve(5.0)), config.tol_quad),
-        "reflection-symmetry": lambda: (
+
+    def reflection():
+        problems, detail = checks.reflection_symmetry(
             {label: boundary(sym_k)}, [(label, member(sym_k), xs)]
+        )
+        return problems, {"k": label, **detail}
+
+    # in the order verify runs and prints them; each check's inputs are
+    # computed when it runs, so a numerical failure still leaves the steps
+    # before it in the report
+    suite = (
+        ("square-identity", lambda: checks.square_identity(solve(1.0), member(1.0), boundary(1.0))),
+        ("solver-residuals", residuals),
+        ("corner-holonomy", lambda: checks.corner_holonomy(config.k)),
+        (
+            "hole-loop-translation",
+            lambda: checks.hole_loop_translation((solve(2.0), solve(5.0)), config.tol_quad),
         ),
-        "chart-transitions": tuple,
-        "separation-scenarios": tuple,
-    }
+        ("reflection-symmetry", reflection),
+        ("chart-transitions", checks.chart_transitions),
+        ("separation-scenarios", checks.separation_scenarios),
+    )
     failed = []
-    for name, check in checks.REGISTRY.items():
+    for name, outcome in suite:
         incomplete.clear()
-        problems, detail = check(*inputs[name]())
-        if name == "reflection-symmetry":
-            detail = {"k": label, **detail}
+        problems, detail = outcome()
         if not rec.step(name, problems, detail, dict(incomplete)):
             failed.append(name)
-    return {"checks": list(checks.REGISTRY), "failed": failed}
+    return {"checks": [name for name, _ in suite], "failed": failed}
 
 
 _HANDLERS = {

@@ -54,39 +54,33 @@ class SurfacePoint:
     coord: complex
 
 
-def gluing_map(K: float, side: str, direction: str = "rect_to_outer") -> Similitude:
-    """The similitude identifying a rectangle edge with the matching square edge.
+def gluing_map(K: float, side: str) -> Similitude:
+    """The similitude carrying a rectangle edge onto the matching square edge.
 
-    rect_to_outer: top z+i-i/K, bottom z-i+i/K, left Kz+K-1, right Kz-K+1.
-    The opposite direction is the inverse map. Only finite K has a rectangle.
+    top z+i-i/K, bottom z-i+i/K, left Kz+K-1, right Kz-K+1; its inverse
+    carries the square edge back. Only finite K has a rectangle.
     """
     if math.isinf(K):
         raise ValueError("the limit surface has no rectangle chart")
     if not K >= 1.0:
         raise ValueError(f"aspect must be >= 1, got {K}")
     if side == "top":
-        sim = Similitude(1.0, 1j - 1j / K)
-    elif side == "bottom":
-        sim = Similitude(1.0, -1j + 1j / K)
-    elif side == "left":
-        sim = Similitude(K, K - 1.0)
-    elif side == "right":
-        sim = Similitude(K, 1.0 - K)
-    else:
-        raise ValueError(f"unknown side {side!r}")
-    if direction == "rect_to_outer":
-        return sim
-    if direction == "outer_to_rect":
-        return sim.inverse()
-    raise ValueError(f"unknown direction {direction!r}")
+        return Similitude(1.0, 1j - 1j / K)
+    if side == "bottom":
+        return Similitude(1.0, -1j + 1j / K)
+    if side == "left":
+        return Similitude(K, K - 1.0)
+    if side == "right":
+        return Similitude(K, 1.0 - K)
+    raise ValueError(f"unknown side {side!r}")
 
 
-def corner_holonomy(K: float, corner: str, orientation: str = "ccw") -> Similitude:
+def corner_holonomy(K: float, corner: str) -> Similitude:
     """Affine change picked up by continuing outer coordinates once around a corner.
 
-    ccw means the loop runs counterclockwise in outer coordinates. The result
-    fixes the corner exactly and scales by K (ul, br) or 1/K (ur, bl); the
-    opposite orientation gives the inverse. At K = 1 the corners are regular
+    The loop runs counterclockwise in outer coordinates. The result fixes
+    the corner exactly and scales by K (ul, br) or 1/K (ur, bl); its
+    inverse is the clockwise loop's. At K = 1 the corners are regular
     cone points of angle 2*pi and the holonomy degenerates to the identity.
     """
     if math.isinf(K):
@@ -97,26 +91,21 @@ def corner_holonomy(K: float, corner: str, orientation: str = "ccw") -> Similitu
     bottom = gluing_map(K, "bottom")
     left = gluing_map(K, "left")
     right = gluing_map(K, "right")
-    ccw = {
+    return {
         "ul": left.compose(top.inverse()),
         "ur": top.compose(right.inverse()),
         "bl": bottom.compose(left.inverse()),
         "br": right.compose(bottom.inverse()),
     }[corner]
-    if orientation == "ccw":
-        return ccw
-    if orientation == "cw":
-        return ccw.inverse()
-    raise ValueError(f"unknown orientation {orientation!r}")
 
 
-def hole_monodromy(K: float, side: str, orientation: str = "ccw") -> Similitude:
+def hole_monodromy(K: float, side: str) -> Similitude:
     """Translation picked up around a corner pair (a hole of the surface).
 
     For the right pair, a loop that is counterclockwise in the developed
     outer picture crosses the top gluing then the bottom gluing and the
     continued coordinate gains +2i-2i/K (+2i at K = inf); the left pair
-    gives the inverse translation for the same orientation.
+    gives the inverse translation, and so does a clockwise loop.
     """
     if not K >= 1.0:
         raise ValueError(f"aspect must be >= 1, got {K}")
@@ -125,8 +114,4 @@ def hole_monodromy(K: float, side: str, orientation: str = "ccw") -> Similitude:
     shift = 2j if math.isinf(K) else 2j - 2j / K
     if side == "left":
         shift = -shift
-    if orientation == "cw":
-        shift = -shift
-    elif orientation != "ccw":
-        raise ValueError(f"unknown orientation {orientation!r}")
     return Similitude(1.0, shift)

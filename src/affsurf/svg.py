@@ -28,7 +28,6 @@ class PlaneCurve:
     name: str
     points: np.ndarray
     color: str
-    closed: bool = False
 
 
 @dataclass(frozen=True)
@@ -53,10 +52,9 @@ def _ident(name: str, taken: set) -> str:
     return ident
 
 
-def _path_data(pts: np.ndarray, closed: bool) -> str:
+def _path_data(pts: np.ndarray) -> str:
     coords = [f"{_fmt(z.real)} {_fmt(z.imag)}" for z in pts]
-    d = f"M {coords[0]} L " + " ".join(coords[1:])
-    return d + " Z" if closed else d
+    return f"M {coords[0]} L " + " ".join(coords[1:])
 
 
 def figure(
@@ -94,7 +92,7 @@ def figure(
         pts = np.asarray(c.points, dtype=complex).ravel()
         out.append(
             f'<path id="{_ident(c.name, taken)}" stroke="{c.color}" '
-            f'd="{_path_data(pts, c.closed)}"/>'
+            f'd="{_path_data(pts)}"/>'
         )
     for d in dots:
         ident = _ident(d.name, taken)

@@ -221,7 +221,6 @@ class TrackResult:
     branch: np.ndarray
     status: str  # "completed" or "stalled"
     reason: str
-    arc_length: float
 
     @property
     def completed(self) -> bool:
@@ -305,7 +304,6 @@ def level_curve_track(
     h = min(h, 1.0)
 
     ss, ws, gs, ms = [0.0], [w], [g], [m]
-    arc = 0.0
     s = 0.0
     status, reason = "completed", ""
     steps = 0
@@ -361,7 +359,6 @@ def level_curve_track(
             # retry shorter
             ok = False
         if ok:
-            arc += abs(w_cur - w)
             s, w, g, m, gp = s_new, w_cur, g_cur, m_cur, gp_cur
             ss.append(s), ws.append(w), gs.append(g), ms.append(m)
             h = min(h * 1.4, 1.0)
@@ -377,5 +374,4 @@ def level_curve_track(
         branch=np.array(ms, dtype=int),
         status=status,
         reason=reason,
-        arc_length=arc,
     )

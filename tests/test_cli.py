@@ -283,6 +283,15 @@ class TestArtifacts:
         ).max()
         assert dev < 1e-9
 
+    def test_render_and_limit_write_one_limit_file(self, tmp_path):
+        # both commands draw the limit through one path, header included
+        flags = ["--density", "40", "--format", "txt"]
+        assert main(["render", "--k", "inf", *flags, "--out", str(tmp_path / "r")]) == 0
+        assert main(["limit", *flags, "--out", str(tmp_path / "l")]) == 0
+        drawn = (tmp_path / "r" / "cloud_kinf.txt").read_bytes()
+        assert drawn == (tmp_path / "l" / "limit.txt").read_bytes()
+        assert read_points(tmp_path / "l" / "limit.txt").source == "limit-boundary"
+
     def test_config_file_layer(self, tmp_path):
         cfg = tmp_path / "conf.json"
         cfg.write_text(json.dumps({"k": [5], "density": 40, "seed": 11}))

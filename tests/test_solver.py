@@ -148,7 +148,7 @@ class TestSolvedGeometry:
         # deck translation of the hole, here 2i - 2i/K = i
         dev = DevelopingMap.from_aspect(2.0, Z1_K2)
         loop = dev.loop_integral(complex(Z1_K2.real, 0.0), 2.2 * Z1_K2.imag)
-        shift = hole_monodromy(2.0, "right", "ccw").b
+        shift = hole_monodromy(2.0, "right").b
         assert abs(loop - shift) < 1e-10
 
     def test_midline_height(self):

@@ -51,7 +51,7 @@ class TestGluing:
 
     def test_inverse_direction(self):
         g = gluing_map(3.0, "right")
-        h = gluing_map(3.0, "right", "outer_to_rect")
+        h = g.inverse()
         assert h(g(0.2 - 0.1j)) == pytest.approx(0.2 - 0.1j)
 
     def test_no_rectangle_at_limit(self):
@@ -65,7 +65,7 @@ class TestTransport:
     # seams are the embedding charts' limit leaf (t = 0).
 
     def test_outer_to_rect_left_edge(self):
-        g = gluing_map(2.0, "left", "outer_to_rect")
+        g = gluing_map(2.0, "left").inverse()
         assert g(-1 + 0.5j) == pytest.approx(-1 + 0.25j)
 
     def test_round_trip_all_edges(self):
@@ -76,9 +76,9 @@ class TestTransport:
             ("left", -1 + 0.6j),
             ("right", 1 - 0.3j),
         ):
-            q = gluing_map(K, side, "outer_to_rect")(coord)
+            q = gluing_map(K, side).inverse()(coord)
             assert abs(q.real) <= 1.0 + 1e-9 and abs(q.imag) <= 1.0 / K + 1e-9
-            back = gluing_map(K, side, "rect_to_outer")(q)
+            back = gluing_map(K, side)(q)
             assert back == pytest.approx(coord)
 
     def test_limit_strip_mouth(self):
@@ -121,7 +121,7 @@ class TestTransport:
 
 class TestCornerHolonomy:
     def test_spec_example_upper_left(self):
-        h = corner_holonomy(2.0, "ul", "ccw")
+        h = corner_holonomy(2.0, "ul")
         z = 0.7 - 1.3j
         assert h(z) == pytest.approx((-1 + 1j) + 2 * (z - (-1 + 1j)))
 
@@ -129,11 +129,10 @@ class TestCornerHolonomy:
     def test_fixed_points_and_ratios(self, K):
         expect_ratio = {"ul": K, "ur": 1 / K, "bl": 1 / K, "br": K}
         for corner, coord in CORNER_COORD.items():
-            h = corner_holonomy(K, corner, "ccw")
+            h = corner_holonomy(K, corner)
             assert h.fixed_point() == pytest.approx(coord, abs=1e-12)
             assert h.a == pytest.approx(expect_ratio[corner], rel=1e-14)
-            hcw = corner_holonomy(K, corner, "cw")
-            assert hcw.compose(h).is_identity(tol=1e-12)
+            assert h.inverse().compose(h).is_identity(tol=1e-12)
 
     def test_degenerate_at_k1(self):
         for corner in CORNER_COORD:
@@ -158,8 +157,8 @@ class TestHoleMonodromy:
             assert l.compose(r).is_identity(tol=1e-15)
 
     def test_orientation_flip(self):
-        assert hole_monodromy(3.0, "right", "cw").b == pytest.approx(
-            -hole_monodromy(3.0, "right", "ccw").b
+        assert hole_monodromy(3.0, "right").inverse().b == pytest.approx(
+            -hole_monodromy(3.0, "right").b
         )
 
     def test_magnitude_monotone(self):
@@ -184,7 +183,7 @@ class TestGeodesics:
         assert p.chart is ChartId.OUTER
         assert p.coord == pytest.approx(-2.5j)
         shift = p.coord - (-1.5j)
-        assert shift == pytest.approx(hole_monodromy(2.0, "right", "cw").b)
+        assert shift == pytest.approx(hole_monodromy(2.0, "right").inverse().b)
 
     def test_limit_glued_edge(self):
         # the zero-height hole is crossed instantly, full deck shift -2i

@@ -10,7 +10,7 @@ from affsurf.svg import PALETTE, PlaneCurve, PlaneDots, figure
 
 def square():
     pts = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j])
-    return PlaneCurve("boundary", pts, PALETTE[0], closed=True)
+    return PlaneCurve("boundary", pts, PALETTE[0])
 
 
 def diagonal():
@@ -40,13 +40,6 @@ class TestFigure:
         doc = figure([diagonal()])
         assert 'd="M 0 0 L 1 1"' in doc
         assert 'transform="scale(1,-1)"' in doc
-
-    def test_closed_curve_ends_with_z(self):
-        doc = figure([square(), diagonal()])
-        closed = re.search(r'id="boundary"[^/]*d="([^"]+)"', doc).group(1)
-        opened = re.search(r'id="diag"[^/]*d="([^"]+)"', doc).group(1)
-        assert closed.endswith("Z")
-        assert not opened.endswith("Z")
 
     def test_markers_become_circles(self):
         doc = figure([square()], [PlaneDots("pins", np.array([0.5 + 0.5j, -0.5j]), "#000000")])
