@@ -11,8 +11,9 @@ principal logarithms, beta = log(K)/(2*pi*i). Each Moebius ratio sends the
 vertical segment joining its pole pair to the negative reals, so this
 expression is single-valued and holomorphic exactly off the two closed
 vertical slits between conjugate poles, and crossing a slit multiplies g'
-by K or 1/K. develop() refuses slit-crossing paths; the curve tracker
-carries an explicit winding count instead.
+by K or 1/K; DevelopingMap.slit_crossings finds the crossings of a segment
+and states the sign convention. develop() refuses slit-crossing paths; the
+curve tracker carries an explicit winding count instead.
 
 In the limit the pole pairs merge and
 
@@ -34,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .quadrature import integrate_segment, segment_slit_crossing
+from .quadrature import integrate_segment
 
 SERIES_TERMS = 26
 # terms of the additive monodromy series at a limit map's essential point
@@ -226,19 +227,41 @@ class DevelopingMap:
 
     # -- branch-cut geometry ---------------------------------------------
 
-    def first_slit_crossing(self, a: complex, b: complex):
-        """Earliest crossing of segment a->b with either slit.
+    def slit_crossings(self, a: complex, b: complex) -> list:
+        """Crossings of the segment a->b with the branch slits, in traversal order.
 
-        Returns (t, slit_index) or None. Trivial and limit maps have no cuts.
+        Returns (t, dm) pairs: the segment meets a slit at a + t*(b - a),
+        and there the branch exponent m of g' continued as principal g'
+        times K**m changes by dm. Crossing the right slit rightward gives
+        dm = -1, the left slit rightward +1, leftward crossings the
+        opposite; so a counterclockwise circuit of z1 crosses the slit below
+        it rightward and comes back scaled by 1/K, the scale of
+        surface.corner_holonomy at "ur", and circuits of the prevertices in
+        prevertex_ring order sum dm to -1, +1, -1, +1.
+
+        Limit maps have no slits and a trivial map's carry no jump (its
+        boundary curves run along them): both give []. A segment that runs
+        along a slit and meets it raises ArithmeticError; one on the slit's
+        line but clear of the slit has no crossing.
         """
         if self.kind != "finite" or self.is_trivial:
-            return None
-        best = None
-        for i, (sx, hh) in enumerate(self.slits):
-            t = segment_slit_crossing(a, b, sx, hh)
-            if t is not None and (best is None or t < best[0]):
-                best = (t, i)
-        return best
+            return []
+        dx = (b - a).real
+        out = []
+        for sx, hh in self.slits:
+            if dx == 0.0:
+                if a.real == sx:
+                    lo, hi = sorted((a.imag, b.imag))
+                    if lo <= hh and hi >= -hh:
+                        raise ArithmeticError(f"segment {a} -> {b} runs along a branch slit")
+                continue
+            t = (sx - a.real) / dx
+            if 0.0 <= t <= 1.0 and abs(a.imag + t * (b - a).imag) <= hh:
+                # the right slit lies at sx > 0
+                out.append((float(t), -1 if (dx > 0.0) == (sx > 0.0) else 1))
+        # two crossings at one t leave m the same in either order
+        out.sort()
+        return out
 
     # -- integration -------------------------------------------------------
 
@@ -247,7 +270,8 @@ class DevelopingMap:
 
         path[0] must satisfy |path[0]| >= tail_radius; the anchor value comes
         from the tail expansion and each further node adds the integral of g'
-        along the segment. Raises if any segment crosses a branch slit.
+        along the segment. Raises ValueError if any segment crosses a branch
+        slit, and ArithmeticError if one runs along a slit (slit_crossings).
         """
         nodes = [complex(p) for p in path]
         if not nodes:
@@ -261,9 +285,7 @@ class DevelopingMap:
         share = tol / (len(nodes) - 1)
         for i in range(len(nodes) - 1):
             a, b = nodes[i], nodes[i + 1]
-            # a segment running down the cut line but stopping above the
-            # slit (how the solver approaches a prevertex) is legal
-            if self.first_slit_crossing(a, b) is not None:
+            if self.slit_crossings(a, b):
                 raise ValueError(
                     f"path segment {a} -> {b} crosses a branch slit; "
                     "route around the slits or use the tracker"
@@ -272,17 +294,19 @@ class DevelopingMap:
         return out
 
     def develop_at(self, w: complex, tol: float = 1e-11) -> complex:
-        """g at a single point, routed radially or vertically from infinity."""
+        """g at a single point, routed radially or vertically from infinity.
+
+        A point on a slit has no straight approach: develop raises
+        ArithmeticError on the vertical route along the slit.
+        """
         w = complex(w)
         if abs(w) >= self.tail_radius:
             return w + self.tail_integral(w)
         if w != 0:
             anchor = w / abs(w) * self.tail_radius
-            if self.first_slit_crossing(anchor, w) is None:
+            if not self.slit_crossings(anchor, w):
                 return complex(self.develop([anchor, w], tol)[-1])
         anchor = complex(w.real, abs(w.imag) + self.tail_radius + 2.0)
-        if self.first_slit_crossing(anchor, w) is not None:
-            raise ValueError(f"no slit-free straight approach to {w}")
         return complex(self.develop([anchor, w], tol)[-1])
 
     def loop_integral(self, center: complex, radius: float, tol: float = 1e-11) -> complex:

@@ -262,12 +262,16 @@ def _axis_anchor_real(dev: DevelopingMap, side: int) -> float:
 def _axis_anchor_imag(dev: DevelopingMap, side: int) -> float:
     """Imaginary-axis crossing: Im g(i v) = side.
 
-    The crossing height sinks roughly like the reciprocal aspect as the
-    top edge flattens onto the real axis, so the inner bracket endpoint
-    sits far below any aspect the distance grids use.
+    The crossing height sinks like 1.44/K as the top edge flattens onto
+    the real axis, so the inner bracket endpoint is 1e-9 up to K = 1e7 and
+    1e-2/K beyond. That holds up to about K = 1e11: Im g(i v) dips below
+    the edge height near v = 0 by only about 0.05/K, and at K = 1e12
+    the errors of the prevertex solve and of develop_at, near 1e-11, hide
+    the dip, so the bracket has no sign change and raises ArithmeticError.
     """
     f = lambda v: complex(dev.develop_at(complex(0.0, v))).imag - side
-    lo, hi = (1e-9, 0.95 * dev.tail_radius) if side > 0 else (-0.95 * dev.tail_radius, -1e-9)
+    inner = min(1e-9, 1e-2 / dev.K)
+    lo, hi = (inner, 0.95 * dev.tail_radius) if side > 0 else (-0.95 * dev.tail_radius, -inner)
     return _brent(f, lo, hi, 1e-13)
 
 

@@ -21,7 +21,7 @@ chords at once.
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Optional, Sequence
+from typing import Callable, Generator, Sequence
 
 import numpy as np
 
@@ -164,27 +164,3 @@ def integrate_polyline(f: Callable, nodes: Sequence[complex], tol: float = 1e-11
     share = tol / len(segs)
     return sum(integrate_segment(f, a, b, share) for a, b in segs)
 
-
-def segment_slit_crossing(
-    a: complex,
-    b: complex,
-    slit_x: float,
-    half_height: float,
-) -> Optional[float]:
-    """Parameter t in [0,1] where segment a->b meets the closed vertical slit
-    {Re = slit_x, |Im| <= half_height}, or None. A segment running along the
-    slit's line and meeting the slit counts as a crossing at its start.
-    """
-    dx = (b - a).real
-    if dx == 0.0:
-        if a.real == slit_x:
-            lo, hi = sorted((a.imag, b.imag))
-            if lo <= half_height and hi >= -half_height:
-                return 0.0
-        return None
-    t = (slit_x - a.real) / dx
-    if 0.0 <= t <= 1.0:
-        y = a.imag + t * (b - a).imag
-        if abs(y) <= half_height:
-            return float(t)
-    return None

@@ -58,7 +58,7 @@ def corner_residual(K: float, prevertex: complex, quad_tol: float = 1e-12) -> co
     anchor = complex(z1.real, dev.tail_radius)
     end = z1 + 1j * delta
     # the ray runs down the slit's line but stops above the slit
-    if dev.first_slit_crossing(anchor, end) is not None:
+    if dev.slit_crossings(anchor, end):
         raise ValueError(f"corner ray {anchor} -> {end} crosses a branch slit")
     grid = []
     d = 0.5 * (dev.tail_radius - z1.imag)

@@ -22,7 +22,8 @@ Newton slope, each chord's quadrature levels from
 quadrature.segment_levels) and is sent dev.derivative of it.
 track_level_curve runs one track alone. lock_step runs several tracks
 together, one derivative call per round on the requests of all live
-tracks, each handed its own slice; limitset uses it for a rectangle
+tracks, each handed its own slice; a lone live track is evaluated on its
+own request. limitset uses it for a rectangle
 boundary's eight corner approaches and for the limit cloud's mouth curves
 and spiral rays. The pooled call changes no bit of any
 track: the derivative is element-wise array arithmetic, so each element is
@@ -32,57 +33,26 @@ point lies inside the pole clearance, every request of that round is
 evaluated alone and the error goes only into the tracks whose own request
 raised it; those retry their step shorter, as they would alone.
 
-Branches: crossing one of the two vertical slits multiplies the continued
-derivative by the aspect or its reciprocal. An integer exponent per point
-records the current sheet, so curves may wind through any number of
-sheets; the continued derivative is principal * K**m, and each quadrature
-panel is split where a chord meets a slit so no panel straddles the jump.
-The sign convention follows from the corner holonomy: a counterclockwise
-circuit of the top-right prevertex crosses the right slit leftward once
-and must scale the derivative by 1/K.
+Branches: crossing a branch slit multiplies the continued derivative by
+the aspect or its reciprocal. An integer exponent per point records the
+current sheet, so curves may wind through any number of sheets; the
+continued derivative is principal * K**m, and each quadrature panel is
+split where a chord meets a slit so no panel straddles the jump. Where a
+chord meets a slit, and how far m moves there, comes from
+DevelopingMap.slit_crossings, whose docstring states the sign convention.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Generator, Optional, Sequence
+from typing import Callable, Generator, Sequence
 
 import numpy as np
 
 from .develop import DevelopingMap
 # integrate_segment is not called here; perfbench's tracer checks that it
 # rebinds the name in this module
-from .quadrature import integrate_segment, segment_levels, segment_slit_crossing  # noqa: F401
-
-
-def _chord_crossings(dev: DevelopingMap, a: complex, b: complex):
-    """Slit crossings of the chord [a, b] in traversal order.
-
-    Returns (t, slit_index, direction) triples; direction is the sign of
-    the real velocity. A straight chord meets each vertical slit line at
-    most once.
-    """
-    # trivial aspect: the slits are degenerate and carry no jump, and
-    # boundary curves legitimately run along them
-    if not dev.slits or dev.K == 1.0:
-        return []
-    dx = (b - a).real
-    out = []
-    for idx, (sx, sy) in enumerate(dev.slits):
-        t = segment_slit_crossing(a, b, sx, sy)
-        if t is None:
-            continue
-        if dx == 0.0:
-            raise ArithmeticError("chord runs along a branch slit")
-        out.append((t, idx, 1 if dx > 0 else -1))
-    out.sort()
-    return out
-
-
-def _branch_delta(slit_index: int, direction: int) -> int:
-    # right slit (index 0): leftward crossing raises the exponent;
-    # left slit mirrors it
-    return -direction if slit_index == 0 else direction
+from .quadrature import integrate_segment, segment_levels  # noqa: F401
 
 
 def _continued_derivative(dev: DevelopingMap, a: complex, m: int, w: complex):
@@ -91,8 +61,8 @@ def _continued_derivative(dev: DevelopingMap, a: complex, m: int, w: complex):
     A lock_step track: requests the derivative at w.
     """
     mm = m
-    for _, idx, d in _chord_crossings(dev, a, w):
-        mm += _branch_delta(idx, d)
+    for _, dm in dev.slit_crossings(a, w):
+        mm += dm
     gp = complex((yield w))
     if mm:
         gp *= dev.K**mm
@@ -111,16 +81,15 @@ def _chord_increment(dev: DevelopingMap, a: complex, b: complex, m: int, quad_to
     slit's line; there _continued_derivative decides between the value and
     its refusal.
     """
-    crossings = _chord_crossings(dev, a, b)
     total = 0j
     mm = m
     t_prev = 0.0
-    for t, idx, d in crossings:
+    for t, dm in dev.slit_crossings(a, b):
         if t > t_prev:
             lo, hi = a + t_prev * (b - a), a + t * (b - a)
             piece = yield from segment_levels(lo, hi, quad_tol)
             total += piece * (dev.K**mm if mm else 1.0)
-        mm += _branch_delta(idx, d)
+        mm += dm
         t_prev = t
     if t_prev >= 1.0:
         return total, mm, None
@@ -149,34 +118,43 @@ def lock_step(dev: DevelopingMap, tracks: Sequence[Generator]) -> list:
 
     A track is a generator that yields derivative requests, each a point
     (a complex) or a 1-D complex array of points, and is sent
-    dev.derivative of each. While two or more tracks are live, each round
-    makes one derivative call on all their requests and hands each track
-    its element or slice. Where that call raises ValueError or
-    ArithmeticError, every request of the round is evaluated alone, and an
-    error is thrown into the track whose own request raised it, at the
-    yield, as running that track alone would do. The last live track runs
-    on alone. An error that a track does not catch propagates.
+    dev.derivative of each. Each round takes the outcomes of all live
+    tracks' requests from _outcomes, and sends each track its value or
+    throws into it, at the yield, the ValueError or ArithmeticError its
+    own request raised, as running that track alone would do. An error
+    that a track does not catch propagates.
     """
     results: list = [None] * len(tracks)
-    live = []
+    live, outcomes = list(enumerate(tracks)), [None] * len(tracks)
+    while live:
+        batch, live, requests = live, [], []
+        for track, out in zip(batch, outcomes):
+            i, gen = track
+            try:
+                requests.append(gen.throw(out) if isinstance(out, Exception) else gen.send(out))
+            except StopIteration as done:
+                results[i] = done.value
+            else:
+                live.append(track)
+        outcomes = _outcomes(dev, requests)
+    return results
 
-    def advance(i, gen, resume, arg):
-        try:
-            live.append((i, gen, resume(arg)))
-        except StopIteration as done:
-            results[i] = done.value
 
-    for i, gen in enumerate(tracks):
-        advance(i, gen, gen.send, None)
-    while len(live) > 1:
-        batch, live = live, []
-        requests = [request for _, _, request in batch]
+def _outcomes(dev: DevelopingMap, requests: list) -> list:
+    """dev.derivative of each request, or the error it raises.
+
+    Several requests share one derivative call and each takes its element
+    or slice. A lone request, and every request of a shared call that
+    raises, is evaluated alone: a refused request is evaluated once, and a
+    lone track's derivative sees its requests as they were yielded.
+    """
+    if len(requests) > 1:
         try:
             pooled = dev.derivative(
                 np.concatenate([(r,) if isinstance(r, complex) else r for r in requests])
             )
         except (ValueError, ArithmeticError):
-            outcomes = [_alone(dev, r) for r in requests]
+            pass
         else:
             outcomes, start = [], 0
             for r in requests:
@@ -186,31 +164,14 @@ def lock_step(dev: DevelopingMap, tracks: Sequence[Generator]) -> list:
                 else:
                     outcomes.append(pooled[start:start + len(r)])
                     start += len(r)
-        for (i, gen, _), out in zip(batch, outcomes):
-            if isinstance(out, Exception):
-                advance(i, gen, gen.throw, out)
-            else:
-                advance(i, gen, gen.send, out)
-    for i, gen, request in live:
+            return outcomes
+    outcomes = []
+    for r in requests:
         try:
-            while True:
-                try:
-                    values = dev.derivative(request)
-                except (ValueError, ArithmeticError) as exc:
-                    request = gen.throw(exc)
-                else:
-                    request = gen.send(values)
-        except StopIteration as done:
-            results[i] = done.value
-    return results
-
-
-def _alone(dev: DevelopingMap, request):
-    """dev.derivative of one request, or the error it raises."""
-    try:
-        return dev.derivative(request)
-    except (ValueError, ArithmeticError) as exc:
-        return exc
+            outcomes.append(dev.derivative(r))
+        except (ValueError, ArithmeticError) as exc:
+            outcomes.append(exc)
+    return outcomes
 
 
 @dataclass
@@ -265,12 +226,12 @@ def level_curve_track(
     p: Callable[[float], complex],
     dp: Callable[[float], complex],
     w0: complex,
-    g0: Optional[complex] = None,
+    g0: complex,
     branch0: int = 0,
     tol: float = 1e-10,
     quad_tol: float = 1e-13,
     max_step: float = 0.1,
-    first_step: Optional[float] = None,
+    first_step: float = 1.0 / 200.0,
     max_steps: int = 20000,
 ) -> Generator[np.ndarray, np.ndarray, TrackResult]:
     """Track the curve g(w(s)) = p(s), 0 <= s <= 1, from a seed on it.
@@ -278,8 +239,7 @@ def level_curve_track(
     A lock_step track that returns the TrackResult; track_level_curve runs
     one alone.
     w0 must satisfy g(w0) = p(0), to _ANCHOR_TOL relative, on the branch
-    given by branch0 and g0; when g0 is omitted it is computed on the
-    principal branch, which requires w0 to be reachable by develop_at.
+    given by branch0 and g0.
     max_step caps the w-plane distance per step, so it should be set below
     the feature scale of the curve (a petal four sheets in is far smaller
     than the mouth of a strip). A track that cannot proceed, or whose step
@@ -288,20 +248,14 @@ def level_curve_track(
     """
     w = complex(w0)
     m = int(branch0)
-    if g0 is None:
-        if m != 0:
-            raise ValueError("an explicit g0 is required when branch0 is nonzero")
-        g = complex(dev.develop_at(w))
-    else:
-        g = complex(g0)
+    g = complex(g0)
     target0 = complex(p(0.0))
     if abs(g - target0) > _ANCHOR_TOL * (1.0 + abs(target0)):
         raise ValueError(
             f"seed develops to {g:.6g}, not the target start {target0:.6g}"
         )
 
-    h = first_step if first_step is not None else 1.0 / 200.0
-    h = min(h, 1.0)
+    h = min(first_step, 1.0)
 
     ss, ws, gs, ms = [0.0], [w], [g], [m]
     s = 0.0

@@ -14,8 +14,8 @@ from affsurf.quadrature import (
     QuadratureError,
     integrate_polyline,
     integrate_segment,
-    segment_slit_crossing,
 )
+from affsurf.surface import corner_holonomy
 
 
 def _reference_segment(f, a, b, tol=1e-11, max_panels=16384, points=()):
@@ -172,11 +172,32 @@ class TestQuadrature:
             integrate_segment(np.sin, 0.0, 1.0, points=[0.5 + 0.5j])
 
     def test_slit_crossing_detection(self):
-        assert segment_slit_crossing(0j, 2 + 0j, 1.0, 0.5) == pytest.approx(0.5)
-        assert segment_slit_crossing(1j, 2 + 1j, 1.0, 0.5) is None
+        # slits at Re = +-1, |Im| <= 0.5
+        dev = DevelopingMap.from_aspect(2.0, 1 + 0.5j)
+        assert dev.slit_crossings(0j, 2 + 0j) == [(0.5, -1)]  # right slit, rightward
+        assert dev.slit_crossings(2 + 0j, 0j) == [(0.5, +1)]  # right slit, leftward
+        assert dev.slit_crossings(-2 + 0j, 0j) == [(0.5, +1)]  # left slit, rightward
+        assert dev.slit_crossings(0j, -2 + 0j) == [(0.5, -1)]  # left slit, leftward
+        # both slits, in traversal order either way
+        assert dev.slit_crossings(-3 + 0.2j, 3 - 0.2j) == [(1 / 3, +1), (2 / 3, -1)]
+        assert dev.slit_crossings(3 + 0.2j, -3 - 0.2j) == [(1 / 3, +1), (2 / 3, -1)]
+        assert dev.slit_crossings(1j, 2 + 1j) == []
         # along the cut line but above the slit
-        assert segment_slit_crossing(1 + 2j, 1 + 0.6j, 1.0, 0.5) is None
-        assert segment_slit_crossing(1 + 2j, 1 + 0.4j, 1.0, 0.5) == pytest.approx(0.0)
+        assert dev.slit_crossings(1 + 2j, 1 + 0.6j) == []
+        with pytest.raises(ArithmeticError, match="along a branch slit"):
+            dev.slit_crossings(1 + 2j, 1 + 0.4j)
+        assert DevelopingMap.from_aspect(1.0, 1 + 0.5j).slit_crossings(0j, 2 + 0j) == []
+        assert DevelopingMap.merged_limit(1.9, 0.35).slit_crossings(-3 + 0j, 3 + 0j) == []
+        # a counterclockwise square around each prevertex, no vertex on a
+        # slit: the exponents -1, +1, -1, +1 are those of the corner
+        # holonomies' scales 1/K (ur, bl) and K (ul, br)
+        square = [0.1 - 0.1j, 0.1 + 0.1j, -0.1 + 0.1j, -0.1 - 0.1j, 0.1 - 0.1j]
+        totals = []
+        for z, corner in zip(dev.poles, ("ur", "ul", "bl", "br")):
+            path = [z + d for d in square]
+            totals.append(sum(dm for a, b in zip(path, path[1:]) for _, dm in dev.slit_crossings(a, b)))
+            assert dev.K ** totals[-1] == pytest.approx(abs(corner_holonomy(dev.K, corner).a))
+        assert totals == [-1, +1, -1, +1]
 
 
 K2 = DevelopingMap.from_aspect(2.0, 0.8 + 0.55j)
@@ -449,6 +470,10 @@ class TestDevelop:
     def test_slit_crossing_rejected(self):
         with pytest.raises(ValueError):
             K2.develop([30 + 0.2j, 0.2j])  # straight through the right slit
+        with pytest.raises(ArithmeticError, match="along a branch slit"):
+            K2.develop([0.8 + 30j, 0.8 + 0.2j])  # down the slit's line onto the slit
+        with pytest.raises(ArithmeticError, match="along a branch slit"):
+            K2.develop_at(0.8 + 0.2j)  # on the slit: no straight approach
         with pytest.raises(ValueError):
             K2.develop([2 + 0j, 3 + 0j])  # anchor inside the tail radius
 

@@ -24,7 +24,7 @@ from affsurf.limitset import (
     rectangle_image_boundary,
     resample_curve,
 )
-from affsurf.solver import continuation_sweep, extract_limit
+from affsurf.solver import continuation_sweep, extract_limit, solve_prevertex
 from affsurf.tracking import level_curve_track, lock_step
 
 Z1_K2 = 1.248075111571 + 0.767644410562j
@@ -338,6 +338,14 @@ class TestFiniteBoundary:
         assert len(halves) == 8
         for name in halves:
             assert cloud.notes[name] == "partial: forced stall"
+
+    def test_aspect_1e10_completes(self):
+        # the top and bottom sides start at axis crossings near
+        # 1.44/K = 1.4e-10, below the 1e-9 that brackets them up to K = 1e7
+        dev = DevelopingMap.from_aspect(1e10, solve_prevertex(1e10).prevertex)
+        cloud = rectangle_image_boundary(dev)
+        assert len(cloud.pieces) == 9
+        assert cloud.incomplete == {}
 
 
 class TestLimitCloud:

@@ -46,7 +46,7 @@ class TestBasics:
     def test_trivial_aspect_is_identity(self):
         dev = DevelopingMap.from_aspect(1.0, 1 + 1j)
         p, dp = segment_target(2.0 + 0j, 2.0 + 1.5j)
-        r = track_level_curve(dev, p, dp, 2.0 + 0j)
+        r = track_level_curve(dev, p, dp, 2.0 + 0j, g0=2.0 + 0j)
         assert r.completed
         gaps = [abs(r.w[i] - p(r.s[i])) for i in range(len(r.s))]
         assert max(gaps) < 1e-12
@@ -56,7 +56,7 @@ class TestBasics:
         # tick but the track must stay exact
         dev = DevelopingMap.from_aspect(1.0, 1 + 1j)
         p, dp = segment_target(2 + 0.5j, -2 + 0.5j)
-        r = track_level_curve(dev, p, dp, 2 + 0.5j)
+        r = track_level_curve(dev, p, dp, 2 + 0.5j, g0=2 + 0.5j)
         assert r.completed
         assert max(abs(r.w[i] - p(r.s[i])) for i in range(len(r.s))) < 1e-12
 
@@ -84,12 +84,6 @@ class TestBasics:
         p, dp = segment_target(g0 + 0.3, g0 + 1)
         with pytest.raises(ValueError):
             track_level_curve(dev2, p, dp, w0, g0=g0)
-
-    def test_nonzero_branch_needs_g0(self, dev2, seed2):
-        w0, g0 = seed2
-        p, dp = segment_target(g0, g0 + 0.1)
-        with pytest.raises(ValueError):
-            track_level_curve(dev2, p, dp, w0, branch0=1)
 
 
 class TestHolonomyLoops:
@@ -339,6 +333,38 @@ class TestLockStep:
             assert (got.status, got.reason) == (want.status, want.reason)
             for field in ("s", "w", "g", "branch"):
                 assert _same_bits(getattr(got, field), getattr(want, field))
+
+    def test_no_tracks(self, dev2):
+        assert lock_step(dev2, []) == []
+
+    def test_a_lone_track_is_sent_its_own_requests(self, dev2, seed2, monkeypatch):
+        # a lone track's derivative calls take its requests as yielded: a
+        # point stays a 0-d argument, never joined into a pooled array
+        w0, g0 = seed2
+        requests, calls = [], []
+
+        def recorded(track):
+            request = next(track)
+            try:
+                while True:
+                    requests.append(request)
+                    request = track.send((yield request))
+            except StopIteration as done:
+                return done.value
+
+        derivative = DevelopingMap.derivative
+
+        def watched(self, w):
+            calls.append(w)
+            return derivative(self, w)
+
+        monkeypatch.setattr(DevelopingMap, "derivative", watched)
+        p, dp = segment_target(g0, g0 + 0.4 + 0.3j)
+        [r] = lock_step(dev2, [recorded(level_curve_track(dev2, p, dp, w0, g0=g0))])
+        assert r.completed
+        assert any(np.ndim(w) == 0 for w in requests)
+        assert len(calls) == len(requests)
+        assert all(got is want for got, want in zip(calls, requests))
 
     def test_pooling_keeps_the_nodes_in_fewer_calls(self, solved, monkeypatch):
         dev = DevelopingMap.from_aspect(1e3, solved[1e3])
