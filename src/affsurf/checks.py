@@ -68,7 +68,12 @@ def square_identity(sol: SolveResult, dev: DevelopingMap, points: np.ndarray) ->
 def solver_residuals(
     cold: Mapping[float, SolveResult], warm: Mapping[float, SolveResult]
 ) -> Outcome:
-    """Cold and warm-started solves converge, agree, and stay in the open quadrant."""
+    """Cold and warm-started solves converge, agree, and stay in the open quadrant.
+
+    A cold solve starts where `solve_prevertex` starts without a guess, at
+    the square's or the limit's prevertex; a warm one starts from the
+    solved prevertex of the member at the square root of K.
+    """
     problems = []
     per = {}
     for K, c in cold.items():

@@ -315,7 +315,6 @@ def _table(title: str, columns: Sequence[str], rows: Sequence[Sequence]) -> str:
 
 
 def _run_solve(config: RunConfig, rec: _Recorder) -> dict:
-    # one continuation path through all aspects, instead of one from K = 1 each
     sols = continuation_sweep(config.k, tol=config.tol_solver, quad_tol=config.tol_quad)
     solves = []
     for sol in sols:
@@ -505,8 +504,14 @@ def _run_verify(config: RunConfig, rec: _Recorder) -> dict:
 
     def residuals():
         cold = {K: solve(K) for K in config.k}
-        warm = continuation_sweep(config.k, tol=config.tol_solver, quad_tol=config.tol_quad)
-        return checks.solver_residuals(cold, {s.K: s for s in warm})
+        # each warm solve starts from the solved member at the square root of K
+        warm = {
+            K: solve_prevertex(
+                K, solve(math.sqrt(K)).prevertex, tol=config.tol_solver, quad_tol=config.tol_quad
+            )
+            for K in config.k
+        }
+        return checks.solver_residuals(cold, warm)
 
     sym_k = next((K for K in config.k if K > 1.0), 2.0)
     label = k_label(sym_k)
@@ -631,7 +636,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     helps = {
         "solve": "solve the corner condition at one or more aspects",
-        "sweep": "continuation sweep over an aspect grid plus limit extrapolation",
+        "sweep": "prevertex solves over an aspect grid plus limit extrapolation",
         "render": "draw boundary curves (finite aspects and/or 'inf') as a figure",
         "limit": "build and save the limit boundary configuration",
         "hausdorff": "distance trend from finite boundaries to the limit",

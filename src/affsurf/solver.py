@@ -5,11 +5,12 @@ prevertex to the upper-right square corner 1+i; that single complex
 condition pins the prevertex. The residual integrates g' down a vertical
 ray onto the prevertex, where |g'| <= 1 keeps the quadrature tame at any
 aspect. A damped Broyden quasi-Newton iteration in two real dimensions
-drives it to zero, with continuation in log K supplying starts that the
-plain iteration could not reach on its own. The residual is not
-holomorphic in the prevertex, so the Jacobian is a real 2x2 matrix: one
-finite-difference Jacobian starts a continuation path, and rank-one
-updates carry it from step to step and from aspect to aspect.
+drives it to zero. Near the square it starts from the square's own
+prevertex 1+i; above aspect 2 it starts from the limit's prevertex
+x0 + i*pi*tau/log K, which the family approaches like 1/log^2 K. The
+residual is not holomorphic in the prevertex, so the Jacobian is a real
+2x2 matrix: one finite-difference Jacobian starts each solve, and
+rank-one updates carry it from step to step.
 """
 
 from __future__ import annotations
@@ -57,9 +58,6 @@ def corner_residual(K: float, prevertex: complex, quad_tol: float = 1e-12) -> co
     delta = 1e-12 * (1.0 + abs(z1))
     anchor = complex(z1.real, dev.tail_radius)
     end = z1 + 1j * delta
-    # the ray runs down the slit's line but stops above the slit
-    if dev.slit_crossings(anchor, end):
-        raise ValueError(f"corner ray {anchor} -> {end} crosses a branch slit")
     grid = []
     d = 0.5 * (dev.tail_radius - z1.imag)
     while d > 2.0 * delta:
@@ -72,6 +70,9 @@ def corner_residual(K: float, prevertex: complex, quad_tol: float = 1e-12) -> co
 # an accepted step that leaves |r| above this fraction of its previous
 # value has outrun the Broyden Jacobian; the next step takes a fresh one
 _SLOW_STEP = 0.1
+
+# Broyden iterations allowed for one solve
+_MAX_ITER = 60
 
 
 def _fd_jacobian(K, z, quad_tol):
@@ -88,25 +89,22 @@ def _fd_jacobian(K, z, quad_tol):
     return jac
 
 
-def _broyden(K, z0, tol, quad_tol, max_iter, jac=None):
+def _broyden(K, z0, tol, quad_tol):
     """Damped Broyden iteration (Broyden, Math. Comp. 19, 1965) from z0.
 
-    jac is a Jacobian carried from the previous solve on the path; without
-    one the first step takes a finite-difference Jacobian. Each accepted
+    The first step takes a finite-difference Jacobian, and each accepted
     step updates it by rank one. A fresh one is taken only after a failed
     line search or a step that left |r| above _SLOW_STEP times its old
     value; a failed line search on a fresh Jacobian ends the iteration.
-    Returns
-    (z, |r|, iterations, residuals, converged, jac), jac the Jacobian to
-    carry on.
+    Returns (z, |r|, iterations, residuals, converged).
     """
     z = complex(z0)
     r = corner_residual(K, z, quad_tol)
     evals = 1
-    refresh = jac is None
-    for it in range(max_iter):
+    refresh = True
+    for it in range(_MAX_ITER):
         if abs(r) <= tol:
-            return z, abs(r), it, evals, True, jac
+            return z, abs(r), it, evals, True
         if refresh:
             jac = _fd_jacobian(K, z, quad_tol)
             evals += 4
@@ -137,24 +135,25 @@ def _broyden(K, z0, tol, quad_tol, max_iter, jac=None):
         jac = jac + np.outer(np.array([dr.real, dr.imag]) - jac @ s, s) / (s @ s)
         refresh = abs(r_new) > _SLOW_STEP * abs(r)
         z, r = cand, r_new
-    return z, abs(r), max_iter, evals, abs(r) <= tol, jac
+    return z, abs(r), _MAX_ITER, evals, abs(r) <= tol
 
 
-def _cold_start(K: float, quad_tol: float):
-    """Walk the solution from aspect 1, a few geometric steps per decade.
+# a few digits of the limit (x0, tau), enough for a start within the
+# Broyden iteration's reach from aspect 2 up
+_LIMIT_START = (1.91335, 0.34715)
 
-    Returns the start for aspect K and the Jacobian carried up the ladder.
+
+def _start(K: float) -> complex:
+    """Where the aspect-K solve starts without a guess.
+
+    Up to aspect 2 at the square's prevertex 1+i, above it at the limit's
+    prevertex x0 + i*pi*tau/log K: the limit start fails near the square
+    (at K = 1.01 its first residual does), and 1+i fails far out (at 1e6).
     """
-    z, jac = CORNER_TARGET, None
-    if K <= 1.3:
-        return z, jac
-    n = max(2, math.ceil(4 * math.log10(K)))
-    for j in range(1, n + 1):
-        Kj = K ** (j / n)
-        z, res, _, _, ok, jac = _broyden(Kj, z, 1e-8, quad_tol, 40, jac)
-        if not ok:
-            raise ArithmeticError(f"continuation stalled at aspect {Kj:.4g} (residual {res:.2e})")
-    return z, jac
+    if K <= 2.0:
+        return CORNER_TARGET
+    x0, tau = _LIMIT_START
+    return complex(x0, math.pi * tau / math.log(K))
 
 
 def solve_prevertex(
@@ -165,22 +164,9 @@ def solve_prevertex(
 ) -> SolveResult:
     """Prevertex of the aspect-K member, in the open first quadrant.
 
-    Without an initial guess the solve is seeded by continuation from the
-    square, where the map is the identity and the prevertex is 1+i itself.
+    One Broyden iteration from initial, or without it from _start(K).
     The solver tolerance must exceed quad_tol: a residual cannot be
     certified below its own quadrature error budget.
-    """
-    return _solve(K, initial, None, tol, quad_tol)[0]
-
-
-# Broyden iterations allowed for one solve
-_MAX_ITER = 60
-
-
-def _solve(K, initial, jac, tol, quad_tol):
-    """solve_prevertex, starting from a carried Jacobian (None for none).
-
-    Returns the result and the Jacobian to carry to the next aspect.
     """
     if math.isinf(K):
         raise ValueError("the limit has no finite prevertex; extrapolate a sweep instead")
@@ -192,31 +178,11 @@ def _solve(K, initial, jac, tol, quad_tol):
         )
     if K == 1.0:
         r = corner_residual(1.0, CORNER_TARGET, quad_tol)
-        return SolveResult(1.0, CORNER_TARGET, abs(r), 0, 1, abs(r) <= tol), jac
-    if initial is None:
-        initial, jac = _cold_start(K, quad_tol)
-    z, res, its, evals, ok, jac = _broyden(K, initial, tol, quad_tol, _MAX_ITER, jac)
+        return SolveResult(1.0, CORNER_TARGET, abs(r), 0, 1, abs(r) <= tol)
+    z, res, its, evals, ok = _broyden(K, _start(K) if initial is None else initial, tol, quad_tol)
     if not ok:
         raise ArithmeticError(f"no convergence at aspect {K:.6g}: residual {res:.2e} after {its} iterations")
-    return SolveResult(float(K), z, res, its, evals, True), jac
-
-
-def _warm_guess(prev: Sequence[SolveResult], K: float) -> Optional[complex]:
-    """Extrapolate (Re z1, log Im z1) linearly in log K from the last two solves."""
-    if not prev:
-        return None
-    if len(prev) == 1 or prev[-1].K <= 1.0:
-        return prev[-1].prevertex
-    a, b = prev[-2], prev[-1]
-    la, lb, lk = math.log(a.K), math.log(b.K), math.log(K)
-    if lb == la:
-        return b.prevertex
-    t = (lk - lb) / (lb - la)
-    x = b.prevertex.real + t * (b.prevertex.real - a.prevertex.real)
-    ly = math.log(b.prevertex.imag) + t * (math.log(b.prevertex.imag) - math.log(a.prevertex.imag))
-    if x <= 0:
-        return b.prevertex
-    return complex(x, math.exp(ly))
+    return SolveResult(float(K), z, res, its, evals, True)
 
 
 def continuation_sweep(
@@ -224,28 +190,15 @@ def continuation_sweep(
     tol: float = 1e-10,
     quad_tol: float = 1e-12,
 ) -> list[SolveResult]:
-    """Solve an increasing aspect grid with warm starts.
+    """solve_prevertex at each aspect of a grid, in increasing order.
 
-    A failed step is retried once through the geometric midpoint before
-    giving up.
+    Each aspect is solved from its own start, so the order carries nothing
+    from one solve to the next.
     """
     ks = sorted(float(k) for k in k_values)
     if ks and ks[0] < 1.0:
         raise ValueError(f"aspects must be >= 1, got {ks[0]}")
-    results: list[SolveResult] = []
-    jac = None
-    for K in ks:
-        guess = _warm_guess(results, K)
-        try:
-            res, next_jac = _solve(K, guess, jac, tol, quad_tol)
-        except ArithmeticError:
-            mid = math.sqrt(results[-1].K * K) if results else math.sqrt(K)
-            bridge, bridge_jac = _solve(mid, guess, jac, tol, quad_tol)
-            retry = _warm_guess(results + [bridge], K)
-            res, next_jac = _solve(K, retry, bridge_jac, tol, quad_tol)
-        results.append(res)
-        jac = next_jac
-    return results
+    return [solve_prevertex(K, tol=tol, quad_tol=quad_tol) for K in ks]
 
 
 def _neville_at_zero(v: np.ndarray, f: np.ndarray) -> float:

@@ -57,7 +57,7 @@ def test_square_identity_needs_the_square_prevertex():
 
 
 def test_solver_residuals_needs_converged_solves(sol2):
-    warm = {r.K: r for r in continuation_sweep((2.0,))}
+    warm = {2.0: solve_prevertex(2.0, initial=solve_prevertex(math.sqrt(2.0)).prevertex)}
     assert checks.solver_residuals({2.0: sol2}, warm)[0] == []
     loose = dataclasses.replace(sol2, residual=1e-7)
     problems, _ = checks.solver_residuals({2.0: loose}, warm)

@@ -1,4 +1,4 @@
-"""Prevertex solve, continuation, and limit extraction.
+"""Prevertex solve, sweeps, and limit extraction.
 
 Reference values below were frozen from an independent brute-force grid
 search (4 rounds of 21x21 refinement on |g(z1)-(1+i)|, final grid pitch
@@ -116,28 +116,55 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+# both sides of the switch from the square start to the limit start, and
+# aspects where only the limit start converges
+WALK_ASPECTS = [1 + 1e-12, 1 + 1e-8, 1.0001, 1.01, 1.3, 2.0, 2.2, 3.0] + [
+    10.0**j for j in range(1, 12)
+]
+
+
+@pytest.mark.parametrize("K", WALK_ASPECTS)
+def test_start_reaches_every_aspect(K, monkeypatch):
+    # the square start below aspect 2 and the limit start above it each
+    # finish in a few Broyden steps, and land where a solve started from
+    # the member at the square root of K lands
+    calls = _count_calls(monkeypatch, "corner_residual")
+    cold = solve_prevertex(K)
+    assert calls[0] <= 12
+    warm = solve_prevertex(K, initial=solve_prevertex(math.sqrt(K)).prevertex)
+    assert abs(cold.prevertex - warm.prevertex) < 1e-9
+
+
 class TestResidualBudget:
     # Broyden updates replace the four central-difference probes per step
 
     def test_decade_sweep(self, monkeypatch):
         calls = _count_calls(monkeypatch, "corner_residual")
         continuation_sweep([10.0**j for j in range(1, 9)])
-        assert calls[0] <= 110
+        assert calls[0] <= 70
 
     def test_cold_solve(self, monkeypatch):
         calls = _count_calls(monkeypatch, "corner_residual")
         r = solve_prevertex(1000.0)
-        assert calls[0] <= 110
+        assert calls[0] <= 12
         assert abs(r.prevertex - Z1_K1000) < 1e-9
 
-    def test_wrong_jacobian_is_refreshed(self, monkeypatch):
-        # a carried Jacobian with the wrong signs points every step uphill,
-        # so the line search fails and the solve must take a fresh one
-        refreshes = _count_calls(monkeypatch, "_fd_jacobian")
-        res, jac = solver._solve(5.0, Z1_K5 * (1 + 1e-3), -np.eye(2), 1e-10, 1e-12)
+    def test_slow_step_takes_a_fresh_jacobian(self, monkeypatch):
+        # a first Jacobian twice the true one halves every step: each is
+        # accepted, but leaves |r| above a tenth of its old value, so the
+        # next step must take a fresh Jacobian
+        calls = [0]
+        fd_jacobian = solver._fd_jacobian
+
+        def doubled_once(*args):
+            calls[0] += 1
+            jac = fd_jacobian(*args)
+            return 2.0 * jac if calls[0] == 1 else jac
+
+        monkeypatch.setattr(solver, "_fd_jacobian", doubled_once)
+        res = solve_prevertex(5.0)
+        assert calls[0] >= 2
         assert abs(res.prevertex - Z1_K5) < 1e-9
-        assert refreshes[0] >= 1
-        assert jac.shape == (2, 2)
 
 
 class TestSolvedGeometry:
@@ -167,8 +194,8 @@ class TestSweep:
         heights = [r.prevertex.imag for r in res]
         assert heights == sorted(heights, reverse=True)
         assert abs(res[-1].prevertex - Z1_K1000) < 1e-8
-        # warm-started steps should be cheap
-        assert all(r.iterations <= 8 for r in res[1:])
+        # each solve from its own start is short
+        assert all(r.iterations <= 8 for r in res)
 
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
@@ -207,6 +234,13 @@ class TestExtractLimit:
         assert abs(est.tau - TAU_LIMIT) < 1e-6
         assert est.x0_stability < 1e-3
         assert est.tau_stability < 1e-3
+
+    def test_stored_limit_start_matches_the_sweep(self):
+        # the solver's limit start holds a few digits of the frozen fit,
+        # which the test above ties to the sweep
+        x0, tau = solver._LIMIT_START
+        assert abs(x0 - X0_LIMIT) < 1e-3
+        assert abs(tau - TAU_LIMIT) < 1e-3
 
     def test_needs_three_points(self):
         sweep = _synthetic_sweep(lambda v: 1.9, lambda v: 0.35, [10.0, 100.0])
