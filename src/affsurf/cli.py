@@ -270,14 +270,15 @@ class _Recorder:
 
         problems holds one string per violated clause; any fail the step
         and go into its detail. incomplete holds the notes of curves that
-        stopped short; any make the step "inconclusive", since the curves
-        it rests on are truncated.
+        stopped short; any make the step "inconclusive", as a check's
+        "inconclusive" verdict in detail does.
         """
         status = "fail" if problems else "ok"
         if problems:
             detail = {**(detail or {}), "problems": list(problems)}
         if incomplete:
             detail = {**(detail or {}), "incomplete": incomplete}
+        if incomplete or (detail or {}).get("verdict") == "inconclusive":
             status = "inconclusive"
         entry = {"name": name, "status": status}
         if detail:

@@ -98,7 +98,8 @@ class DevelopingMap:
             p1, p2, p3, p4 = self.poles
             # numerators of the two Moebius ratios in log g'
             self._numerators = np.array([p1 - p4, p3 - p2])
-            self.slits = ((z1.real, z1.imag), (-z1.real, z1.imag))
+            # at the square g' = 1 has no jump, so it has no slits
+            self.slits = ((z1.real, z1.imag), (-z1.real, z1.imag)) if self.K > 1.0 else ()
         elif kind == "limit":
             if not (x0 > 0 and tau > 0):
                 raise ValueError(f"need x0 > 0 and tau > 0, got {x0}, {tau}")
@@ -144,9 +145,7 @@ class DevelopingMap:
         """The rational connection g''/g' = d/dw log g'. Scalar or ndarray."""
         arr = np.asarray(w, dtype=complex)
         self._pole_offsets(arr, 1e-12)
-        if self.is_trivial:
-            out = np.zeros_like(arr)
-        elif self.kind == "finite":
+        if self.kind == "finite":
             out = np.zeros_like(arr)
             for sign, p in zip(PREVERTEX_SIGNS, self.poles):
                 out += sign / (arr - p)
@@ -159,8 +158,6 @@ class DevelopingMap:
         """log g' on a complex ndarray, before the public methods' scalar conversion."""
         offsets = self._pole_offsets(arr, 1e-13)
         if self.kind == "finite":
-            if self.is_trivial:
-                return np.zeros_like(arr)
             # both Moebius logs in one call: (z1-z4)/(w-z1) and (z3-z2)/(w-z3)
             logs = _log1p_c(self._numerators / offsets[..., 0::2])
             return self.beta * (logs[..., 0] + logs[..., 1])
@@ -239,13 +236,11 @@ class DevelopingMap:
         surface.corner_holonomy at "ur", and circuits of the prevertices in
         prevertex_ring order sum dm to -1, +1, -1, +1.
 
-        Limit maps have no slits and a trivial map's carry no jump (its
-        boundary curves run along them): both give []. A segment that runs
-        along a slit and meets it raises ArithmeticError; one on the slit's
-        line but clear of the slit has no crossing.
+        The members without a cut, the square and the limit, have no
+        slits and give []. A segment that runs along a slit and meets it
+        raises ArithmeticError; one on the slit's line but clear of the
+        slit has no crossing.
         """
-        if self.kind != "finite" or self.is_trivial:
-            return []
         dx = (b - a).real
         out = []
         for sx, hh in self.slits:

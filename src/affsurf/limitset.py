@@ -3,19 +3,21 @@
 Everything here lives in the uniformized plane. For a finite aspect the
 glued rectangle occupies a region whose boundary is the preimage of the
 square boundary under the developing map; it is assembled from eight
-tracked half-side curves that meet at the four prevertices. The eight
-corner approaches run in lock step (tracking.lock_step): each round makes
-one derivative call for all live approaches. Every point is bit-identical
-to tracking the approach alone, because the derivative is element-wise
-and a round whose pooled call meets the pole clearance is evaluated
-request by request. The limit cloud runs its four mouth curves and the
-rays of every spiral stop in lock step the same way; only the bridges
-between stops run one at a time, since each starts where the previous one
-ended. In the limit the prevertex pairs have merged and the boundary
-configuration consists of the two strip mouth curves, the seam rays
-between strips and spiral sheets, the flank rays bounding each spiral
-sheet, the glued-edge segment, and the two singular points that
-everything accumulates on.
+tracked half-side curves that start at its axis crossings, of which the
+reflections mirror the right and upper ones to the left and lower, and
+meet at the four prevertices. The eight corner approaches run in lock
+step (tracking.lock_step): each round makes one derivative call for all
+live approaches. Every point is bit-identical to tracking the approach
+alone, because the derivative is element-wise and a round whose pooled
+call meets the pole clearance is evaluated request by request. The limit
+cloud runs its four mouth curves and the rays of every spiral stop in
+lock step the same way; only the bridges between stops run one at a
+time, since each starts where the previous one ended, from one solved
+real-axis crossing or its mirror. In the limit the prevertex pairs have
+merged and the boundary configuration consists of the two strip mouth
+curves, the seam rays between strips and spiral sheets, the flank rays
+bounding each spiral sheet, the glued-edge segment, and the two singular
+points that everything accumulates on.
 Clouds are resampled to uniform arc-length spacing so that Hausdorff
 distances between them are meaningful at that resolution.
 """
@@ -29,6 +31,7 @@ from typing import Dict, Generator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .develop import DevelopingMap
+from .surface import CORNER_COORD
 from .quadrature import QuadratureError
 from .solver import LimitEstimate, SolveResult
 from .tracking import arc_target, level_curve_track, lock_step, segment_target, track_level_curve
@@ -228,8 +231,8 @@ def _brent(
     raise ArithmeticError(f"Brent bracket {bracket}: no convergence in {_BRENT_MAXITER} iterations")
 
 
-def _axis_anchor_real(dev: DevelopingMap, side: int) -> float:
-    """Real-axis crossing of the boundary: g(u) = side (+1 right, -1 left).
+def _axis_anchor_real(dev: DevelopingMap) -> float:
+    """Right real-axis crossing of the boundary, g(u) = 1; the left is -u.
 
     The inner bracket endpoint is probed inward by halving: at the limit
     kind the derivative grows like exp(tau/distance) toward the singular
@@ -237,12 +240,12 @@ def _axis_anchor_real(dev: DevelopingMap, side: int) -> float:
     to -infinity fast enough that a moderate distance already brackets.
     """
     base = dev.poles[0].real
-    f = lambda u: complex(dev.develop_at(complex(u))).real - side
-    hi = side * (0.95 * dev.tail_radius)
+    f = lambda u: complex(dev.develop_at(complex(u))).real - 1.0
+    hi = 0.95 * dev.tail_radius
     fhi = f(hi)
     delta = 0.5
     for _ in range(40):
-        lo = side * (base + delta)
+        lo = base + delta
         try:
             flo = f(lo)
         except (QuadratureError, OverflowError, FloatingPointError):
@@ -254,13 +257,11 @@ def _axis_anchor_real(dev: DevelopingMap, side: int) -> float:
         delta *= 0.5
     else:
         raise ArithmeticError("no sign change toward the singular point")
-    if lo < hi:
-        return _brent(f, lo, hi, 1e-13, flo, fhi)
-    return _brent(f, hi, lo, 1e-13, fhi, flo)
+    return _brent(f, lo, hi, 1e-13, flo, fhi)
 
 
-def _axis_anchor_imag(dev: DevelopingMap, side: int) -> float:
-    """Imaginary-axis crossing: Im g(i v) = side.
+def _axis_anchor_imag(dev: DevelopingMap) -> float:
+    """Upper imaginary-axis crossing, Im g(i v) = 1; the lower is -i v.
 
     The crossing height sinks like 1.44/K as the top edge flattens onto
     the real axis, so the inner bracket endpoint is 1e-9 up to K = 1e7 and
@@ -269,10 +270,8 @@ def _axis_anchor_imag(dev: DevelopingMap, side: int) -> float:
     the errors of the prevertex solve and of develop_at, near 1e-11, hide
     the dip, so the bracket has no sign change and raises ArithmeticError.
     """
-    f = lambda v: complex(dev.develop_at(complex(0.0, v))).imag - side
-    inner = min(1e-9, 1e-2 / dev.K)
-    lo, hi = (inner, 0.95 * dev.tail_radius) if side > 0 else (-0.95 * dev.tail_radius, -inner)
-    return _brent(f, lo, hi, 1e-13)
+    f = lambda v: complex(dev.develop_at(complex(0.0, v))).imag - 1.0
+    return _brent(f, min(1e-9, 1e-2 / dev.K), 0.95 * dev.tail_radius, 1e-13)
 
 
 def _track_toward_corner(
@@ -328,39 +327,32 @@ def rectangle_image_boundary(
 
     Eight half-side tracks start on the coordinate axes, where symmetry
     puts the boundary's axis crossings, and run into the four corner
-    values in lock step; the prevertices themselves are appended since
-    the tracked curves end corner_clip short of them (in developed
-    distance).
+    values in lock step. Only the right and upper crossings are solved;
+    the reflections mirror them to the left and lower ones, and at the
+    square, where g is the identity, they are 1 and i. The prevertices
+    themselves are appended since the tracked curves end corner_clip
+    short of them (in developed distance).
     """
     if dev.kind != "finite":
         raise ValueError("finite-aspect map required; use limit_image_cloud for the limit")
     cloud = CurveCloud()
-    u_r = _axis_anchor_real(dev, +1) if not dev.is_trivial else 1.0
-    u_l = _axis_anchor_real(dev, -1) if not dev.is_trivial else -1.0
-    v_t = _axis_anchor_imag(dev, +1) if not dev.is_trivial else 1.0
-    v_b = _axis_anchor_imag(dev, -1) if not dev.is_trivial else -1.0
-
-    starts = {
-        "right": (complex(u_r), 1 + 0j),
-        "left": (complex(u_l), -1 + 0j),
-        "top": (complex(0, v_t), 1j),
-        "bottom": (complex(0, v_b), -1j),
-    }
-    halves = {
-        "right": (1 + 1j, 1 - 1j),
-        "left": (-1 + 1j, -1 - 1j),
-        "top": (1 + 1j, -1 + 1j),
-        "bottom": (1 - 1j, -1 - 1j),
+    u, v = (1.0, 1.0) if dev.is_trivial else (_axis_anchor_real(dev), _axis_anchor_imag(dev))
+    # each side's axis crossing and the two corners its halves run into
+    sides = {
+        "right": (complex(u), (1 + 1j, 1 - 1j)),
+        "left": (complex(-u), (-1 + 1j, -1 - 1j)),
+        "top": (complex(0, v), (1 + 1j, -1 + 1j)),
+        "bottom": (complex(0, -v), (1 - 1j, -1 - 1j)),
     }
     approaches = {}
-    for side, (w0, g_anchor) in starts.items():
+    for side, (w0, corners) in sides.items():
         g0 = complex(dev.develop_at(w0))
         # the top and bottom edges carry the strip seams in their last
         # 1/K of developed parameter, so their corner approach must cut
         # off at a scale that shrinks with the aspect; the short edges
         # develop at unit scale and keep the fixed clip
         clip = corner_clip / dev.K if side in ("top", "bottom") else corner_clip
-        for corner in halves[side]:
+        for corner in corners:
             name = f"{side}_to_{corner.real:+.0f}{corner.imag:+.0f}"
             approaches[name] = _track_toward_corner(dev, corner, w0, g0, 0, clip, quad_tol)
     for name, (curve, stall) in zip(approaches, lock_step(dev, list(approaches.values()))):
@@ -369,22 +361,23 @@ def rectangle_image_boundary(
     return cloud
 
 
-# spiral assemblies of the limit configuration: corner value, seam-ray
-# angle of the adjoining strip edge, winding direction deeper into the
-# sheets, and the bridge's start angle on the coordinate axis anchor.
-# seam: magnitude of the bridge angle of the strip edge glued into this
-# corner (orient-signed in use). Window edges sit at orient*(2*pi*n - off)
-# for the two offsets, n from first_n up; on the right corners the n=1
-# window is bounded by the seam and the mouth themselves, so its edges
-# are already laid and first_n starts one turn later.
+# spiral assemblies of the limit configuration, keyed by the corner of
+# surface.CORNER_COORD they wind into: seam-ray angle of the adjoining
+# strip edge, winding direction deeper into the sheets, and the bridge's
+# start angle on the coordinate axis anchor. seam: magnitude of the
+# bridge angle of the strip edge glued into this corner (orient-signed in
+# use). Window edges sit at orient*(2*pi*n - off) for the two offsets, n
+# from first_n up; on the right corners the n=1 window is bounded by the
+# seam and the mouth themselves, so its edges are already laid and
+# first_n starts one turn later.
 _LIMIT_ASSEMBLY = {
-    "ul": {"corner": -1 + 1j, "anchor_theta": -0.5 * math.pi, "orient": +1,
+    "ul": {"anchor_theta": -0.5 * math.pi, "orient": +1,
            "seam": 0.0, "offsets": (0.5 * math.pi, 0.0), "first_n": 1},
-    "bl": {"corner": -1 - 1j, "anchor_theta": +0.5 * math.pi, "orient": -1,
+    "bl": {"anchor_theta": +0.5 * math.pi, "orient": -1,
            "seam": 0.0, "offsets": (0.5 * math.pi, 0.0), "first_n": 1},
-    "ur": {"corner": 1 + 1j, "anchor_theta": -0.5 * math.pi, "orient": -1,
+    "ur": {"anchor_theta": -0.5 * math.pi, "orient": -1,
            "seam": math.pi, "offsets": (1.5 * math.pi, math.pi), "first_n": 2},
-    "br": {"corner": 1 - 1j, "anchor_theta": +0.5 * math.pi, "orient": +1,
+    "br": {"anchor_theta": +0.5 * math.pi, "orient": +1,
            "seam": math.pi, "offsets": (1.5 * math.pi, math.pi), "first_n": 2},
 }
 
@@ -422,42 +415,39 @@ def limit_image_cloud(
     sheets beyond it lie within the accumulation scale tau/theta_max of
     the singular points, which are included as cloud points themselves.
 
+    The right real-axis crossing is solved once and mirrored to the left.
     Each spiral assembly first walks its bridges in order, one
     track_level_curve per stop, and seeds the stop's two rays where the
-    bridge ends. The mouth curves and all rays then run in one lock_step.
-    Pieces, notes and depths are filled in the order of a sequential walk:
-    mouths, glued edge, then each assembly's stops by depth.
+    bridge ends, recording their depth, or the stop's "unreached:" note
+    where the bridge stalls. The mouth curves and all rays then run in
+    one lock_step.
     """
     dev = DevelopingMap.merged_limit(x0, tau)
     cloud = CurveCloud()
     n_max = max(1, int(round(theta_max / (2 * math.pi))))
 
-    # each side's real-axis anchor starts its two mouth curves and the
+    # the real-axis anchor and its mirror start each side's two mouth
+    # curves (developed value on the left and right square edges) and the
     # bridges of its two spiral assemblies
-    anchors = {}
-    for side in (+1, -1):
-        u = complex(_axis_anchor_real(dev, side))
-        anchors[side] = (u, complex(dev.develop_at(u)))
-
-    # mouth curves: developed value on the left and right square edges
-    tracks = {}
+    u = _axis_anchor_real(dev)
+    anchors, tracks = {}, {}
     for side, label in ((+1, "right"), (-1, "left")):
-        u, g0 = anchors[side]
+        w = complex(side * u)
+        g = complex(dev.develop_at(w))
+        anchors[side] = (w, g)
         for updown, cy in (("upper", 1.0), ("lower", -1.0)):
             p, dp = segment_target(side * (1 + 0j), side + 1j * cy * (1 - flank_inner))
             tracks[f"mouth_{label}_{updown}"] = level_curve_track(
-                dev, p, dp, u, g0=g0, max_step=0.05,
+                dev, p, dp, w, g0=g, max_step=0.05,
                 quad_tol=quad_tol, max_steps=8000,
             )
-    mouths = list(tracks)
 
     # spiral assemblies: bridge along the unit developed circle from the
     # axis anchor, pausing at each seam or flank angle to seed its two
     # rays; each bridge starts where the previous one ended, so they run
-    # in order, and a stalled one ends its assembly
-    stops: List[Tuple[str, float, List[str], str]] = []
+    # in order, and a stalled one ends its assembly with a note
     for name, spec in _LIMIT_ASSEMBLY.items():
-        corner = spec["corner"]
+        corner = CORNER_COORD[name]
         orient = spec["orient"]
         th = spec["anchor_theta"]
         w, g = anchors[int(np.sign(corner.real))]
@@ -483,44 +473,28 @@ def limit_image_cloud(
                     max_steps=20000, first_step=0.005,
                 )
                 if not br.completed:
-                    stops.append((label, depth, [], f"unreached: bridge {br.reason}"))
+                    cloud.notes[label] = f"unreached: bridge {br.reason}"
+                    cloud.depths[label] = depth
                     break
                 w, g, m = complex(br.w[-1]), complex(br.g[-1]), int(br.branch[-1])
                 th = angle
-            rays = []
             for rng, tag in (((1.0, flank_inner), "in"), ((1.0, STRIP_DEPTH + 1.0), "out")):
                 pr, dpr = _ray_target(corner, angle, rng[0], rng[1])
-                rays.append(f"{label}_{tag}")
-                tracks[rays[-1]] = level_curve_track(
+                cloud.depths[f"{label}_{tag}"] = depth
+                tracks[f"{label}_{tag}"] = level_curve_track(
                     dev, pr, dpr, w, g0=g, branch0=m,
                     max_step=min(0.05, 0.5 * scale), quad_tol=quad_tol,
                     max_steps=20000, first_step=0.002,
                 )
-            stops.append((label, depth, rays, ""))
 
     # the mouths and every stop's rays are independent once seeded
-    results = dict(zip(tracks, lock_step(dev, list(tracks.values()))))
-
-    def add_track(name: str) -> None:
-        r = results[name]
+    for name, r in zip(tracks, lock_step(dev, list(tracks.values()))):
         cloud.add(name, resample_curve(r.w, spacing), "" if r.completed else f"partial: {r.reason}")
-
-    for name in mouths:
-        add_track(name)
 
     # glued edge: the identified top/bottom pair develops onto the real
     # segment between the singular points
     t = np.linspace(-x0 + 1e-4, x0 - 1e-4, max(3, int(math.ceil(2 * x0 / spacing))))
     cloud.add("glued_edge", t.astype(complex), "edge pair identified by the deck translation")
-
-    for label, depth, rays, unreached in stops:
-        for name in rays:
-            add_track(name)
-            cloud.depths[name] = depth
-        if unreached:
-            cloud.notes[label] = unreached
-            cloud.depths[label] = depth
-
     cloud.add("singular_points", np.array([x0 + 0j, -x0 + 0j]),
               "accumulation points of the deep sheets")
     return cloud

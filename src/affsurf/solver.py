@@ -164,9 +164,10 @@ def solve_prevertex(
 ) -> SolveResult:
     """Prevertex of the aspect-K member, in the open first quadrant.
 
-    One Broyden iteration from initial, or without it from _start(K).
-    The solver tolerance must exceed quad_tol: a residual cannot be
-    certified below its own quadrature error budget.
+    One Broyden iteration from initial, or without it from _start(K),
+    which at the square is the answer. The solver tolerance must exceed
+    quad_tol: a residual cannot be certified below its own quadrature
+    error budget.
     """
     if math.isinf(K):
         raise ValueError("the limit has no finite prevertex; extrapolate a sweep instead")
@@ -176,9 +177,6 @@ def solve_prevertex(
         raise ArithmeticError(
             f"residual tolerance {tol:.1e} is not above the quadrature tolerance {quad_tol:.1e}"
         )
-    if K == 1.0:
-        r = corner_residual(1.0, CORNER_TARGET, quad_tol)
-        return SolveResult(1.0, CORNER_TARGET, abs(r), 0, 1, abs(r) <= tol)
     z, res, its, evals, ok = _broyden(K, _start(K) if initial is None else initial, tol, quad_tol)
     if not ok:
         raise ArithmeticError(f"no convergence at aspect {K:.6g}: residual {res:.2e} after {its} iterations")

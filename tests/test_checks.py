@@ -205,8 +205,8 @@ class TestHausdorffConvergence:
         assert detail["verdict"] == "inconclusive"
 
     def test_cli_step_fails_on_sensitivity_alone(self, tmp_path, monkeypatch):
-        # the verdict reads inconclusive, but with every curve complete the
-        # step is an ordinary failure
+        # with every curve complete the truncation sensitivity alone makes
+        # the verdict inconclusive; the step says so too, and the run fails
         report = _distance_report([0.14, 0.09, 0.04], 0.01)
         monkeypatch.setattr("affsurf.cli.convergence_report", lambda *a, **kw: dict(report))
         assert main(["hausdorff", "--out", str(tmp_path / "h")]) == 1
@@ -216,5 +216,5 @@ class TestHausdorffConvergence:
         assert steps == [
             ("limit-data", "ok"),
             ("connection-convergence", "ok"),
-            ("hausdorff-convergence", "fail"),
+            ("hausdorff-convergence", "inconclusive"),
         ]

@@ -197,6 +197,22 @@ class TestExitCodes:
         assert report["status"] == "fail"
         assert report["results"]["verdict"] == "fail"
 
+    def test_shallow_cutoff_makes_the_hausdorff_step_inconclusive(self, tmp_path):
+        # at --theta-max 3 the spiral cutoff moves the last distance by
+        # more than a fifth of it while every curve completes; the step
+        # status follows the check's verdict, and the run still fails
+        code = main(
+            ["hausdorff", "--theta-max", "3", "--density", "60", "--out", str(tmp_path / "h")]
+        )
+        assert code == 1
+        report = json.loads((tmp_path / "h" / "report.json").read_text())
+        step = report["steps"][-1]
+        assert step["name"] == "hausdorff-convergence"
+        assert "incomplete" not in step["detail"]
+        assert step["status"] == step["detail"]["verdict"] == "inconclusive"
+        assert report["results"]["verdict"] == "inconclusive"
+        assert report["status"] == "fail"
+
     def test_fit_without_a_limit_fails_every_hausdorff_step(self, tmp_path, monkeypatch):
         # a fit with tau <= 0 has no limit map: each criterion fails and
         # names it, and the report still lands on disk

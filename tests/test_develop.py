@@ -493,6 +493,13 @@ class TestLoops:
         with pytest.raises(ValueError):
             K2.loop_integral(0.8, 0.3)  # circle pierces the slit
 
+    def test_square_refuses_no_loop(self):
+        # the square has no slits, so a circle through x = +-1 is a loop
+        # like any other, and g' = 1 makes its integral vanish
+        sq = DevelopingMap.from_aspect(1.0, 1 + 1j)
+        assert sq.slits == ()
+        assert abs(sq.loop_integral(0.0, 1.0)) < 1e-14
+
     def test_far_loop_vanishes(self):
         # encloses everything: residues at infinity cancel (E_1 = 0)
         assert abs(K2.loop_integral(0.0, 50.0)) < 1e-9

@@ -231,6 +231,10 @@ class TestBrent:
     @pytest.mark.parametrize("anchor", [_axis_anchor_real, _axis_anchor_imag])
     @pytest.mark.parametrize("side", [1, -1])
     def test_axis_anchors_match_brentq(self, monkeypatch, name, anchor, side):
+        # side 1 checks the solved right or upper crossing. Side -1 solves
+        # the left or lower crossing independently, on the reflected
+        # bracket, which is where a bracket search of that side ends, and
+        # finds the anchor's mirror bit for bit
         solves = []
 
         def recording(f, a, b, xtol, fa=None, fb=None):
@@ -238,12 +242,28 @@ class TestBrent:
             return _brent(f, a, b, xtol, fa, fb)
 
         monkeypatch.setattr(limitset, "_brent", recording)
-        anchor(self.MAPS[name], side)
+        dev = self.MAPS[name]
+        root = anchor(dev)
         assert len(solves) == 1
+        f, a, b, xtol, fa, fb = solves[0]
         if anchor is _axis_anchor_real:
             # the bracket search has evaluated both ends already
-            assert None not in solves[0][4:]
-        _assert_brent_matches_brentq(*solves[0])
+            assert None not in (fa, fb)
+        if side == 1:
+            _assert_brent_matches_brentq(f, a, b, xtol, fa, fb)
+            return
+        if anchor is _axis_anchor_real:
+            mirror = lambda u: complex(dev.develop_at(complex(u))).real + 1.0
+        else:
+            mirror = lambda v: complex(dev.develop_at(complex(0.0, v))).imag + 1.0
+        _assert_brent_matches_brentq(mirror, -b, -a, xtol)
+        low = _brent(mirror, -b, -a, xtol)
+        if dev.kind == "limit" and anchor is _axis_anchor_imag:
+            # the limit cloud takes no imaginary-axis anchor; there Im g
+            # climbs so steeply that the two solves part in the last digits
+            assert abs(low + root) <= xtol
+        else:
+            assert low == -root
 
     SYNTHETIC = (
         (lambda x: math.tanh(x - 0.3), -4.0, 4.0),
@@ -339,6 +359,22 @@ class TestFiniteBoundary:
         for name in halves:
             assert cloud.notes[name] == "partial: forced stall"
 
+    def test_two_anchor_solves_seed_four_sides(self, monkeypatch):
+        # the right and upper crossings are solved; the left and lower
+        # sides start at their mirrors
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _brent(*args)
+
+        monkeypatch.setattr(limitset, "_brent", counted)
+        cloud = rectangle_image_boundary(DevelopingMap.from_aspect(2.0, Z1_K2), spacing=0.02)
+        assert len(calls) == 2
+        start = {name: pts[0] for name, pts in cloud.pieces.items()}
+        assert start["left_to_-1+1"] == -start["right_to_+1+1"]
+        assert start["bottom_to_+1-1"] == -start["top_to_+1+1"]
+
     def test_aspect_1e10_completes(self):
         # the top and bottom sides start at axis crossings near
         # 1.44/K = 1.4e-10, below the 1e-9 that brackets them up to K = 1e7
@@ -420,9 +456,9 @@ class TestLimitCloud:
         assert pooled_calls <= calls["n"] / 2
 
     def test_each_anchor_solved_once(self, monkeypatch):
-        # one real-axis anchor per side serves its mouth curves and both of
-        # its spiral assemblies; outside the two solves the cloud develops
-        # only the anchors themselves
+        # one real-axis anchor, solved on the right and mirrored to the
+        # left, serves the mouth curves and the spiral assemblies of both
+        # sides; outside the solve the cloud develops only the two anchors
         calls = {"develop_at": 0, "in_anchors": 0, "anchors": 0}
         develop_at, anchor = DevelopingMap.develop_at, limitset._axis_anchor_real
 
@@ -430,9 +466,9 @@ class TestLimitCloud:
             calls["develop_at"] += 1
             return develop_at(self, *args, **kwargs)
 
-        def counted_anchor(dev, side):
+        def counted_anchor(dev):
             before = calls["develop_at"]
-            u = anchor(dev, side)
+            u = anchor(dev)
             calls["anchors"] += 1
             calls["in_anchors"] += calls["develop_at"] - before
             return u
@@ -440,7 +476,7 @@ class TestLimitCloud:
         monkeypatch.setattr(DevelopingMap, "develop_at", counted_develop_at)
         monkeypatch.setattr(limitset, "_axis_anchor_real", counted_anchor)
         limit_image_cloud(X0, TAU, theta_max=2 * math.pi)
-        assert calls["anchors"] == 2
+        assert calls["anchors"] == 1
         assert calls["develop_at"] == calls["in_anchors"] + 2
         assert calls["develop_at"] <= 20
 

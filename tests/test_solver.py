@@ -39,10 +39,11 @@ TAU_LIMIT = 0.3470332389
 
 class TestSolve:
     def test_square_is_exact(self):
+        # the square start is the answer: one residual, no iteration
         r = solve_prevertex(1.0)
         assert r.prevertex == 1 + 1j
         assert r.residual < 1e-10
-        assert r.iterations == 0
+        assert (r.iterations, r.evaluations) == (0, 1)
 
     def test_aspect_two_matches_grid_oracle(self):
         r = solve_prevertex(2.0)

@@ -52,8 +52,8 @@ class TestBasics:
         assert max(gaps) < 1e-12
 
     def test_trivial_crossing_degenerate_slits(self):
-        # at aspect 1 the slits carry no jump; the branch counter may
-        # tick but the track must stay exact
+        # at aspect 1 g' has no jump and the member no slits: a track
+        # across the lines x = +-1 stays exact
         dev = DevelopingMap.from_aspect(1.0, 1 + 1j)
         p, dp = segment_target(2 + 0.5j, -2 + 0.5j)
         r = track_level_curve(dev, p, dp, 2 + 0.5j, g0=2 + 0.5j)
