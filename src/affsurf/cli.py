@@ -16,7 +16,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
@@ -35,61 +35,12 @@ from .pointcloud import PointCloud, write_points
 from .solver import continuation_sweep, extract_limit, solve_prevertex
 from .svg import PALETTE, PlaneCurve, PlaneDots, figure
 
-COMMANDS = ("solve", "sweep", "render", "limit", "hausdorff", "verify")
-
 class UsageError(Exception):
     pass
 
 
 def _decades(lo: int, hi: int) -> Tuple[float, ...]:
     return tuple(10.0**j for j in range(lo, hi + 1))
-
-
-def _parse_k(raw) -> Tuple[float, ...]:
-    if raw is None:
-        return ()
-    items = raw if isinstance(raw, (list, tuple)) else [raw]
-    values = []
-    for item in items:
-        tokens = str(item).split(",") if isinstance(item, str) else [item]
-        for tok in tokens:
-            text = str(tok).strip()
-            if not text:
-                continue
-            try:
-                values.append(math.inf if text.lower() == "inf" else float(text))
-            except ValueError:
-                raise UsageError(f"bad aspect {text!r}") from None
-    return tuple(sorted(set(values)))
-
-
-def _parse_grid(raw) -> Tuple[float, ...]:
-    if raw is None:
-        return ()
-    if isinstance(raw, (list, tuple)):
-        values = [_number("grid aspect", v) for v in raw]
-    else:
-        text = str(raw).strip()
-        if not text:
-            return ()
-        if ":" in text:
-            parts = text.split(":")
-            if len(parts) != 3:
-                raise UsageError(f"grid spec must be start:stop:count, got {text!r}")
-            try:
-                a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
-            except ValueError:
-                raise UsageError(f"bad grid spec {text!r}") from None
-            if not (0 < a <= b) or n < 2:
-                raise UsageError(f"grid needs 0 < start <= stop and count >= 2, got {text!r}")
-            exps = np.linspace(math.log10(a), math.log10(b), n)
-            values = [float(10.0**e) for e in exps]
-        else:
-            try:
-                values = [float(tok) for tok in text.split(",") if tok.strip()]
-            except ValueError:
-                raise UsageError(f"bad grid list {text!r}") from None
-    return tuple(sorted(set(values)))
 
 
 def _number(name: str, value) -> float:
@@ -117,31 +68,64 @@ def _seed(value) -> int:
     return seed
 
 
+def _aspects(name: str, raw, spans: bool = False) -> Tuple[float, ...]:
+    """Sorted distinct aspects from a number, a comma-separated string or a
+    list of either. With spans, a whole string start:stop:count gives count
+    aspects spaced geometrically from start to stop."""
+    if spans and isinstance(raw, str) and ":" in raw:
+        try:
+            a, b, n = raw.split(":")
+            a, b, n = float(a), float(b), int(n)
+        except ValueError:
+            raise UsageError(f"{name} must be start:stop:count, got {raw!r}") from None
+        if not (0 < a <= b < math.inf) or n < 2:
+            raise UsageError(f"{name} needs 0 < start <= stop < inf and count >= 2, got {raw!r}")
+        return tuple(sorted({float(10.0**e) for e in np.linspace(math.log10(a), math.log10(b), n)}))
+    items = () if raw is None else raw if isinstance(raw, (list, tuple)) else [raw]
+    values = set()
+    for item in items:
+        for tok in item.split(",") if isinstance(item, str) else [item]:
+            if not (isinstance(tok, str) and not tok.strip()):
+                values.add(_number(name, tok))
+    return tuple(sorted(values))
+
+
+def _setting(default, metavar: str, help: Optional[str] = None, **flag):
+    """A RunConfig field whose metadata holds the add_argument keywords of its flag."""
+    return field(default=default, metadata={"metavar": metavar, "help": help, **flag})
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Effective settings of one invocation.
 
-    The field defaults are the only defaults. Flags, a config file and
-    make_config all pass raw values, which __post_init__ coerces and
-    checks once. An empty aspect list takes the command's fallback:
-    verify checks 2, 5 and 1000; hausdorff compares the decades 1e2 to
-    1e6, and the other commands sweep 1e1 to 1e8.
+    The field defaults are the only defaults, and each setting's metadata
+    describes its flag. Flags, a config file and make_config all pass raw
+    values, which __post_init__ coerces and checks once. An empty aspect
+    list takes the command's fallback: verify checks 2, 5 and 1000;
+    hausdorff compares the decades 1e2 to 1e6, and the other commands
+    sweep 1e1 to 1e8.
     """
 
     command: str
-    k: Tuple[float, ...] = ()
-    k_grid: Tuple[float, ...] = ()
-    tol_solver: float = 1e-10
-    tol_quad: float = 1e-12
-    theta_max: float = 8.0 * math.pi
-    density: float = 250.0
-    out: str = "out"
-    seed: int = 0
-    format: str = "svg"
+    k: Tuple[float, ...] = _setting(
+        (), "K", "aspect ratio, repeatable or comma separated; 'inf' draws the limit (render only)",
+        action="append",
+    )
+    k_grid: Tuple[float, ...] = _setting(
+        (), "SPEC", "aspect grid, 'start:stop:count' (geometric) or a comma list"
+    )
+    tol_solver: float = _setting(1e-10, "T")
+    tol_quad: float = _setting(1e-12, "T")
+    theta_max: float = _setting(8.0 * math.pi, "R", "spiral winding cutoff in radians")
+    density: float = _setting(250.0, "D", "curve sampling, points per unit length")
+    out: str = _setting("out", "PATH", "output directory, or a .json path for the report")
+    seed: int = _setting(0, "N", "seed for sampled checks")
+    format: str = _setting("svg", "{svg,txt}")
 
     def __post_init__(self) -> None:
         command = self.command
-        if command not in COMMANDS:
+        if command not in _COMMANDS:
             raise UsageError(f"unknown command {command!r}")
         for name in ("tol_solver", "tol_quad", "theta_max", "density"):
             v = _number(name, getattr(self, name))
@@ -151,7 +135,7 @@ class RunConfig:
         if self.format not in ("svg", "txt"):
             raise UsageError(f"format must be svg or txt, got {self.format!r}")
         object.__setattr__(self, "seed", _seed(self.seed))
-        ks = _parse_k(self.k)
+        ks = _aspects("k", self.k)
         if not ks and command in ("solve", "render"):
             raise UsageError(f"{command} needs at least one --k")
         if not ks and command == "verify":
@@ -161,7 +145,7 @@ class RunConfig:
                 raise UsageError(f"aspects start at 1, got {v}")
             if math.isinf(v) and command != "render":
                 raise UsageError("aspect inf is only drawable; use render, limit, or sweep")
-        grid = _parse_grid(self.k_grid)
+        grid = _aspects("k_grid", self.k_grid, spans=True)
         if not grid:
             grid = _decades(2, 6) if command == "hausdorff" else _decades(1, 8)
         for v in grid:
@@ -229,16 +213,7 @@ class RunReport:
     status: str
 
     def to_json(self) -> str:
-        payload = {
-            "command": self.command,
-            "config": self.config,
-            "config_sha256": self.config_sha256,
-            "steps": list(self.steps),
-            "results": self.results,
-            "manifest": list(self.manifest),
-            "status": self.status,
-        }
-        return json.dumps(_plain(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
+        return json.dumps(_plain(asdict(self)), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _resolve_out(config: RunConfig) -> Tuple[Path, Path, str]:
@@ -548,13 +523,14 @@ def _run_verify(config: RunConfig, rec: _Recorder) -> dict:
     return {"checks": [name for name, _ in suite], "failed": failed}
 
 
-_HANDLERS = {
-    "solve": _run_solve,
-    "sweep": _run_sweep,
-    "render": _run_render,
-    "limit": _run_limit,
-    "hausdorff": _run_hausdorff,
-    "verify": _run_verify,
+# each command's handler and help line, in the order the help lists them
+_COMMANDS = {
+    "solve": (_run_solve, "solve the corner condition at one or more aspects"),
+    "sweep": (_run_sweep, "prevertex solves over an aspect grid plus limit extrapolation"),
+    "render": (_run_render, "draw boundary curves (finite aspects and/or 'inf') as a figure"),
+    "limit": (_run_limit, "build and save the limit boundary configuration"),
+    "hausdorff": (_run_hausdorff, "distance trend from finite boundaries to the limit"),
+    "verify": (_run_verify, "run the property suite and report pass/fail per check"),
 }
 
 
@@ -570,7 +546,7 @@ def run(config: RunConfig) -> RunReport:
     results: dict = {}
     status = "pass"
     try:
-        results = _HANDLERS[config.command](config, rec)
+        results = _COMMANDS[config.command][0](config, rec)
         if any(s["status"] in _FAILING for s in rec.steps):
             status = "fail"
     except (ArithmeticError, ValueError) as exc:
@@ -603,48 +579,18 @@ def run(config: RunConfig) -> RunReport:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="FILE", help="JSON file supplying any of the flags")
-    common.add_argument(
-        "--k",
-        action="append",
-        metavar="K",
-        help="aspect ratio, repeatable or comma separated; 'inf' draws the limit (render only)",
-    )
-    common.add_argument(
-        "--k-grid",
-        dest="k_grid",
-        metavar="SPEC",
-        help="aspect grid, 'start:stop:count' (geometric) or a comma list",
-    )
-    common.add_argument("--tol-solver", dest="tol_solver", type=float, metavar="T")
-    common.add_argument("--tol-quad", dest="tol_quad", type=float, metavar="T")
-    common.add_argument(
-        "--theta-max", dest="theta_max", type=float, metavar="R",
-        help="spiral winding cutoff in radians",
-    )
-    common.add_argument(
-        "--density", type=float, metavar="D", help="curve sampling, points per unit length"
-    )
-    common.add_argument(
-        "--out", metavar="PATH", help="output directory, or a .json path for the report"
-    )
-    common.add_argument("--seed", type=int, metavar="N", help="seed for sampled checks")
-    common.add_argument("--format", choices=("svg", "txt"))
+    # the setting flags; each value is checked once, by RunConfig
+    for f in fields(RunConfig):
+        if f.name in _SETTINGS:
+            common.add_argument("--" + f.name.replace("_", "-"), **f.metadata)
 
     parser = argparse.ArgumentParser(
         prog="affsurf",
         description="Numerics for a family of glued affine surfaces and its limit.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    helps = {
-        "solve": "solve the corner condition at one or more aspects",
-        "sweep": "prevertex solves over an aspect grid plus limit extrapolation",
-        "render": "draw boundary curves (finite aspects and/or 'inf') as a figure",
-        "limit": "build and save the limit boundary configuration",
-        "hausdorff": "distance trend from finite boundaries to the limit",
-        "verify": "run the property suite and report pass/fail per check",
-    }
-    for name in COMMANDS:
-        sub.add_parser(name, parents=[common], help=helps[name])
+    for name, (_, help_line) in _COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=help_line)
     return parser
 
 

@@ -124,10 +124,6 @@ class DevelopingMap:
     def merged_limit(cls, x0: float, tau: float) -> "DevelopingMap":
         return cls("limit", x0=x0, tau=tau)
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.kind == "finite" and self.K == 1.0
-
     # -- pointwise evaluation ------------------------------------------------
 
     def _pole_offsets(self, arr, rel: float) -> np.ndarray:

@@ -336,13 +336,14 @@ def rectangle_image_boundary(
     if dev.kind != "finite":
         raise ValueError("finite-aspect map required; use limit_image_cloud for the limit")
     cloud = CurveCloud()
-    u, v = (1.0, 1.0) if dev.is_trivial else (_axis_anchor_real(dev), _axis_anchor_imag(dev))
-    # each side's axis crossing and the two corners its halves run into
+    u, v = (_axis_anchor_real(dev), _axis_anchor_imag(dev)) if dev.slits else (1.0, 1.0)
+    # each side's axis crossing and the corners of CORNER_COORD its halves
+    # run into
     sides = {
-        "right": (complex(u), (1 + 1j, 1 - 1j)),
-        "left": (complex(-u), (-1 + 1j, -1 - 1j)),
-        "top": (complex(0, v), (1 + 1j, -1 + 1j)),
-        "bottom": (complex(0, -v), (1 - 1j, -1 - 1j)),
+        "right": (complex(u), ("ur", "br")),
+        "left": (complex(-u), ("ul", "bl")),
+        "top": (complex(0, v), ("ur", "ul")),
+        "bottom": (complex(0, -v), ("br", "bl")),
     }
     approaches = {}
     for side, (w0, corners) in sides.items():
@@ -353,33 +354,13 @@ def rectangle_image_boundary(
         # develop at unit scale and keep the fixed clip
         clip = corner_clip / dev.K if side in ("top", "bottom") else corner_clip
         for corner in corners:
-            name = f"{side}_to_{corner.real:+.0f}{corner.imag:+.0f}"
-            approaches[name] = _track_toward_corner(dev, corner, w0, g0, 0, clip, quad_tol)
+            approaches[f"{side}_to_{corner}"] = _track_toward_corner(
+                dev, CORNER_COORD[corner], w0, g0, 0, clip, quad_tol
+            )
     for name, (curve, stall) in zip(approaches, lock_step(dev, list(approaches.values()))):
         cloud.add(name, resample_curve(curve, spacing), f"partial: {stall}" if stall else "")
     cloud.add("prevertices", np.array(dev.poles), "isolated corner preimages")
     return cloud
-
-
-# spiral assemblies of the limit configuration, keyed by the corner of
-# surface.CORNER_COORD they wind into: seam-ray angle of the adjoining
-# strip edge, winding direction deeper into the sheets, and the bridge's
-# start angle on the coordinate axis anchor. seam: magnitude of the
-# bridge angle of the strip edge glued into this corner (orient-signed in
-# use). Window edges sit at orient*(2*pi*n - off) for the two offsets, n
-# from first_n up; on the right corners the n=1 window is bounded by the
-# seam and the mouth themselves, so its edges are already laid and
-# first_n starts one turn later.
-_LIMIT_ASSEMBLY = {
-    "ul": {"anchor_theta": -0.5 * math.pi, "orient": +1,
-           "seam": 0.0, "offsets": (0.5 * math.pi, 0.0), "first_n": 1},
-    "bl": {"anchor_theta": +0.5 * math.pi, "orient": -1,
-           "seam": 0.0, "offsets": (0.5 * math.pi, 0.0), "first_n": 1},
-    "ur": {"anchor_theta": -0.5 * math.pi, "orient": -1,
-           "seam": math.pi, "offsets": (1.5 * math.pi, math.pi), "first_n": 2},
-    "br": {"anchor_theta": +0.5 * math.pi, "orient": +1,
-           "seam": math.pi, "offsets": (1.5 * math.pi, math.pi), "first_n": 2},
-}
 
 
 def _within_depth(depth: float, theta_max: float) -> bool:
@@ -446,16 +427,23 @@ def limit_image_cloud(
     # axis anchor, pausing at each seam or flank angle to seed its two
     # rays; each bridge starts where the previous one ended, so they run
     # in order, and a stalled one ends its assembly with a note
-    for name, spec in _LIMIT_ASSEMBLY.items():
-        corner = CORNER_COORD[name]
-        orient = spec["orient"]
-        th = spec["anchor_theta"]
+    for name, corner in CORNER_COORD.items():
+        # winding direction deeper into the sheets, and the bridge's start
+        # angle on the axis anchor
+        orient = -int(corner.real * corner.imag)
+        th = -0.5 * math.pi * corner.imag
         w, g = anchors[int(np.sign(corner.real))]
         m = 0
-        off_a, off_b = spec["offsets"]
-        seam0 = orient * spec["seam"]
+        # the strip edge glued into a right corner lies half a turn further
+        # round: its seam ray sits at orient*pi, and the n=1 window is bounded
+        # by the seam and the mouth themselves, so its edges are already laid.
+        # Window edges sit at orient*(2*pi*n - off) for the two offsets.
+        right = corner.real > 0
+        seam = math.pi if right else 0.0
+        off_a, off_b = seam + 0.5 * math.pi, seam
+        seam0 = orient * seam
         angles: List[Tuple[float, str]] = [(seam0, f"seam_{name}")]
-        for n in range(spec["first_n"], n_max + 2):
+        for n in range(2 if right else 1, n_max + 2):
             angles.append((orient * (2 * math.pi * n - off_a), f"flank_{name}_n{n}a"))
             angles.append((orient * (2 * math.pi * n - off_b), f"flank_{name}_n{n}b"))
         # truncate by winding depth from the seam so mirror corners cut

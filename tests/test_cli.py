@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -26,6 +27,21 @@ class TestConfig:
 
     def test_k_sorted_and_deduplicated(self):
         assert make_config("solve", k="5,2,2").k == (2.0, 5.0)
+
+    def test_k_list_items_may_hold_commas(self):
+        assert make_config("solve", k=["2,5", 7]).k == (2.0, 5.0, 7.0)
+
+    def test_k_refuses_booleans_and_grid_specs(self):
+        for k in ([True], "1:10:3"):
+            with pytest.raises(UsageError, match="^k "):
+                make_config("solve", k=k)
+
+    def test_grid_list_items_may_hold_commas(self):
+        assert make_config("sweep", k_grid=["10,100", 1000]).k_grid == (10.0, 100.0, 1000.0)
+
+    def test_grid_spec_only_as_the_whole_setting(self):
+        with pytest.raises(UsageError, match="^k_grid "):
+            make_config("sweep", k_grid=["1e1:1e3:3"])
 
     def test_geometric_grid_spec(self):
         c = make_config("sweep", k_grid="1e1:1e4:4")
@@ -183,6 +199,29 @@ class TestExitCodes:
             cfg.write_text(json.dumps(bad))
             assert main(["solve", "--k", "2", "--config", str(cfg), "--out", str(tmp_path / "u")]) == 2
 
+    @pytest.mark.parametrize(
+        "flag, value, setting",
+        [
+            ("--seed", "1.5", "seed"),
+            ("--format", "png", "format"),
+            ("--tol-solver", "abc", "tol_solver"),
+            ("--k", "x", "k"),
+            ("--k-grid", "1:10", "k_grid"),
+            ("--k-grid", "1e1:1e3:1", "k_grid"),
+            ("--k-grid", "1e1:inf:3", "k_grid"),
+        ],
+    )
+    def test_bad_flag_value_is_refused_as_in_a_config_file(
+        self, tmp_path, capsys, flag, value, setting
+    ):
+        # flags reach RunConfig as typed and meet the config file's checks;
+        # an infinite grid end is refused before numpy spaces the grid
+        assert main(["sweep", flag, value, "--out", str(tmp_path / "u")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"usage error: {setting} ")
+        assert not (tmp_path / "u").exists()
+
     def test_unknown_flag_is_two(self, tmp_path):
         assert main(["solve", "--k", "2", "--frobnicate"]) == 2
 
@@ -284,6 +323,15 @@ class TestArtifacts:
         assert doc.count("<path") == 8
         assert doc.count("<circle") == 4
         assert "viewBox=" in doc
+
+    def test_corner_approaches_name_their_corner(self, tmp_path):
+        # one path per side and the corner of surface.CORNER_COORD it runs into
+        run(make_config("render", k="2", density=40, out=str(tmp_path / "r")))
+        ids = re.findall(r'<path id="([^"]*)"', (tmp_path / "r" / "figure.svg").read_text())
+        assert sorted(ids) == [
+            "k2-bottom_to_bl", "k2-bottom_to_br", "k2-left_to_bl", "k2-left_to_ul",
+            "k2-right_to_br", "k2-right_to_ur", "k2-top_to_ul", "k2-top_to_ur",
+        ]
 
     def test_cloud_files_round_trip(self, tmp_path):
         run(make_config("render", k="1", density=40, format="txt", out=str(tmp_path / "c")))

@@ -24,7 +24,7 @@ def test_prevertex_ring_symmetry():
 
 def test_trivial_at_aspect_one():
     c = DevelopingMap.from_aspect(1.0, 1 + 1j)
-    assert c.is_trivial
+    assert c.slits == ()
     grid = np.linspace(-3, 3, 100) + 2j
     assert np.all(c.connection(grid) == 0)
 

@@ -372,8 +372,8 @@ class TestFiniteBoundary:
         cloud = rectangle_image_boundary(DevelopingMap.from_aspect(2.0, Z1_K2), spacing=0.02)
         assert len(calls) == 2
         start = {name: pts[0] for name, pts in cloud.pieces.items()}
-        assert start["left_to_-1+1"] == -start["right_to_+1+1"]
-        assert start["bottom_to_+1-1"] == -start["top_to_+1+1"]
+        assert start["left_to_ul"] == -start["right_to_ur"]
+        assert start["bottom_to_br"] == -start["top_to_ur"]
 
     def test_aspect_1e10_completes(self):
         # the top and bottom sides start at axis crossings near
