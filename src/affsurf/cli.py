@@ -68,18 +68,24 @@ def _seed(value) -> int:
     return seed
 
 
+# the most aspects a start:stop:count span may ask for; each is a solve
+MAX_SPAN_COUNT = 1000
+
+
 def _aspects(name: str, raw, spans: bool = False) -> Tuple[float, ...]:
     """Sorted distinct aspects from a number, a comma-separated string or a
     list of either. With spans, a whole string start:stop:count gives count
-    aspects spaced geometrically from start to stop."""
+    aspects spaced geometrically from start to stop, at most MAX_SPAN_COUNT."""
     if spans and isinstance(raw, str) and ":" in raw:
         try:
             a, b, n = raw.split(":")
             a, b, n = float(a), float(b), int(n)
         except ValueError:
             raise UsageError(f"{name} must be start:stop:count, got {raw!r}") from None
-        if not (0 < a <= b < math.inf) or n < 2:
-            raise UsageError(f"{name} needs 0 < start <= stop < inf and count >= 2, got {raw!r}")
+        if not (0 < a <= b < math.inf) or not 2 <= n <= MAX_SPAN_COUNT:
+            raise UsageError(
+                f"{name} needs 0 < start <= stop < inf and 2 <= count <= {MAX_SPAN_COUNT}, got {raw!r}"
+            )
         return tuple(sorted({float(10.0**e) for e in np.linspace(math.log10(a), math.log10(b), n)}))
     items = () if raw is None else raw if isinstance(raw, (list, tuple)) else [raw]
     values = set()

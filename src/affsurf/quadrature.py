@@ -7,16 +7,18 @@ level is evaluated in one vectorised integrand call, so a segment costs
 one call per refinement level rather than one per panel. Optional interior
 break points seed the first level, which lets a caller grade the panels
 toward an endpoint singularity instead of reaching it by bisection.
-Without break points the first level is one panel; its accept test runs on
-Python scalars, so a segment that GK15 accepts whole skips the level
-bookkeeping, while its sums come from the same array arithmetic as every
-other level and so keep their rounding. Nearly every tracker chord is such
-a segment.
+One GK15 level is defined once: gk15_nodes places the nodes of a set of
+panels and gk15_level takes their values to the panels' (Kronrod, Gauss)
+sums and the accept test. A level may hold the panels of one segment, or
+the one-panel first levels of many segments stacked as (1, 15) rows, which
+is how the tracker pools the first level of every chord in a round (see
+tracking.lock_step).
 Integrands take a 1-D complex ndarray and return an array of its shape.
 The level loop itself is the generator segment_levels, which yields each
 level's nodes and takes their values; integrate_segment drives it with one
 integrand, and the tracker drives it with values it evaluates for several
-chords at once.
+chords at once, starting it at the second level when it already holds the
+first level's values.
 """
 
 from __future__ import annotations
@@ -63,6 +65,37 @@ _PAIR_WEIGHTS[:, 0] = GK_WEIGHTS
 _PAIR_WEIGHTS[1::2, 1] = G7_WEIGHTS
 
 
+def gk15_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(half-widths, nodes) of the GK15 panels [lo, hi], one row of 15 nodes a panel."""
+    h = 0.5 * (hi - lo)
+    return h, (lo + h)[:, None] + h[:, None] * GK_NODES
+
+
+def gk15_level(vals: np.ndarray, h: np.ndarray, tol, total) -> tuple[np.ndarray, ...]:
+    """((Kronrod, Gauss) sums, discrepancy, live) of GK15 panels from their node values.
+
+    vals holds each panel's 15 values along its last axis and h the
+    panels' half-widths in the shape of the rest; tol and total are the
+    tolerance and length of each panel's segment, scalars or arrays in
+    h's shape. live marks the panels the accept test sends on to
+    bisection: Kronrod-Gauss discrepancy above max(tol*length/total,
+    1e-4*tol) and length above 1e-15*total.
+
+    The sums are a matrix product over the last two axes: the panels of
+    one segment's level, shape (n, 15), go through BLAS gemm, while a stack
+    of one-panel levels, shape (m, 1, 15), takes each row on its own and
+    so rounds it as that segment alone would.
+    """
+    sums = (vals @ _PAIR_WEIGHTS) * h[..., None]
+    err = np.abs(sums[..., 0] - sums[..., 1])
+    length = 2.0 * np.abs(h)
+    # the absolute floor keeps short panels near an endpoint from being
+    # starved by the length-proportional share; with <= max_panels panels
+    # the accepted error still sums to O(tol)
+    live = (err > np.maximum((tol / total) * length, 1e-4 * tol)) & (length > 1e-15 * total)
+    return sums, err, live
+
+
 def integrate_segment(
     f: Callable,
     a: complex,
@@ -96,12 +129,15 @@ def segment_levels(
     tol: float = 1e-11,
     max_panels: int = 16384,
     points: Sequence[complex] = (),
+    first: np.ndarray | None = None,
 ) -> Generator[np.ndarray, np.ndarray, complex]:
     """The refinement of integrate_segment, with the integrand left to the caller.
 
     Yields each level's nodes as a 1-D complex array, takes the integrand's
     values on them (any array of that size) and returns the integral, so a
-    caller can evaluate the nodes of several segments in one call.
+    caller can evaluate the nodes of several segments in one call. A caller
+    that already holds the values on the first level's nodes passes them
+    as first; the first level is then not yielded.
     """
     a, b = complex(a), complex(b)
     total = abs(b - a)
@@ -117,32 +153,11 @@ def segment_levels(
     lo, hi = np.array(edges[:-1]), np.array(edges[1:])
     acc = 0j
     splits = 0
-    # the absolute floor keeps short panels near an endpoint from being
-    # starved by the length-proportional share; with <= max_panels panels
-    # the accepted error still sums to O(tol)
-    floor = 1e-4 * tol
-    one_panel = len(edges) == 2
     while True:
-        # half-widths and (Kronrod, Gauss) sums of the panels [lo, hi]
-        h = 0.5 * (hi - lo)
-        hc = h[:, None]
-        nodes = (lo + h)[:, None] + hc * GK_NODES
-        vals = yield nodes.ravel()
-        sums = (np.asarray(vals, dtype=complex).reshape(nodes.shape) @ _PAIR_WEIGHTS) * hc
-        if one_panel:
-            # one first panel: its accept test on Python scalars, while its
-            # sums come from the array arithmetic every level uses (a scalar
-            # complex multiply can round differently); a rejected panel
-            # takes the level loop's accept test, panel budget and split
-            # like any other
-            one_panel = False
-            kronrod, gauss = sums[0].tolist()
-            err, length = abs(kronrod - gauss), 2.0 * abs(complex(h[0]))
-            if not (err > max((tol / total) * length, floor) and length > 1e-15 * total):
-                return acc + kronrod
-        err = np.abs(sums[:, 0] - sums[:, 1])
-        length = 2.0 * np.abs(h)
-        live = (err > np.maximum((tol / total) * length, floor)) & (length > 1e-15 * total)
+        h, nodes = gk15_nodes(lo, hi)
+        vals = (yield nodes.ravel()) if first is None else first
+        first = None
+        sums, err, live = gk15_level(np.asarray(vals, dtype=complex).reshape(nodes.shape), h, tol, total)
         if not live.any():
             return complex(acc + sums[:, 0].sum())
         acc += sums[~live, 0].sum()

@@ -17,21 +17,27 @@ Dormand & Prince 1980). An array element equals the single-point value bit
 for bit, so the reuse leaves every tracked point unchanged.
 
 The step logic is written once, as the generator level_curve_track: it
-yields every point set whose derivative it needs (the RK4 stages, the
-Newton slope, each chord's quadrature levels from
-quadrature.segment_levels) and is sent dev.derivative of it.
-track_level_curve runs one track alone. lock_step runs several tracks
-together, one derivative call per round on the requests of all live
-tracks, each handed its own slice; a lone live track is evaluated on its
-own request. limitset uses it for a rectangle
-boundary's eight corner approaches and for the limit cloud's mouth curves
-and spiral rays. The pooled call changes no bit of any
-track: the derivative is element-wise array arithmetic, so each element is
-the value its request gets alone (TestScalarArrayAgreement checks single
-points against array elements). When a pooled call raises, because some
-point lies inside the pole clearance, every request of that round is
-evaluated alone and the error goes only into the tracks whose own request
-raised it; those retry their step shorter, as they would alone.
+yields every derivative request it needs and is sent the outcome. The RK4
+stages and the Newton slope are points, sent dev.derivative of each. Each
+piece of a chord between slit crossings is a GK15 panel request (lo, hi,
+tol, end), sent the piece's integral when its first level is accepted
+and else the first level's values, from which quadrature.segment_levels
+yields the later levels as arrays of nodes. track_level_curve runs one
+track alone. lock_step runs several tracks together, one derivative call
+per round on the requests of all live tracks: each point or array takes
+its element or slice, and the round's panels are one first level, their
+nodes placed by one quadrature.gk15_nodes call and their sums and accept
+tests taken by one quadrature.gk15_level pass, whose stacked rows round
+each panel as its segment alone would. A lone live track is evaluated on
+its own request. limitset uses lock_step for a rectangle boundary's eight
+corner approaches and for the limit cloud's mouth curves and spiral rays.
+The pooled call changes no bit of any track: the derivative is
+element-wise array arithmetic, so each element is the value its request
+gets alone (TestScalarArrayAgreement checks single points against array
+elements). When a pooled call raises, because some point lies inside the
+pole clearance, every request of that round is evaluated alone and the
+error goes only into the tracks whose own request raised it; those retry
+their step shorter, as they would alone.
 
 Branches: crossing a branch slit multiplies the continued derivative by
 the aspect or its reciprocal. An integer exponent per point records the
@@ -52,7 +58,7 @@ import numpy as np
 from .develop import DevelopingMap
 # integrate_segment is not called here; perfbench's tracer checks that it
 # rebinds the name in this module
-from .quadrature import integrate_segment, segment_levels  # noqa: F401
+from .quadrature import gk15_level, gk15_nodes, integrate_segment, segment_levels  # noqa: F401
 
 
 def _continued_derivative(dev: DevelopingMap, a: complex, m: int, w: complex):
@@ -69,41 +75,48 @@ def _continued_derivative(dev: DevelopingMap, a: complex, m: int, w: complex):
     return gp, mm
 
 
+def _piece(lo: complex, hi: complex, tol: float, end: complex | None = None):
+    """(integral of the derivative along [lo, hi], the derivative at end or None).
+
+    A lock_step track: requests the first GK15 level of [lo, hi] as the
+    panel (lo, hi, tol, end), end None where no end value is wanted. It is
+    sent the panel's integral where the first level is accepted, and else
+    the first level's values, from which segment_levels goes on at the
+    second level. A piece of zero length makes no request.
+    """
+    lo, hi = complex(lo), complex(hi)
+    if lo == hi:
+        return 0j, None
+    integral, first, end_value = yield (lo, hi, tol, end)
+    if integral is None:
+        integral = yield from segment_levels(lo, hi, tol, first=first)
+    return integral, end_value
+
+
 def _chord_increment(dev: DevelopingMap, a: complex, b: complex, m: int, quad_tol: float):
     """(integral of the continued derivative along [a, b], exponent at b,
     continued g'(b) or None).
 
-    A lock_step track: requests each quadrature level of each piece
-    between slit crossings. The end value comes from the first level of
-    the chord's last piece, whose request takes b as one more node. It is
-    None where that piece is missing or has zero length (the chord ends on
-    a slit, or is shorter than the rounding of b) or where b lies on a
-    slit's line; there _continued_derivative decides between the value and
-    its refusal.
+    A lock_step track: requests the quadrature of each piece between slit
+    crossings. The end value comes with the first level of the chord's
+    last piece, whose panel request takes b as its end node. It is None
+    where that piece is missing or has zero length (the chord ends on a
+    slit, or is shorter than the rounding of b) or where b lies on a slit's
+    line; there _continued_derivative decides between the value and its
+    refusal.
     """
     total = 0j
     mm = m
     t_prev = 0.0
     for t, dm in dev.slit_crossings(a, b):
         if t > t_prev:
-            lo, hi = a + t_prev * (b - a), a + t * (b - a)
-            piece = yield from segment_levels(lo, hi, quad_tol)
+            piece, _ = yield from _piece(a + t_prev * (b - a), a + t * (b - a), quad_tol)
             total += piece * (dev.K**mm if mm else 1.0)
         mm += dm
         t_prev = t
     if t_prev >= 1.0:
         return total, mm, None
-    end = None
-    levels = segment_levels(a + t_prev * (b - a), b, quad_tol)
-    try:
-        nodes = next(levels)
-        vals = yield np.concatenate((nodes, (b,)))
-        end = vals[-1]
-        nodes = levels.send(vals[:-1])
-        while True:
-            nodes = levels.send((yield nodes))
-    except StopIteration as done:
-        piece = done.value
+    piece, end = yield from _piece(a + t_prev * (b - a), b, quad_tol, b)
     total += piece * (dev.K**mm if mm else 1.0)
     if end is None or any(b.real == sx for sx, _ in dev.slits):
         return total, mm, None
@@ -116,13 +129,17 @@ def _chord_increment(dev: DevelopingMap, a: complex, b: complex, m: int, quad_to
 def lock_step(dev: DevelopingMap, tracks: Sequence[Generator]) -> list:
     """Run tracks together; their return values, in order.
 
-    A track is a generator that yields derivative requests, each a point
-    (a complex) or a 1-D complex array of points, and is sent
-    dev.derivative of each. Each round takes the outcomes of all live
-    tracks' requests from _outcomes, and sends each track its value or
-    throws into it, at the yield, the ValueError or ArithmeticError its
-    own request raised, as running that track alone would do. An error
-    that a track does not catch propagates.
+    A track is a generator that yields derivative requests and is sent
+    their outcomes. A point (a complex) or a 1-D complex array of points is
+    sent dev.derivative of it. A GK15 panel (lo, hi, tol, end), end a point
+    or None, is sent (integral, first, end value): integral is None where
+    quadrature.gk15_level's accept test refines the panel, first holds the
+    derivative on the panel's 15 nodes, and the end value is None where end
+    is. Each round takes the outcomes of all live tracks' requests from
+    _outcomes, and sends each track its outcome or throws into it, at the
+    yield, the ValueError or ArithmeticError its own request raised, as
+    running that track alone would do. An error that a track does not
+    catch propagates.
     """
     results: list = [None] * len(tracks)
     live, outcomes = list(enumerate(tracks)), [None] * len(tracks)
@@ -141,36 +158,70 @@ def lock_step(dev: DevelopingMap, tracks: Sequence[Generator]) -> list:
 
 
 def _outcomes(dev: DevelopingMap, requests: list) -> list:
-    """dev.derivative of each request, or the error it raises.
+    """The outcome of each request (see lock_step), or the error it raises.
 
-    Several requests share one derivative call and each takes its element
-    or slice. A lone request, and every request of a shared call that
-    raises, is evaluated alone: a refused request is evaluated once, and a
-    lone track's derivative sees its requests as they were yielded.
+    Several requests share one derivative call, on their points, arrays,
+    panel nodes and panel ends. Each point or array takes its element or
+    slice, and the panels' sums and accept tests are one gk15_level pass
+    over their stacked rows. A lone request, and every request of a shared
+    call that raises, is evaluated alone: a refused request is evaluated
+    once, a lone track's derivative sees its points and arrays as they were
+    yielded, and a lone panel evaluates its own 15 nodes and end in one
+    call.
     """
     if len(requests) > 1:
         try:
-            pooled = dev.derivative(
-                np.concatenate([(r,) if isinstance(r, complex) else r for r in requests])
-            )
+            return _shared(dev, requests)
         except (ValueError, ArithmeticError):
             pass
-        else:
-            outcomes, start = [], 0
-            for r in requests:
-                if isinstance(r, complex):
-                    outcomes.append(pooled[start])
-                    start += 1
-                else:
-                    outcomes.append(pooled[start:start + len(r)])
-                    start += len(r)
-            return outcomes
     outcomes = []
     for r in requests:
         try:
-            outcomes.append(dev.derivative(r))
+            outcomes.append(_shared(dev, [r])[0] if type(r) is tuple else dev.derivative(r))
         except (ValueError, ArithmeticError) as exc:
             outcomes.append(exc)
+    return outcomes
+
+
+def _shared(dev: DevelopingMap, requests: list) -> list:
+    """The outcomes of requests from one derivative call; see _outcomes."""
+    points, arrays, panels = [], [], []
+    for r in requests:
+        if type(r) is tuple:
+            panels.append(r)
+        elif isinstance(r, complex):
+            points.append(r)
+        else:
+            arrays.append(r)
+    args = [points, *arrays]
+    if panels:
+        lo, hi, tol, end = zip(*panels)
+        h, nodes = gk15_nodes(np.array(lo), np.array(hi))
+        args += (nodes.ravel(), [e for e in end if e is not None])
+    vals = dev.derivative(np.concatenate(args))
+    if panels:
+        n, at = len(panels), len(points) + sum(map(len, arrays))
+        first = vals[at:at + 15 * n].reshape(n, 15)
+        ends = iter(vals[at + 15 * n:])
+        # each panel is its own segment, its length taken by Python's abs
+        # as segment_levels takes it (numpy's complex abs can differ in the
+        # last bit)
+        total = np.array([abs(b - a) for a, b in zip(lo, hi)])
+        sums, _, live = gk15_level(first[:, None], h[:, None], np.array(tol)[:, None], total[:, None])
+        panel_outcomes = iter([
+            (None if refine else integral, row, None if e is None else next(ends))
+            for integral, refine, row, e in zip(sums[:, 0, 0].tolist(), live[:, 0].tolist(), first, end)
+        ])
+    outcomes, i, start = [], 0, len(points)
+    for r in requests:
+        if type(r) is tuple:
+            outcomes.append(next(panel_outcomes))
+        elif isinstance(r, complex):
+            outcomes.append(vals[i])
+            i += 1
+        else:
+            outcomes.append(vals[start:start + len(r)])
+            start += len(r)
     return outcomes
 
 

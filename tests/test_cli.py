@@ -222,6 +222,36 @@ class TestExitCodes:
         assert err[0].startswith(f"usage error: {setting} ")
         assert not (tmp_path / "u").exists()
 
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_span_count_is_refused_before_the_grid_is_spaced(
+        self, tmp_path, capsys, monkeypatch, via
+    ):
+        # 1e11 aspects would ask numpy for 745 GiB before the usage check
+        spec = "1e1:1e3:100000000000"
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the grid was spaced")
+
+        monkeypatch.setattr(cli.np, "linspace", unreachable)
+        if via == "flag":
+            args = ["--k-grid", spec]
+        else:
+            cfg = tmp_path / "grid.json"
+            cfg.write_text(json.dumps({"k_grid": spec}))
+            args = ["--config", str(cfg)]
+        assert main(["sweep", *args, "--out", str(tmp_path / "u")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("usage error: k_grid ")
+        assert f"count <= {cli.MAX_SPAN_COUNT}" in err[0]
+        assert not (tmp_path / "u").exists()
+
+    def test_span_count_limit_is_inclusive(self):
+        top = f"1e1:1e3:{cli.MAX_SPAN_COUNT}"
+        assert len(make_config("sweep", k_grid=top).k_grid) == cli.MAX_SPAN_COUNT
+        with pytest.raises(UsageError, match="^k_grid "):
+            make_config("sweep", k_grid=f"1e1:1e3:{cli.MAX_SPAN_COUNT + 1}")
+
     def test_unknown_flag_is_two(self, tmp_path):
         assert main(["solve", "--k", "2", "--frobnicate"]) == 2
 

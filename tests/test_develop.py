@@ -19,8 +19,8 @@ from affsurf.surface import corner_holonomy
 
 
 def _reference_segment(f, a, b, tol=1e-11, max_panels=16384, points=()):
-    """(integral, levels): integrate_segment as a plain level loop with no
-    one-panel first level, kept to pin the fast path's sums bit for bit."""
+    """(integral, levels): integrate_segment as a plain level loop, kept to
+    pin its sums bit for bit."""
     a, b = complex(a), complex(b)
     total = abs(b - a)
     if total == 0.0:

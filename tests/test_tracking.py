@@ -8,11 +8,13 @@ import pytest
 
 import affsurf.limitset as limitset
 from affsurf.develop import DevelopingMap
+from affsurf.quadrature import gk15_nodes, integrate_segment, segment_levels
 from affsurf.limitset import rectangle_image_boundary
 from affsurf.solver import continuation_sweep
 from affsurf.tracking import (
     _chord_increment,
     _continued_derivative,
+    _piece,
     arc_target,
     level_curve_track,
     lock_step,
@@ -339,7 +341,8 @@ class TestLockStep:
 
     def test_a_lone_track_is_sent_its_own_requests(self, dev2, seed2, monkeypatch):
         # a lone track's derivative calls take its requests as yielded: a
-        # point stays a 0-d argument, never joined into a pooled array
+        # point stays a 0-d argument, never joined into a pooled array, and
+        # a panel is one array of its own 15 nodes and its end node
         w0, g0 = seed2
         requests, calls = [], []
 
@@ -362,9 +365,17 @@ class TestLockStep:
         p, dp = segment_target(g0, g0 + 0.4 + 0.3j)
         [r] = lock_step(dev2, [recorded(level_curve_track(dev2, p, dp, w0, g0=g0))])
         assert r.completed
-        assert any(np.ndim(w) == 0 for w in requests)
         assert len(calls) == len(requests)
-        assert all(got is want for got, want in zip(calls, requests))
+        panels = [(got, want) for got, want in zip(calls, requests) if type(want) is tuple]
+        assert panels and len(panels) < len(requests)
+        for got, want in zip(calls, requests):
+            if type(want) is not tuple:
+                assert got is want
+        for got, (lo, hi, _, end) in panels:
+            nodes = gk15_nodes(np.array([lo]), np.array([hi]))[1].ravel()
+            assert _same_bits(got, np.append(nodes, () if end is None else end))
+        assert any(np.ndim(w) == 0 for w in requests)
+        assert any(end is not None for _, (*_, end) in panels)
 
     def test_pooling_keeps_the_nodes_in_fewer_calls(self, solved, monkeypatch):
         dev = DevelopingMap.from_aspect(1e3, solved[1e3])
@@ -376,3 +387,63 @@ class TestLockStep:
         rectangle_image_boundary(dev)
         assert sum(batched) == sum(calls)
         assert 2 * len(batched) <= len(calls)
+
+
+class TestPooledPanels:
+    """A round's pooled first levels give each piece what segment_levels
+    gives it alone, bit for bit, and evaluate no first level twice."""
+
+    # (lo, hi, end): lengths from 1e-6 to 2.5, with and without an end
+    # node; the last three are refined past their first level, the last
+    # from near a prevertex
+    PIECES = [
+        (Z1_K2 + 0.1, Z1_K2 + 0.1 + 1e-6j, None),
+        (Z1_K2 + 0.1, Z1_K2 + 0.1 + 0.02j, Z1_K2 + 0.1 + 0.02j),
+        (-0.4 + 0.2j, 0.6 - 0.3j, None),
+        (2.5 - 1.0j, 2.0 + 1.5j, 2.0 + 1.5j),
+        (Z1_K2 + 0.3, Z1_K2 + 0.02, Z1_K2 + 0.02),
+    ]
+
+    @staticmethod
+    def _random_pieces(n):
+        # chords between the slits, of lengths from 1e-6 to 0.3
+        rng = np.random.default_rng(5)
+        lo = rng.uniform(-0.9, 0.9, n) + 1j * rng.uniform(-0.9, 0.9, n)
+        hi = lo + 10.0 ** rng.uniform(-6, -0.5, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+        return [(a, b, b if i % 2 else None) for i, (a, b) in enumerate(zip(lo, hi))]
+
+    def test_pooled_panels_match_segment_levels_alone(self, dev2, monkeypatch):
+        tol = 1e-12
+        pieces = self.PIECES + self._random_pieces(40)
+        solo, want_ends = [], []
+        for lo, hi, end in pieces:
+            sizes = []
+
+            def counted(w):
+                sizes.append(np.size(w))
+                return dev2.derivative(w)
+
+            solo.append((integrate_segment(counted, lo, hi, tol), sum(sizes), len(sizes)))
+            want_ends.append(None if end is None else dev2.derivative(end))
+        levels = [n for *_, n in solo]
+        assert [n > 1 for n in levels[:len(self.PIECES)]] == [False, False, True, True, True]
+        lone = [lock_step(dev2, [_piece(lo, hi, tol, end)])[0] for lo, hi, end in pieces]
+
+        calls = _count_derivative_calls(monkeypatch)
+        pooled = lock_step(dev2, [_piece(lo, hi, tol, end) for lo, hi, end in pieces])
+        # one shared call for every first level and end node, then one for
+        # each later level of the refined pieces
+        ends = sum(end is not None for *_, end in pieces)
+        assert sum(calls) == sum(nodes for _, nodes, _ in solo) + ends
+        assert len(calls) == max(levels)
+
+        for got, alone, (want, _, _), want_end in zip(pooled, lone, solo, want_ends):
+            assert _same_bits(got[0], want) and _same_bits(alone[0], want)
+            if want_end is None:
+                assert got[1] is None and alone[1] is None
+            else:
+                assert _same_bits(complex(got[1]), want_end)
+                assert _same_bits(complex(alone[1]), want_end)
+
+    def test_a_piece_of_zero_length_makes_no_request(self, dev2):
+        assert lock_step(dev2, [_piece(1 + 1j, 1 + 1j, 1e-12, 1 + 1j)]) == [(0j, None)]
