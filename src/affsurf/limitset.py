@@ -13,11 +13,17 @@ call meets the pole clearance is evaluated request by request. The limit
 cloud runs its four mouth curves and the rays of every spiral stop in
 lock step the same way; only the bridges between stops run one at a
 time, since each starts where the previous one ended, from one solved
-real-axis crossing or its mirror. In the limit the prevertex pairs have
-merged and the boundary configuration consists of the two strip mouth
-curves, the seam rays between strips and spiral sheets, the flank rays
-bounding each spiral sheet, the glued-edge segment, and the two singular
-points that everything accumulates on.
+real-axis crossing or its mirror. A bridge keeps only its end point,
+which the Newton corrector pins to the tracking tolerance at any step
+schedule, so its first step is a quarter of its arc rather than a small
+one that the step growth must ramp up: the end is the same to about
+1e-12, in a quarter of the steps. The whole arc would be too long, as
+near the singular points its first RK4 stages overflow the derivative.
+In the limit the prevertex pairs have merged and the boundary
+configuration consists of the two strip mouth curves, the seam rays
+between strips and spiral sheets, the flank rays bounding each spiral
+sheet, the glued-edge segment, and the two singular points that
+everything accumulates on.
 Clouds are resampled to uniform arc-length spacing so that Hausdorff
 distances between them are meaningful at that resolution.
 """
@@ -370,14 +376,15 @@ def _within_depth(depth: float, theta_max: float) -> bool:
 
 def _ray_target(center: complex, theta: float, r0: float, r1: float):
     """Radial developed-plane target, log-uniform in radius."""
+    center = complex(center)
     lr0, lr1 = math.log(r0), math.log(r1)
     e = complex(math.cos(theta), math.sin(theta))
 
     def p(s):
-        return center + np.exp(lr0 + s * (lr1 - lr0)) * e
+        return center + math.exp(lr0 + s * (lr1 - lr0)) * e
 
     def dp(s):
-        return (lr1 - lr0) * np.exp(lr0 + s * (lr1 - lr0)) * e
+        return (lr1 - lr0) * math.exp(lr0 + s * (lr1 - lr0)) * e
 
     return p, dp
 
@@ -400,8 +407,10 @@ def limit_image_cloud(
     Each spiral assembly first walks its bridges in order, one
     track_level_curve per stop, and seeds the stop's two rays where the
     bridge ends, recording their depth, or the stop's "unreached:" note
-    where the bridge stalls. The mouth curves and all rays then run in
-    one lock_step.
+    where the bridge stalls. A bridge's first step is a quarter of its
+    arc: only its end point is kept, and that is pinned to the tracking
+    tolerance however many steps lead to it. The mouth curves and all
+    rays then run in one lock_step.
     """
     dev = DevelopingMap.merged_limit(x0, tau)
     cloud = CurveCloud()
@@ -451,14 +460,15 @@ def limit_image_cloud(
         angles = [(a, lbl) for a, lbl in angles if _within_depth(abs(a - seam0), theta_max)]
         for angle, label in angles:
             depth = abs(angle - seam0)
-            # bridge to the next stop angle; not part of the cloud
+            # bridge to the next stop angle; not part of the cloud, so
+            # it takes long steps from the start (see the module docstring)
             scale = tau / max(abs(angle), math.pi)
             p, dp = arc_target(corner, 1.0, th, angle)
             if abs(angle - th) > 1e-12:
                 br = track_level_curve(
                     dev, p, dp, w, g0=g, branch0=m,
                     max_step=min(0.05, 0.5 * scale), quad_tol=quad_tol,
-                    max_steps=20000, first_step=0.005,
+                    max_steps=20000, first_step=0.25,
                 )
                 if not br.completed:
                     cloud.notes[label] = f"unreached: bridge {br.reason}"

@@ -39,6 +39,14 @@ pole clearance, every request of that round is evaluated alone and the
 error goes only into the tracks whose own request raised it; those retry
 their step shorter, as they would alone.
 
+Target paths return Python complex: segment_target's straight line,
+arc_target's circle (cmath.exp) and limitset's rays (math.exp). The
+step arithmetic on p(s) and dp(s) then runs on Python scalars, which are
+faster than numpy's and round division as Python does. A stage
+derivative of exactly zero raises ZeroDivisionError, an ArithmeticError
+that fails the step like the pole clearance does, where a numpy scalar
+quotient would only warn and go on with inf.
+
 Branches: crossing a branch slit multiplies the continued derivative by
 the aspect or its reciprocal. An integer exponent per point records the
 current sheet, so curves may wind through any number of sheets; the
@@ -50,6 +58,7 @@ DevelopingMap.slit_crossings, whose docstring states the sign convention.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Callable, Generator, Sequence
 
@@ -248,15 +257,17 @@ def segment_target(a: complex, b: complex):
 def arc_target(center: complex, radius: float, th0: float, th1: float):
     """Developed-plane circular arc around center from angle th0 to th1.
 
-    s in [0, 1] covers the arc; th1 > th0 winds counterclockwise.
+    s in [0, 1] covers the arc; th1 > th0 winds counterclockwise. p and dp
+    return Python complex, by cmath.exp, as segment_target's do.
     """
-    om = th1 - th0
+    center, radius, th0 = complex(center), float(radius), float(th0)
+    om = float(th1) - th0
 
     def p(s):
-        return center + radius * np.exp(1j * (th0 + om * s))
+        return center + radius * cmath.exp(1j * (th0 + om * s))
 
     def dp(s):
-        return radius * 1j * om * np.exp(1j * (th0 + om * s))
+        return radius * 1j * om * cmath.exp(1j * (th0 + om * s))
 
     return p, dp
 

@@ -25,7 +25,7 @@ from affsurf.limitset import (
     resample_curve,
 )
 from affsurf.solver import continuation_sweep, extract_limit, solve_prevertex
-from affsurf.tracking import level_curve_track, lock_step
+from affsurf.tracking import level_curve_track, lock_step, track_level_curve
 
 Z1_K2 = 1.248075111571 + 0.767644410562j
 Z1_K1000 = 1.883446848935 + 0.157918326981j
@@ -454,6 +454,39 @@ class TestLimitCloud:
         assert list(pooled.notes.items()) == list(solo.notes.items())
         assert list(pooled.depths.items()) == list(solo.depths.items())
         assert pooled_calls <= calls["n"] / 2
+
+    @pytest.mark.parametrize("turns", [1, 5])
+    def test_quarter_arc_bridges_reach_the_ramps_seeds(self, monkeypatch, turns):
+        # a bridge keeps only its end, which the Newton corrector pins to
+        # tol at any step schedule: starting at a quarter of the arc seeds
+        # every stop where a ramp up from 0.005 does
+        def ramped(*args, **kwargs):
+            return track_level_curve(*args, **{**kwargs, "first_step": 0.005})
+
+        quarter = limit_image_cloud(X0, TAU, theta_max=2 * math.pi * turns)
+        monkeypatch.setattr(limitset, "track_level_curve", ramped)
+        ramp = limit_image_cloud(X0, TAU, theta_max=2 * math.pi * turns)
+        assert list(quarter.pieces) == list(ramp.pieces)
+        for name, pts in ramp.pieces.items():
+            assert len(quarter.pieces[name]) == len(pts), name
+            assert np.abs(quarter.pieces[name] - pts).max() <= 1e-9, name
+        assert quarter.notes == ramp.notes
+        assert quarter.depths == ramp.depths
+
+    def test_bridge_steps_are_not_set_by_a_ramp(self, monkeypatch):
+        # a ramp up from 0.005 takes 504 accepted bridge steps at the
+        # default theta_max, quarter-arc starts 120
+        steps = []
+
+        def counted(*args, **kwargs):
+            r = track_level_curve(*args, **kwargs)
+            steps.append(len(r.s) - 1)
+            return r
+
+        monkeypatch.setattr(limitset, "track_level_curve", counted)
+        limit_image_cloud(X0, TAU)
+        assert len(steps) == 36
+        assert sum(steps) <= 150
 
     def test_each_anchor_solved_once(self, monkeypatch):
         # one real-axis anchor, solved on the right and mirrored to the

@@ -174,6 +174,37 @@ class TestStepControl:
         assert (np.diff(r.s) > 0).all()
         assert r.s[0] == 0.0 and r.s[-1] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_stage_derivative_retries_the_step(self, dev2, seed2, monkeypatch):
+        # a stage slope of exactly zero divides the target's Python complex
+        # derivative by zero: a ZeroDivisionError, which fails the step like
+        # any ArithmeticError, where a numpy scalar would only warn
+        w0, g0 = seed2
+        calls = []
+        derivative = DevelopingMap.derivative
+
+        def zero_at_first_k2(self, w):
+            calls.append(w)
+            # a lone track's first request is its k1 point, the second its k2
+            return 0j if len(calls) == 2 else derivative(self, w)
+
+        monkeypatch.setattr(DevelopingMap, "derivative", zero_at_first_k2)
+        p, dp = circle(g0, +0.25)
+        r = track_level_curve(dev2, p, dp, w0, g0=g0, max_step=0.08, first_step=0.1)
+        assert np.ndim(calls[1]) == 0
+        assert r.completed
+        assert r.s[1] == 0.05
+        assert abs(complex(dev2.develop_at(r.w[-1])) - p(1.0)) < 1e-9
+
+    def test_targets_are_python_complex(self):
+        for p, dp in (
+            circle(CORNER + 0.3, +1.0),
+            arc_target(np.complex128(CORNER), np.float64(0.5), np.float64(0.0), 3.0),
+            limitset._ray_target(np.complex128(CORNER), 0.5, 1.0, 1e-3),
+        ):
+            for s in (0.0, 0.37, 1.0):
+                assert type(p(s)) is complex and type(dp(s)) is complex
+
 
 def _count_derivative_calls(monkeypatch):
     calls = []
