@@ -271,10 +271,13 @@ def _axis_anchor_imag(dev: DevelopingMap) -> float:
 
     The crossing height sinks like 1.44/K as the top edge flattens onto
     the real axis, so the inner bracket endpoint is 1e-9 up to K = 1e7 and
-    1e-2/K beyond. That holds up to about K = 1e11: Im g(i v) dips below
-    the edge height near v = 0 by only about 0.05/K, and at K = 1e12
-    the errors of the prevertex solve and of develop_at, near 1e-11, hide
-    the dip, so the bracket has no sign change and raises ArithmeticError.
+    1e-2/K beyond. Im g(i v) dips below the edge height near v = 0 by only
+    about 0.05/K, and from about K = 1e11 the errors of the prevertex solve
+    and of develop_at, 1e-11 to 1e-12 at the inner endpoint, are larger
+    than the dip. The bracket still changes sign, but the root found is
+    where those errors cross zero: v*K reads 1.43 at K = 1e10, 5.3 at 1e11,
+    25 at 1e12 and 3.5e4 at 1e16. Its developed value still lies on the
+    top edge to within those errors, so it remains a seed on the boundary.
     """
     f = lambda v: complex(dev.develop_at(complex(0.0, v))).imag - 1.0
     return _brent(f, min(1e-9, 1e-2 / dev.K), 0.95 * dev.tail_radius, 1e-13)

@@ -2,28 +2,25 @@
 
 G7/K15 pair with the classic node set; panels are bisected until the
 Kronrod-Gauss discrepancy meets a length-proportional share of the
-tolerance. Refinement is level-synchronous: every panel still live at a
-level is evaluated in one vectorised integrand call, so a segment costs
-one call per refinement level rather than one per panel. Optional interior
-break points seed the first level, which lets a caller grade the panels
-toward an endpoint singularity instead of reaching it by bisection.
+tolerance, or falls to the rounding of the panel's sum. Refinement is
+level-synchronous: every panel still live at a level is evaluated in one
+vectorised integrand call, so a segment costs one call per refinement
+level rather than one per panel. Optional interior break points seed the
+first level, which lets a caller grade the panels toward an endpoint
+singularity instead of reaching it by bisection.
 One GK15 level is defined once: gk15_nodes places the nodes of a set of
 panels and gk15_level takes their values to the panels' (Kronrod, Gauss)
 sums and the accept test. A level may hold the panels of one segment, or
 the one-panel first levels of many segments stacked as (1, 15) rows, which
 is how the tracker pools the first level of every chord in a round (see
-tracking.lock_step).
+tracking.lock_step). A chord whose pooled first level is refined goes on
+in integrate_segment, passed the first level's values as first.
 Integrands take a 1-D complex ndarray and return an array of its shape.
-The level loop itself is the generator segment_levels, which yields each
-level's nodes and takes their values; integrate_segment drives it with one
-integrand, and the tracker drives it with values it evaluates for several
-chords at once, starting it at the second level when it already holds the
-first level's values.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -64,6 +61,9 @@ _PAIR_WEIGHTS = np.zeros((15, 2))
 _PAIR_WEIGHTS[:, 0] = GK_WEIGHTS
 _PAIR_WEIGHTS[1::2, 1] = G7_WEIGHTS
 
+# a discrepancy at most this share of a panel's integral of |f| is rounding
+_ROUNDOFF = 50.0 * np.finfo(float).eps
+
 
 def gk15_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(half-widths, nodes) of the GK15 panels [lo, hi], one row of 15 nodes a panel."""
@@ -79,7 +79,14 @@ def gk15_level(vals: np.ndarray, h: np.ndarray, tol, total) -> tuple[np.ndarray,
     tolerance and length of each panel's segment, scalars or arrays in
     h's shape. live marks the panels the accept test sends on to
     bisection: Kronrod-Gauss discrepancy above max(tol*length/total,
-    1e-4*tol) and length above 1e-15*total.
+    1e-4*tol), above the round-off floor 50*eps*(integral of |f| over the
+    panel), and length above 1e-15*total. The floor is QUADPACK's resabs
+    test (Piessens et al., QUADPACK, 1983, qk15): a tolerance below the
+    rounding of a panel's sum cannot be met by bisection, which would only
+    multiply the panels until the 1e-4*tol floor or the panel budget stops
+    it. It is taken only when some panel fails the other tests, so a level
+    whose panels all pass them, as almost every pooled first level does,
+    pays nothing for it.
 
     The sums are a matrix product over the last two axes: the panels of
     one segment's level, shape (n, 15), go through BLAS gemm, while a stack
@@ -93,6 +100,10 @@ def gk15_level(vals: np.ndarray, h: np.ndarray, tol, total) -> tuple[np.ndarray,
     # starved by the length-proportional share; with <= max_panels panels
     # the accepted error still sums to O(tol)
     live = (err > np.maximum((tol / total) * length, 1e-4 * tol)) & (length > 1e-15 * total)
+    # the tracker calls this once a round on a few panels, where
+    # count_nonzero takes half the time of live.any()
+    if np.count_nonzero(live):
+        live &= err > _ROUNDOFF * (np.abs(vals) @ GK_WEIGHTS) * np.abs(h)
     return sums, err, live
 
 
@@ -103,41 +114,17 @@ def integrate_segment(
     tol: float = 1e-11,
     max_panels: int = 16384,
     points: Sequence[complex] = (),
+    first: np.ndarray | None = None,
 ) -> complex:
     """Integral of f along the straight segment from a to b.
 
     points are interior break points of the segment, in any order; like the
     points of scipy.integrate.quad they split the first level into panels.
-    A panel is accepted when its Kronrod-Gauss discrepancy is at most
-    max(tol*len/total, 1e-4*tol) or its length is at most 1e-15*total;
-    every other panel is bisected, and each level evaluates f once on the
-    nodes of all its live panels. Raises QuadratureError after more than
-    max_panels bisections.
-    """
-    levels = segment_levels(a, b, tol, max_panels, points)
-    try:
-        nodes = next(levels)
-        while True:
-            nodes = levels.send(f(nodes))
-    except StopIteration as done:
-        return done.value
-
-
-def segment_levels(
-    a: complex,
-    b: complex,
-    tol: float = 1e-11,
-    max_panels: int = 16384,
-    points: Sequence[complex] = (),
-    first: np.ndarray | None = None,
-) -> Generator[np.ndarray, np.ndarray, complex]:
-    """The refinement of integrate_segment, with the integrand left to the caller.
-
-    Yields each level's nodes as a 1-D complex array, takes the integrand's
-    values on them (any array of that size) and returns the integral, so a
-    caller can evaluate the nodes of several segments in one call. A caller
-    that already holds the values on the first level's nodes passes them
-    as first; the first level is then not yielded.
+    A panel is accepted by gk15_level's test; every other panel is
+    bisected, and each level evaluates f once on the nodes of all its live
+    panels. A caller that already holds f on the first level's nodes passes
+    those values as first, and f is then evaluated from the second level
+    on. Raises QuadratureError after more than max_panels bisections.
     """
     a, b = complex(a), complex(b)
     total = abs(b - a)
@@ -155,7 +142,7 @@ def segment_levels(
     splits = 0
     while True:
         h, nodes = gk15_nodes(lo, hi)
-        vals = (yield nodes.ravel()) if first is None else first
+        vals = f(nodes.ravel()) if first is None else first
         first = None
         sums, err, live = gk15_level(np.asarray(vals, dtype=complex).reshape(nodes.shape), h, tol, total)
         if not live.any():

@@ -17,20 +17,22 @@ Dormand & Prince 1980). An array element equals the single-point value bit
 for bit, so the reuse leaves every tracked point unchanged.
 
 The step logic is written once, as the generator level_curve_track: it
-yields every derivative request it needs and is sent the outcome. The RK4
-stages and the Newton slope are points, sent dev.derivative of each. Each
-piece of a chord between slit crossings is a GK15 panel request (lo, hi,
-tol, end), sent the piece's integral when its first level is accepted
-and else the first level's values, from which quadrature.segment_levels
-yields the later levels as arrays of nodes. track_level_curve runs one
-track alone. lock_step runs several tracks together, one derivative call
-per round on the requests of all live tracks: each point or array takes
-its element or slice, and the round's panels are one first level, their
-nodes placed by one quadrature.gk15_nodes call and their sums and accept
-tests taken by one quadrature.gk15_level pass, whose stacked rows round
-each panel as its segment alone would. A lone live track is evaluated on
-its own request. limitset uses lock_step for a rectangle boundary's eight
-corner approaches and for the limit cloud's mouth curves and spiral rays.
+yields every derivative request it needs and is sent the outcome. There
+are two kinds of request. The RK4 stages and the Newton slope are points,
+sent dev.derivative of each. Each piece of a chord between slit crossings
+is a GK15 panel request (lo, hi, tol, end), sent the piece's integral when
+its first level is accepted and else the first level's values, with which
+the piece finishes in its own quadrature.integrate_segment call (14 of
+the 10,270 pieces of perfbench's boundary-trace seed 1 do).
+track_level_curve runs one track alone. lock_step runs several tracks
+together, one derivative call per round on the requests of all live
+tracks: each point takes its element, and the round's panels are one
+first level, their nodes placed by one quadrature.gk15_nodes call and
+their sums and accept tests taken by one quadrature.gk15_level pass,
+whose stacked rows round each panel as its segment alone would. A lone
+live track is evaluated on its own request. limitset uses lock_step for
+a rectangle boundary's eight corner approaches and for the limit cloud's
+mouth curves and spiral rays.
 The pooled call changes no bit of any track: the derivative is
 element-wise array arithmetic, so each element is the value its request
 gets alone (TestScalarArrayAgreement checks single points against array
@@ -65,9 +67,7 @@ from typing import Callable, Generator, Sequence
 import numpy as np
 
 from .develop import DevelopingMap
-# integrate_segment is not called here; perfbench's tracer checks that it
-# rebinds the name in this module
-from .quadrature import gk15_level, gk15_nodes, integrate_segment, segment_levels  # noqa: F401
+from .quadrature import gk15_level, gk15_nodes, integrate_segment
 
 
 def _continued_derivative(dev: DevelopingMap, a: complex, m: int, w: complex):
@@ -84,21 +84,22 @@ def _continued_derivative(dev: DevelopingMap, a: complex, m: int, w: complex):
     return gp, mm
 
 
-def _piece(lo: complex, hi: complex, tol: float, end: complex | None = None):
+def _piece(dev: DevelopingMap, lo: complex, hi: complex, tol: float, end: complex | None = None):
     """(integral of the derivative along [lo, hi], the derivative at end or None).
 
     A lock_step track: requests the first GK15 level of [lo, hi] as the
     panel (lo, hi, tol, end), end None where no end value is wanted. It is
     sent the panel's integral where the first level is accepted, and else
-    the first level's values, from which segment_levels goes on at the
-    second level. A piece of zero length makes no request.
+    the first level's values, with which integrate_segment goes on at the
+    second level, evaluating dev.derivative itself. A piece of zero length
+    makes no request.
     """
     lo, hi = complex(lo), complex(hi)
     if lo == hi:
         return 0j, None
     integral, first, end_value = yield (lo, hi, tol, end)
     if integral is None:
-        integral = yield from segment_levels(lo, hi, tol, first=first)
+        integral = integrate_segment(dev.derivative, lo, hi, tol, first=first)
     return integral, end_value
 
 
@@ -119,13 +120,13 @@ def _chord_increment(dev: DevelopingMap, a: complex, b: complex, m: int, quad_to
     t_prev = 0.0
     for t, dm in dev.slit_crossings(a, b):
         if t > t_prev:
-            piece, _ = yield from _piece(a + t_prev * (b - a), a + t * (b - a), quad_tol)
+            piece, _ = yield from _piece(dev, a + t_prev * (b - a), a + t * (b - a), quad_tol)
             total += piece * (dev.K**mm if mm else 1.0)
         mm += dm
         t_prev = t
     if t_prev >= 1.0:
         return total, mm, None
-    piece, end = yield from _piece(a + t_prev * (b - a), b, quad_tol, b)
+    piece, end = yield from _piece(dev, a + t_prev * (b - a), b, quad_tol, b)
     total += piece * (dev.K**mm if mm else 1.0)
     if end is None or any(b.real == sx for sx, _ in dev.slits):
         return total, mm, None
@@ -138,10 +139,10 @@ def _chord_increment(dev: DevelopingMap, a: complex, b: complex, m: int, quad_to
 def lock_step(dev: DevelopingMap, tracks: Sequence[Generator]) -> list:
     """Run tracks together; their return values, in order.
 
-    A track is a generator that yields derivative requests and is sent
-    their outcomes. A point (a complex) or a 1-D complex array of points is
-    sent dev.derivative of it. A GK15 panel (lo, hi, tol, end), end a point
-    or None, is sent (integral, first, end value): integral is None where
+    A track is a generator that yields derivative requests of two kinds
+    and is sent their outcomes. A point (a complex) is sent dev.derivative
+    of it. A GK15 panel (lo, hi, tol, end), end a point or None, is sent
+    (integral, first, end value): integral is None where
     quadrature.gk15_level's accept test refines the panel, first holds the
     derivative on the panel's 15 nodes, and the end value is None where end
     is. Each round takes the outcomes of all live tracks' requests from
@@ -169,14 +170,13 @@ def lock_step(dev: DevelopingMap, tracks: Sequence[Generator]) -> list:
 def _outcomes(dev: DevelopingMap, requests: list) -> list:
     """The outcome of each request (see lock_step), or the error it raises.
 
-    Several requests share one derivative call, on their points, arrays,
-    panel nodes and panel ends. Each point or array takes its element or
-    slice, and the panels' sums and accept tests are one gk15_level pass
-    over their stacked rows. A lone request, and every request of a shared
-    call that raises, is evaluated alone: a refused request is evaluated
-    once, a lone track's derivative sees its points and arrays as they were
-    yielded, and a lone panel evaluates its own 15 nodes and end in one
-    call.
+    Several requests share one derivative call, on their points, panel
+    nodes and panel ends. Each point takes its element, and the panels'
+    sums and accept tests are one gk15_level pass over their stacked rows.
+    A lone request, and every request of a shared call that raises, is
+    evaluated alone: a refused request is evaluated once, a lone point is
+    sent to the derivative as it was yielded, and a lone panel evaluates
+    its own 15 nodes and end in one call.
     """
     if len(requests) > 1:
         try:
@@ -194,44 +194,29 @@ def _outcomes(dev: DevelopingMap, requests: list) -> list:
 
 def _shared(dev: DevelopingMap, requests: list) -> list:
     """The outcomes of requests from one derivative call; see _outcomes."""
-    points, arrays, panels = [], [], []
-    for r in requests:
-        if type(r) is tuple:
-            panels.append(r)
-        elif isinstance(r, complex):
-            points.append(r)
-        else:
-            arrays.append(r)
-    args = [points, *arrays]
+    points = [r for r in requests if type(r) is not tuple]
+    panels = [r for r in requests if type(r) is tuple]
+    args = [points]
     if panels:
         lo, hi, tol, end = zip(*panels)
         h, nodes = gk15_nodes(np.array(lo), np.array(hi))
         args += (nodes.ravel(), [e for e in end if e is not None])
     vals = dev.derivative(np.concatenate(args))
     if panels:
-        n, at = len(panels), len(points) + sum(map(len, arrays))
+        n, at = len(panels), len(points)
         first = vals[at:at + 15 * n].reshape(n, 15)
         ends = iter(vals[at + 15 * n:])
         # each panel is its own segment, its length taken by Python's abs
-        # as segment_levels takes it (numpy's complex abs can differ in the
-        # last bit)
+        # as integrate_segment takes it (numpy's complex abs can differ in
+        # the last bit)
         total = np.array([abs(b - a) for a, b in zip(lo, hi)])
         sums, _, live = gk15_level(first[:, None], h[:, None], np.array(tol)[:, None], total[:, None])
         panel_outcomes = iter([
             (None if refine else integral, row, None if e is None else next(ends))
             for integral, refine, row, e in zip(sums[:, 0, 0].tolist(), live[:, 0].tolist(), first, end)
         ])
-    outcomes, i, start = [], 0, len(points)
-    for r in requests:
-        if type(r) is tuple:
-            outcomes.append(next(panel_outcomes))
-        elif isinstance(r, complex):
-            outcomes.append(vals[i])
-            i += 1
-        else:
-            outcomes.append(vals[start:start + len(r)])
-            start += len(r)
-    return outcomes
+    point_outcomes = iter(vals[:len(points)])
+    return [next(panel_outcomes) if type(r) is tuple else next(point_outcomes) for r in requests]
 
 
 @dataclass

@@ -11,6 +11,7 @@ from affsurf.develop import DevelopingMap, _log1p_c
 from affsurf.quadrature import (
     _PAIR_WEIGHTS,
     GK_NODES,
+    GK_WEIGHTS,
     QuadratureError,
     integrate_polyline,
     integrate_segment,
@@ -42,6 +43,7 @@ def _reference_segment(f, a, b, tol=1e-11, max_panels=16384, points=()):
         err = np.abs(sums[:, 0] - sums[:, 1])
         length = 2.0 * np.abs(h)
         live = (err > np.maximum((tol / total) * length, floor)) & (length > 1e-15 * total)
+        live &= err > 50.0 * np.finfo(float).eps * (np.abs(vals) @ GK_WEIGHTS) * np.abs(h)
         if not live.any():
             return complex(acc + sums[:, 0].sum()), levels
         acc += sums[~live, 0].sum()
@@ -93,6 +95,18 @@ class TestQuadrature:
         with pytest.raises(QuadratureError):
             integrate_segment(lambda t: np.abs(t - 0.123456) ** -0.99, 0.0, 1.0,
                               tol=1e-14, max_panels=8)
+
+    def test_a_tolerance_below_rounding_is_met_at_the_rounding(self):
+        # a 0.002-long chord where |f| is 2e5, as near the real axis at
+        # K = 1e11: an absolute 1e-14 lies below the rounding of its
+        # integral (about 400), and bisection alone splits until the panel
+        # budget runs out; the round-off floor accepts the first level
+        omega = 50.0
+        f = lambda x: 2e5 * np.exp(1j * omega * x)
+        got, calls = _counted_segment(f, 0.0, 0.002, 1e-14)
+        assert calls == 1
+        exact = 2e5 * (cmath.exp(1j * omega * 0.002) - 1) / (1j * omega)
+        assert abs(got - exact) <= 1e-12 * abs(exact)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(

@@ -8,7 +8,7 @@ import pytest
 
 import affsurf.limitset as limitset
 from affsurf.develop import DevelopingMap
-from affsurf.quadrature import gk15_nodes, integrate_segment, segment_levels
+from affsurf.quadrature import gk15_nodes, integrate_segment
 from affsurf.limitset import rectangle_image_boundary
 from affsurf.solver import continuation_sweep
 from affsurf.tracking import (
@@ -371,6 +371,7 @@ class TestLockStep:
         assert lock_step(dev2, []) == []
 
     def test_a_lone_track_is_sent_its_own_requests(self, dev2, seed2, monkeypatch):
+        # a track yields only points (Python complex) and panels (4-tuples);
         # a lone track's derivative calls take its requests as yielded: a
         # point stays a 0-d argument, never joined into a pooled array, and
         # a panel is one array of its own 15 nodes and its end node
@@ -396,6 +397,7 @@ class TestLockStep:
         p, dp = segment_target(g0, g0 + 0.4 + 0.3j)
         [r] = lock_step(dev2, [recorded(level_curve_track(dev2, p, dp, w0, g0=g0))])
         assert r.completed
+        assert all(type(w) is complex or (type(w) is tuple and len(w) == 4) for w in requests)
         assert len(calls) == len(requests)
         panels = [(got, want) for got, want in zip(calls, requests) if type(want) is tuple]
         assert panels and len(panels) < len(requests)
@@ -421,7 +423,7 @@ class TestLockStep:
 
 
 class TestPooledPanels:
-    """A round's pooled first levels give each piece what segment_levels
+    """A round's pooled first levels give each piece what integrate_segment
     gives it alone, bit for bit, and evaluate no first level twice."""
 
     # (lo, hi, end): lengths from 1e-6 to 2.5, with and without an end
@@ -443,7 +445,7 @@ class TestPooledPanels:
         hi = lo + 10.0 ** rng.uniform(-6, -0.5, n) * np.exp(2j * np.pi * rng.uniform(size=n))
         return [(a, b, b if i % 2 else None) for i, (a, b) in enumerate(zip(lo, hi))]
 
-    def test_pooled_panels_match_segment_levels_alone(self, dev2, monkeypatch):
+    def test_pooled_panels_match_integrate_segment_alone(self, dev2, monkeypatch):
         tol = 1e-12
         pieces = self.PIECES + self._random_pieces(40)
         solo, want_ends = [], []
@@ -458,15 +460,15 @@ class TestPooledPanels:
             want_ends.append(None if end is None else dev2.derivative(end))
         levels = [n for *_, n in solo]
         assert [n > 1 for n in levels[:len(self.PIECES)]] == [False, False, True, True, True]
-        lone = [lock_step(dev2, [_piece(lo, hi, tol, end)])[0] for lo, hi, end in pieces]
+        lone = [lock_step(dev2, [_piece(dev2, lo, hi, tol, end)])[0] for lo, hi, end in pieces]
 
         calls = _count_derivative_calls(monkeypatch)
-        pooled = lock_step(dev2, [_piece(lo, hi, tol, end) for lo, hi, end in pieces])
-        # one shared call for every first level and end node, then one for
-        # each later level of the refined pieces
+        pooled = lock_step(dev2, [_piece(dev2, lo, hi, tol, end) for lo, hi, end in pieces])
+        # one shared call for every first level and end node, then each
+        # refined piece's own call for each of its later levels
         ends = sum(end is not None for *_, end in pieces)
         assert sum(calls) == sum(nodes for _, nodes, _ in solo) + ends
-        assert len(calls) == max(levels)
+        assert len(calls) == 1 + sum(n - 1 for n in levels)
 
         for got, alone, (want, _, _), want_end in zip(pooled, lone, solo, want_ends):
             assert _same_bits(got[0], want) and _same_bits(alone[0], want)
@@ -477,4 +479,4 @@ class TestPooledPanels:
                 assert _same_bits(complex(alone[1]), want_end)
 
     def test_a_piece_of_zero_length_makes_no_request(self, dev2):
-        assert lock_step(dev2, [_piece(1 + 1j, 1 + 1j, 1e-12, 1 + 1j)]) == [(0j, None)]
+        assert lock_step(dev2, [_piece(dev2, 1 + 1j, 1 + 1j, 1e-12, 1 + 1j)]) == [(0j, None)]
