@@ -20,6 +20,7 @@ from .embedding import (
     spiral_ball_chart,
 )
 from .limitset import (
+    HAUSDORFF_ACCEPT,
     CurveCloud,
     convergence_report,
     hausdorff_distance,
@@ -44,7 +45,6 @@ from .tracking import (
     segment_target,
     track_level_curve,
 )
-from .checks import HAUSDORFF_ACCEPT
 from .cli import RunConfig, RunReport, UsageError, make_config, run
 
 __all__ = [

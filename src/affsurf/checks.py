@@ -27,7 +27,7 @@ from .embedding import (
     spiral_ball_chart,
     transition,
 )
-from .limitset import hausdorff_distance
+from .limitset import HAUSDORFF_ACCEPT, hausdorff_distance
 from .solver import LimitEstimate, SolveResult
 
 Outcome = Tuple[List[str], dict]
@@ -255,7 +255,8 @@ def separation_scenarios(scenarios: Sequence[tuple] = SEPARATION_SCENARIOS) -> O
     that "disjoint" survives the rounding. Images in one surface chart are
     "disjoint" or "overlapping" by their centres; images in two charts are
     "disjoint" when each lies strictly inside its open chart, and
-    "indeterminate" otherwise. Identical limit points raise ValueError.
+    "indeterminate" otherwise. A fault of the table, identical limit points
+    or a straddling disk, raises ValueError, which verify lets propagate.
     """
     problems = []
     per = {}
@@ -351,12 +352,6 @@ def connection_convergence(sweep: Sequence[SolveResult], fit: LimitEstimate) -> 
     if not ratio < 0.10:
         problems.append(f"sup at 1e8 is {100 * ratio:.1f}% of the 1e2 value")
     return problems, {"sups": {k_label(K): g for K, g in sups.items()}, "ratio": ratio}
-
-
-# bar on the last finite-to-limit distance, frozen from the first measured
-# run (3.93e-2 at aspect 1e6 and still shrinking); the convergence
-# statement carries no rate, so the bar is empirical
-HAUSDORFF_ACCEPT = 0.05
 
 
 def hausdorff_convergence(report: Mapping) -> Outcome:

@@ -5,7 +5,7 @@ writes one structured report whose manifest lists each emitted file, and
 identical configurations produce byte-identical outputs, so reports and
 figures diff cleanly across reruns. Exit codes: 0 all checks pass, 1 a
 check failed or is inconclusive (a curve it measured stopped short), 2
-bad usage, 3 a numerical stage gave up.
+bad usage, 3 a numerical stage gave up (an ArithmeticError).
 """
 
 from __future__ import annotations
@@ -138,6 +138,8 @@ class RunConfig:
             if not (math.isfinite(v) and v > 0):
                 raise UsageError(f"{name} must be a positive number, got {v!r}")
             object.__setattr__(self, name, v)
+        if not self.tol_solver > self.tol_quad:
+            raise UsageError(f"tol_solver {self.tol_solver!r} must be above tol_quad {self.tol_quad!r}")
         if self.format not in ("svg", "txt"):
             raise UsageError(f"format must be svg or txt, got {self.format!r}")
         object.__setattr__(self, "seed", _seed(self.seed))
@@ -337,6 +339,8 @@ def _sweep_fit(config: RunConfig, rec: _Recorder):
     )
     est = extract_limit(sols)
     rec.step("extrapolate", (), _fit_fields(est))
+    if missing := checks.missing_limit(est):
+        raise ArithmeticError(missing)
     return sols, est
 
 
@@ -541,10 +545,11 @@ _COMMANDS = {
 
 
 def run(config: RunConfig) -> RunReport:
-    """Execute one command and write its report; never raises numerically.
+    """Execute one command and write its report.
 
-    A solver or quadrature failure is folded into the report as an error
-    step with status "error" so the caller can map it to an exit code.
+    A numerical stage that gives up raises ArithmeticError; it is folded
+    into the report as an error step with status "error", which main maps
+    to exit 3. Any other exception is a bug and propagates.
     """
     out_dir, report_path, prefix = _resolve_out(config)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -555,7 +560,7 @@ def run(config: RunConfig) -> RunReport:
         results = _COMMANDS[config.command][0](config, rec)
         if any(s["status"] in _FAILING for s in rec.steps):
             status = "fail"
-    except (ArithmeticError, ValueError) as exc:
+    except ArithmeticError as exc:
         rec.steps.append(
             {
                 "name": "numerical-failure",

@@ -128,13 +128,14 @@ class DevelopingMap:
 
     def _pole_offsets(self, arr, rel: float) -> np.ndarray:
         """arr[..., None] - poles, after refusing any point that lies within
-        rel*(1 + max|pole|) of a pole."""
+        rel*(1 + max|pole|) of a pole. The refusal is a numerical give-up,
+        an ArithmeticError, which the tracker retries with a shorter step."""
         offsets = arr[..., None] - self._pole_array
         near = np.abs(offsets) < rel * self._pole_scale
         if near.any():
             # name the first pole in ring order that some point is too close to
             p = self.poles[int(near.reshape(-1, len(self.poles)).any(axis=0).argmax())]
-            raise ValueError(f"evaluation too close to the singular point {p}")
+            raise ArithmeticError(f"evaluation too close to the singular point {p}")
         return offsets
 
     def connection(self, w):
@@ -158,11 +159,11 @@ class DevelopingMap:
             logs = _log1p_c(self._numerators / offsets[..., 0::2])
             return self.beta * (logs[..., 0] + logs[..., 1])
         # 1/(w-x0) - 1/(w+x0) written without cancellation at large w, with
-        # w-x0 and w+x0 the pole offsets. They are arrays (0-d for a single
-        # point), so their product takes numpy's array loop either way; the
-        # numpy scalars that w-x0 gives for a single point multiply with
-        # different rounding
-        return self.tau * 2.0 * self.x0 / (offsets[..., 0] * offsets[..., 1])
+        # w-x0 and w+x0 the pole offsets, divided one at a time as their
+        # product overflows far out. They are arrays (0-d for a single
+        # point), so each quotient takes numpy's array loop either way; the
+        # numpy scalars of a single point's w-x0 would round differently
+        return self.tau * 2.0 * self.x0 / offsets[..., 0] / offsets[..., 1]
 
     def log_derivative(self, w):
         """Principal branch of log g'. Scalar or ndarray."""

@@ -36,10 +36,11 @@ mouth curves and spiral rays.
 The pooled call changes no bit of any track: the derivative is
 element-wise array arithmetic, so each element is the value its request
 gets alone (TestScalarArrayAgreement checks single points against array
-elements). When a pooled call raises, because some point lies inside the
-pole clearance, every request of that round is evaluated alone and the
-error goes only into the tracks whose own request raised it; those retry
-their step shorter, as they would alone.
+elements). When a pooled call raises an ArithmeticError (the pole
+clearance, a chord along a slit, an exhausted quadrature), every request
+of that round is evaluated alone and the error goes only into the tracks
+whose own request raised it; those retry their step shorter, as they
+would alone. Any other exception is a bug and propagates.
 
 Target paths return Python complex: segment_target's straight line,
 arc_target's circle (cmath.exp) and limitset's rays (math.exp). The
@@ -147,9 +148,9 @@ def lock_step(dev: DevelopingMap, tracks: Sequence[Generator]) -> list:
     derivative on the panel's 15 nodes, and the end value is None where end
     is. Each round takes the outcomes of all live tracks' requests from
     _outcomes, and sends each track its outcome or throws into it, at the
-    yield, the ValueError or ArithmeticError its own request raised, as
-    running that track alone would do. An error that a track does not
-    catch propagates.
+    yield, the ArithmeticError its own request raised, as running that
+    track alone would do. An error that a track does not catch, and any
+    exception that is not an ArithmeticError, propagates.
     """
     results: list = [None] * len(tracks)
     live, outcomes = list(enumerate(tracks)), [None] * len(tracks)
@@ -173,21 +174,22 @@ def _outcomes(dev: DevelopingMap, requests: list) -> list:
     Several requests share one derivative call, on their points, panel
     nodes and panel ends. Each point takes its element, and the panels'
     sums and accept tests are one gk15_level pass over their stacked rows.
-    A lone request, and every request of a shared call that raises, is
-    evaluated alone: a refused request is evaluated once, a lone point is
-    sent to the derivative as it was yielded, and a lone panel evaluates
-    its own 15 nodes and end in one call.
+    A lone request, and every request of a shared call that raises an
+    ArithmeticError, is evaluated alone, where its ArithmeticError is its
+    outcome: a refused request is evaluated once, a lone point is sent to
+    the derivative as yielded, and a lone panel evaluates its own 15 nodes
+    and end in one call.
     """
     if len(requests) > 1:
         try:
             return _shared(dev, requests)
-        except (ValueError, ArithmeticError):
+        except ArithmeticError:
             pass
     outcomes = []
     for r in requests:
         try:
             outcomes.append(_shared(dev, [r])[0] if type(r) is tuple else dev.derivative(r))
-        except (ValueError, ArithmeticError) as exc:
+        except ArithmeticError as exc:
             outcomes.append(exc)
     return outcomes
 
@@ -355,7 +357,7 @@ def level_curve_track(
                     )
                     w_cur += dw
                     g_cur += inc
-        except (ValueError, ArithmeticError):
+        except ArithmeticError:
             # pole clearance, slit-parallel chord, or exhausted quadrature:
             # retry shorter
             ok = False

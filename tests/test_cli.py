@@ -7,9 +7,11 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from affsurf import cli, limitset, solver, tracking
+from affsurf import checks, cli, limitset, solver, tracking
+from affsurf.develop import DevelopingMap
 from affsurf.cli import UsageError, main, make_config, run
 from affsurf.pointcloud import read_points
 
@@ -174,13 +176,17 @@ class TestReports:
         assert a.config_sha256 != b.config_sha256
 
     def test_numerical_failure_is_reported_not_raised(self, tmp_path):
+        # just above the square the right axis crossing is not bracketed
+        # before the singular scale
         config = make_config(
-            "solve", k="7", tol_solver=1e-15, tol_quad=1e-3, out=str(tmp_path / "f")
+            "render", k="1.000000000001", format="txt", density=30, out=str(tmp_path / "f")
         )
         report = run(config)
         assert report.status == "error"
         assert report.steps[-1]["status"] == "error"
-        assert "residual" in report.steps[-1]["detail"]["message"]
+        assert report.steps[-1]["detail"]["message"] == (
+            "ArithmeticError: no sign change toward the singular point"
+        )
         # the report still lands on disk for inspection
         assert (tmp_path / "f" / "report.json").exists()
 
@@ -309,21 +315,48 @@ class TestExitCodes:
 
     def test_numerical_failure_is_three(self, tmp_path):
         code = main(
-            ["solve", "--k", "7", "--tol-solver", "1e-15", "--tol-quad", "1e-3",
+            ["render", "--k", "1.000000000001", "--format", "txt", "--density", "30",
              "--out", str(tmp_path / "n")]
         )
         assert code == 3
 
-    def test_hausdorff_sweep_keeps_the_tolerance_refusal(self, tmp_path):
-        # the sweep behind the report refuses a residual tolerance that
-        # does not exceed the quadrature tolerance, as solve and sweep do
+    @pytest.mark.parametrize("command", ["sweep", "limit"])
+    def test_fit_without_a_limit_map_is_three(self, tmp_path, capsys, monkeypatch, command):
+        # a fit with tau <= 0 has nothing to draw or to take a monodromy
+        # of: the fit is reported, then the run gives up numerically
+        fit = cli.extract_limit
+        monkeypatch.setattr(
+            cli, "extract_limit", lambda sols: dataclasses.replace(fit(sols), tau=-fit(sols).tau)
+        )
+        code = main([command, "--k-grid", "1e1:1e3:3", "--out", str(tmp_path / "n")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"ERROR {command}: ArithmeticError: no limit map for the fit")
+        report = json.loads((tmp_path / "n" / "report.json").read_text())
+        assert [s["name"] for s in report["steps"]][-2:] == ["extrapolate", "numerical-failure"]
+
+    def test_a_bug_in_a_check_propagates(self, tmp_path, monkeypatch):
+        # only an ArithmeticError is a numerical give-up; a fault of a
+        # check's scenario table is a bug and keeps its traceback
+        def broken():
+            raise ValueError("identical limit points cannot be separated")
+
+        monkeypatch.setattr(checks, "separation_scenarios", broken)
+        with pytest.raises(ValueError, match="identical limit points"):
+            run(make_config("verify", k="2", density=30, out=str(tmp_path / "v")))
+
+    def test_hausdorff_sweep_keeps_the_tolerance_refusal(self, tmp_path, capsys):
+        # a residual tolerance that does not exceed the quadrature
+        # tolerance is refused as usage before any stage runs, as for
+        # solve and sweep
         code = main(
             ["hausdorff", "--tol-solver", "1e-12", "--tol-quad", "1e-12",
              "--out", str(tmp_path / "h")]
         )
-        assert code == 3
-        report = json.loads((tmp_path / "h" / "report.json").read_text())
-        assert "residual" in report["steps"][-1]["detail"]["message"]
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["usage error: tol_solver 1e-12 must be above tol_quad 1e-12"]
+        assert not (tmp_path / "h").exists()
 
     # at K = 3 the computed corner fixed points are off by 1.1e-16, so the
     # holonomy check must bound the error rather than demand equality
@@ -344,6 +377,36 @@ class TestExitCodes:
         )
         assert proc.returncode == 0
         assert "PASS solve" in proc.stdout
+
+
+# K - 1 from 1e-1 down to 1e-12 and K from 10 up to 1e16, by decades
+WALKED = [1.0 + 10.0**-j for j in range(1, 13)] + [10.0**j for j in range(1, 17)]
+
+
+class TestAspectRange:
+    def test_every_aspect_completes_in_bounded_work_or_fails_by_type(self, tmp_path, monkeypatch):
+        # the derivative nodes of one low-density render, the solve
+        # included, stay bounded across the whole aspect range (48,193 at
+        # 1e16); only 1 + 1e-12 gives up, naming the limit it meets
+        nodes = []
+        derivative = DevelopingMap.derivative
+
+        def counted(self, w):
+            nodes.append(np.size(w))
+            return derivative(self, w)
+
+        monkeypatch.setattr(DevelopingMap, "derivative", counted)
+        statuses = {}
+        for K in WALKED:
+            nodes.clear()
+            report = run(make_config(
+                "render", k=repr(K), format="txt", density=30, out=str(tmp_path / "w")
+            ))
+            statuses[K] = report.status
+            assert sum(nodes) < 200_000, K
+            if report.status == "error":
+                assert report.steps[-1]["detail"]["message"].startswith("ArithmeticError: ")
+        assert statuses == {K: "error" if K == 1.0 + 1e-12 else "pass" for K in WALKED}
 
 
 class TestArtifacts:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import affsurf.limitset as limitset
+import affsurf.tracking as tracking
 from affsurf.develop import DevelopingMap
 from affsurf.quadrature import gk15_nodes, integrate_segment
 from affsurf.limitset import rectangle_image_boundary
@@ -290,7 +291,7 @@ class TestChordEnd:
     def test_end_inside_the_pole_guard_fails_the_chord(self, dev2):
         # the end node shares the chord's derivative request, so the chord
         # itself is refused and the tracker retries the step shorter
-        with pytest.raises(ValueError, match="singular point"):
+        with pytest.raises(ArithmeticError, match="singular point"):
             _alone(dev2, _chord_increment(dev2, Z1_K2 + 0.01, Z1_K2 + 1e-15, 0, 1e-12))
 
 
@@ -348,7 +349,7 @@ class TestLockStep:
         def watched(self, w):
             try:
                 return derivative(self, w)
-            except ValueError:
+            except ArithmeticError:
                 refused.append(np.size(w))
                 raise
 
@@ -369,6 +370,17 @@ class TestLockStep:
 
     def test_no_tracks(self, dev2):
         assert lock_step(dev2, []) == []
+
+    def test_a_bug_in_the_pooled_panel_pass_propagates(self, dev2, seed2, monkeypatch):
+        # only an ArithmeticError is a refused step; any other exception
+        # is a bug and leaves the tracker instead of stalling the track
+        def broken(*args):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(tracking, "gk15_level", broken)
+        w0, g0 = seed2
+        with pytest.raises(ValueError, match="broadcast"):
+            track_level_curve(dev2, *circle(g0, +1.0), w0, g0=g0, max_step=0.08)
 
     def test_a_lone_track_is_sent_its_own_requests(self, dev2, seed2, monkeypatch):
         # a track yields only points (Python complex) and panels (4-tuples);
