@@ -38,7 +38,7 @@ from .solver import (
     extract_limit,
     solve_prevertex,
 )
-from .svg import PALETTE, PlaneCurve, PlaneDots, figure
+from .svg import PALETTE, PlaneCurve, figure
 from .tracking import (
     TrackResult,
     arc_target,
@@ -89,7 +89,6 @@ __all__ = [
     "write_points",
     "PALETTE",
     "PlaneCurve",
-    "PlaneDots",
     "figure",
     "RunConfig",
     "RunReport",

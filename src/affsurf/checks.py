@@ -65,6 +65,11 @@ def square_identity(sol: SolveResult, dev: DevelopingMap, points: np.ndarray) ->
     }
 
 
+# bound on each solve's residual and on the cold/warm gap; verify refuses a
+# solver tolerance that is not below it
+SOLVER_RESIDUAL_MAX = 1e-8
+
+
 def solver_residuals(
     cold: Mapping[float, SolveResult], warm: Mapping[float, SolveResult]
 ) -> Outcome:
@@ -72,18 +77,19 @@ def solver_residuals(
 
     A cold solve starts where `solve_prevertex` starts without a guess, at
     the square's or the limit's prevertex; a warm one starts from the
-    solved prevertex of the member at the square root of K.
+    solved prevertex of the member at the square root of K. Residuals and
+    gaps must stay under SOLVER_RESIDUAL_MAX.
     """
     problems = []
     per = {}
     for K, c in cold.items():
         w = warm[K]
         gap = abs(c.prevertex - w.prevertex)
-        if c.residual >= 1e-8 or w.residual >= 1e-8:
+        if c.residual >= SOLVER_RESIDUAL_MAX or w.residual >= SOLVER_RESIDUAL_MAX:
             problems.append(f"k={k_label(K)} residuals {c.residual:.2e}/{w.residual:.2e}")
         if not (c.prevertex.real > 0 and c.prevertex.imag > 0):
             problems.append(f"k={k_label(K)} prevertex {c.prevertex} outside open first quadrant")
-        if gap >= 1e-8:
+        if gap >= SOLVER_RESIDUAL_MAX:
             problems.append(f"k={k_label(K)} cold/warm gap {gap:.2e}")
         per[k_label(K)] = {
             "z1": c.prevertex,
@@ -221,7 +227,9 @@ def chart_transitions(pairs: Sequence[tuple] = TRANSITION_PAIRS) -> Outcome:
 
 
 def _sheet(n: int) -> VirtualPointRep:
-    theta = 7 * math.pi / 4 + 2 * math.pi * (n - 1)
+    """A point of the ul end in the middle of sheet n's rectangle window."""
+    seam, orient = surface.SPIRAL_SEAM["ul"]
+    theta = seam + orient * (2 * math.pi * n - 0.25 * math.pi)
     return VirtualPointRep(
         cmath.exp(1j * (theta % (2 * math.pi))), spiral_ball_chart("ul", 1j * theta, 0.45)
     )

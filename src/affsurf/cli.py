@@ -33,7 +33,7 @@ from .limitset import (
 )
 from .pointcloud import PointCloud, write_points
 from .solver import continuation_sweep, extract_limit, solve_prevertex
-from .svg import PALETTE, PlaneCurve, PlaneDots, figure
+from .svg import PALETTE, PlaneCurve, figure
 
 class UsageError(Exception):
     pass
@@ -140,6 +140,11 @@ class RunConfig:
             object.__setattr__(self, name, v)
         if not self.tol_solver > self.tol_quad:
             raise UsageError(f"tol_solver {self.tol_solver!r} must be above tol_quad {self.tol_quad!r}")
+        if command == "verify" and not self.tol_solver < checks.SOLVER_RESIDUAL_MAX:
+            raise UsageError(
+                f"tol_solver {self.tol_solver!r} must be below verify's residual bound "
+                f"{checks.SOLVER_RESIDUAL_MAX!r}"
+            )
         if self.format not in ("svg", "txt"):
             raise UsageError(f"format must be svg or txt, got {self.format!r}")
         object.__setattr__(self, "seed", _seed(self.seed))
@@ -406,11 +411,8 @@ def _run_render(config: RunConfig, rec: _Recorder) -> dict:
             color = PALETTE[i % len(PALETTE)]
             for piece in sorted(cloud.pieces):
                 pts = np.asarray(cloud.pieces[piece])
-                name = f"k{label}-{piece}"
-                if piece in _MARKERS or pts.size < 2:
-                    dots.append(PlaneDots(name, pts, color))
-                else:
-                    curves.append(PlaneCurve(name, pts, color))
+                drawn = dots if piece in _MARKERS or pts.size < 2 else curves
+                drawn.append(PlaneCurve(f"k{label}-{piece}", pts, color))
         rec.write_text("figure.svg", figure(curves, dots))
     else:
         for label, cloud, header in entries:

@@ -26,51 +26,28 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Tuple
 
-from .surface import CORNER_COORD, ChartId, SurfacePoint
-
-# seam angle of each spiral's gluing edge and the winding direction that
-# leads deeper into the sheets (positive theta for ul, etc.)
-_SEAM_DIR = {
-    "ul": (0.0, +1.0),
-    "bl": (0.0, -1.0),
-    "ur": (math.pi, -1.0),
-    "br": (-math.pi, +1.0),
-}
+from .surface import CORNER_COORD, SPIRAL_SEAM, ChartId, SurfacePoint
 
 # strip adjoining each spiral and the sign e of the edge it hangs on:
 # strip coordinate s = w + i*e for a projection value w at the seam
-_STRIP_EDGE = {
-    "ul": ("left", +1.0),
-    "bl": ("left", -1.0),
-    "ur": ("right", +1.0),
-    "br": ("right", -1.0),
-}
+_STRIP_EDGE = {c: ("left" if z.real < 0 else "right", z.imag) for c, z in CORNER_COORD.items()}
 
 # spiral reached through each corner flap of a half strip
 _FLAP_CORNER = {edge: corner for corner, edge in _STRIP_EDGE.items()}
-
-_STRIP_CHART = {"left": ChartId.STRIP_LEFT, "right": ChartId.STRIP_RIGHT}
-_SPIRAL_CHART = {
-    "ul": ChartId.SPIRAL_UL,
-    "ur": ChartId.SPIRAL_UR,
-    "bl": ChartId.SPIRAL_BL,
-    "br": ChartId.SPIRAL_BR,
-}
 
 
 def _window(corner: str, theta: float) -> Optional[Tuple[str, int]]:
     """Classify an unwrapped angle into a sheet window.
 
-    Measured as depth u from the seam in the winding direction, the
-    sheets tile u > -pi/2: [2 pi n, 2 pi n + 3 pi/2] lands in the outer
-    chart of the finite surfaces (sheet n), the complementary quarter
-    turns land in the rectangle (sheet n, n >= 1). The collar
-    (-pi/2, 0] below the seam belongs to the adjoining strip and is
-    treated as the n = 0 rectangle window, which the strip formulas
-    agree with through the edge gluing. None beyond the cover.
+    Measured as depth u from the seam of surface.SPIRAL_SEAM, the sheets
+    tile u > -pi/2: the outer windows land in the outer chart of the
+    finite surfaces, the rectangle windows in the rectangle. The collar
+    below the seam belongs to the adjoining strip and is treated as the
+    n = 0 rectangle window, which the strip formulas agree with through
+    the edge gluing. None beyond the cover.
     """
-    s0, d = _SEAM_DIR[corner]
-    u = d * (theta - s0)
+    seam, orient = SPIRAL_SEAM[corner]
+    u = orient * (theta - seam)
     if u <= -0.5 * math.pi:
         return None
     if u <= 0.0:
@@ -134,7 +111,7 @@ def spiral_ball_chart(corner: str, base_log: complex, radius: float) -> EmbedCha
     half; the ball of the given radius around its projection must avoid
     the puncture, which also keeps the branch single-valued on it.
     """
-    if corner not in _SEAM_DIR:
+    if corner not in SPIRAL_SEAM:
         raise ValueError(f"unknown spiral corner {corner!r}")
     proj = cmath.exp(base_log)
     if not 0.0 < radius < abs(proj):
@@ -260,19 +237,19 @@ def _piece(chart: EmbedChart, t: float, region) -> _Piece:
             return _Piece(ChartId.OUTER, 1.0, complex(-s))
         if region == "strip":
             if t == 0.0:
-                return _Piece(_STRIP_CHART[chart.strip], 1.0, 0j)
+                return _Piece(ChartId("strip_" + chart.strip), 1.0, 0j)
             return _Piece(ChartId.RECT, t, complex(-s))
         e = region[1]
         if t == 0.0:
             corner = _FLAP_CORNER[chart.strip, e]
-            return _Piece(_SPIRAL_CHART[corner], 1.0, complex(0.0, -e), 0j)
+            return _Piece(ChartId("spiral_" + corner), 1.0, complex(0.0, -e), 0j)
         return _Piece(ChartId.OUTER, t, complex(-s, e) - 1j * e * t)
     kind, n = region
     if t == 0.0:
         if region == ("rect", 0):
             strip, e = _STRIP_EDGE[chart.corner]
-            return _Piece(_STRIP_CHART[strip], 1.0, complex(0.0, e))
-        return _Piece(_SPIRAL_CHART[chart.corner], 1.0 / chart.proj, 0j, chart.base_log)
+            return _Piece(ChartId("strip_" + strip), 1.0, complex(0.0, e))
+        return _Piece(ChartId("spiral_" + chart.corner), 1.0 / chart.proj, 0j, chart.base_log)
     # sheet n shrinks by K^(n+1) onto the corner, in the chart of its window
     c = CORNER_COORD[chart.corner]
     if kind == "outer":

@@ -23,7 +23,9 @@ In the limit the prevertex pairs have merged and the boundary
 configuration consists of the two strip mouth curves, the seam rays
 between strips and spiral sheets, the flank rays bounding each spiral
 sheet, the glued-edge segment, and the two singular points that
-everything accumulates on.
+everything accumulates on. Spiral stops are placed by depth from the
+seams of surface.SPIRAL_SEAM, so mirror corners and the embedding
+module's spiral charts number the sheets alike.
 Clouds are resampled to uniform arc-length spacing so that Hausdorff
 distances between them are meaningful at that resolution.
 """
@@ -32,12 +34,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Dict, Generator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .develop import DevelopingMap
-from .surface import CORNER_COORD
+from .surface import CORNER_COORD, SPIRAL_SEAM
 from .solver import LimitEstimate, SolveResult
 from .tracking import arc_target, level_curve_track, lock_step, segment_target, track_level_curve
 
@@ -408,13 +410,17 @@ def limit_image_cloud(
     the singular points, which are included as cloud points themselves.
 
     The right real-axis crossing is solved once and mirrored to the left.
-    Each spiral assembly first walks its bridges in order, one
-    track_level_curve per stop, and seeds the stop's two rays where the
-    bridge ends, recording their depth, or the stop's "unreached:" note
-    where the bridge stalls. A bridge's first step is a quarter of its
-    arc: only its end point is kept, and that is pinned to the tracking
-    tolerance however many steps lead to it. The mouth curves and all
-    rays then run in one lock_step.
+    A spiral end's stops lie at depths u <= theta_max from its seam, angle
+    seam + orient*u by surface.SPIRAL_SEAM: seam_<corner> at u = 0, then
+    flank_<corner>_n<n>a and _n<n>b at 2 pi n - pi/2 and 2 pi n, the edges
+    of sheet n's rectangle window. Each spiral assembly first walks its
+    bridges in order from the axis anchor, the collar's outer edge
+    u = -pi/2, one track_level_curve per stop, and seeds the stop's rays
+    <stop>_in and <stop>_out where the bridge ends, recording their depth,
+    or the stop's "unreached:" note where the bridge stalls. A bridge's
+    first step is a quarter of its arc: only its end point is kept, and
+    that is pinned to the tracking tolerance however many steps lead to
+    it. The mouth curves and all rays then run in one lock_step.
     """
     dev = DevelopingMap.merged_limit(x0, tau)
     cloud = CurveCloud()
@@ -441,32 +447,24 @@ def limit_image_cloud(
     # rays; each bridge starts where the previous one ended, so they run
     # in order, and a stalled one ends its assembly with a note
     for name, corner in CORNER_COORD.items():
-        # winding direction deeper into the sheets, and the bridge's start
-        # angle on the axis anchor
-        orient = -int(corner.real * corner.imag)
-        th = -0.5 * math.pi * corner.imag
+        # the bridge starts on the axis anchor, at the collar's outer edge
+        seam, orient = SPIRAL_SEAM[name]
+        th = seam - 0.5 * math.pi * orient
         w, g = anchors[int(np.sign(corner.real))]
         m = 0
-        # the strip edge glued into a right corner lies half a turn further
-        # round: its seam ray sits at orient*pi, and the n=1 window is bounded
-        # by the seam and the mouth themselves, so its edges are already laid.
-        # Window edges sit at orient*(2*pi*n - off) for the two offsets.
-        right = corner.real > 0
-        seam = math.pi if right else 0.0
-        off_a, off_b = seam + 0.5 * math.pi, seam
-        seam0 = orient * seam
-        angles: List[Tuple[float, str]] = [(seam0, f"seam_{name}")]
-        for n in range(2 if right else 1, n_max + 2):
-            angles.append((orient * (2 * math.pi * n - off_a), f"flank_{name}_n{n}a"))
-            angles.append((orient * (2 * math.pi * n - off_b), f"flank_{name}_n{n}b"))
-        # truncate by winding depth from the seam so mirror corners cut
-        # at the same depth even though their absolute angles differ by pi
-        angles = [(a, lbl) for a, lbl in angles if _within_depth(abs(a - seam0), theta_max)]
-        for angle, label in angles:
-            depth = abs(angle - seam0)
+        # stops by depth from the seam: the seam, then the two edges of
+        # each sheet's rectangle window
+        stops = [(0.0, f"seam_{name}")]
+        for n in range(1, n_max + 2):
+            stops.append((2 * math.pi * n - 0.5 * math.pi, f"flank_{name}_n{n}a"))
+            stops.append((2 * math.pi * n, f"flank_{name}_n{n}b"))
+        for depth, label in stops:
+            if not _within_depth(depth, theta_max):
+                break
+            angle = seam + orient * depth
             # bridge to the next stop angle; not part of the cloud, so
             # it takes long steps from the start (see the module docstring)
-            scale = tau / max(abs(angle), math.pi)
+            scale = tau / max(depth, math.pi)
             p, dp = arc_target(corner, 1.0, th, angle)
             if abs(angle - th) > 1e-12:
                 br = track_level_curve(

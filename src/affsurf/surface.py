@@ -8,8 +8,9 @@ corner), and going around a corner pair picks up the hole monodromy (a
 translation). At K = inf the rectangle is gone: the outer chart's top and
 bottom edges are glued to each other, a half-infinite strip hangs off each
 of the left and right edges, and a spiral end (half of the universal cover
-of C*) is attached along each strip edge; the embedding module builds its
-charts for these pieces from the ids and corner coordinates defined here.
+of C*) is attached along each strip edge. The embedding module builds its
+charts for these pieces, and the limitset module tracks their images, from
+the ids, corner coordinates and spiral seams defined here.
 """
 
 from __future__ import annotations
@@ -39,6 +40,18 @@ CORNER_COORD = {
     "ur": 1.0 + 1.0j,
     "bl": -1.0 - 1.0j,
     "br": 1.0 - 1.0j,
+}
+
+# (seam, orient): the angle of each spiral end's gluing edge seen from its
+# corner, and the winding direction deeper into the sheets. At depth u from
+# the seam, angle seam + orient*u, the collar (-pi/2, 0] belongs to the
+# adjoining strip, sheet n's outer window is [2 pi n, 2 pi n + 3 pi/2]
+# (n >= 0) and its rectangle window [2 pi n - pi/2, 2 pi n] (n >= 1).
+SPIRAL_SEAM = {
+    "ul": (0.0, +1.0),
+    "bl": (0.0, -1.0),
+    "ur": (math.pi, -1.0),
+    "br": (-math.pi, +1.0),
 }
 
 

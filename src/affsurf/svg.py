@@ -25,13 +25,8 @@ MARGIN = 0.06
 
 @dataclass(frozen=True)
 class PlaneCurve:
-    name: str
-    points: np.ndarray
-    color: str
+    """Named plane points: one path when drawn as a curve, circles as dots."""
 
-
-@dataclass(frozen=True)
-class PlaneDots:
     name: str
     points: np.ndarray
     color: str
@@ -59,14 +54,13 @@ def _path_data(pts: np.ndarray) -> str:
 
 def figure(
     curves: Sequence[PlaneCurve],
-    dots: Sequence[PlaneDots] = (),
+    dots: Sequence[PlaneCurve] = (),
 ) -> str:
     """Assemble one SVG document from plane curves and point markers."""
     for c in curves:
         if np.asarray(c.points).size < 2:
             raise ValueError(f"curve {c.name!r} needs at least two points")
-    everything = [np.asarray(c.points, dtype=complex).ravel() for c in curves]
-    everything += [np.asarray(d.points, dtype=complex).ravel() for d in dots]
+    everything = [np.asarray(c.points, dtype=complex).ravel() for c in (*curves, *dots)]
     if not everything:
         raise ValueError("nothing to draw")
     allpts = np.concatenate(everything)

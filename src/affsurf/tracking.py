@@ -22,8 +22,8 @@ are two kinds of request. The RK4 stages and the Newton slope are points,
 sent dev.derivative of each. Each piece of a chord between slit crossings
 is a GK15 panel request (lo, hi, tol, end), sent the piece's integral when
 its first level is accepted and else the first level's values, with which
-the piece finishes in its own quadrature.integrate_segment call (14 of
-the 10,270 pieces of perfbench's boundary-trace seed 1 do).
+the piece finishes in its own quadrature.integrate_segment call (16 of
+the 10,260 pieces of perfbench's boundary-trace seed 1 do).
 track_level_curve runs one track alone. lock_step runs several tracks
 together, one derivative call per round on the requests of all live
 tracks: each point takes its element, and the round's panels are one

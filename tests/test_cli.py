@@ -358,6 +358,20 @@ class TestExitCodes:
         assert err == ["usage error: tol_solver 1e-12 must be above tol_quad 1e-12"]
         assert not (tmp_path / "h").exists()
 
+    @pytest.mark.parametrize("tol", ["1e-6", "1e-8"])
+    def test_verify_refuses_a_tolerance_its_certificate_cannot_bound(self, tmp_path, capsys, tol):
+        # solver-residuals bounds residuals and gaps by a fixed 1e-8, so a
+        # solve that may stop at or above it would fail by construction
+        code = main(
+            ["verify", "--tol-solver", tol, "--tol-quad", "1e-12", "--out", str(tmp_path / "v")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"usage error: tol_solver {float(tol)!r} must be below verify's residual bound 1e-08"]
+        assert not (tmp_path / "v").exists()
+        # other commands have no residual certificate and keep the setting
+        assert make_config("solve", k="2", tol_solver=tol).tol_solver == float(tol)
+
     # at K = 3 the computed corner fixed points are off by 1.1e-16, so the
     # holonomy check must bound the error rather than demand equality
     @pytest.mark.parametrize("k", ["2", "3"])

@@ -14,6 +14,7 @@ from scipy.spatial import cKDTree
 import affsurf.limitset as limitset
 from affsurf import checks
 from affsurf.develop import DevelopingMap
+from affsurf.embedding import _window
 from affsurf.limitset import (
     _axis_anchor_imag,
     _axis_anchor_real,
@@ -25,6 +26,7 @@ from affsurf.limitset import (
     resample_curve,
 )
 from affsurf.solver import continuation_sweep, extract_limit, solve_prevertex
+from affsurf.surface import SPIRAL_SEAM
 from affsurf.tracking import level_curve_track, lock_step, track_level_curve
 
 Z1_K2 = 1.248075111571 + 0.767644410562j
@@ -475,7 +477,7 @@ class TestLimitCloud:
 
     def test_bridge_steps_are_not_set_by_a_ramp(self, monkeypatch):
         # a ramp up from 0.005 takes 504 accepted bridge steps at the
-        # default theta_max, quarter-arc starts 120
+        # default theta_max, quarter-arc starts 116
         steps = []
 
         def counted(*args, **kwargs):
@@ -524,6 +526,36 @@ class TestLimitCloud:
         assert cut.notes == direct.notes
         assert cut.depths == direct.depths
         assert len(cut.pieces) < len(limit_cloud.pieces)
+
+    @pytest.mark.parametrize("turns", [4, 8])
+    def test_mirror_corners_number_their_sheets_alike(self, limit_cloud, turns):
+        # w -> -conj(w) carries the ul end onto ur and bl onto br; the
+        # mirrored stop must carry the same name and depth
+        cloud = limit_cloud if turns == 4 else limit_image_cloud(X0, TAU, theta_max=2 * math.pi * turns)
+        corner = lambda name: name.split("_")[1]
+        spiral = [name for name in cloud.pieces if name.startswith(("seam_", "flank_"))]
+        left = [name for name in spiral if corner(name) in ("ul", "bl")]
+        right = {name for name in spiral if corner(name) in ("ur", "br")}
+        assert len(left) == len(right) == 2 * 2 * (1 + 2 * turns)
+        for name in left:
+            twin = name.replace("_ul_", "_ur_").replace("_bl_", "_br_")
+            assert twin in right, name
+            pts, image = cloud.pieces[twin], -np.conj(cloud.pieces[name])
+            assert len(pts) == len(image), name
+            assert np.abs(pts - image).max() <= 1e-9, name
+            assert cloud.depths[twin] == cloud.depths[name], name
+
+    def test_flank_sheets_match_the_spiral_charts(self, limit_cloud):
+        # a flank's depth, moved just inside its edge of sheet n's rectangle
+        # window, is classified as that sheet by the embedding's charts
+        flanks = [name for name in limit_cloud.pieces if name.startswith("flank_")]
+        assert len(flanks) == 4 * 2 * 4 * 2
+        for name in flanks:
+            _, corner, stop, _ = name.split("_")
+            n, edge = int(stop[1:-1]), stop[-1]
+            seam, orient = SPIRAL_SEAM[corner]
+            depth = limit_cloud.depths[name] + (1e-6 if edge == "a" else -1e-6)
+            assert _window(corner, seam + orient * depth) == ("rect", n), name
 
     def test_deeper_truncation_only_adds_near_singularities(self, limit_cloud):
         wider = limit_image_cloud(X0, TAU, theta_max=10 * math.pi)

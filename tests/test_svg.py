@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from affsurf.svg import PALETTE, PlaneCurve, PlaneDots, figure
+from affsurf.svg import PALETTE, PlaneCurve, figure
 
 
 def square():
@@ -42,7 +42,7 @@ class TestFigure:
         assert 'transform="scale(1,-1)"' in doc
 
     def test_markers_become_circles(self):
-        doc = figure([square()], [PlaneDots("pins", np.array([0.5 + 0.5j, -0.5j]), "#000000")])
+        doc = figure([square()], [PlaneCurve("pins", np.array([0.5 + 0.5j, -0.5j]), "#000000")])
         assert doc.count("<circle") == 2
         assert 'cx="0.5" cy="0.5"' in doc
 
