@@ -23,7 +23,7 @@ sent dev.derivative of each. Each piece of a chord between slit crossings
 is a GK15 panel request (lo, hi, tol, end), sent the piece's integral when
 its first level is accepted and else the first level's values, with which
 the piece finishes in its own quadrature.integrate_segment call (16 of
-the 10,260 pieces of perfbench's boundary-trace seed 1 do).
+the 7,572 pieces of perfbench's boundary-trace seed 1 do).
 track_level_curve runs one track alone. lock_step runs several tracks
 together, one derivative call per round on the requests of all live
 tracks: each point takes its element, and the round's panels are one
@@ -229,6 +229,9 @@ class TrackResult:
     branch: np.ndarray
     status: str  # "completed" or "stalled"
     reason: str
+    # the step in s the track had grown to when its final step was cut to
+    # the remainder 1 - s: a first_step for a track that goes on from here
+    next_step: float
 
     @property
     def completed(self) -> bool:
@@ -304,7 +307,7 @@ def level_curve_track(
             f"seed develops to {g:.6g}, not the target start {target0:.6g}"
         )
 
-    h = min(first_step, 1.0)
+    h = grown = min(first_step, 1.0)
 
     ss, ws, gs, ms = [0.0], [w], [g], [m]
     s = 0.0
@@ -317,7 +320,7 @@ def level_curve_track(
             status, reason = "stalled", f"step budget {max_steps} exhausted"
             break
         steps += 1
-        h = min(h, 1.0 - s)
+        grown, h = h, min(h, 1.0 - s)
         s_new = s + h
         ok = False
         try:
@@ -377,4 +380,5 @@ def level_curve_track(
         branch=np.array(ms, dtype=int),
         status=status,
         reason=reason,
+        next_step=grown,
     )

@@ -245,7 +245,7 @@ class TestBrent:
 
         monkeypatch.setattr(limitset, "_brent", recording)
         dev = self.MAPS[name]
-        root = anchor(dev)
+        root, _ = anchor(dev)
         assert len(solves) == 1
         f, a, b, xtol, fa, fb = solves[0]
         if anchor is _axis_anchor_real:
@@ -377,6 +377,77 @@ class TestFiniteBoundary:
         assert start["left_to_ul"] == -start["right_to_ur"]
         assert start["bottom_to_br"] == -start["top_to_ur"]
 
+    def test_anchor_solves_hand_back_their_values(self, monkeypatch):
+        # the right and upper sides start from g as the solves left it;
+        # only the left and lower mirrors are developed outside them
+        calls = {"develop_at": 0, "in_anchors": 0}
+        develop_at = DevelopingMap.develop_at
+
+        def counted_develop_at(self, *args, **kwargs):
+            calls["develop_at"] += 1
+            return develop_at(self, *args, **kwargs)
+
+        def counted(anchor):
+            def solve(dev):
+                before = calls["develop_at"]
+                root = anchor(dev)
+                calls["in_anchors"] += calls["develop_at"] - before
+                return root
+            return solve
+
+        monkeypatch.setattr(DevelopingMap, "develop_at", counted_develop_at)
+        for name in ("_axis_anchor_real", "_axis_anchor_imag"):
+            monkeypatch.setattr(limitset, name, counted(getattr(limitset, name)))
+        rectangle_image_boundary(DevelopingMap.from_aspect(2.0, Z1_K2), spacing=0.02)
+        assert calls["develop_at"] == calls["in_anchors"] + 2
+
+    @pytest.mark.parametrize("K, bound", [(1e2, 1.6e-3), (1e6, 1.85e-3)])
+    def test_boundary_is_near_a_finer_tracked_one(self, monkeypatch, K, bound):
+        # a reference with every stage's step cap divided by 8, both
+        # resampled far finer than the default spacing: each piece lies
+        # within 1.519e-3 (K = 1e2) and 1.762e-3 (1e6) of its reference,
+        # with and without the step carried between stages
+        dev = DevelopingMap.from_aspect(K, solve_prevertex(K).prevertex)
+        cloud = rectangle_image_boundary(dev, spacing=5e-5)
+
+        def finer(*args, **kwargs):
+            return (yield from level_curve_track(*args, **{**kwargs, "max_step": kwargs["max_step"] / 8}))
+
+        monkeypatch.setattr(limitset, "level_curve_track", finer)
+        reference = rectangle_image_boundary(dev, spacing=5e-5)
+        assert list(cloud.pieces) == list(reference.pieces)
+        deviation = max(hausdorff_distance(pts, reference.pieces[name]) for name, pts in cloud.pieces.items())
+        assert deviation <= bound
+
+    def test_stages_start_at_the_step_reached(self, monkeypatch):
+        # each corner approach's later stages start at the step its
+        # previous stage grew to: at K = 1e6 its 80 stages take 352
+        # accepted steps, and 804 when each ramps up from 0.02 again.
+        # Stage 1 is the same track either way.
+        dev = DevelopingMap.from_aspect(1e6, solve_prevertex(1e6).prevertex)
+
+        def recorded(forced):
+            tracks = []
+
+            def recording(*args, **kwargs):
+                if forced:
+                    kwargs["first_step"] = 0.02
+                i = len(tracks)
+                tracks.append(None)
+                tracks[i] = yield from level_curve_track(*args, **kwargs)
+                return tracks[i]
+
+            monkeypatch.setattr(limitset, "level_curve_track", recording)
+            rectangle_image_boundary(dev)
+            return tracks
+
+        carried, ramped = recorded(False), recorded(True)
+        assert sum(len(r.s) - 1 for r in carried) <= 400
+        # lock_step's first round starts every approach's stage 1, in order
+        for one, other in zip(carried[:8], ramped[:8]):
+            assert np.array_equal(one.w, other.w)
+            assert np.array_equal(one.g, other.g)
+
     def test_aspect_1e10_completes(self):
         # the top and bottom sides start at axis crossings near
         # 1.44/K = 1.4e-10, below the 1e-9 that brackets them up to K = 1e7
@@ -493,7 +564,8 @@ class TestLimitCloud:
     def test_each_anchor_solved_once(self, monkeypatch):
         # one real-axis anchor, solved on the right and mirrored to the
         # left, serves the mouth curves and the spiral assemblies of both
-        # sides; outside the solve the cloud develops only the two anchors
+        # sides; outside the solve the cloud develops only the left anchor,
+        # since the solve hands back g at the right one
         calls = {"develop_at": 0, "in_anchors": 0, "anchors": 0}
         develop_at, anchor = DevelopingMap.develop_at, limitset._axis_anchor_real
 
@@ -503,16 +575,16 @@ class TestLimitCloud:
 
         def counted_anchor(dev):
             before = calls["develop_at"]
-            u = anchor(dev)
+            root = anchor(dev)
             calls["anchors"] += 1
             calls["in_anchors"] += calls["develop_at"] - before
-            return u
+            return root
 
         monkeypatch.setattr(DevelopingMap, "develop_at", counted_develop_at)
         monkeypatch.setattr(limitset, "_axis_anchor_real", counted_anchor)
         limit_image_cloud(X0, TAU, theta_max=2 * math.pi)
         assert calls["anchors"] == 1
-        assert calls["develop_at"] == calls["in_anchors"] + 2
+        assert calls["develop_at"] == calls["in_anchors"] + 1
         assert calls["develop_at"] <= 20
 
     @pytest.mark.parametrize("turns", [2, 3])
