@@ -24,8 +24,7 @@ real-axis crossing or its mirror. A bridge keeps only its end point,
 which the Newton corrector pins to the tracking tolerance at any step
 schedule, so its first step is a quarter of its arc rather than a small
 one that the step growth must ramp up: the end is the same to about
-1e-12, in a quarter of the steps. The whole arc would be too long, as
-near the singular points its first RK4 stages overflow the derivative.
+1e-12, in a quarter of the steps.
 In the limit the prevertex pairs have merged and the boundary
 configuration consists of the two strip mouth curves, the seam rays
 between strips and spiral sheets, the flank rays bounding each spiral
@@ -316,7 +315,7 @@ def _track_toward_corner(
     branch0: int,
     corner_clip: float,
     quad_tol: float,
-) -> Generator[np.ndarray, np.ndarray, Tuple[np.ndarray, str]]:
+) -> Generator[tuple, tuple, Tuple[np.ndarray, str]]:
     """Follow the square side radially into a corner value.
 
     The curve winds into the prevertex on a shrinking scale, so the
@@ -324,17 +323,26 @@ def _track_toward_corner(
     distance from the nearest prevertex. The stages are alike on their
     shrinking scales, so each one after the first starts at the step in s
     its previous stage had grown to (TrackResult.next_step) instead of
-    ramping up again from the first stage's 0.02. A tracking.lock_step
-    track that returns the joined stage curves and the reason the approach
-    stalled ("" when it reached corner_clip).
+    ramping up again from the first stage's 0.02. The chain ends at
+    corner_clip, or before a stage whose end would lie within 2 ulp of the
+    corner's coordinates, where float64 barely tells its points from the
+    corner (the top and bottom sides, clipped at corner_clip/K, reach that
+    floor from about K = 1e13). A tracking.lock_step track that returns the
+    joined stage curves and the reason the approach stalled ("" when it
+    reached its clip or the floor).
     """
     rho = abs(g0 - corner)
     direction = (g0 - corner) / rho
+    # no stage ends within 2 ulp of the corner's coordinates, where its
+    # target would be rounding noise
+    floor = 2.0 * math.ulp(max(abs(corner.real), abs(corner.imag)))
     pieces = []
     w, g, m = w0, g0, branch0
     first_step = 0.02
     while rho > corner_clip:
         rho_next = max(corner_clip, rho / 4.0)
+        if rho_next <= floor:
+            break
         p, dp = segment_target(corner + rho * direction, corner + rho_next * direction)
         near = min(abs(w - z) for z in dev.poles)
         step = max(2e-4, 0.2 * near)
@@ -495,22 +503,22 @@ def limit_image_cloud(
             if not _within_depth(depth, theta_max):
                 break
             angle = seam + orient * depth
-            # bridge to the next stop angle; not part of the cloud, so
-            # it takes long steps from the start (see the module docstring)
+            # bridge to the next stop angle, at least pi/2 on; not part of
+            # the cloud, so it takes long steps from the start (see the
+            # module docstring)
             scale = tau / max(depth, math.pi)
             p, dp = arc_target(corner, 1.0, th, angle)
-            if abs(angle - th) > 1e-12:
-                br = track_level_curve(
-                    dev, p, dp, w, g0=g, branch0=m,
-                    max_step=min(0.05, 0.5 * scale), quad_tol=quad_tol,
-                    max_steps=20000, first_step=0.25,
-                )
-                if not br.completed:
-                    cloud.notes[label] = f"unreached: bridge {br.reason}"
-                    cloud.depths[label] = depth
-                    break
-                w, g, m = complex(br.w[-1]), complex(br.g[-1]), int(br.branch[-1])
-                th = angle
+            br = track_level_curve(
+                dev, p, dp, w, g0=g, branch0=m,
+                max_step=min(0.05, 0.5 * scale), quad_tol=quad_tol,
+                max_steps=20000, first_step=0.25,
+            )
+            if not br.completed:
+                cloud.notes[label] = f"unreached: bridge {br.reason}"
+                cloud.depths[label] = depth
+                break
+            w, g, m = complex(br.w[-1]), complex(br.g[-1]), int(br.branch[-1])
+            th = angle
             for rng, tag in (((1.0, flank_inner), "in"), ((1.0, STRIP_DEPTH + 1.0), "out")):
                 pr, dpr = _ray_target(corner, angle, rng[0], rng[1])
                 cloud.depths[f"{label}_{tag}"] = depth

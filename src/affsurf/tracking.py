@@ -4,51 +4,54 @@ The geometric output of the toolkit is curves in the uniformized plane
 along which the developed value follows a prescribed path: boundary images
 of the glued rectangle, seam rays, spiral flanks. Given a target path p(s)
 in the developed plane and a seed on the curve, the tracker advances the
-preimage by a Runge-Kutta predictor on w' = p'(s)/g'(w) and a Newton
-corrector, maintaining the developed value incrementally by quadrature
-along every chord the iteration moves through.
+preimage along w' = p'(s)/g'(w) by a predictor and a Newton corrector
+(Allgower & Georg, Numerical Continuation Methods, 1990, ch. 2),
+maintaining the developed value incrementally by quadrature along every
+chord the iteration moves through.
 
-Each chord's quadrature also evaluates the continued derivative at the
-chord's end: the end point joins the nodes of the first level, in the same
-derivative call. That value is the Newton slope at the chord's end and,
-once the step is accepted, the first RK4 stage of the next step, so only a
-track's first stage is a separate evaluation ("first same as last",
-Dormand & Prince 1980). An array element equals the single-point value bit
-for bit, so the reuse leaves every tracked point unchanged.
+The predictor evaluates no derivative. It extrapolates the slopes
+k = p'(s)/g'(w) at the last two accepted points linearly in s, and steps
+w + h*k1 + h**2/2 * (k1 - k_prev)/h_prev; a track's first step is the
+tangent w + h*k1. The corrector pins every accepted point to tol whatever
+the predictor, and max_step caps the accepted move. Each g' comes from a
+chord's quadrature, which evaluates the chord's end as one more node of
+its first level, in the same derivative call: that value is the Newton
+slope at the chord's end and, once the step is accepted, the slope of the
+next step ("first same as last", Dormand & Prince 1980). Only a track's
+first slope, and the slope at a chord end on a slit's line, are single
+points, evaluated in the track by _slope. An array element equals the
+single-point value bit for bit, so where a slope comes from changes no
+tracked point.
 
 The step logic is written once, as the generator level_curve_track: it
-yields every derivative request it needs and is sent the outcome. There
-are two kinds of request. The RK4 stages and the Newton slope are points,
-sent dev.derivative of each. Each piece of a chord between slit crossings
-is a GK15 panel request (lo, hi, tol, end), sent the piece's integral when
-its first level is accepted and else the first level's values, with which
-the piece finishes in its own quadrature.integrate_segment call (16 of
-the 7,572 pieces of perfbench's boundary-trace seed 1 do).
-track_level_curve runs one track alone. lock_step runs several tracks
-together, one derivative call per round on the requests of all live
-tracks: each point takes its element, and the round's panels are one
+yields every quadrature request it needs and is sent the outcome. Each
+request is a GK15 panel (lo, hi, tol, end), one piece of a chord between
+slit crossings. It is sent the piece's integral when its first level is
+accepted and else the first level's values, with which the piece finishes
+in its own quadrature.integrate_segment call. track_level_curve runs one
+track alone. lock_step runs several tracks together, one derivative call
+per round on the panels of all live tracks: the round's panels are one
 first level, their nodes placed by one quadrature.gk15_nodes call and
 their sums and accept tests taken by one quadrature.gk15_level pass,
-whose stacked rows round each panel as its segment alone would. A lone
-live track is evaluated on its own request. limitset uses lock_step for
-a rectangle boundary's eight corner approaches and for the limit cloud's
-mouth curves and spiral rays.
+whose stacked rows round each panel as its segment alone would. limitset
+uses lock_step for a rectangle boundary's eight corner approaches and for
+the limit cloud's mouth curves and spiral rays.
 The pooled call changes no bit of any track: the derivative is
-element-wise array arithmetic, so each element is the value its request
+element-wise array arithmetic, so each element is the value its panel
 gets alone (TestScalarArrayAgreement checks single points against array
 elements). When a pooled call raises an ArithmeticError (the pole
-clearance, a chord along a slit, an exhausted quadrature), every request
-of that round is evaluated alone and the error goes only into the tracks
-whose own request raised it; those retry their step shorter, as they
-would alone. Any other exception is a bug and propagates.
+clearance), every panel of that round is evaluated alone and the error
+goes only into the tracks whose own panel raised it; those retry their
+step shorter, as they would alone. Any other exception is a bug and
+propagates.
 
 Target paths return Python complex: segment_target's straight line,
 arc_target's circle (cmath.exp) and limitset's rays (math.exp). The
 step arithmetic on p(s) and dp(s) then runs on Python scalars, which are
-faster than numpy's and round division as Python does. A stage
-derivative of exactly zero raises ZeroDivisionError, an ArithmeticError
-that fails the step like the pole clearance does, where a numpy scalar
-quotient would only warn and go on with inf.
+faster than numpy's and round division as Python does. A slope derivative
+of exactly zero raises ZeroDivisionError, an ArithmeticError that fails
+the step like the pole clearance does, where a numpy scalar quotient
+would only warn and go on with inf.
 
 Branches: crossing a branch slit multiplies the continued derivative by
 the aspect or its reciprocal. An integer exponent per point records the
@@ -71,18 +74,16 @@ from .develop import DevelopingMap
 from .quadrature import gk15_level, gk15_nodes, integrate_segment
 
 
-def _continued_derivative(dev: DevelopingMap, a: complex, m: int, w: complex):
-    """(continued g'(w), branch exponent at w) reached from (a, m) along the chord.
+def _slope(dev: DevelopingMap, w: complex, m: int) -> complex:
+    """Continued g'(w) on the sheet of branch exponent m, evaluated alone.
 
-    A lock_step track: requests the derivative at w.
+    A point on a slit has no value: slit_crossings refuses the chord of
+    zero length along it with an ArithmeticError, as the pole clearance
+    refuses a point too close to a prevertex.
     """
-    mm = m
-    for _, dm in dev.slit_crossings(a, w):
-        mm += dm
-    gp = complex((yield w))
-    if mm:
-        gp *= dev.K**mm
-    return gp, mm
+    dev.slit_crossings(w, w)
+    gp = dev.derivative(w)
+    return gp * dev.K**m if m else gp
 
 
 def _piece(dev: DevelopingMap, lo: complex, hi: complex, tol: float, end: complex | None = None):
@@ -113,8 +114,7 @@ def _chord_increment(dev: DevelopingMap, a: complex, b: complex, m: int, quad_to
     last piece, whose panel request takes b as its end node. It is None
     where that piece is missing or has zero length (the chord ends on a
     slit, or is shorter than the rounding of b) or where b lies on a slit's
-    line; there _continued_derivative decides between the value and its
-    refusal.
+    line; there _slope decides between the value and its refusal.
     """
     total = 0j
     mm = m
@@ -140,17 +140,15 @@ def _chord_increment(dev: DevelopingMap, a: complex, b: complex, m: int, quad_to
 def lock_step(dev: DevelopingMap, tracks: Sequence[Generator]) -> list:
     """Run tracks together; their return values, in order.
 
-    A track is a generator that yields derivative requests of two kinds
-    and is sent their outcomes. A point (a complex) is sent dev.derivative
-    of it. A GK15 panel (lo, hi, tol, end), end a point or None, is sent
-    (integral, first, end value): integral is None where
-    quadrature.gk15_level's accept test refines the panel, first holds the
-    derivative on the panel's 15 nodes, and the end value is None where end
-    is. Each round takes the outcomes of all live tracks' requests from
-    _outcomes, and sends each track its outcome or throws into it, at the
-    yield, the ArithmeticError its own request raised, as running that
-    track alone would do. An error that a track does not catch, and any
-    exception that is not an ArithmeticError, propagates.
+    A track is a generator that yields GK15 panel requests (lo, hi, tol,
+    end), end a point or None, and is sent (integral, first, end value):
+    integral is None where quadrature.gk15_level's accept test refines the
+    panel, first holds the derivative on the panel's 15 nodes, and the end
+    value is None where end is. Each round takes the outcomes of all live
+    tracks' panels from _outcomes, and sends each track its outcome or
+    throws into it, at the yield, the ArithmeticError its own panel raised,
+    as running that track alone would do. An error that a track does not
+    catch, and any exception that is not an ArithmeticError, propagates.
     """
     results: list = [None] * len(tracks)
     live, outcomes = list(enumerate(tracks)), [None] * len(tracks)
@@ -168,57 +166,46 @@ def lock_step(dev: DevelopingMap, tracks: Sequence[Generator]) -> list:
     return results
 
 
-def _outcomes(dev: DevelopingMap, requests: list) -> list:
-    """The outcome of each request (see lock_step), or the error it raises.
+def _outcomes(dev: DevelopingMap, panels: list) -> list:
+    """The outcome of each panel (see lock_step), or the error it raises.
 
-    Several requests share one derivative call, on their points, panel
-    nodes and panel ends. Each point takes its element, and the panels'
-    sums and accept tests are one gk15_level pass over their stacked rows.
-    A lone request, and every request of a shared call that raises an
-    ArithmeticError, is evaluated alone, where its ArithmeticError is its
-    outcome: a refused request is evaluated once, a lone point is sent to
-    the derivative as yielded, and a lone panel evaluates its own 15 nodes
-    and end in one call.
+    The panels share one derivative call on their nodes and ends, and
+    their sums and accept tests are one gk15_level pass over their stacked
+    rows. Where that call raises an ArithmeticError, each panel is
+    evaluated alone, its 15 nodes and end in one call, and its
+    ArithmeticError is its outcome; a lone panel is evaluated once.
     """
-    if len(requests) > 1:
+    if len(panels) > 1:
         try:
-            return _shared(dev, requests)
+            return _shared(dev, panels)
         except ArithmeticError:
             pass
     outcomes = []
-    for r in requests:
+    for panel in panels:
         try:
-            outcomes.append(_shared(dev, [r])[0] if type(r) is tuple else dev.derivative(r))
+            outcomes.extend(_shared(dev, [panel]))
         except ArithmeticError as exc:
             outcomes.append(exc)
     return outcomes
 
 
-def _shared(dev: DevelopingMap, requests: list) -> list:
-    """The outcomes of requests from one derivative call; see _outcomes."""
-    points = [r for r in requests if type(r) is not tuple]
-    panels = [r for r in requests if type(r) is tuple]
-    args = [points]
-    if panels:
-        lo, hi, tol, end = zip(*panels)
-        h, nodes = gk15_nodes(np.array(lo), np.array(hi))
-        args += (nodes.ravel(), [e for e in end if e is not None])
-    vals = dev.derivative(np.concatenate(args))
-    if panels:
-        n, at = len(panels), len(points)
-        first = vals[at:at + 15 * n].reshape(n, 15)
-        ends = iter(vals[at + 15 * n:])
-        # each panel is its own segment, its length taken by Python's abs
-        # as integrate_segment takes it (numpy's complex abs can differ in
-        # the last bit)
-        total = np.array([abs(b - a) for a, b in zip(lo, hi)])
-        sums, _, live = gk15_level(first[:, None], h[:, None], np.array(tol)[:, None], total[:, None])
-        panel_outcomes = iter([
-            (None if refine else integral, row, None if e is None else next(ends))
-            for integral, refine, row, e in zip(sums[:, 0, 0].tolist(), live[:, 0].tolist(), first, end)
-        ])
-    point_outcomes = iter(vals[:len(points)])
-    return [next(panel_outcomes) if type(r) is tuple else next(point_outcomes) for r in requests]
+def _shared(dev: DevelopingMap, panels: list) -> list:
+    """The outcomes of panels from one derivative call; see _outcomes."""
+    lo, hi, tol, end = zip(*panels)
+    h, nodes = gk15_nodes(np.array(lo), np.array(hi))
+    n = len(panels)
+    vals = dev.derivative(np.concatenate((nodes.ravel(), [e for e in end if e is not None])))
+    first = vals[:15 * n].reshape(n, 15)
+    ends = iter(vals[15 * n:])
+    # each panel is its own segment, its length taken by Python's abs as
+    # integrate_segment takes it (numpy's complex abs can differ in the
+    # last bit)
+    total = np.array([abs(b - a) for a, b in zip(lo, hi)])
+    sums, _, live = gk15_level(first[:, None], h[:, None], np.array(tol)[:, None], total[:, None])
+    return [
+        (None if refine else integral, row, None if e is None else next(ends))
+        for integral, refine, row, e in zip(sums[:, 0, 0].tolist(), live[:, 0].tolist(), first, end)
+    ]
 
 
 @dataclass
@@ -285,16 +272,18 @@ def level_curve_track(
     max_step: float = 0.1,
     first_step: float = 1.0 / 200.0,
     max_steps: int = 20000,
-) -> Generator[np.ndarray, np.ndarray, TrackResult]:
+) -> Generator[tuple, tuple, TrackResult]:
     """Track the curve g(w(s)) = p(s), 0 <= s <= 1, from a seed on it.
 
     A lock_step track that returns the TrackResult; track_level_curve runs
     one alone.
     w0 must satisfy g(w0) = p(0), to _ANCHOR_TOL relative, on the branch
     given by branch0 and g0.
-    max_step caps the w-plane distance per step, so it should be set below
-    the feature scale of the curve (a petal four sheets in is far smaller
-    than the mouth of a strip). A track that cannot proceed, or whose step
+    max_step caps the w-plane distance |w_new - w| of each accepted step,
+    checked after the Newton correction, so it should be set below the
+    feature scale of the curve (a petal four sheets in is far smaller than
+    the mouth of a strip); a predictor chord longer than it is refused
+    before any quadrature. A track that cannot proceed, or whose step
     in s falls under _MIN_STEP, returns the partial curve with status
     "stalled" rather than raising.
     """
@@ -313,8 +302,9 @@ def level_curve_track(
     s = 0.0
     status, reason = "completed", ""
     steps = 0
-    # continued g'(w), carried from the accepted chord's end when it has one
-    gp = None
+    # continued g'(w), carried from the accepted chord's end when it has
+    # one, and the slope and step of the previous accepted point
+    gp = k_prev = h_prev = None
     while s < 1.0 - 1e-14:
         if steps >= max_steps:
             status, reason = "stalled", f"step budget {max_steps} exhausted"
@@ -324,19 +314,14 @@ def level_curve_track(
         s_new = s + h
         ok = False
         try:
-            # RK4 stages; branch for each stage point is resolved along
-            # the chord from the accepted point
-            if gp is None:
-                gp = (yield from _continued_derivative(dev, w, m, w))[0]
+            if not gp:
+                # a track's first slope, or one no chord end gave; a retry
+                # keeps it, unless it was zero and failed the step
+                gp = _slope(dev, w, m)
             k1 = dp(s) / gp
-            dp_mid = dp(s + 0.5 * h)
-            w2 = w + 0.5 * h * k1
-            k2 = dp_mid / (yield from _continued_derivative(dev, w, m, w2))[0]
-            w3 = w + 0.5 * h * k2
-            k3 = dp_mid / (yield from _continued_derivative(dev, w, m, w3))[0]
-            w4 = w + h * k3
-            k4 = dp(s_new) / (yield from _continued_derivative(dev, w, m, w4))[0]
-            w_pred = w + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            w_pred = w + h * k1
+            if k_prev is not None:
+                w_pred += 0.5 * h * h * (k1 - k_prev) / h_prev
             chord = abs(w_pred - w)
             if chord <= max_step:
                 inc, m_cur, gp_cur = yield from _chord_increment(dev, w, w_pred, m, quad_tol)
@@ -348,10 +333,10 @@ def level_curve_track(
                 for _ in range(6):
                     r = g_cur - p_new
                     if abs(r) <= tol * scale:
-                        ok = True
+                        ok = abs(w_cur - w) <= max_step
                         break
                     if gp_cur is None:
-                        gp_cur = (yield from _continued_derivative(dev, w_cur, m_cur, w_cur))[0]
+                        gp_cur = _slope(dev, w_cur, m_cur)
                     dw = -r / gp_cur
                     if abs(dw) > move_cap:
                         break
@@ -366,6 +351,7 @@ def level_curve_track(
             ok = False
         if ok:
             s, w, g, m, gp = s_new, w_cur, g_cur, m_cur, gp_cur
+            k_prev, h_prev = k1, h
             ss.append(s), ws.append(w), gs.append(g), ms.append(m)
             h = min(h * 1.4, 1.0)
         else:

@@ -401,11 +401,10 @@ WALKED = [1.0 + 10.0**-j for j in range(1, 13)] + [10.0**j for j in range(1, 17)
 class TestAspectRange:
     def test_every_aspect_completes_in_bounded_work_or_fails_by_type(self, tmp_path, monkeypatch):
         # the derivative nodes of one low-density render, the solve
-        # included, stay bounded across the whole aspect range (120,682 at
-        # 1e300, and 209,392 with every corner-approach stage ramping up
-        # from its first step again); 1 + 1e-12 gives up, naming the limit
-        # it meets, and 1e30 where the upper axis crossing's bracket shows
-        # no sign change
+        # included, stay bounded across the whole aspect range (at most
+        # 117,690, at 1e300); 1 + 1e-12 gives up, naming the limit it
+        # meets, and 1e30 where the upper axis crossing's bracket shows no
+        # sign change
         nodes = []
         derivative = DevelopingMap.derivative
 

@@ -448,6 +448,42 @@ class TestFiniteBoundary:
             assert np.array_equal(one.w, other.w)
             assert np.array_equal(one.g, other.g)
 
+    @pytest.mark.parametrize("K", [1e16, 1e300])
+    def test_corner_stages_stop_at_float64_resolution(self, monkeypatch, K):
+        # the top and bottom sides are clipped at corner_clip/K, but no
+        # stage ends within 2 ulp of the corner: 120 stages from K = 1e12
+        # on, where the clip alone would run 148 at 1e16 and 2,036 at 1e300
+        stages = []
+
+        def counted(*args, **kwargs):
+            stages.append(kwargs["max_step"])
+            return (yield from level_curve_track(*args, **kwargs))
+
+        monkeypatch.setattr(limitset, "level_curve_track", counted)
+        cloud = rectangle_image_boundary(DevelopingMap.from_aspect(K, solve_prevertex(K).prevertex))
+        assert cloud.incomplete == {}
+        assert len(stages) <= 130
+
+    @pytest.mark.parametrize("K", [1e2, 1e6, None])
+    def test_every_accepted_move_is_within_max_step(self, monkeypatch, K):
+        # max_step caps each accepted move |w_new - w|, checked after the
+        # Newton correction, on the corner approaches and (K None) on the
+        # limit cloud's mouths and rays; the predictor chord alone stays
+        # under it while the corrected point may not
+        moves = []
+
+        def capped(*args, **kwargs):
+            r = yield from level_curve_track(*args, **kwargs)
+            moves.append(np.abs(np.diff(r.w)).max(initial=0.0) / kwargs["max_step"])
+            return r
+
+        monkeypatch.setattr(limitset, "level_curve_track", capped)
+        if K is None:
+            limit_image_cloud(X0, TAU)
+        else:
+            rectangle_image_boundary(DevelopingMap.from_aspect(K, solve_prevertex(K).prevertex))
+        assert moves and max(moves) <= 1.0
+
     def test_aspect_1e10_completes(self):
         # the top and bottom sides start at axis crossings near
         # 1.44/K = 1.4e-10, below the 1e-9 that brackets them up to K = 1e7
@@ -548,7 +584,7 @@ class TestLimitCloud:
 
     def test_bridge_steps_are_not_set_by_a_ramp(self, monkeypatch):
         # a ramp up from 0.005 takes 504 accepted bridge steps at the
-        # default theta_max, quarter-arc starts 116
+        # default theta_max, quarter-arc starts 128
         steps = []
 
         def counted(*args, **kwargs):
@@ -560,6 +596,21 @@ class TestLimitCloud:
         limit_image_cloud(X0, TAU)
         assert len(steps) == 36
         assert sum(steps) <= 150
+
+    def test_cloud_is_near_a_finer_tracked_one(self, monkeypatch):
+        # a reference with every mouth's and ray's step cap divided by 8,
+        # both resampled far finer than the default spacing: each piece
+        # lies within 2.056e-3 of its reference (mouth_right_upper)
+        cloud = limit_image_cloud(X0, TAU, spacing=5e-4)
+
+        def finer(*args, **kwargs):
+            return (yield from level_curve_track(*args, **{**kwargs, "max_step": kwargs["max_step"] / 8}))
+
+        monkeypatch.setattr(limitset, "level_curve_track", finer)
+        reference = limit_image_cloud(X0, TAU, spacing=5e-4)
+        assert list(cloud.pieces) == list(reference.pieces)
+        deviation = max(hausdorff_distance(pts, reference.pieces[name]) for name, pts in cloud.pieces.items())
+        assert deviation <= 2.3e-3
 
     def test_each_anchor_solved_once(self, monkeypatch):
         # one real-axis anchor, solved on the right and mirrored to the
