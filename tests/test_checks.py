@@ -130,9 +130,9 @@ def test_limit_data_needs_merging_prevertices_and_a_stable_fit(decades):
     problems, detail = checks.limit_data(sweep, strong)
     shift = detail["hole_shift_magnitude"]
     assert problems == [f"hole translation magnitude {shift:.4f} not within 5% of 2"]
-    # no limit map exists for tau <= 0; the check reports it instead of raising
-    problems, _ = checks.limit_data(sweep, dataclasses.replace(fit, tau=-fit.tau))
-    assert problems[0] == f"tau {-fit.tau}"
+    # no limit map exists for tau <= 0, and no fit without one can be made
+    with pytest.raises(ArithmeticError, match="^no limit map for the fit"):
+        dataclasses.replace(fit, tau=-fit.tau)
 
 
 def test_connection_convergence_needs_decreasing_gaps_and_the_ratio(decades):
@@ -214,6 +214,8 @@ class TestHausdorffConvergence:
         assert written["results"]["verdict"] == "inconclusive"
         steps = [(s["name"], s["status"]) for s in written["steps"]]
         assert steps == [
+            ("sweep 8 aspects", "ok"),
+            ("extrapolate", "ok"),
             ("limit-data", "ok"),
             ("connection-convergence", "ok"),
             ("hausdorff-convergence", "inconclusive"),

@@ -48,6 +48,11 @@ class TestConfig:
     def test_geometric_grid_spec(self):
         c = make_config("sweep", k_grid="1e1:1e4:4")
         assert c.k_grid == (10.0, 100.0, 1000.0, 10000.0)
+        # a span ends exactly on start and stop, where the spaced powers of
+        # 10 give 5.000000000000001 and 300.0000000000001
+        assert make_config("sweep", k_grid="2:5:3").k_grid == (2.0, 3.1622776601683795, 5.0)
+        grid = make_config("sweep", k_grid="3:300:5").k_grid
+        assert (len(grid), grid[0], grid[-1]) == (5, 3.0, 300.0)
 
     def test_comma_grid_spec(self):
         assert make_config("hausdorff", k_grid="100,10,1000").k_grid == (10.0, 100.0, 1000.0)
@@ -288,31 +293,6 @@ class TestExitCodes:
         assert report["results"]["verdict"] == "inconclusive"
         assert report["status"] == "fail"
 
-    def test_fit_without_a_limit_fails_every_hausdorff_step(self, tmp_path, monkeypatch):
-        # a fit with tau <= 0 has no limit map: each criterion fails and
-        # names it, and the report still lands on disk
-        fit = cli.extract_limit
-        monkeypatch.setattr(
-            cli, "extract_limit", lambda sols: dataclasses.replace(fit(sols), tau=-fit(sols).tau)
-        )
-        code = main(
-            ["hausdorff", "--k-grid", "1e2:1e3:2", "--density", "60",
-             "--out", str(tmp_path / "h")]
-        )
-        assert code == 1
-        report = json.loads((tmp_path / "h" / "report.json").read_text())
-        assert [(s["name"], s["status"]) for s in report["steps"]] == [
-            ("limit-data", "fail"),
-            ("connection-convergence", "fail"),
-            ("hausdorff-convergence", "fail"),
-        ]
-        assert report["steps"][-1]["detail"]["reason"].startswith("no limit map for the fit")
-        # each failing step lists its violated clauses, the missing limit among them
-        for step in report["steps"]:
-            assert any(
-                p.startswith("no limit map for the fit") for p in step["detail"]["problems"]
-            )
-
     def test_numerical_failure_is_three(self, tmp_path):
         code = main(
             ["render", "--k", "1.000000000001", "--format", "txt", "--density", "30",
@@ -320,20 +300,26 @@ class TestExitCodes:
         )
         assert code == 3
 
-    @pytest.mark.parametrize("command", ["sweep", "limit"])
+    @pytest.mark.parametrize("command", ["sweep", "limit", "render", "hausdorff"])
     def test_fit_without_a_limit_map_is_three(self, tmp_path, capsys, monkeypatch, command):
-        # a fit with tau <= 0 has nothing to draw or to take a monodromy
-        # of: the fit is reported, then the run gives up numerically
+        # a fit with tau <= 0 has nothing to draw, compare with or take a
+        # monodromy of: every command that fits gives up numerically right
+        # after its sweep, hausdorff on the grid with the decades 1e1..1e8
         fit = cli.extract_limit
         monkeypatch.setattr(
             cli, "extract_limit", lambda sols: dataclasses.replace(fit(sols), tau=-fit(sols).tau)
         )
-        code = main([command, "--k-grid", "1e1:1e3:3", "--out", str(tmp_path / "n")])
+        drawn = ["--k", "inf"] if command == "render" else []
+        code = main([command, *drawn, "--k-grid", "1e1:1e3:3", "--out", str(tmp_path / "n")])
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith(f"ERROR {command}: ArithmeticError: no limit map for the fit")
         report = json.loads((tmp_path / "n" / "report.json").read_text())
-        assert [s["name"] for s in report["steps"]][-2:] == ["extrapolate", "numerical-failure"]
+        swept = 8 if command == "hausdorff" else 3
+        assert [s["name"] for s in report["steps"]][-2:] == [
+            f"sweep {swept} aspects",
+            "numerical-failure",
+        ]
 
     def test_a_bug_in_a_check_propagates(self, tmp_path, monkeypatch):
         # only an ArithmeticError is a numerical give-up; a fault of a

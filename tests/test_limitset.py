@@ -565,26 +565,26 @@ class TestLimitCloud:
         assert pooled_calls <= calls["n"] / 2
 
     @pytest.mark.parametrize("turns", [1, 5])
-    def test_quarter_arc_bridges_reach_the_ramps_seeds(self, monkeypatch, turns):
+    def test_whole_arc_bridges_reach_the_ramps_seeds(self, monkeypatch, turns):
         # a bridge keeps only its end, which the Newton corrector pins to
-        # tol at any step schedule: starting at a quarter of the arc seeds
-        # every stop where a ramp up from 0.005 does
+        # tol at any step schedule: starting on the whole arc, cut down by
+        # the step cap, seeds every stop where a ramp up from 0.005 does
         def ramped(*args, **kwargs):
             return track_level_curve(*args, **{**kwargs, "first_step": 0.005})
 
-        quarter = limit_image_cloud(X0, TAU, theta_max=2 * math.pi * turns)
+        whole = limit_image_cloud(X0, TAU, theta_max=2 * math.pi * turns)
         monkeypatch.setattr(limitset, "track_level_curve", ramped)
         ramp = limit_image_cloud(X0, TAU, theta_max=2 * math.pi * turns)
-        assert list(quarter.pieces) == list(ramp.pieces)
+        assert list(whole.pieces) == list(ramp.pieces)
         for name, pts in ramp.pieces.items():
-            assert len(quarter.pieces[name]) == len(pts), name
-            assert np.abs(quarter.pieces[name] - pts).max() <= 1e-9, name
-        assert quarter.notes == ramp.notes
-        assert quarter.depths == ramp.depths
+            assert len(whole.pieces[name]) == len(pts), name
+            assert np.abs(whole.pieces[name] - pts).max() <= 1e-9, name
+        assert whole.notes == ramp.notes
+        assert whole.depths == ramp.depths
 
     def test_bridge_steps_are_not_set_by_a_ramp(self, monkeypatch):
         # a ramp up from 0.005 takes 504 accepted bridge steps at the
-        # default theta_max, quarter-arc starts 128
+        # default theta_max, whole-arc starts 84
         steps = []
 
         def counted(*args, **kwargs):
@@ -595,7 +595,7 @@ class TestLimitCloud:
         monkeypatch.setattr(limitset, "track_level_curve", counted)
         limit_image_cloud(X0, TAU)
         assert len(steps) == 36
-        assert sum(steps) <= 150
+        assert sum(steps) <= 90
 
     def test_cloud_is_near_a_finer_tracked_one(self, monkeypatch):
         # a reference with every mouth's and ray's step cap divided by 8,
