@@ -294,6 +294,12 @@ def separation_scenarios(scenarios: Sequence[tuple] = SEPARATION_SCENARIOS) -> O
 # ------------------------------------------- the paper's convergence claims
 
 
+def hole_shift(fit: LimitEstimate) -> float:
+    """Magnitude of the additive monodromy at x0 of the fit's limit map,
+    the hole translation, which the paper puts at 2."""
+    return abs(DevelopingMap.merged_limit(fit.x0, fit.tau).additive_monodromy_series(complex(fit.x0)))
+
+
 def limit_data(sweep: Sequence[SolveResult], fit: LimitEstimate) -> Outcome:
     """Criterion 05: the prevertices merge and the limit data exist.
 
@@ -303,8 +309,7 @@ def limit_data(sweep: Sequence[SolveResult], fit: LimitEstimate) -> Outcome:
     within 5%.
     """
     heights = [r.prevertex.imag for r in sweep]
-    limit = DevelopingMap.merged_limit(fit.x0, fit.tau)
-    shift = abs(limit.additive_monodromy_series(complex(fit.x0)))
+    shift = hole_shift(fit)
     problems = []
     if not all(b < a for a, b in zip(heights, heights[1:])):
         problems.append("Im z1 not decreasing along the sweep")

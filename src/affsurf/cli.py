@@ -357,8 +357,6 @@ def _sweep_fit(config: RunConfig, rec: _Recorder, grid: Sequence[float]):
 
 def _run_sweep(config: RunConfig, rec: _Recorder) -> dict:
     sols, est = _sweep_fit(config, rec, config.k_grid)
-    dev = DevelopingMap.merged_limit(est.x0, est.tau)
-    shift = abs(dev.additive_monodromy_series(complex(est.x0)))
     rows = [
         (k_label(s.K), s.prevertex.real, s.prevertex.imag, s.residual, s.iterations)
         for s in sols
@@ -368,7 +366,7 @@ def _run_sweep(config: RunConfig, rec: _Recorder) -> dict:
         "aspects": [k_label(s.K) for s in sols],
         **_fit_fields(est),
         "points_used": est.points_used,
-        "hole_shift_magnitude": shift,
+        "hole_shift_magnitude": checks.hole_shift(est),
     }
 
 

@@ -3,35 +3,37 @@
 Everything here lives in the uniformized plane. For a finite aspect the
 glued rectangle occupies a region whose boundary is the preimage of the
 square boundary under the developing map; it is assembled from eight
-tracked half-side curves that start at its axis crossings, of which the
-reflections mirror the right and upper ones to the left and lower, and
-meet at the four prevertices. The eight corner approaches run in lock
-step (tracking.lock_step): each round makes one derivative call for all
-live approaches. Every point is bit-identical to tracking the approach
-alone, because the derivative is element-wise and a round whose pooled
-call meets the pole clearance is evaluated request by request. An
-approach runs in stages, each from developed distance rho to rho/4. The
-stages are alike on their shrinking scales, so each stage after the first
-starts at the step in s its previous stage had grown to, as an integrator
-restarts (Hairer, Norsett & Wanner, Solving ODEs I, II.4): a K = 1e6
-boundary takes 352 accepted steps, not the 804 of a ramp up from 0.02 in
-every stage, at the same largest deviation from a track on an eight times
-smaller step cap. The limit
-cloud runs its four mouth curves and the rays of every spiral stop in
-lock step the same way; only the bridges between stops run one at a
-time, since each starts where the previous one ended, from one solved
-real-axis crossing or its mirror. A bridge keeps only its end point,
-which the Newton corrector pins to the tracking tolerance at any step
-schedule, so its first step is its whole arc, cut down by the step cap
-alone, rather than a small one that the step growth must ramp up: the
-end is the same to about 1e-12, in a sixth of the steps.
-In the limit the prevertex pairs have merged and the boundary
-configuration consists of the two strip mouth curves, the seam rays
-between strips and spiral sheets, the flank rays bounding each spiral
-sheet, the glued-edge segment, and the two singular points that
-everything accumulates on. Spiral stops are placed by depth from the
-seams of surface.SPIRAL_SEAM, so mirror corners and the embedding
-module's spiral charts number the sheets alike.
+tracked half-side curves that meet at the four prevertices. In the limit
+the prevertex pairs have merged and the boundary configuration consists
+of the two strip mouth curves, the seam rays between strips and spiral
+sheets, the flank rays bounding each spiral sheet, the glued-edge
+segment, and the two singular points that everything accumulates on.
+Both clouds start from the boundary's axis crossings, each solved once by
+_axis_seeds and mirrored by the reflections, and reach the square's
+corners one way: a finite boundary's eight half sides and the limit's
+four mouth curves are corner approaches (_track_toward_corner) into the
+corners SIDE_CORNERS gives each side, and every one stops CORNER_CLIP
+short of its corner in developed distance (CORNER_CLIP/K on a finite
+boundary's top and bottom sides). An approach runs in stages, each from
+developed distance rho to rho/4. The stages are alike on their shrinking
+scales, so each stage after the first starts at the step in s its
+previous stage had grown to, as an integrator restarts (Hairer, Norsett &
+Wanner, Solving ODEs I, II.4): a K = 1e6 boundary takes 352 accepted
+steps, not the 804 of a ramp up from 0.02 in every stage, at the same
+largest deviation from a track on an eight times smaller step cap.
+Each cloud runs its tracks, the limit's spiral rays among them, in one
+tracking.lock_step: each round makes one derivative call for all live
+tracks. Every point is bit-identical to tracking it alone, because the
+derivative is element-wise and a round whose pooled call meets the pole
+clearance is evaluated request by request. Only the limit's bridges
+between spiral stops run one at a time, since each starts where the
+previous one ended. A bridge keeps only its end point, which the Newton
+corrector pins to the tracking tolerance at any step schedule, so its
+first step is its whole arc, cut down by the step cap alone, rather than
+a small one that the step growth must ramp up: the end is the same to
+about 1e-12, in a sixth of the steps. Spiral stops are placed by depth
+from the seams of surface.SPIRAL_SEAM, so mirror corners and the
+embedding module's spiral charts number the sheets alike.
 Clouds are resampled to uniform arc-length spacing so that Hausdorff
 distances between them are meaningful at that resolution.
 """
@@ -244,92 +246,97 @@ def _brent(
     raise ArithmeticError(f"Brent bracket {bracket}: no convergence in {_BRENT_MAXITER} iterations")
 
 
-def _axis_anchor_real(dev: DevelopingMap) -> Tuple[float, complex]:
-    """Right real-axis crossing of the boundary, g(u) = 1, and g(u); the
-    left is -u.
+def _axis_seeds(dev: DevelopingMap, d: complex) -> Tuple[Tuple[complex, complex], Tuple[complex, complex]]:
+    """Seeds (w, g(w)) on the boundary's crossing of the axis along d, 1
+    or 1j, and on the crossing's mirror, -conj(w) or conj(w).
 
-    The inner bracket endpoint is probed inward by halving: at the limit
+    The crossing w = t*d solves Re g = 1 on the real axis and Im g = 1 on
+    the imaginary one by _brent, keeping the g the solve left; the
+    mirror's g is developed afresh. At the square, where g is the
+    identity, the crossings are 1 and i. On the real axis the inner
+    bracket end is probed inward by halving from Re z1 + 1/2: at the limit
     kind the derivative grows like exp(tau/distance) toward the singular
-    point, so the endpoint must stay where evaluation is finite. g drops
-    to -infinity fast enough that a moderate distance already brackets.
-    An ArithmeticError there (pole clearance, panel budget, overflow) ends
-    the search unbracketed; any other exception propagates.
+    point, so the end must stay where evaluation is finite, and g drops to
+    -infinity fast enough that a moderate distance brackets. An
+    ArithmeticError at an inner end (pole clearance, panel budget,
+    overflow) ends the search unbracketed; any other exception propagates.
+
+    On the imaginary axis the crossing height sinks like 1.44/K as the top
+    edge flattens onto the real axis, so the inner end is 1e-9 up to
+    K = 1e7 and 1e-2/K beyond. Im g(i v) dips below the edge height near
+    v = 0 by only about 0.05/K, and from about K = 1e11 the errors of the
+    prevertex solve and of develop_at, 1e-11 to 1e-12 at the inner end,
+    are larger than the dip. The bracket still changes sign, but the root
+    found is where those errors cross zero: v*K reads 1.43 at K = 1e10,
+    5.3 at 1e11, 25 at 1e12 and 3.5e4 at 1e16. Its developed value still
+    lies on the top edge to within those errors, so it remains a seed on
+    the boundary.
     """
-    base = dev.poles[0].real
-    # g at every u tried: _brent returns one of them
+    # g at every t tried: _brent returns one of them
     values = {}
 
-    def f(u: float) -> float:
-        values[u] = g = complex(dev.develop_at(complex(u)))
-        return g.real - 1.0
+    def f(t: float) -> float:
+        values[t] = g = complex(dev.develop_at(complex(t * d)))
+        return (g.real if d == 1 else g.imag) - 1.0
 
-    hi = 0.95 * dev.tail_radius
-    fhi = f(hi)
-    delta = 0.5
-    for _ in range(40):
-        lo = base + delta
-        try:
-            flo = f(lo)
-        except ArithmeticError:
-            raise ArithmeticError(
-                f"boundary axis crossing not bracketed before the singular scale at delta={delta:.3g}"
-            )
-        if flo * fhi < 0.0:
-            break
-        delta *= 0.5
+    if dev.K == 1.0:
+        # the square, where g is the identity
+        t = 1.0
+        f(t)
     else:
-        raise ArithmeticError("no sign change toward the singular point")
-    u = _brent(f, lo, hi, 1e-13, flo, fhi)
-    return u, values[u]
+        if d == 1:
+            base, deltas = dev.poles[0].real, [0.5**n for n in range(1, 41)]
+        else:
+            base, deltas = 0.0, [min(1e-9, 1e-2 / dev.K)]
+        hi = 0.95 * dev.tail_radius
+        fhi = f(hi)
+        for delta in deltas:
+            lo = base + delta
+            try:
+                flo = f(lo)
+            except ArithmeticError:
+                raise ArithmeticError(
+                    f"boundary axis crossing not bracketed before the singular scale at delta={delta:.3g}"
+                )
+            if flo * fhi < 0.0:
+                break
+        else:
+            raise ArithmeticError("no sign change toward the singular point")
+        t = _brent(f, lo, hi, 1e-13, flo, fhi)
+    w = complex(t * d)
+    mirror = -w.conjugate() if d == 1 else w.conjugate()
+    return (w, values[t]), (mirror, complex(dev.develop_at(mirror)))
 
 
-def _axis_anchor_imag(dev: DevelopingMap) -> Tuple[float, complex]:
-    """Upper imaginary-axis crossing, Im g(i v) = 1, and g(i v); the lower
-    is -i v.
+# developed distance from its corner at which every curve into a corner
+# stops. A finite boundary's top and bottom sides carry the strip seams in
+# their last 1/K of developed parameter, so they stop at CORNER_CLIP/K;
+# the spiral stops' _in rays end at this radius.
+CORNER_CLIP = 1e-3
 
-    The crossing height sinks like 1.44/K as the top edge flattens onto
-    the real axis, so the inner bracket endpoint is 1e-9 up to K = 1e7 and
-    1e-2/K beyond. Im g(i v) dips below the edge height near v = 0 by only
-    about 0.05/K, and from about K = 1e11 the errors of the prevertex solve
-    and of develop_at, 1e-11 to 1e-12 at the inner endpoint, are larger
-    than the dip. The bracket still changes sign, but the root found is
-    where those errors cross zero: v*K reads 1.43 at K = 1e10, 5.3 at 1e11,
-    25 at 1e12 and 3.5e4 at 1e16. Its developed value still lies on the
-    top edge to within those errors, so it remains a seed on the boundary.
-    """
-    values = {}
-
-    def f(v: float) -> float:
-        values[v] = g = complex(dev.develop_at(complex(0.0, v)))
-        return g.imag - 1.0
-
-    v = _brent(f, min(1e-9, 1e-2 / dev.K), 0.95 * dev.tail_radius, 1e-13)
-    return v, values[v]
+# the corners of CORNER_COORD that each side's two halves run into, for a
+# finite boundary's <side>_to_<corner> pieces and the limit's mouth curves
+SIDE_CORNERS = {"right": ("ur", "br"), "left": ("ul", "bl"), "top": ("ur", "ul"), "bottom": ("br", "bl")}
 
 
 def _track_toward_corner(
-    dev: DevelopingMap,
-    corner: complex,
-    w0: complex,
-    g0: complex,
-    branch0: int,
-    corner_clip: float,
-    quad_tol: float,
+    dev: DevelopingMap, corner: complex, w0: complex, g0: complex, clip: float, quad_tol: float
 ) -> Generator[tuple, tuple, Tuple[np.ndarray, str]]:
     """Follow the square side radially into a corner value.
 
     The curve winds into the prevertex on a shrinking scale, so the
     approach runs in stages with the step cap tied to the current
-    distance from the nearest prevertex. The stages are alike on their
-    shrinking scales, so each one after the first starts at the step in s
-    its previous stage had grown to (TrackResult.next_step) instead of
-    ramping up again from the first stage's 0.02. The chain ends at
-    corner_clip, or before a stage whose end would lie within 2 ulp of the
-    corner's coordinates, where float64 barely tells its points from the
-    corner (the top and bottom sides, clipped at corner_clip/K, reach that
-    floor from about K = 1e13). A tracking.lock_step track that returns the
-    joined stage curves and the reason the approach stalled ("" when it
-    reached its clip or the floor).
+    distance from the nearest pole (a prevertex, or at the limit a
+    singular point). The stages are alike on their shrinking scales, so
+    each one after the first starts at the step in s its previous stage
+    had grown to (TrackResult.next_step) instead of ramping up again from
+    the first stage's 0.02. The chain ends at
+    developed distance clip, or before a stage whose end would lie within
+    2 ulp of the corner's coordinates, where float64 barely tells its
+    points from the corner (the top and bottom sides, clipped at
+    CORNER_CLIP/K, reach that floor from about K = 1e13). A
+    tracking.lock_step track that returns the joined stage curves and the
+    reason the approach stalled ("" when it reached its clip or the floor).
     """
     rho = abs(g0 - corner)
     direction = (g0 - corner) / rho
@@ -337,10 +344,10 @@ def _track_toward_corner(
     # target would be rounding noise
     floor = 2.0 * math.ulp(max(abs(corner.real), abs(corner.imag)))
     pieces = []
-    w, g, m = w0, g0, branch0
+    w, g, m = w0, g0, 0
     first_step = 0.02
-    while rho > corner_clip:
-        rho_next = max(corner_clip, rho / 4.0)
+    while rho > clip:
+        rho_next = max(clip, rho / 4.0)
         if rho_next <= floor:
             break
         p, dp = segment_target(corner + rho * direction, corner + rho_next * direction)
@@ -364,54 +371,40 @@ def _track_toward_corner(
     return (np.concatenate(pieces) if pieces else np.array([w0])), ""
 
 
+def _collect(cloud: CurveCloud, dev: DevelopingMap, tracks: Dict[str, Generator], spacing: float) -> None:
+    """Run the named tracks in one lock_step and add each curve they hand
+    back, resampled, to cloud, with a "partial:" note naming its stall."""
+    for name, (curve, stall) in zip(tracks, lock_step(dev, list(tracks.values()))):
+        cloud.add(name, resample_curve(curve, spacing), f"partial: {stall}" if stall else "")
+
+
 def rectangle_image_boundary(
     dev: DevelopingMap,
     spacing: float = 0.004,
-    corner_clip: float = 1e-3,
     quad_tol: float = 1e-12,
 ) -> CurveCloud:
     """Boundary of the glued rectangle's image, as a resampled cloud.
 
     Eight half-side tracks start on the coordinate axes, where symmetry
     puts the boundary's axis crossings, and run into the four corner
-    values in lock step. Only the right and upper crossings are solved;
-    the reflections mirror them to the left and lower ones, and at the
-    square, where g is the identity, they are 1 and i. The prevertices
-    themselves are appended since the tracked curves end corner_clip
-    short of them (in developed distance).
+    values in lock step. Each side's seed comes from _axis_seeds. The
+    prevertices themselves are appended since the tracked curves end
+    CORNER_CLIP short of them (in developed distance; CORNER_CLIP/K on
+    the top and bottom sides).
     """
     if dev.kind != "finite":
         raise ValueError("finite-aspect map required; use limit_image_cloud for the limit")
     cloud = CurveCloud()
-    # the solves hand back g at the right and upper crossings; the mirrors,
-    # and the square's crossings, are developed below
-    if dev.slits:
-        (u, g_right), (v, g_top) = _axis_anchor_real(dev), _axis_anchor_imag(dev)
-    else:
-        u, g_right, v, g_top = 1.0, None, 1.0, None
-    # each side's axis crossing, g there where known, and the corners of
-    # CORNER_COORD its halves run into
-    sides = {
-        "right": (complex(u), g_right, ("ur", "br")),
-        "left": (complex(-u), None, ("ul", "bl")),
-        "top": (complex(0, v), g_top, ("ur", "ul")),
-        "bottom": (complex(0, -v), None, ("br", "bl")),
-    }
-    approaches = {}
-    for side, (w0, g0, corners) in sides.items():
-        if g0 is None:
-            g0 = complex(dev.develop_at(w0))
-        # the top and bottom edges carry the strip seams in their last
-        # 1/K of developed parameter, so their corner approach must cut
-        # off at a scale that shrinks with the aspect; the short edges
-        # develop at unit scale and keep the fixed clip
-        clip = corner_clip / dev.K if side in ("top", "bottom") else corner_clip
-        for corner in corners:
-            approaches[f"{side}_to_{corner}"] = _track_toward_corner(
-                dev, CORNER_COORD[corner], w0, g0, 0, clip, quad_tol
+    seeds = dict(zip(("right", "left"), _axis_seeds(dev, 1)))
+    seeds.update(zip(("top", "bottom"), _axis_seeds(dev, 1j)))
+    tracks = {}
+    for side, (w0, g0) in seeds.items():
+        clip = CORNER_CLIP / dev.K if side in ("top", "bottom") else CORNER_CLIP
+        for corner in SIDE_CORNERS[side]:
+            tracks[f"{side}_to_{corner}"] = _track_toward_corner(
+                dev, CORNER_COORD[corner], w0, g0, clip, quad_tol
             )
-    for name, (curve, stall) in zip(approaches, lock_step(dev, list(approaches.values()))):
-        cloud.add(name, resample_curve(curve, spacing), f"partial: {stall}" if stall else "")
+    _collect(cloud, dev, tracks, spacing)
     cloud.add("prevertices", np.array(dev.poles), "isolated corner preimages")
     return cloud
 
@@ -436,12 +429,26 @@ def _ray_target(center: complex, theta: float, r0: float, r1: float):
     return p, dp
 
 
+def _ray(
+    dev: DevelopingMap, center: complex, theta: float, r1: float, w0: complex, g0: complex,
+    branch0: int, max_step: float, quad_tol: float,
+) -> Generator[tuple, tuple, Tuple[np.ndarray, str]]:
+    """A lock_step track of the developed ray at angle theta about center,
+    from radius 1 to r1. It returns the tracked curve and the reason it
+    stalled ("" when it got there)."""
+    p, dp = _ray_target(center, theta, 1.0, r1)
+    r = yield from level_curve_track(
+        dev, p, dp, w0, g0=g0, branch0=branch0, max_step=max_step,
+        quad_tol=quad_tol, max_steps=20000, first_step=0.002,
+    )
+    return r.w, r.reason
+
+
 def limit_image_cloud(
     x0: float,
     tau: float,
     theta_max: float = 8 * math.pi,
     spacing: float = 0.004,
-    flank_inner: float = 1e-3,
     quad_tol: float = 1e-12,
 ) -> CurveCloud:
     """Limit boundary configuration around the two singular points.
@@ -450,12 +457,15 @@ def limit_image_cloud(
     sheets beyond it lie within the accumulation scale tau/theta_max of
     the singular points, which are included as cloud points themselves.
 
-    The right real-axis crossing is solved once and mirrored to the left.
+    The right and left sides seed from _axis_seeds on the real axis. Each
+    side's two mouth curves, mouth_<side>_upper and _lower, are corner
+    approaches (_track_toward_corner) into the corners of SIDE_CORNERS,
+    stopped CORNER_CLIP short of them.
     A spiral end's stops lie at depths u <= theta_max from its seam, angle
     seam + orient*u by surface.SPIRAL_SEAM: seam_<corner> at u = 0, then
     flank_<corner>_n<n>a and _n<n>b at 2 pi n - pi/2 and 2 pi n, the edges
     of sheet n's rectangle window. Each spiral assembly first walks its
-    bridges in order from the axis anchor, the collar's outer edge
+    bridges in order from the axis seed, the collar's outer edge
     u = -pi/2, one track_level_curve per stop, and seeds the stop's rays
     <stop>_in and <stop>_out where the bridge ends, recording their depth,
     or the stop's "unreached:" note where the bridge stalls. A bridge's
@@ -468,32 +478,26 @@ def limit_image_cloud(
     cloud = CurveCloud()
     n_max = max(1, int(round(theta_max / (2 * math.pi))))
 
-    # the real-axis anchor and its mirror start each side's two mouth
-    # curves (developed value on the left and right square edges) and the
-    # bridges of its two spiral assemblies
-    u, g_right = _axis_anchor_real(dev)
-    anchors, tracks = {}, {}
-    for side, label in ((+1, "right"), (-1, "left")):
-        w = complex(side * u)
-        g = g_right if side > 0 else complex(dev.develop_at(w))
-        anchors[side] = (w, g)
-        for updown, cy in (("upper", 1.0), ("lower", -1.0)):
-            p, dp = segment_target(side * (1 + 0j), side + 1j * cy * (1 - flank_inner))
-            tracks[f"mouth_{label}_{updown}"] = level_curve_track(
-                dev, p, dp, w, g0=g, max_step=0.05,
-                quad_tol=quad_tol, max_steps=8000,
+    # the real-axis seed and its mirror start each side's two mouth curves
+    # and the bridges of its two spiral assemblies
+    seeds = dict(zip(("right", "left"), _axis_seeds(dev, 1)))
+    tracks = {}
+    for side, (w0, g0) in seeds.items():
+        for corner in SIDE_CORNERS[side]:
+            half = "upper" if corner[0] == "u" else "lower"
+            tracks[f"mouth_{side}_{half}"] = _track_toward_corner(
+                dev, CORNER_COORD[corner], w0, g0, CORNER_CLIP, quad_tol
             )
 
     # spiral assemblies: bridge along the unit developed circle from the
-    # axis anchor, pausing at each seam or flank angle to seed its two
+    # axis seed, pausing at each seam or flank angle to seed its two
     # rays; each bridge starts where the previous one ended, so they run
     # in order, and a stalled one ends its assembly with a note
     for name, corner in CORNER_COORD.items():
-        # the bridge starts on the axis anchor, at the collar's outer edge
+        # the bridge starts on the axis seed, at the collar's outer edge
         seam, orient = SPIRAL_SEAM[name]
         th = seam - 0.5 * math.pi * orient
-        w, g = anchors[int(np.sign(corner.real))]
-        m = 0
+        w, g, m = *seeds["right" if corner.real > 0 else "left"], 0
         # stops by depth from the seam: the seam, then the two edges of
         # each sheet's rectangle window
         stops = [(0.0, f"seam_{name}")]
@@ -504,14 +508,14 @@ def limit_image_cloud(
             if not _within_depth(depth, theta_max):
                 break
             angle = seam + orient * depth
+            cap = min(0.05, 0.5 * tau / max(depth, math.pi))
             # bridge to the next stop angle, at least pi/2 on; not part of
             # the cloud, so it starts on its whole arc and the step cap
             # sizes its first chord (see the module docstring)
-            scale = tau / max(depth, math.pi)
             p, dp = arc_target(corner, 1.0, th, angle)
             br = track_level_curve(
                 dev, p, dp, w, g0=g, branch0=m,
-                max_step=min(0.05, 0.5 * scale), quad_tol=quad_tol,
+                max_step=cap, quad_tol=quad_tol,
                 max_steps=20000, first_step=1.0,
             )
             if not br.completed:
@@ -520,18 +524,12 @@ def limit_image_cloud(
                 break
             w, g, m = complex(br.w[-1]), complex(br.g[-1]), int(br.branch[-1])
             th = angle
-            for rng, tag in (((1.0, flank_inner), "in"), ((1.0, STRIP_DEPTH + 1.0), "out")):
-                pr, dpr = _ray_target(corner, angle, rng[0], rng[1])
+            for tag, r1 in (("in", CORNER_CLIP), ("out", STRIP_DEPTH + 1.0)):
                 cloud.depths[f"{label}_{tag}"] = depth
-                tracks[f"{label}_{tag}"] = level_curve_track(
-                    dev, pr, dpr, w, g0=g, branch0=m,
-                    max_step=min(0.05, 0.5 * scale), quad_tol=quad_tol,
-                    max_steps=20000, first_step=0.002,
-                )
+                tracks[f"{label}_{tag}"] = _ray(dev, corner, angle, r1, w, g, m, cap, quad_tol)
 
     # the mouths and every stop's rays are independent once seeded
-    for name, r in zip(tracks, lock_step(dev, list(tracks.values()))):
-        cloud.add(name, resample_curve(r.w, spacing), "" if r.completed else f"partial: {r.reason}")
+    _collect(cloud, dev, tracks, spacing)
 
     # glued edge: the identified top/bottom pair develops onto the real
     # segment between the singular points

@@ -70,7 +70,7 @@ def read_points(path: Union[str, Path]) -> PointCloud:
     meta: dict = {}
     trunc: dict = {}
     body = []
-    for ln in lines[1:]:
+    for number, ln in enumerate(lines[1:], start=2):
         if ln.startswith("#"):
             key, sep, value = ln[1:].partition(":")
             if not sep:
@@ -81,8 +81,11 @@ def read_points(path: Union[str, Path]) -> PointCloud:
             else:
                 meta[key] = value
         elif ln.strip():
-            x, y = ln.split()
-            body.append(complex(float(x), float(y)))
+            try:
+                x, y = map(float, ln.split())
+            except ValueError:
+                raise ValueError(f"{path}:{number}: body line {ln!r} is not two numbers") from None
+            body.append(complex(x, y))
     for required in ("source", "density"):
         if required not in meta:
             raise ValueError(f"{path}: header lacks {required}")

@@ -34,8 +34,9 @@ per round on the panels of all live tracks: the round's panels are one
 first level, their nodes placed by one quadrature.gk15_nodes call and
 their sums and accept tests taken by one quadrature.gk15_level pass,
 whose stacked rows round each panel as its segment alone would. limitset
-uses lock_step for a rectangle boundary's eight corner approaches and for
-the limit cloud's mouth curves and spiral rays.
+uses lock_step for each cloud's corner approaches, a rectangle boundary's
+eight half sides and the limit cloud's four mouth curves, and for the
+limit cloud's spiral rays.
 The pooled call changes no bit of any track: the derivative is
 element-wise array arithmetic, so each element is the value its panel
 gets alone (TestScalarArrayAgreement checks single points against array

@@ -16,8 +16,8 @@ from affsurf import checks
 from affsurf.develop import DevelopingMap
 from affsurf.embedding import _window
 from affsurf.limitset import (
-    _axis_anchor_imag,
-    _axis_anchor_real,
+    CORNER_CLIP,
+    _axis_seeds,
     _brent,
     convergence_report,
     hausdorff_distance,
@@ -230,13 +230,14 @@ class TestBrent:
     }
 
     @pytest.mark.parametrize("name", list(MAPS))
-    @pytest.mark.parametrize("anchor", [_axis_anchor_real, _axis_anchor_imag])
+    # ids name the axis whose anchor _axis_seeds solves
+    @pytest.mark.parametrize("d", [1, 1j], ids=["_axis_anchor_real", "_axis_anchor_imag"])
     @pytest.mark.parametrize("side", [1, -1])
-    def test_axis_anchors_match_brentq(self, monkeypatch, name, anchor, side):
+    def test_axis_anchors_match_brentq(self, monkeypatch, name, d, side):
         # side 1 checks the solved right or upper crossing. Side -1 solves
         # the left or lower crossing independently, on the reflected
         # bracket, which is where a bracket search of that side ends, and
-        # finds the anchor's mirror bit for bit
+        # finds the seed's mirror bit for bit
         solves = []
 
         def recording(f, a, b, xtol, fa=None, fb=None):
@@ -245,27 +246,43 @@ class TestBrent:
 
         monkeypatch.setattr(limitset, "_brent", recording)
         dev = self.MAPS[name]
-        root, _ = anchor(dev)
+        (w, _), _ = _axis_seeds(dev, d)
+        root = w.real if d == 1 else w.imag
         assert len(solves) == 1
         f, a, b, xtol, fa, fb = solves[0]
-        if anchor is _axis_anchor_real:
-            # the bracket search has evaluated both ends already
-            assert None not in (fa, fb)
+        # the bracket search has evaluated both ends already
+        assert None not in (fa, fb)
         if side == 1:
             _assert_brent_matches_brentq(f, a, b, xtol, fa, fb)
             return
-        if anchor is _axis_anchor_real:
+        if d == 1:
             mirror = lambda u: complex(dev.develop_at(complex(u))).real + 1.0
         else:
             mirror = lambda v: complex(dev.develop_at(complex(0.0, v))).imag + 1.0
         _assert_brent_matches_brentq(mirror, -b, -a, xtol)
         low = _brent(mirror, -b, -a, xtol)
-        if dev.kind == "limit" and anchor is _axis_anchor_imag:
-            # the limit cloud takes no imaginary-axis anchor; there Im g
+        if dev.kind == "limit" and d == 1j:
+            # the limit cloud takes no imaginary-axis seed; there Im g
             # climbs so steeply that the two solves part in the last digits
             assert abs(low + root) <= xtol
         else:
             assert low == -root
+
+    @pytest.mark.parametrize("name", ["square", *MAPS])
+    @pytest.mark.parametrize("d", [1, 1j])
+    def test_mirror_seeds_are_exact_mirrors(self, name, d):
+        # the mirror of w is -u or -iv exactly, signed zeros included
+        # (repr shows them); its g is developed afresh there and mirrors
+        # the solved g to rounding
+        dev = DevelopingMap.from_aspect(1.0, 1 + 1j) if name == "square" else self.MAPS[name]
+        (w, g), (w_mirror, g_mirror) = _axis_seeds(dev, d)
+        expected = complex(-w.real) if d == 1 else complex(0.0, -w.imag)
+        assert repr(w_mirror) == repr(expected)
+        assert g_mirror == complex(dev.develop_at(w_mirror))
+        flip = (lambda z: -z.conjugate()) if d == 1 else (lambda z: z.conjugate())
+        assert abs(g_mirror - flip(g)) <= 1e-14
+        if name == "square":
+            assert w == d
 
     SYNTHETIC = (
         (lambda x: math.tanh(x - 0.3), -4.0, 4.0),
@@ -378,28 +395,22 @@ class TestFiniteBoundary:
         assert start["bottom_to_br"] == -start["top_to_ur"]
 
     def test_anchor_solves_hand_back_their_values(self, monkeypatch):
-        # the right and upper sides start from g as the solves left it;
-        # only the left and lower mirrors are developed outside them
-        calls = {"develop_at": 0, "in_anchors": 0}
+        # the right and upper sides start from g as the solves left it:
+        # each solved crossing is developed once, inside its solve, and
+        # each mirror once after it
+        points = []
         develop_at = DevelopingMap.develop_at
 
-        def counted_develop_at(self, *args, **kwargs):
-            calls["develop_at"] += 1
-            return develop_at(self, *args, **kwargs)
+        def recording(self, w, *args, **kwargs):
+            points.append(complex(w))
+            return develop_at(self, w, *args, **kwargs)
 
-        def counted(anchor):
-            def solve(dev):
-                before = calls["develop_at"]
-                root = anchor(dev)
-                calls["in_anchors"] += calls["develop_at"] - before
-                return root
-            return solve
-
-        monkeypatch.setattr(DevelopingMap, "develop_at", counted_develop_at)
-        for name in ("_axis_anchor_real", "_axis_anchor_imag"):
-            monkeypatch.setattr(limitset, name, counted(getattr(limitset, name)))
-        rectangle_image_boundary(DevelopingMap.from_aspect(2.0, Z1_K2), spacing=0.02)
-        assert calls["develop_at"] == calls["in_anchors"] + 2
+        monkeypatch.setattr(DevelopingMap, "develop_at", recording)
+        cloud = rectangle_image_boundary(DevelopingMap.from_aspect(2.0, Z1_K2), spacing=0.02)
+        starts = {side: complex(cloud.pieces[f"{side}_to_{corner}"][0]) for side, corner in (
+            ("right", "ur"), ("left", "ul"), ("top", "ur"), ("bottom", "br"))}
+        for side in ("right", "left", "top", "bottom"):
+            assert points.count(starts[side]) == 1
 
     @pytest.mark.parametrize("K, bound", [(1e2, 1.6e-3), (1e6, 1.85e-3)])
     def test_boundary_is_near_a_finer_tracked_one(self, monkeypatch, K, bound):
@@ -450,7 +461,7 @@ class TestFiniteBoundary:
 
     @pytest.mark.parametrize("K", [1e16, 1e300])
     def test_corner_stages_stop_at_float64_resolution(self, monkeypatch, K):
-        # the top and bottom sides are clipped at corner_clip/K, but no
+        # the top and bottom sides are clipped at CORNER_CLIP/K, but no
         # stage ends within 2 ulp of the corner: 120 stages from K = 1e12
         # on, where the clip alone would run 148 at 1e16 and 2,036 at 1e300
         stages = []
@@ -598,9 +609,9 @@ class TestLimitCloud:
         assert sum(steps) <= 90
 
     def test_cloud_is_near_a_finer_tracked_one(self, monkeypatch):
-        # a reference with every mouth's and ray's step cap divided by 8,
-        # both resampled far finer than the default spacing: each piece
-        # lies within 2.056e-3 of its reference (mouth_right_upper)
+        # a reference with every mouth stage's and ray's step cap divided
+        # by 8, both resampled far finer than the default spacing: each
+        # piece lies within 1.831e-3 of its reference (seam_ur_in)
         cloud = limit_image_cloud(X0, TAU, spacing=5e-4)
 
         def finer(*args, **kwargs):
@@ -613,29 +624,28 @@ class TestLimitCloud:
         assert deviation <= 2.3e-3
 
     def test_each_anchor_solved_once(self, monkeypatch):
-        # one real-axis anchor, solved on the right and mirrored to the
+        # one real-axis seed, solved on the right and mirrored to the
         # left, serves the mouth curves and the spiral assemblies of both
-        # sides; outside the solve the cloud develops only the left anchor,
-        # since the solve hands back g at the right one
-        calls = {"develop_at": 0, "in_anchors": 0, "anchors": 0}
-        develop_at, anchor = DevelopingMap.develop_at, limitset._axis_anchor_real
+        # sides; the cloud develops no point outside that solve
+        calls = {"develop_at": 0, "in_seeds": 0, "seeds": 0}
+        develop_at, seeds = DevelopingMap.develop_at, limitset._axis_seeds
 
         def counted_develop_at(self, *args, **kwargs):
             calls["develop_at"] += 1
             return develop_at(self, *args, **kwargs)
 
-        def counted_anchor(dev):
+        def counted_seeds(dev, d):
             before = calls["develop_at"]
-            root = anchor(dev)
-            calls["anchors"] += 1
-            calls["in_anchors"] += calls["develop_at"] - before
-            return root
+            pair = seeds(dev, d)
+            calls["seeds"] += 1
+            calls["in_seeds"] += calls["develop_at"] - before
+            return pair
 
         monkeypatch.setattr(DevelopingMap, "develop_at", counted_develop_at)
-        monkeypatch.setattr(limitset, "_axis_anchor_real", counted_anchor)
+        monkeypatch.setattr(limitset, "_axis_seeds", counted_seeds)
         limit_image_cloud(X0, TAU, theta_max=2 * math.pi)
-        assert calls["anchors"] == 1
-        assert calls["develop_at"] == calls["in_anchors"] + 1
+        assert calls["seeds"] == 1
+        assert calls["develop_at"] == calls["in_seeds"]
         assert calls["develop_at"] <= 20
 
     @pytest.mark.parametrize("turns", [2, 3])
@@ -696,6 +706,30 @@ class TestLimitCloud:
         away = np.minimum(np.abs(fresh - X0), np.abs(fresh + X0))
         assert len(fresh) > 0
         assert away.max() < 0.05
+
+
+def test_every_curve_into_a_corner_is_one_corner_approach(monkeypatch):
+    # a finite boundary's eight half sides and the limit's four mouth
+    # curves all run through _track_toward_corner; each stops CORNER_CLIP
+    # short of its corner, CORNER_CLIP/K on the finite top and bottom sides
+    calls = []
+    track = limitset._track_toward_corner
+
+    def counted(dev, corner, *args):
+        calls.append((dev.kind, corner, args[-2]))
+        return track(dev, corner, *args)
+
+    monkeypatch.setattr(limitset, "_track_toward_corner", counted)
+    rectangle_image_boundary(DevelopingMap.from_aspect(2.0, Z1_K2), spacing=0.02)
+    assert len(calls) == 8
+    corners = sorted((c.real, c.imag) for _, c, _ in calls)
+    assert corners == sorted(2 * [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)])
+    assert sorted(clip for _, _, clip in calls) == 4 * [CORNER_CLIP / 2.0] + 4 * [CORNER_CLIP]
+    calls.clear()
+    limit_image_cloud(X0, TAU, theta_max=2 * math.pi)
+    assert len(calls) == 4
+    assert sorted((c.real, c.imag) for _, c, _ in calls) == [(-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0)]
+    assert {(kind, clip) for kind, _, clip in calls} == {("limit", CORNER_CLIP)}
 
 
 class TestLimitParameters:

@@ -1,6 +1,7 @@
 """Point cloud invariants and the text interchange format."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -85,4 +86,17 @@ class TestRoundTrip:
         tampered = path.read_text().replace("# count: 2", "# count: 5")
         path.write_text(tampered)
         with pytest.raises(ValueError):
+            read_points(path)
+
+    @pytest.mark.parametrize("line", ["1.0 2.0 3.0", "1.0", "1.0 x"])
+    def test_bad_body_line_names_its_place(self, tmp_path, line):
+        # three fields, one field and a non-number each name the file
+        # and the 1-based line number
+        path = tmp_path / "b.txt"
+        write_points(path, PointCloud(np.array([0j, 1j]), "demo", 1.0))
+        lines = path.read_text().splitlines()
+        lines[-1] = line
+        path.write_text("\n".join(lines) + "\n")
+        where = re.escape(f"{path}:{len(lines)}: body line {line!r}")
+        with pytest.raises(ValueError, match=where):
             read_points(path)
