@@ -250,27 +250,21 @@ def _axis_seeds(dev: DevelopingMap, d: complex) -> Tuple[Tuple[complex, complex]
     """Seeds (w, g(w)) on the boundary's crossing of the axis along d, 1
     or 1j, and on the crossing's mirror, -conj(w) or conj(w).
 
-    The crossing w = t*d solves Re g = 1 on the real axis and Im g = 1 on
-    the imaginary one by _brent, keeping the g the solve left; the
-    mirror's g is developed afresh. At the square, where g is the
-    identity, the crossings are 1 and i. On the real axis the inner
-    bracket end is probed inward by halving from Re z1 + 1/2: at the limit
-    kind the derivative grows like exp(tau/distance) toward the singular
-    point, so the end must stay where evaluation is finite, and g drops to
-    -infinity fast enough that a moderate distance brackets. An
-    ArithmeticError at an inner end (pole clearance, panel budget,
-    overflow) ends the search unbracketed; any other exception propagates.
+    The crossing w = t*d solves Re g = 1 on the real axis
+    (_real_crossing) and Im g = 1 on the imaginary one, keeping the g the
+    solve left; the mirror's g is developed afresh. At the square, where g
+    is the identity, the crossings are 1 and i.
 
     On the imaginary axis the crossing height sinks like 1.44/K as the top
-    edge flattens onto the real axis, so the inner end is 1e-9 up to
-    K = 1e7 and 1e-2/K beyond. Im g(i v) dips below the edge height near
-    v = 0 by only about 0.05/K, and from about K = 1e11 the errors of the
-    prevertex solve and of develop_at, 1e-11 to 1e-12 at the inner end,
-    are larger than the dip. The bracket still changes sign, but the root
-    found is where those errors cross zero: v*K reads 1.43 at K = 1e10,
-    5.3 at 1e11, 25 at 1e12 and 3.5e4 at 1e16. Its developed value still
-    lies on the top edge to within those errors, so it remains a seed on
-    the boundary.
+    edge flattens onto the real axis, so the inner bracket end is 1e-9 up
+    to K = 1e7 and 1e-2/K beyond. Im g(i v) dips below the edge height
+    near v = 0 by only about 0.05/K, and from about K = 1e11 the errors of
+    the prevertex solve and of develop_at, 1e-11 to 1e-12 at the inner
+    end, are larger than the dip. The bracket still changes sign, but the
+    root found is where those errors cross zero: v*K reads 1.43 at
+    K = 1e10, 5.3 at 1e11, 25 at 1e12 and 3.5e4 at 1e16. Its developed
+    value still lies on the top edge to within those errors, so it remains
+    a seed on the boundary.
     """
     # g at every t tried: _brent returns one of them
     values = {}
@@ -280,32 +274,42 @@ def _axis_seeds(dev: DevelopingMap, d: complex) -> Tuple[Tuple[complex, complex]
         return (g.real if d == 1 else g.imag) - 1.0
 
     if dev.K == 1.0:
-        # the square, where g is the identity
         t = 1.0
         f(t)
+    elif d == 1:
+        t = _real_crossing(dev, f)
     else:
-        if d == 1:
-            base, deltas = dev.poles[0].real, [0.5**n for n in range(1, 41)]
-        else:
-            base, deltas = 0.0, [min(1e-9, 1e-2 / dev.K)]
-        hi = 0.95 * dev.tail_radius
-        fhi = f(hi)
-        for delta in deltas:
-            lo = base + delta
-            try:
-                flo = f(lo)
-            except ArithmeticError:
-                raise ArithmeticError(
-                    f"boundary axis crossing not bracketed before the singular scale at delta={delta:.3g}"
-                )
-            if flo * fhi < 0.0:
-                break
-        else:
-            raise ArithmeticError("no sign change toward the singular point")
-        t = _brent(f, lo, hi, 1e-13, flo, fhi)
+        t = _brent(f, min(1e-9, 1e-2 / dev.K), 0.95 * dev.tail_radius, 1e-13)
     w = complex(t * d)
     mirror = -w.conjugate() if d == 1 else w.conjugate()
     return (w, values[t]), (mirror, complex(dev.develop_at(mirror)))
+
+
+def _real_crossing(dev: DevelopingMap, f) -> float:
+    """Root of f, Re g - 1 on the real axis, right of the right prevertex.
+
+    The inner bracket end is probed inward by halving from Re z1 + 1/2: at
+    the limit kind the derivative grows like exp(tau/distance) toward the
+    singular point, so the end must stay where evaluation is finite, and g
+    drops to -infinity fast enough that a moderate distance brackets. An
+    ArithmeticError at an inner end (pole clearance, panel budget,
+    overflow) ends the search unbracketed; any other exception propagates.
+    """
+    hi = 0.95 * dev.tail_radius
+    fhi = f(hi)
+    delta = 0.5
+    for _ in range(40):
+        lo = dev.poles[0].real + delta
+        try:
+            flo = f(lo)
+        except ArithmeticError:
+            raise ArithmeticError(
+                f"boundary axis crossing not bracketed before the singular scale at delta={delta:.3g}"
+            )
+        if flo * fhi < 0.0:
+            return _brent(f, lo, hi, 1e-13, flo, fhi)
+        delta *= 0.5
+    raise ArithmeticError("no sign change toward the singular point")
 
 
 # developed distance from its corner at which every curve into a corner
@@ -429,18 +433,10 @@ def _ray_target(center: complex, theta: float, r0: float, r1: float):
     return p, dp
 
 
-def _ray(
-    dev: DevelopingMap, center: complex, theta: float, r1: float, w0: complex, g0: complex,
-    branch0: int, max_step: float, quad_tol: float,
-) -> Generator[tuple, tuple, Tuple[np.ndarray, str]]:
-    """A lock_step track of the developed ray at angle theta about center,
-    from radius 1 to r1. It returns the tracked curve and the reason it
-    stalled ("" when it got there)."""
-    p, dp = _ray_target(center, theta, 1.0, r1)
-    r = yield from level_curve_track(
-        dev, p, dp, w0, g0=g0, branch0=branch0, max_step=max_step,
-        quad_tol=quad_tol, max_steps=20000, first_step=0.002,
-    )
+def _curve_and_stall(track: Generator) -> Generator[tuple, tuple, Tuple[np.ndarray, str]]:
+    """A level_curve_track's track that returns, as a corner approach
+    does, its curve and the reason it stalled ("" when it got there)."""
+    r = yield from track
     return r.w, r.reason
 
 
@@ -526,7 +522,11 @@ def limit_image_cloud(
             th = angle
             for tag, r1 in (("in", CORNER_CLIP), ("out", STRIP_DEPTH + 1.0)):
                 cloud.depths[f"{label}_{tag}"] = depth
-                tracks[f"{label}_{tag}"] = _ray(dev, corner, angle, r1, w, g, m, cap, quad_tol)
+                p, dp = _ray_target(corner, angle, 1.0, r1)
+                tracks[f"{label}_{tag}"] = _curve_and_stall(level_curve_track(
+                    dev, p, dp, w, g0=g, branch0=m, max_step=cap,
+                    quad_tol=quad_tol, max_steps=20000, first_step=0.002,
+                ))
 
     # the mouths and every stop's rays are independent once seeded
     _collect(cloud, dev, tracks, spacing)
