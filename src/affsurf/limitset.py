@@ -9,18 +9,25 @@ of the two strip mouth curves, the seam rays between strips and spiral
 sheets, the flank rays bounding each spiral sheet, the glued-edge
 segment, and the two singular points that everything accumulates on.
 Both clouds start from the boundary's axis crossings, each solved once by
-_axis_seeds and mirrored by the reflections, and reach the square's
-corners one way: a finite boundary's eight half sides and the limit's
-four mouth curves are corner approaches (_track_toward_corner) into the
-corners SIDE_CORNERS gives each side, and every one stops CORNER_CLIP
-short of its corner in developed distance (CORNER_CLIP/K on a finite
-boundary's top and bottom sides). An approach runs in stages, each from
+_axis_seeds, whose Brent values after the first are developed from the
+nearest one already developed on the axis rather than from infinity, and
+whose mirror seeds are the reflections of the solved ones, value and all.
+They reach the square's corners one way: a finite boundary's eight half
+sides and the limit's four mouth curves are corner approaches
+(_track_toward_corner) into the corners SIDE_CORNERS gives each side, and
+every one stops CORNER_CLIP short of its corner in developed distance
+(CORNER_CLIP/K on a finite boundary's top and bottom sides). An approach runs in stages, each from
 developed distance rho to rho/4. The stages are alike on their shrinking
 scales, so each stage after the first starts at the step in s its
 previous stage had grown to, as an integrator restarts (Hairer, Norsett &
 Wanner, Solving ODEs I, II.4): a K = 1e6 boundary takes 352 accepted
 steps, not the 804 of a ramp up from 0.02 in every stage, at the same
 largest deviation from a track on an eight times smaller step cap.
+Every track that starts where another one ended (a stage, a bridge, a
+stop's two rays) also starts from the slope g' that track ended on
+(TrackResult.slope), so only a cloud's tracks from the axis seeds evaluate
+a first slope of their own: eight per boundary and per limit cloud, where
+starting afresh took 80 at K = 1e6 and 128 in the default limit cloud.
 Each cloud runs its tracks, the limit's spiral rays among them, in one
 tracking.lock_step: each round makes one derivative call for all live
 tracks. Every point is bit-identical to tracking it alone, because the
@@ -47,6 +54,7 @@ from typing import Dict, Generator, Optional, Sequence, Tuple
 import numpy as np
 
 from .develop import DevelopingMap
+from .quadrature import integrate_segment
 from .surface import CORNER_COORD, SPIRAL_SEAM
 from .solver import LimitEstimate, SolveResult
 from .tracking import arc_target, level_curve_track, lock_step, segment_target, track_level_curve
@@ -246,31 +254,51 @@ def _brent(
     raise ArithmeticError(f"Brent bracket {bracket}: no convergence in {_BRENT_MAXITER} iterations")
 
 
+# develop_at's default tolerance; an axis segment between two seed values
+# gets the share of it that its length is of the tail radius
+_SEED_TOL = 1e-11
+
+
 def _axis_seeds(dev: DevelopingMap, d: complex) -> Tuple[Tuple[complex, complex], Tuple[complex, complex]]:
     """Seeds (w, g(w)) on the boundary's crossing of the axis along d, 1
     or 1j, and on the crossing's mirror, -conj(w) or conj(w).
 
     The crossing w = t*d solves Re g = 1 on the real axis
     (_real_crossing) and Im g = 1 on the imaginary one, keeping the g the
-    solve left; the mirror's g is developed afresh. At the square, where g
-    is the identity, the crossings are 1 and i.
+    solve left. Only the first value the solve takes comes from
+    develop_at; every later one is developed from the nearest value
+    already developed on the axis, along the axis segment between them,
+    with a share of _SEED_TOL proportional to the segment's length, as
+    develop spreads its tolerance along a path. No such segment meets a
+    slit: the real axis is searched right of the prevertex, and the
+    imaginary axis lies between the slits. The mirror's seed is the
+    reflection of the solved one, (-conj w, -conj g) or (conj w, conj g),
+    since g(-conj w) = -conj g(w) and g(conj w) = conj g(w). At the square,
+    where g is the identity, the crossings are 1 and i.
 
     On the imaginary axis the crossing height sinks like 1.44/K as the top
     edge flattens onto the real axis, so the inner bracket end is 1e-9 up
     to K = 1e7 and 1e-2/K beyond. Im g(i v) dips below the edge height
     near v = 0 by only about 0.05/K, and from about K = 1e11 the errors of
-    the prevertex solve and of develop_at, 1e-11 to 1e-12 at the inner
-    end, are larger than the dip. The bracket still changes sign, but the
-    root found is where those errors cross zero: v*K reads 1.43 at
+    the prevertex solve and of the developed values, 1e-11 to 1e-12 at the
+    inner end, are larger than the dip. The bracket still changes sign, but
+    the root found is where those errors cross zero: v*K reads 1.43 at
     K = 1e10, 5.3 at 1e11, 25 at 1e12 and 3.5e4 at 1e16. Its developed
     value still lies on the top edge to within those errors, so it remains
     a seed on the boundary.
     """
     # g at every t tried: _brent returns one of them
-    values = {}
+    values: Dict[float, complex] = {}
 
     def f(t: float) -> float:
-        values[t] = g = complex(dev.develop_at(complex(t * d)))
+        if t not in values:
+            if values:
+                near = min(values, key=lambda u: abs(u - t))
+                share = _SEED_TOL * abs(t - near) / dev.tail_radius
+                values[t] = values[near] + integrate_segment(dev.derivative, near * d, t * d, share)
+            else:
+                values[t] = complex(dev.develop_at(complex(t * d)))
+        g = values[t]
         return (g.real if d == 1 else g.imag) - 1.0
 
     if dev.K == 1.0:
@@ -280,9 +308,10 @@ def _axis_seeds(dev: DevelopingMap, d: complex) -> Tuple[Tuple[complex, complex]
         t = _real_crossing(dev, f)
     else:
         t = _brent(f, min(1e-9, 1e-2 / dev.K), 0.95 * dev.tail_radius, 1e-13)
-    w = complex(t * d)
-    mirror = -w.conjugate() if d == 1 else w.conjugate()
-    return (w, values[t]), (mirror, complex(dev.develop_at(mirror)))
+    w, g = complex(t * d), values[t]
+    if d == 1:
+        return (w, g), (-w.conjugate(), -g.conjugate())
+    return (w, g), (w.conjugate(), g.conjugate())
 
 
 def _real_crossing(dev: DevelopingMap, f) -> float:
@@ -334,7 +363,8 @@ def _track_toward_corner(
     singular point). The stages are alike on their shrinking scales, so
     each one after the first starts at the step in s its previous stage
     had grown to (TrackResult.next_step) instead of ramping up again from
-    the first stage's 0.02. The chain ends at
+    the first stage's 0.02, and from the slope that stage ended on
+    (TrackResult.slope). The chain ends at
     developed distance clip, or before a stage whose end would lie within
     2 ulp of the corner's coordinates, where float64 barely tells its
     points from the corner (the top and bottom sides, clipped at
@@ -348,7 +378,7 @@ def _track_toward_corner(
     # target would be rounding noise
     floor = 2.0 * math.ulp(max(abs(corner.real), abs(corner.imag)))
     pieces = []
-    w, g, m = w0, g0, 0
+    w, g, m, gp = w0, g0, 0, None
     first_step = 0.02
     while rho > clip:
         rho_next = max(clip, rho / 4.0)
@@ -364,10 +394,10 @@ def _track_toward_corner(
         r = yield from level_curve_track(
             dev, p, dp, w, g0=g, branch0=m, max_step=step, tol=tol,
             quad_tol=min(quad_tol, 0.1 * tol),
-            first_step=first_step, max_steps=4000,
+            first_step=first_step, max_steps=4000, slope0=gp,
         )
         pieces.append(r.w)
-        w, g, m = complex(r.w[-1]), complex(r.g[-1]), int(r.branch[-1])
+        w, g, m, gp = complex(r.w[-1]), complex(r.g[-1]), int(r.branch[-1]), r.slope
         first_step = r.next_step
         if not r.completed:
             return np.concatenate(pieces), r.reason
@@ -464,11 +494,12 @@ def limit_image_cloud(
     bridges in order from the axis seed, the collar's outer edge
     u = -pi/2, one track_level_curve per stop, and seeds the stop's rays
     <stop>_in and <stop>_out where the bridge ends, recording their depth,
-    or the stop's "unreached:" note where the bridge stalls. A bridge's
-    first step is its whole arc, which the step cap alone cuts down: only
-    its end point is kept, and that is pinned to the tracking tolerance
-    however many steps lead to it. The mouth curves and all rays then run
-    in one lock_step.
+    or the stop's "unreached:" note where the bridge stalls. Each bridge
+    after an assembly's first, and both rays of a stop, start from the
+    slope the bridge before them ended on. A bridge's first step is its
+    whole arc, which the step cap alone cuts down: only its end point is
+    kept, and that is pinned to the tracking tolerance however many steps
+    lead to it. The mouth curves and all rays then run in one lock_step.
     """
     dev = DevelopingMap.merged_limit(x0, tau)
     cloud = CurveCloud()
@@ -493,7 +524,7 @@ def limit_image_cloud(
         # the bridge starts on the axis seed, at the collar's outer edge
         seam, orient = SPIRAL_SEAM[name]
         th = seam - 0.5 * math.pi * orient
-        w, g, m = *seeds["right" if corner.real > 0 else "left"], 0
+        w, g, m, gp = *seeds["right" if corner.real > 0 else "left"], 0, None
         # stops by depth from the seam: the seam, then the two edges of
         # each sheet's rectangle window
         stops = [(0.0, f"seam_{name}")]
@@ -512,20 +543,20 @@ def limit_image_cloud(
             br = track_level_curve(
                 dev, p, dp, w, g0=g, branch0=m,
                 max_step=cap, quad_tol=quad_tol,
-                max_steps=20000, first_step=1.0,
+                max_steps=20000, first_step=1.0, slope0=gp,
             )
             if not br.completed:
                 cloud.notes[label] = f"unreached: bridge {br.reason}"
                 cloud.depths[label] = depth
                 break
-            w, g, m = complex(br.w[-1]), complex(br.g[-1]), int(br.branch[-1])
+            w, g, m, gp = complex(br.w[-1]), complex(br.g[-1]), int(br.branch[-1]), br.slope
             th = angle
             for tag, r1 in (("in", CORNER_CLIP), ("out", STRIP_DEPTH + 1.0)):
                 cloud.depths[f"{label}_{tag}"] = depth
                 p, dp = _ray_target(corner, angle, 1.0, r1)
                 tracks[f"{label}_{tag}"] = _curve_and_stall(level_curve_track(
                     dev, p, dp, w, g0=g, branch0=m, max_step=cap,
-                    quad_tol=quad_tol, max_steps=20000, first_step=0.002,
+                    quad_tol=quad_tol, max_steps=20000, first_step=0.002, slope0=gp,
                 ))
 
     # the mouths and every stop's rays are independent once seeded

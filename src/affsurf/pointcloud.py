@@ -10,6 +10,9 @@ from typing import Mapping, Optional, Union
 import numpy as np
 
 _MAGIC = "# affsurf points 1"
+# header keys whose values are numbers, with their type; every
+# truncation.<name> value is a float
+_NUMBERS = {"k": float, "density": float, "count": int}
 
 
 @dataclass(frozen=True)
@@ -63,6 +66,9 @@ def write_points(path: Union[str, Path], cloud: PointCloud) -> None:
 
 
 def read_points(path: Union[str, Path]) -> PointCloud:
+    """The cloud write_points wrote. A header value that is not a number
+    where one is due, and a body line that is not two numbers, raise
+    ValueError naming the path and the 1-based line number."""
     path = Path(path)
     lines = path.read_text().splitlines()
     if not lines or lines[0] != _MAGIC:
@@ -76,8 +82,15 @@ def read_points(path: Union[str, Path]) -> PointCloud:
             if not sep:
                 raise ValueError(f"{path}: malformed header line {ln!r}")
             key, value = key.strip(), value.strip()
+            kind = float if key.startswith("truncation.") else _NUMBERS.get(key)
+            if kind is not None:
+                try:
+                    value = kind(value)
+                except ValueError:
+                    what = "an integer" if kind is int else "a number"
+                    raise ValueError(f"{path}:{number}: header {key} {value!r} is not {what}") from None
             if key.startswith("truncation."):
-                trunc[key[len("truncation."):]] = float(value)
+                trunc[key[len("truncation."):]] = value
             else:
                 meta[key] = value
         elif ln.strip():
@@ -92,10 +105,10 @@ def read_points(path: Union[str, Path]) -> PointCloud:
     cloud = PointCloud(
         np.array(body, dtype=complex),
         meta["source"],
-        float(meta["density"]),
-        k=float(meta["k"]) if "k" in meta else None,
+        meta["density"],
+        k=meta.get("k"),
         truncation=trunc,
     )
-    if "count" in meta and int(meta["count"]) != len(cloud):
+    if "count" in meta and meta["count"] != len(cloud):
         raise ValueError(f"{path}: count says {meta['count']}, found {len(cloud)}")
     return cloud

@@ -17,11 +17,15 @@ the predictor, and max_step caps the accepted move. Each g' comes from a
 chord's quadrature, which evaluates the chord's end as one more node of
 its first level, in the same derivative call: that value is the Newton
 slope at the chord's end and, once the step is accepted, the slope of the
-next step ("first same as last", Dormand & Prince 1980). Only a track's
-first slope, and the slope at a chord end on a slit's line, are single
-points, evaluated in the track by _slope. An array element equals the
-single-point value bit for bit, so where a slope comes from changes no
-tracked point.
+next step ("first same as last", Dormand & Prince 1980). The same reuse
+runs across tracks: a TrackResult carries the slope at its last point, and
+a track that goes on from there takes it as slope0, as a continuation
+restarts from the tangent it holds (Allgower & Georg, ch. 2). Only the
+first slope of a track started from a bare seed, and the slope at a chord
+end on a slit's line, are single points, evaluated in the track by _slope.
+On a finite map an array element equals the single-point value bit for
+bit, so where a slope comes from changes no tracked point; on the limit
+map the two can differ by a few ulp.
 
 The step logic is written once, as the generator level_curve_track: it
 yields every quadrature request it needs and is sent the outcome. Each
@@ -220,6 +224,10 @@ class TrackResult:
     # the step in s the track had grown to when its final step was cut to
     # the remainder 1 - s: a first_step for a track that goes on from here
     next_step: float
+    # continued g' at the last point, on its sheet, as the last accepted
+    # chord's end gave it, or None where no value was taken there: a
+    # slope0 for a track that goes on from here
+    slope: complex | None
 
     @property
     def completed(self) -> bool:
@@ -273,13 +281,16 @@ def level_curve_track(
     max_step: float = 0.1,
     first_step: float = 1.0 / 200.0,
     max_steps: int = 20000,
+    slope0: complex | None = None,
 ) -> Generator[tuple, tuple, TrackResult]:
     """Track the curve g(w(s)) = p(s), 0 <= s <= 1, from a seed on it.
 
     A lock_step track that returns the TrackResult; track_level_curve runs
     one alone.
     w0 must satisfy g(w0) = p(0), to _ANCHOR_TOL relative, on the branch
-    given by branch0 and g0.
+    given by branch0 and g0. slope0 is the continued g'(w0) on that
+    branch where the caller already holds it, the slope of the TrackResult
+    that ended at w0; without it the first step evaluates it by _slope.
     max_step caps the w-plane distance |w_new - w| of each accepted step,
     checked after the Newton correction, so it should be set below the
     feature scale of the curve (a petal four sheets in is far smaller than
@@ -303,9 +314,10 @@ def level_curve_track(
     s = 0.0
     status, reason = "completed", ""
     steps = 0
-    # continued g'(w), carried from the accepted chord's end when it has
-    # one, and the slope and step of the previous accepted point
-    gp = k_prev = h_prev = None
+    # continued g'(w), given or carried from the accepted chord's end when
+    # it has one, and the slope and step of the previous accepted point
+    gp = slope0
+    k_prev = h_prev = None
     while s < 1.0 - 1e-14:
         if steps >= max_steps:
             status, reason = "stalled", f"step budget {max_steps} exhausted"
@@ -316,8 +328,8 @@ def level_curve_track(
         ok = False
         try:
             if not gp:
-                # a track's first slope, or one no chord end gave; a retry
-                # keeps it, unless it was zero and failed the step
+                # a first slope not given, or one no chord end gave; a
+                # retry keeps it, unless it was zero and failed the step
                 gp = _slope(dev, w, m)
             k1 = dp(s) / gp
             w_pred = w + h * k1
@@ -368,4 +380,5 @@ def level_curve_track(
         status=status,
         reason=reason,
         next_step=grown,
+        slope=gp,
     )

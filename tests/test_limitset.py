@@ -1,6 +1,7 @@
 """Boundary clouds, limit configuration, and Hausdorff comparisons."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from scipy.optimize import brentq
 from scipy.spatial import cKDTree
 
 import affsurf.limitset as limitset
+import affsurf.tracking as tracking
 from affsurf import checks
 from affsurf.develop import DevelopingMap
 from affsurf.embedding import _window
@@ -38,6 +40,11 @@ TAU = 0.3470332389
 D_SQUARE_TO_LIMIT = 1.1700619534689296
 D_AT_1E2 = 0.14359329516174188
 D_AT_1E3 = 0.08894993927610696
+
+
+@functools.lru_cache(maxsize=None)
+def _prevertex(K):
+    return solve_prevertex(K).prevertex
 
 
 @pytest.fixture(scope="module")
@@ -235,9 +242,9 @@ class TestBrent:
     @pytest.mark.parametrize("side", [1, -1])
     def test_axis_anchors_match_brentq(self, monkeypatch, name, d, side):
         # side 1 checks the solved right or upper crossing. Side -1 solves
-        # the left or lower crossing independently, on the reflected
-        # bracket, which is where a bracket search of that side ends, and
-        # finds the seed's mirror bit for bit
+        # the left or lower crossing on the reflected bracket, which is
+        # where a bracket search of that side ends, with the same value
+        # function reflected, and finds the seed's mirror bit for bit
         solves = []
 
         def recording(f, a, b, xtol, fa=None, fb=None):
@@ -256,32 +263,25 @@ class TestBrent:
         if side == 1:
             _assert_brent_matches_brentq(f, a, b, xtol, fa, fb)
             return
-        if d == 1:
-            mirror = lambda u: complex(dev.develop_at(complex(u))).real + 1.0
-        else:
-            mirror = lambda v: complex(dev.develop_at(complex(0.0, v))).imag + 1.0
+        # Re g(-u) = -Re g(u) and Im g(-iv) = -Im g(iv), so the mirror
+        # side's Re g + 1 or Im g + 1 is -f at the reflected point
+        mirror = lambda u: -f(-u)
         _assert_brent_matches_brentq(mirror, -b, -a, xtol)
-        low = _brent(mirror, -b, -a, xtol)
-        if dev.kind == "limit" and d == 1j:
-            # the limit cloud takes no imaginary-axis seed; there Im g
-            # climbs so steeply that the two solves part in the last digits
-            assert abs(low + root) <= xtol
-        else:
-            assert low == -root
+        assert _brent(mirror, -b, -a, xtol) == -root
 
     @pytest.mark.parametrize("name", ["square", *MAPS])
     @pytest.mark.parametrize("d", [1, 1j])
     def test_mirror_seeds_are_exact_mirrors(self, name, d):
         # the mirror of w is -u or -iv exactly, signed zeros included
-        # (repr shows them); its g is developed afresh there and mirrors
-        # the solved g to rounding
+        # (repr shows them); its g is the reflection of the solved g, which
+        # develop_at at the mirror gives to rounding
         dev = DevelopingMap.from_aspect(1.0, 1 + 1j) if name == "square" else self.MAPS[name]
         (w, g), (w_mirror, g_mirror) = _axis_seeds(dev, d)
         expected = complex(-w.real) if d == 1 else complex(0.0, -w.imag)
         assert repr(w_mirror) == repr(expected)
-        assert g_mirror == complex(dev.develop_at(w_mirror))
         flip = (lambda z: -z.conjugate()) if d == 1 else (lambda z: z.conjugate())
-        assert abs(g_mirror - flip(g)) <= 1e-14
+        assert repr(g_mirror) == repr(flip(g))
+        assert abs(g_mirror - complex(dev.develop_at(w_mirror))) <= 1e-14
         if name == "square":
             assert w == d
 
@@ -396,31 +396,81 @@ class TestFiniteBoundary:
         assert start["bottom_to_br"] == -start["top_to_ur"]
 
     def test_anchor_solves_hand_back_their_values(self, monkeypatch):
-        # the right and upper sides start from g as the solves left it,
-        # and the left and lower mirrors are developed inside _axis_seeds:
-        # the boundary develops no point outside the seed solves, and each
-        # side's start point once
-        calls = {"develop_at": 0, "in_seeds": 0}
-        points = []
+        # the sides start from g as the solves left it and its reflection,
+        # and each solve develops only its first value from infinity: the
+        # boundary makes one develop_at call per axis, inside _axis_seeds
+        calls = {"develop_at": 0, "per_axis": []}
         develop_at, seeds = DevelopingMap.develop_at, limitset._axis_seeds
 
-        def counted_develop_at(self, w, *args, **kwargs):
+        def counted_develop_at(self, *args, **kwargs):
             calls["develop_at"] += 1
-            points.append(complex(w))
-            return develop_at(self, w, *args, **kwargs)
+            return develop_at(self, *args, **kwargs)
 
         def counted_seeds(dev, d):
             before = calls["develop_at"]
             pair = seeds(dev, d)
-            calls["in_seeds"] += calls["develop_at"] - before
+            calls["per_axis"].append(calls["develop_at"] - before)
             return pair
 
         monkeypatch.setattr(DevelopingMap, "develop_at", counted_develop_at)
         monkeypatch.setattr(limitset, "_axis_seeds", counted_seeds)
-        cloud = rectangle_image_boundary(DevelopingMap.from_aspect(2.0, Z1_K2), spacing=0.02)
-        assert calls["develop_at"] == calls["in_seeds"]
-        for side, corner in (("right", "ur"), ("left", "ul"), ("top", "ur"), ("bottom", "br")):
-            assert points.count(complex(cloud.pieces[f"{side}_to_{corner}"][0])) == 1
+        rectangle_image_boundary(DevelopingMap.from_aspect(2.0, Z1_K2), spacing=0.02)
+        assert calls["per_axis"] == [1, 1]
+        assert calls["develop_at"] == 2
+
+    @pytest.mark.parametrize("K", [2.0, 1e3, 1e6, 1e10, 1e16, None])
+    def test_seed_values_match_develop_at(self, K):
+        # every later Brent value is developed from the nearest one on the
+        # axis, not from infinity; each seed still lies within 1e-13 of
+        # develop_at there (measured at most 8e-15; K None is the limit,
+        # whose cloud seeds on the real axis only)
+        dev = DevelopingMap.merged_limit(X0, TAU) if K is None else DevelopingMap.from_aspect(K, _prevertex(K))
+        for d in (1,) if K is None else (1, 1j):
+            for w, g in _axis_seeds(dev, d):
+                assert abs(g - complex(dev.develop_at(w))) <= 1e-13, (d, w)
+
+    def test_stages_reuse_the_last_slope(self, monkeypatch):
+        # each stage, bridge and ray starts from the slope its predecessor
+        # ended on: a K = 1e6 boundary evaluates one single-point slope per
+        # corner approach and develops one point per axis from infinity
+        # (80 and 15 when every stage and Brent value starts afresh), and
+        # the default limit cloud one slope per mouth curve and spiral
+        # assembly (128 afresh)
+        calls = {"slope": 0, "develop_at": 0}
+        slope, develop_at = tracking._slope, DevelopingMap.develop_at
+
+        def counted_slope(*args):
+            calls["slope"] += 1
+            return slope(*args)
+
+        def counted_develop_at(self, *args, **kwargs):
+            calls["develop_at"] += 1
+            return develop_at(self, *args, **kwargs)
+
+        monkeypatch.setattr(tracking, "_slope", counted_slope)
+        monkeypatch.setattr(DevelopingMap, "develop_at", counted_develop_at)
+        rectangle_image_boundary(DevelopingMap.from_aspect(1e6, _prevertex(1e6)))
+        assert calls["slope"] <= 8
+        assert calls["develop_at"] <= 2
+        calls["slope"] = 0
+        limit_image_cloud(X0, TAU)
+        assert calls["slope"] <= 8
+
+    def test_carried_slopes_change_no_point(self, monkeypatch):
+        # on a finite map the slope a stage carries is the single-point
+        # value bit for bit, so evaluating it afresh in every stage
+        # tracks the same boundary
+        dev = DevelopingMap.from_aspect(1e6, _prevertex(1e6))
+        carried = rectangle_image_boundary(dev)
+
+        def afresh(*args, **kwargs):
+            return (yield from level_curve_track(*args, **{**kwargs, "slope0": None}))
+
+        monkeypatch.setattr(limitset, "level_curve_track", afresh)
+        fresh = rectangle_image_boundary(dev)
+        assert list(carried.pieces) == list(fresh.pieces)
+        for name, pts in fresh.pieces.items():
+            assert carried.pieces[name].tobytes() == pts.tobytes(), name
 
     @pytest.mark.parametrize("K, bound", [(1e2, 1.6e-3), (1e6, 1.85e-3)])
     def test_boundary_is_near_a_finer_tracked_one(self, monkeypatch, K, bound):

@@ -100,3 +100,26 @@ class TestRoundTrip:
         where = re.escape(f"{path}:{len(lines)}: body line {line!r}")
         with pytest.raises(ValueError, match=where):
             read_points(path)
+
+    @pytest.mark.parametrize(
+        "key, value, what",
+        [
+            ("truncation.theta_max", "abc", "a number"),
+            ("density", "", "a number"),
+            ("k", "", "a number"),
+            ("count", "one", "an integer"),
+        ],
+    )
+    def test_bad_header_value_names_its_place(self, tmp_path, key, value, what):
+        # each header value that is read as a number names the file, the
+        # 1-based line number, the key and the value
+        path = tmp_path / "h.txt"
+        cloud = PointCloud(np.array([0j, 1j]), "demo", 1.0, k=2.0, truncation={"theta_max": 3.0})
+        write_points(path, cloud)
+        lines = path.read_text().splitlines()
+        number = next(i for i, ln in enumerate(lines, start=1) if ln.startswith(f"# {key}:"))
+        lines[number - 1] = f"# {key}: {value}"
+        path.write_text("\n".join(lines) + "\n")
+        where = re.escape(f"{path}:{number}: header {key} {value!r} is not {what}")
+        with pytest.raises(ValueError, match=where):
+            read_points(path)

@@ -293,6 +293,25 @@ class TestChordEnd:
         inc, mm, gp = _alone(dev2, _chord_increment(dev2, clear + 0.1 + 0.05j, clear, 0, 1e-12))
         assert gp is None and _slope(dev2, clear, mm) == dev2.derivative(clear)
 
+    def test_a_track_hands_on_the_slope_at_its_end(self, dev2, seed2, monkeypatch):
+        # a track's slope is its last point's single-point value, on its
+        # sheet, bit for bit; a track that starts there with it as slope0
+        # makes one derivative call fewer and tracks the same points
+        w0, g0 = seed2
+        p, dp = circle(g0, -1.0)
+        r = track_level_curve(dev2, p, dp, w0, g0=g0, max_step=0.08)
+        w, m = complex(r.w[-1]), int(r.branch[-1])
+        assert r.completed and m != 0
+        assert np.complex128(r.slope).tobytes() == np.complex128(_slope(dev2, w, m)).tobytes()
+        p, dp = circle(complex(r.g[-1]), +0.25)
+        calls = _count_derivative_calls(monkeypatch)
+        fresh = track_level_curve(dev2, p, dp, w, g0=complex(r.g[-1]), branch0=m, max_step=0.08)
+        n_fresh = len(calls)
+        carried = track_level_curve(dev2, p, dp, w, g0=complex(r.g[-1]), branch0=m, max_step=0.08, slope0=r.slope)
+        assert len(calls) - n_fresh == n_fresh - 1
+        for a, b in ((fresh.w, carried.w), (fresh.g, carried.g), (fresh.slope, carried.slope)):
+            assert _same_bits(a, b)
+
     def test_end_inside_the_pole_guard_fails_the_chord(self, dev2):
         # the end node shares the chord's derivative request, so the chord
         # itself is refused and the tracker retries the step shorter

@@ -3,11 +3,14 @@
 #
 #   tools/compare_outputs.sh REV OUTDIR
 #
-# Checks REV out into a temporary git worktree under OUTDIR, runs each
-# tree's own tools/rerun_outputs.sh into OUTDIR/rev and OUTDIR/work, and
-# prints `diff -rq` of the two. The worktree is removed on exit; the
-# outputs stay for a closer look. Exits 0 when the outputs agree, 1 when
-# they differ, and with the failing script's status when a rerun fails.
+# Exports REV's files (git archive) into OUTDIR/tree, runs each tree's own
+# tools/rerun_outputs.sh into OUTDIR/rev and OUTDIR/work, and prints
+# `diff -rq` of the two. For each point file that differs it then prints
+# both point counts and the largest move of a point, the largest distance
+# between the two files' points of the same index (where the counts
+# agree). The exported tree is removed on exit; the outputs stay for a
+# closer look. Exits 0 when the outputs agree, 1 when they differ, and
+# with the failing script's status when a rerun fails.
 set -eu
 rev=${1:?usage: tools/compare_outputs.sh REV OUTDIR}
 out=${2:?usage: tools/compare_outputs.sh REV OUTDIR}
@@ -16,9 +19,37 @@ mkdir -p "$out"
 out="$(cd "$out" && pwd)"
 tree="$out/tree"
 
-git -C "$repo" worktree add --quiet --detach "$tree" "$rev"
-trap 'git -C "$repo" worktree remove --force "$tree"' EXIT
+rm -rf "$tree"
+mkdir -p "$tree"
+trap 'rm -rf "$tree"' EXIT
+git -C "$repo" archive "$rev" | tar -x -C "$tree"
 
 "$tree/tools/rerun_outputs.sh" "$out/rev" >"$out/rev.log" 2>&1
 "$repo/tools/rerun_outputs.sh" "$out/work" >"$out/work.log" 2>&1
-diff -rq "$out/rev" "$out/work"
+status=0
+diff -rq "$out/rev" "$out/work" || status=$?
+python3 - "$out/rev" "$out/work" <<'EOF'
+import sys
+from pathlib import Path
+
+rev, work = map(Path, sys.argv[1:])
+
+
+def points(path):
+    lines = path.read_text().splitlines()
+    if not lines or lines[0] != "# affsurf points 1":
+        return None
+    return [complex(*map(float, ln.split())) for ln in lines[1:] if ln.strip() and not ln.startswith("#")]
+
+
+for a in sorted(p for p in rev.rglob("*") if p.is_file()):
+    b = work / a.relative_to(rev)
+    if not b.is_file() or a.read_bytes() == b.read_bytes():
+        continue
+    pa, pb = points(a), points(b)
+    if pa is None or pb is None:
+        continue
+    move = f"{max(map(abs, (u - v for u, v in zip(pa, pb))), default=0.0):.3g}" if len(pa) == len(pb) else "n/a"
+    print(f"{a.relative_to(rev)}: points {len(pa)} -> {len(pb)}, largest move {move}")
+EOF
+exit "$status"
