@@ -12,6 +12,7 @@ Both clouds start from the boundary's axis crossings, each solved once by
 _axis_seeds, whose Brent values after the first are developed from the
 nearest one already developed on the axis rather than from infinity, and
 whose mirror seeds are the reflections of the solved ones, value and all.
+Each seed carries its slope g', one single-point evaluation.
 They reach the square's corners one way: a finite boundary's eight half
 sides and the limit's four mouth curves are corner approaches
 (_track_toward_corner) into the corners SIDE_CORNERS gives each side, and
@@ -25,9 +26,10 @@ steps, not the 804 of a ramp up from 0.02 in every stage, at the same
 largest deviation from a track on an eight times smaller step cap.
 Every track that starts where another one ended (a stage, a bridge, a
 stop's two rays) also starts from the slope g' that track ended on
-(TrackResult.slope), so only a cloud's tracks from the axis seeds evaluate
-a first slope of their own: eight per boundary and per limit cloud, where
-starting afresh took 80 at K = 1e6 and 128 in the default limit cloud.
+(TrackResult.slope), and every track from an axis seed from the seed's
+slope, so a cloud evaluates one single-point slope per seed: four per
+boundary and two per limit cloud, where starting afresh took 80 at
+K = 1e6 and 128 in the default limit cloud.
 Each cloud runs its tracks, the limit's spiral rays among them, in one
 tracking.lock_step: each round makes one derivative call for all live
 tracks. Every point is bit-identical to tracking it alone, because the
@@ -259,9 +261,9 @@ def _brent(
 _SEED_TOL = 1e-11
 
 
-def _axis_seeds(dev: DevelopingMap, d: complex) -> Tuple[Tuple[complex, complex], Tuple[complex, complex]]:
-    """Seeds (w, g(w)) on the boundary's crossing of the axis along d, 1
-    or 1j, and on the crossing's mirror, -conj(w) or conj(w).
+def _axis_seeds(dev: DevelopingMap, d: complex) -> Tuple[Tuple[complex, complex, complex], ...]:
+    """Seeds (w, g(w), g'(w)) on the boundary's crossing of the axis along
+    d, 1 or 1j, and on the crossing's mirror, -conj(w) or conj(w).
 
     The crossing w = t*d solves Re g = 1 on the real axis
     (_real_crossing) and Im g = 1 on the imaginary one, keeping the g the
@@ -273,8 +275,11 @@ def _axis_seeds(dev: DevelopingMap, d: complex) -> Tuple[Tuple[complex, complex]
     slit: the real axis is searched right of the prevertex, and the
     imaginary axis lies between the slits. The mirror's seed is the
     reflection of the solved one, (-conj w, -conj g) or (conj w, conj g),
-    since g(-conj w) = -conj g(w) and g(conj w) = conj g(w). At the square,
-    where g is the identity, the crossings are 1 and i.
+    since g(-conj w) = -conj g(w) and g(conj w) = conj g(w). Each seed's
+    slope g' is dev.derivative at that seed, the mirror's evaluated at the
+    mirror rather than reflected, and is the slope0 of every track started
+    there; no slit passes through a seed. At the square, where g is the
+    identity, the crossings are 1 and i.
 
     On the imaginary axis the crossing height sinks like 1.44/K as the top
     edge flattens onto the real axis, so the inner bracket end is 1e-9 up
@@ -310,8 +315,10 @@ def _axis_seeds(dev: DevelopingMap, d: complex) -> Tuple[Tuple[complex, complex]
         t = _brent(f, min(1e-9, 1e-2 / dev.K), 0.95 * dev.tail_radius, 1e-13)
     w, g = complex(t * d), values[t]
     if d == 1:
-        return (w, g), (-w.conjugate(), -g.conjugate())
-    return (w, g), (w.conjugate(), g.conjugate())
+        w_mirror, g_mirror = -w.conjugate(), -g.conjugate()
+    else:
+        w_mirror, g_mirror = w.conjugate(), g.conjugate()
+    return (w, g, dev.derivative(w)), (w_mirror, g_mirror, dev.derivative(w_mirror))
 
 
 def _real_crossing(dev: DevelopingMap, f) -> float:
@@ -353,7 +360,7 @@ SIDE_CORNERS = {"right": ("ur", "br"), "left": ("ul", "bl"), "top": ("ur", "ul")
 
 
 def _track_toward_corner(
-    dev: DevelopingMap, corner: complex, w0: complex, g0: complex, clip: float, quad_tol: float
+    dev: DevelopingMap, corner: complex, seed: Tuple[complex, complex, complex], clip: float, quad_tol: float
 ) -> Generator[tuple, tuple, Tuple[np.ndarray, str]]:
     """Follow the square side radially into a corner value.
 
@@ -364,7 +371,8 @@ def _track_toward_corner(
     each one after the first starts at the step in s its previous stage
     had grown to (TrackResult.next_step) instead of ramping up again from
     the first stage's 0.02, and from the slope that stage ended on
-    (TrackResult.slope). The chain ends at
+    (TrackResult.slope); the first stage starts from the seed's, which is
+    (w, g, g') on branch 0 as _axis_seeds gives it. The chain ends at
     developed distance clip, or before a stage whose end would lie within
     2 ulp of the corner's coordinates, where float64 barely tells its
     points from the corner (the top and bottom sides, clipped at
@@ -372,13 +380,14 @@ def _track_toward_corner(
     tracking.lock_step track that returns the joined stage curves and the
     reason the approach stalled ("" when it reached its clip or the floor).
     """
+    w0, g0, gp = seed
     rho = abs(g0 - corner)
     direction = (g0 - corner) / rho
     # no stage ends within 2 ulp of the corner's coordinates, where its
     # target would be rounding noise
     floor = 2.0 * math.ulp(max(abs(corner.real), abs(corner.imag)))
     pieces = []
-    w, g, m, gp = w0, g0, 0, None
+    w, g, m = w0, g0, 0
     first_step = 0.02
     while rho > clip:
         rho_next = max(clip, rho / 4.0)
@@ -432,11 +441,11 @@ def rectangle_image_boundary(
     seeds = dict(zip(("right", "left"), _axis_seeds(dev, 1)))
     seeds.update(zip(("top", "bottom"), _axis_seeds(dev, 1j)))
     tracks = {}
-    for side, (w0, g0) in seeds.items():
+    for side, seed in seeds.items():
         clip = CORNER_CLIP / dev.K if side in ("top", "bottom") else CORNER_CLIP
         for corner in SIDE_CORNERS[side]:
             tracks[f"{side}_to_{corner}"] = _track_toward_corner(
-                dev, CORNER_COORD[corner], w0, g0, clip, quad_tol
+                dev, CORNER_COORD[corner], seed, clip, quad_tol
             )
     _collect(cloud, dev, tracks, spacing)
     cloud.add("prevertices", np.array(dev.poles), "isolated corner preimages")
@@ -494,12 +503,13 @@ def limit_image_cloud(
     bridges in order from the axis seed, the collar's outer edge
     u = -pi/2, one track_level_curve per stop, and seeds the stop's rays
     <stop>_in and <stop>_out where the bridge ends, recording their depth,
-    or the stop's "unreached:" note where the bridge stalls. Each bridge
-    after an assembly's first, and both rays of a stop, start from the
-    slope the bridge before them ended on. A bridge's first step is its
-    whole arc, which the step cap alone cuts down: only its end point is
-    kept, and that is pinned to the tracking tolerance however many steps
-    lead to it. The mouth curves and all rays then run in one lock_step.
+    or the stop's "unreached:" note where the bridge stalls. An assembly's
+    first bridge starts from the axis seed's slope; each later bridge, and
+    both rays of a stop, from the slope the bridge before them ended on. A
+    bridge's first step is its whole arc, which the step cap alone cuts
+    down: only its end point is kept, and that is pinned to the tracking
+    tolerance however many steps lead to it. The mouth curves and all rays
+    then run in one lock_step.
     """
     dev = DevelopingMap.merged_limit(x0, tau)
     cloud = CurveCloud()
@@ -509,11 +519,11 @@ def limit_image_cloud(
     # and the bridges of its two spiral assemblies
     seeds = dict(zip(("right", "left"), _axis_seeds(dev, 1)))
     tracks = {}
-    for side, (w0, g0) in seeds.items():
+    for side, seed in seeds.items():
         for corner in SIDE_CORNERS[side]:
             half = "upper" if corner[0] == "u" else "lower"
             tracks[f"mouth_{side}_{half}"] = _track_toward_corner(
-                dev, CORNER_COORD[corner], w0, g0, CORNER_CLIP, quad_tol
+                dev, CORNER_COORD[corner], seed, CORNER_CLIP, quad_tol
             )
 
     # spiral assemblies: bridge along the unit developed circle from the
@@ -524,7 +534,7 @@ def limit_image_cloud(
         # the bridge starts on the axis seed, at the collar's outer edge
         seam, orient = SPIRAL_SEAM[name]
         th = seam - 0.5 * math.pi * orient
-        w, g, m, gp = *seeds["right" if corner.real > 0 else "left"], 0, None
+        (w, g, gp), m = seeds["right" if corner.real > 0 else "left"], 0
         # stops by depth from the seam: the seam, then the two edges of
         # each sheet's rectangle window
         stops = [(0.0, f"seam_{name}")]

@@ -67,8 +67,9 @@ def write_points(path: Union[str, Path], cloud: PointCloud) -> None:
 
 def read_points(path: Union[str, Path]) -> PointCloud:
     """The cloud write_points wrote. A header value that is not a number
-    where one is due, and a body line that is not two numbers, raise
-    ValueError naming the path and the 1-based line number."""
+    where one is due, and a body line that is not two finite numbers,
+    raise ValueError naming the path and the 1-based line number; every
+    other refusal, PointCloud's among them, names the path."""
     path = Path(path)
     lines = path.read_text().splitlines()
     if not lines or lines[0] != _MAGIC:
@@ -98,17 +99,18 @@ def read_points(path: Union[str, Path]) -> PointCloud:
                 x, y = map(float, ln.split())
             except ValueError:
                 raise ValueError(f"{path}:{number}: body line {ln!r} is not two numbers") from None
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"{path}:{number}: body line {ln!r} is not finite")
             body.append(complex(x, y))
     for required in ("source", "density"):
         if required not in meta:
             raise ValueError(f"{path}: header lacks {required}")
-    cloud = PointCloud(
-        np.array(body, dtype=complex),
-        meta["source"],
-        meta["density"],
-        k=meta.get("k"),
-        truncation=trunc,
-    )
+    try:
+        cloud = PointCloud(
+            np.array(body, dtype=complex), meta["source"], meta["density"], k=meta.get("k"), truncation=trunc
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if "count" in meta and meta["count"] != len(cloud):
         raise ValueError(f"{path}: count says {meta['count']}, found {len(cloud)}")
     return cloud

@@ -20,12 +20,12 @@ slope at the chord's end and, once the step is accepted, the slope of the
 next step ("first same as last", Dormand & Prince 1980). The same reuse
 runs across tracks: a TrackResult carries the slope at its last point, and
 a track that goes on from there takes it as slope0, as a continuation
-restarts from the tangent it holds (Allgower & Georg, ch. 2). Only the
-first slope of a track started from a bare seed, and the slope at a chord
-end on a slit's line, are single points, evaluated in the track by _slope.
-On a finite map an array element equals the single-point value bit for
-bit, so where a slope comes from changes no tracked point; on the limit
-map the two can differ by a few ulp.
+restarts from the tangent it holds (Allgower & Georg, ch. 2); a track
+from a bare seed takes the seed's single-point value. A chord that ends on
+a slit has no end value and fails its step. On a finite map an array
+element equals the single-point value bit for bit, so where a slope comes
+from changes no tracked point; on the limit map the two can differ by a
+few ulp.
 
 The step logic is written once, as the generator level_curve_track: it
 yields every quadrature request it needs and is sent the outcome. Each
@@ -79,18 +79,6 @@ from .develop import DevelopingMap
 from .quadrature import gk15_level, gk15_nodes, integrate_segment
 
 
-def _slope(dev: DevelopingMap, w: complex, m: int) -> complex:
-    """Continued g'(w) on the sheet of branch exponent m, evaluated alone.
-
-    A point on a slit has no value: slit_crossings refuses the chord of
-    zero length along it with an ArithmeticError, as the pole clearance
-    refuses a point too close to a prevertex.
-    """
-    dev.slit_crossings(w, w)
-    gp = dev.derivative(w)
-    return gp * dev.K**m if m else gp
-
-
 def _piece(dev: DevelopingMap, lo: complex, hi: complex, tol: float, end: complex | None = None):
     """(integral of the derivative along [lo, hi], the derivative at end or None).
 
@@ -112,14 +100,14 @@ def _piece(dev: DevelopingMap, lo: complex, hi: complex, tol: float, end: comple
 
 def _chord_increment(dev: DevelopingMap, a: complex, b: complex, m: int, quad_tol: float):
     """(integral of the continued derivative along [a, b], exponent at b,
-    continued g'(b) or None).
+    continued g'(b)).
 
     A lock_step track: requests the quadrature of each piece between slit
     crossings. The end value comes with the first level of the chord's
-    last piece, whose panel request takes b as its end node. It is None
-    where that piece is missing or has zero length (the chord ends on a
-    slit, or is shorter than the rounding of b) or where b lies on a slit's
-    line; there _slope decides between the value and its refusal.
+    last piece, whose panel request takes b as its end node. Where that
+    piece is missing or rounds to zero length, the chord ends on a slit,
+    where g' has no value, or within rounding of a crossing or of its own
+    start; it then raises ArithmeticError, which fails the step.
     """
     total = 0j
     mm = m
@@ -130,12 +118,12 @@ def _chord_increment(dev: DevelopingMap, a: complex, b: complex, m: int, quad_to
             total += piece * (dev.K**mm if mm else 1.0)
         mm += dm
         t_prev = t
-    if t_prev >= 1.0:
-        return total, mm, None
-    piece, end = yield from _piece(dev, a + t_prev * (b - a), b, quad_tol, b)
-    total += piece * (dev.K**mm if mm else 1.0)
-    if end is None or any(b.real == sx for sx, _ in dev.slits):
-        return total, mm, None
+    end = None
+    if t_prev < 1.0:
+        piece, end = yield from _piece(dev, a + t_prev * (b - a), b, quad_tol, b)
+        total += piece * (dev.K**mm if mm else 1.0)
+    if end is None:
+        raise ArithmeticError(f"chord {a} -> {b} ends on a branch slit or rounds to a point")
     gp = complex(end)
     if mm:
         gp *= dev.K**mm
@@ -224,10 +212,10 @@ class TrackResult:
     # the step in s the track had grown to when its final step was cut to
     # the remainder 1 - s: a first_step for a track that goes on from here
     next_step: float
-    # continued g' at the last point, on its sheet, as the last accepted
-    # chord's end gave it, or None where no value was taken there: a
-    # slope0 for a track that goes on from here
-    slope: complex | None
+    # continued g' at the last point, on its sheet: slope0 where no step
+    # was accepted, else the last accepted chord's end value; a slope0 for
+    # a track that goes on from here
+    slope: complex
 
     @property
     def completed(self) -> bool:
@@ -281,7 +269,8 @@ def level_curve_track(
     max_step: float = 0.1,
     first_step: float = 1.0 / 200.0,
     max_steps: int = 20000,
-    slope0: complex | None = None,
+    *,
+    slope0: complex,
 ) -> Generator[tuple, tuple, TrackResult]:
     """Track the curve g(w(s)) = p(s), 0 <= s <= 1, from a seed on it.
 
@@ -289,8 +278,9 @@ def level_curve_track(
     one alone.
     w0 must satisfy g(w0) = p(0), to _ANCHOR_TOL relative, on the branch
     given by branch0 and g0. slope0 is the continued g'(w0) on that
-    branch where the caller already holds it, the slope of the TrackResult
-    that ended at w0; without it the first step evaluates it by _slope.
+    branch: the slope of the TrackResult that ended at w0, or the seed's
+    dev.derivative(w0) times K**branch0. A zero slope0 fails every step
+    with a ZeroDivisionError, so the track stalls.
     max_step caps the w-plane distance |w_new - w| of each accepted step,
     checked after the Newton correction, so it should be set below the
     feature scale of the curve (a petal four sheets in is far smaller than
@@ -314,9 +304,9 @@ def level_curve_track(
     s = 0.0
     status, reason = "completed", ""
     steps = 0
-    # continued g'(w), given or carried from the accepted chord's end when
-    # it has one, and the slope and step of the previous accepted point
-    gp = slope0
+    # continued g'(w), given or carried from the accepted chord's end, and
+    # the slope and step of the previous accepted point
+    gp = complex(slope0)
     k_prev = h_prev = None
     while s < 1.0 - 1e-14:
         if steps >= max_steps:
@@ -327,10 +317,6 @@ def level_curve_track(
         s_new = s + h
         ok = False
         try:
-            if not gp:
-                # a first slope not given, or one no chord end gave; a
-                # retry keeps it, unless it was zero and failed the step
-                gp = _slope(dev, w, m)
             k1 = dp(s) / gp
             w_pred = w + h * k1
             if k_prev is not None:
@@ -348,8 +334,6 @@ def level_curve_track(
                     if abs(r) <= tol * scale:
                         ok = abs(w_cur - w) <= max_step
                         break
-                    if gp_cur is None:
-                        gp_cur = _slope(dev, w_cur, m_cur)
                     dw = -r / gp_cur
                     if abs(dw) > move_cap:
                         break
@@ -359,8 +343,8 @@ def level_curve_track(
                     w_cur += dw
                     g_cur += inc
         except ArithmeticError:
-            # pole clearance, slit-parallel chord, or exhausted quadrature:
-            # retry shorter
+            # pole clearance, a chord along or onto a slit, a zero slope, or
+            # exhausted quadrature: retry shorter
             ok = False
         if ok:
             s, w, g, m, gp = s_new, w_cur, g_cur, m_cur, gp_cur

@@ -344,8 +344,9 @@ _POINTS = st.lists(
 
 
 class TestScalarArrayAgreement:
-    # the tracker evaluates single points and the quadrature whole node
-    # arrays, so a point must develop the same way in both
+    # an axis seed's slope is a single point and every tracker chord an
+    # array of nodes and its end, so a point must develop the same way in
+    # both: a chord's end value is then the seed-style value bit for bit
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(ws=_POINTS, dev=st.sampled_from([K2, DevelopingMap.from_aspect(1e3, 1.88 + 0.158j)]))

@@ -13,7 +13,6 @@ from scipy.optimize import brentq
 from scipy.spatial import cKDTree
 
 import affsurf.limitset as limitset
-import affsurf.tracking as tracking
 from affsurf import checks
 from affsurf.develop import DevelopingMap
 from affsurf.embedding import _window
@@ -40,6 +39,10 @@ TAU = 0.3470332389
 D_SQUARE_TO_LIMIT = 1.1700619534689296
 D_AT_1E2 = 0.14359329516174188
 D_AT_1E3 = 0.08894993927610696
+
+
+def _same_bits(a, b) -> bool:
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 @functools.lru_cache(maxsize=None)
@@ -253,7 +256,8 @@ class TestBrent:
 
         monkeypatch.setattr(limitset, "_brent", recording)
         dev = self.MAPS[name]
-        (w, _), _ = _axis_seeds(dev, d)
+        (w, _, slope), _ = _axis_seeds(dev, d)
+        assert _same_bits(slope, dev.derivative(w))
         root = w.real if d == 1 else w.imag
         assert len(solves) == 1
         f, a, b, xtol, fa, fb = solves[0]
@@ -274,9 +278,12 @@ class TestBrent:
     def test_mirror_seeds_are_exact_mirrors(self, name, d):
         # the mirror of w is -u or -iv exactly, signed zeros included
         # (repr shows them); its g is the reflection of the solved g, which
-        # develop_at at the mirror gives to rounding
+        # develop_at at the mirror gives to rounding, and its slope is the
+        # derivative evaluated at the mirror, not reflected
         dev = DevelopingMap.from_aspect(1.0, 1 + 1j) if name == "square" else self.MAPS[name]
-        (w, g), (w_mirror, g_mirror) = _axis_seeds(dev, d)
+        (w, g, slope), (w_mirror, g_mirror, slope_mirror) = _axis_seeds(dev, d)
+        assert _same_bits(slope, dev.derivative(w))
+        assert _same_bits(slope_mirror, dev.derivative(w_mirror))
         expected = complex(-w.real) if d == 1 else complex(0.0, -w.imag)
         assert repr(w_mirror) == repr(expected)
         flip = (lambda z: -z.conjugate()) if d == 1 else (lambda z: z.conjugate())
@@ -423,38 +430,41 @@ class TestFiniteBoundary:
         # every later Brent value is developed from the nearest one on the
         # axis, not from infinity; each seed still lies within 1e-13 of
         # develop_at there (measured at most 8e-15; K None is the limit,
-        # whose cloud seeds on the real axis only)
+        # whose cloud seeds on the real axis only); each seed's slope is
+        # the single-point derivative there, bit for bit
         dev = DevelopingMap.merged_limit(X0, TAU) if K is None else DevelopingMap.from_aspect(K, _prevertex(K))
         for d in (1,) if K is None else (1, 1j):
-            for w, g in _axis_seeds(dev, d):
+            for w, g, slope in _axis_seeds(dev, d):
                 assert abs(g - complex(dev.develop_at(w))) <= 1e-13, (d, w)
+                assert _same_bits(slope, dev.derivative(w)), (d, w)
 
     def test_stages_reuse_the_last_slope(self, monkeypatch):
         # each stage, bridge and ray starts from the slope its predecessor
-        # ended on: a K = 1e6 boundary evaluates one single-point slope per
-        # corner approach and develops one point per axis from infinity
-        # (80 and 15 when every stage and Brent value starts afresh), and
-        # the default limit cloud one slope per mouth curve and spiral
-        # assembly (128 afresh)
-        calls = {"slope": 0, "develop_at": 0}
-        slope, develop_at = tracking._slope, DevelopingMap.develop_at
+        # ended on, and each track from an axis seed from the seed's slope:
+        # a K = 1e6 boundary evaluates one single-point slope per seed, four,
+        # and develops one point per axis from infinity (80 and 15 when every
+        # stage and Brent value starts afresh, 8 slopes when every track
+        # from a seed evaluates its own), and the default limit cloud one
+        # slope per seed, two (128 afresh, 8 one per track from a seed)
+        calls = {"points": 0, "develop_at": 0}
+        derivative, develop_at = DevelopingMap.derivative, DevelopingMap.develop_at
 
-        def counted_slope(*args):
-            calls["slope"] += 1
-            return slope(*args)
+        def counted_derivative(self, w):
+            calls["points"] += np.ndim(w) == 0
+            return derivative(self, w)
 
         def counted_develop_at(self, *args, **kwargs):
             calls["develop_at"] += 1
             return develop_at(self, *args, **kwargs)
 
-        monkeypatch.setattr(tracking, "_slope", counted_slope)
+        monkeypatch.setattr(DevelopingMap, "derivative", counted_derivative)
         monkeypatch.setattr(DevelopingMap, "develop_at", counted_develop_at)
         rectangle_image_boundary(DevelopingMap.from_aspect(1e6, _prevertex(1e6)))
-        assert calls["slope"] <= 8
+        assert calls["points"] == 4
         assert calls["develop_at"] <= 2
-        calls["slope"] = 0
+        calls["points"] = 0
         limit_image_cloud(X0, TAU)
-        assert calls["slope"] <= 8
+        assert calls["points"] == 2
 
     def test_carried_slopes_change_no_point(self, monkeypatch):
         # on a finite map the slope a stage carries is the single-point
@@ -463,8 +473,10 @@ class TestFiniteBoundary:
         dev = DevelopingMap.from_aspect(1e6, _prevertex(1e6))
         carried = rectangle_image_boundary(dev)
 
-        def afresh(*args, **kwargs):
-            return (yield from level_curve_track(*args, **{**kwargs, "slope0": None}))
+        def afresh(dev, p, dp, w0, **kwargs):
+            m = kwargs["branch0"]
+            slope0 = dev.derivative(w0) * dev.K**m if m else dev.derivative(w0)
+            return (yield from level_curve_track(dev, p, dp, w0, **{**kwargs, "slope0": slope0}))
 
         monkeypatch.setattr(limitset, "level_curve_track", afresh)
         fresh = rectangle_image_boundary(dev)

@@ -123,3 +123,37 @@ class TestRoundTrip:
         where = re.escape(f"{path}:{number}: header {key} {value!r} is not {what}")
         with pytest.raises(ValueError, match=where):
             read_points(path)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("density", "nan", "sampling density must be positive, got nan"),
+            ("density", "-1", "sampling density must be positive, got -1.0"),
+            ("source", "", "source must be a non-empty single line"),
+        ],
+    )
+    def test_refused_header_value_names_the_file(self, tmp_path, key, value, message):
+        # a value that reads but that PointCloud refuses names the file
+        path = tmp_path / "v.txt"
+        write_points(path, PointCloud(np.array([0j, 1j]), "demo", 1.0))
+        text = re.sub(f"(?m)^# {key}: .*$", f"# {key}: {value}", path.read_text())
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            read_points(path)
+
+    @pytest.mark.parametrize("line", ["nan 3", "1 inf"])
+    def test_nonfinite_body_line_names_its_place(self, tmp_path, line):
+        path = tmp_path / "f.txt"
+        write_points(path, PointCloud(np.array([0j, 1j]), "demo", 1.0))
+        lines = path.read_text().splitlines()
+        lines[-1] = line
+        path.write_text("\n".join(lines) + "\n")
+        where = re.escape(f"{path}:{len(lines)}: body line {line!r} is not finite")
+        with pytest.raises(ValueError, match=where):
+            read_points(path)
+
+    def test_empty_body_names_the_file(self, tmp_path):
+        path = tmp_path / "e.txt"
+        path.write_text("# affsurf points 1\n# source: demo\n# density: 1.0\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: a point cloud cannot be empty")):
+            read_points(path)

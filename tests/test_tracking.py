@@ -15,7 +15,6 @@ from affsurf.solver import continuation_sweep
 from affsurf.tracking import (
     _chord_increment,
     _piece,
-    _slope,
     arc_target,
     level_curve_track,
     lock_step,
@@ -41,15 +40,16 @@ def dev2():
 
 @pytest.fixture(scope="module")
 def seed2(dev2):
+    # (w, g, g') as limitset's axis seeds hand them to their tracks
     w0 = Z1_K2 + 0.1
-    return w0, complex(dev2.develop_at(w0))
+    return w0, complex(dev2.develop_at(w0)), dev2.derivative(w0)
 
 
 class TestBasics:
     def test_trivial_aspect_is_identity(self):
         dev = DevelopingMap.from_aspect(1.0, 1 + 1j)
         p, dp = segment_target(2.0 + 0j, 2.0 + 1.5j)
-        r = track_level_curve(dev, p, dp, 2.0 + 0j, g0=2.0 + 0j)
+        r = track_level_curve(dev, p, dp, 2.0 + 0j, g0=2.0 + 0j, slope0=dev.derivative(2.0))
         assert r.completed
         gaps = [abs(r.w[i] - p(r.s[i])) for i in range(len(r.s))]
         assert max(gaps) < 1e-12
@@ -59,7 +59,7 @@ class TestBasics:
         # across the lines x = +-1 stays exact
         dev = DevelopingMap.from_aspect(1.0, 1 + 1j)
         p, dp = segment_target(2 + 0.5j, -2 + 0.5j)
-        r = track_level_curve(dev, p, dp, 2 + 0.5j, g0=2 + 0.5j)
+        r = track_level_curve(dev, p, dp, 2 + 0.5j, g0=2 + 0.5j, slope0=dev.derivative(2 + 0.5j))
         assert r.completed
         assert max(abs(r.w[i] - p(r.s[i])) for i in range(len(r.s))) < 1e-12
 
@@ -68,25 +68,25 @@ class TestBasics:
         w0 = 3.0 + 0j
         g0 = complex(lim.develop_at(w0))
         p, dp = segment_target(g0, g0 + 1.2j)
-        r = track_level_curve(lim, p, dp, w0, g0=g0)
+        r = track_level_curve(lim, p, dp, w0, g0=g0, slope0=lim.derivative(w0))
         assert r.completed
         assert (r.branch == 0).all()
         assert abs(complex(lim.develop_at(r.w[-1])) - p(1.0)) < 1e-9
 
     def test_endpoint_develops_to_target(self, dev2, seed2):
-        w0, g0 = seed2
+        w0, g0, gp0 = seed2
         p, dp = segment_target(g0, g0 + 0.4 + 0.3j)
-        r = track_level_curve(dev2, p, dp, w0, g0=g0)
+        r = track_level_curve(dev2, p, dp, w0, g0=g0, slope0=gp0)
         assert r.completed
         assert abs(complex(dev2.develop_at(r.w[-1])) - p(1.0)) < 1e-9
         assert (r.branch == 0).all()
         assert np.abs(np.diff(r.w)).sum() > 0
 
     def test_wrong_seed_rejected(self, dev2, seed2):
-        w0, g0 = seed2
+        w0, g0, gp0 = seed2
         p, dp = segment_target(g0 + 0.3, g0 + 1)
         with pytest.raises(ValueError):
-            track_level_curve(dev2, p, dp, w0, g0=g0)
+            track_level_curve(dev2, p, dp, w0, g0=g0, slope0=gp0)
 
 
 class TestHolonomyLoops:
@@ -100,9 +100,9 @@ class TestHolonomyLoops:
     """
 
     def test_ccw_loop(self, dev2, seed2):
-        w0, g0 = seed2
+        w0, g0, gp0 = seed2
         p, dp = circle(g0, +1.0)
-        r = track_level_curve(dev2, p, dp, w0, g0=g0, max_step=0.08)
+        r = track_level_curve(dev2, p, dp, w0, g0=g0, max_step=0.08, slope0=gp0)
         assert r.completed
         assert r.branch[-1] == -1
         assert abs(r.g[-1] - p(1.0)) < 1e-9
@@ -112,9 +112,9 @@ class TestHolonomyLoops:
         assert ratio == pytest.approx(2.0, rel=0.05)
 
     def test_cw_loop(self, dev2, seed2):
-        w0, g0 = seed2
+        w0, g0, gp0 = seed2
         p, dp = circle(g0, -1.0)
-        r = track_level_curve(dev2, p, dp, w0, g0=g0, max_step=0.08)
+        r = track_level_curve(dev2, p, dp, w0, g0=g0, max_step=0.08, slope0=gp0)
         assert r.completed
         assert r.branch[-1] == +1
         predicted = CORNER + 0.5 * (g0 - CORNER)
@@ -126,7 +126,7 @@ class TestHolonomyLoops:
         w0 = Z1_K2 + 0.05
         g0 = complex(dev2.develop_at(w0))
         p, dp = circle(g0, -2.0)
-        r = track_level_curve(dev2, p, dp, w0, g0=g0, max_step=0.006, first_step=1 / 400)
+        r = track_level_curve(dev2, p, dp, w0, g0=g0, max_step=0.006, first_step=1 / 400, slope0=dev2.derivative(w0))
         assert r.completed
         assert r.branch[-1] == +2
         predicted = CORNER + 0.25 * (g0 - CORNER)
@@ -134,12 +134,12 @@ class TestHolonomyLoops:
 
     def test_loop_composition_returns_home(self, dev2, seed2):
         # ccw then cw around the same developed circle: back to the seed
-        w0, g0 = seed2
+        w0, g0, gp0 = seed2
         p, dp = circle(g0, +1.0)
-        out = track_level_curve(dev2, p, dp, w0, g0=g0, max_step=0.08)
+        out = track_level_curve(dev2, p, dp, w0, g0=g0, max_step=0.08, slope0=gp0)
         p2, dp2 = circle(g0, -1.0)
         back = track_level_curve(
-            dev2, p2, dp2, out.w[-1], g0=out.g[-1], branch0=out.branch[-1], max_step=0.08
+            dev2, p2, dp2, out.w[-1], g0=out.g[-1], branch0=out.branch[-1], max_step=0.08, slope0=out.slope
         )
         assert back.completed
         assert back.branch[-1] == 0
@@ -148,9 +148,9 @@ class TestHolonomyLoops:
 
 class TestStepControl:
     def test_budget_exhaustion_reports_stall(self, dev2, seed2):
-        w0, g0 = seed2
+        w0, g0, gp0 = seed2
         p, dp = circle(g0, +1.0)
-        r = track_level_curve(dev2, p, dp, w0, g0=g0, max_step=0.08, max_steps=3)
+        r = track_level_curve(dev2, p, dp, w0, g0=g0, max_step=0.08, max_steps=3, slope0=gp0)
         assert r.status == "stalled"
         assert "budget" in r.reason
         assert len(r.w) == 4
@@ -159,9 +159,9 @@ class TestStepControl:
     def test_into_the_prevertex(self, dev2, seed2):
         # the target ends at the singular value itself; the track must
         # either stall cleanly or end next to the prevertex, never raise
-        w0, g0 = seed2
+        w0, g0, gp0 = seed2
         p, dp = segment_target(g0, CORNER)
-        r = track_level_curve(dev2, p, dp, w0, g0=g0, max_step=0.004, max_steps=2000)
+        r = track_level_curve(dev2, p, dp, w0, g0=g0, max_step=0.004, max_steps=2000, slope0=gp0)
         if r.completed:
             assert abs(r.w[-1] - Z1_K2) < 1e-6
         else:
@@ -169,9 +169,9 @@ class TestStepControl:
         assert len(r.w) > 5
 
     def test_monotone_parameter(self, dev2, seed2):
-        w0, g0 = seed2
+        w0, g0, gp0 = seed2
         p, dp = segment_target(g0, g0 + 0.5j)
-        r = track_level_curve(dev2, p, dp, w0, g0=g0)
+        r = track_level_curve(dev2, p, dp, w0, g0=g0, slope0=gp0)
         assert (np.diff(r.s) > 0).all()
         assert r.s[0] == 0.0 and r.s[-1] == pytest.approx(1.0, abs=1e-12)
 
@@ -179,24 +179,17 @@ class TestStepControl:
     def test_zero_slope_retries_the_step(self, dev2, seed2, monkeypatch):
         # a slope derivative of exactly zero divides the target's Python
         # complex derivative by zero: a ZeroDivisionError, which fails the
-        # step like any ArithmeticError, where a numpy scalar would only warn
-        w0, g0 = seed2
-        calls = []
-        derivative = DevelopingMap.derivative
-
-        def zero_at_first_slope(self, w):
-            calls.append(w)
-            # a lone track's first call is its first slope, a single point
-            return 0j if len(calls) == 1 else derivative(self, w)
-
-        monkeypatch.setattr(DevelopingMap, "derivative", zero_at_first_slope)
+        # step like any ArithmeticError, where a numpy scalar would only warn.
+        # Every retry divides by the same zero slope, which no chord end has
+        # replaced, so the track stalls where it started and raises nothing
+        w0, g0, _ = seed2
+        calls = _count_derivative_calls(monkeypatch)
         p, dp = circle(g0, +0.25)
-        r = track_level_curve(dev2, p, dp, w0, g0=g0, max_step=0.08, first_step=0.1)
-        # the refused slope is evaluated again, not carried
-        assert calls[0] == calls[1] == w0
-        assert r.completed
-        assert r.s[1] == 0.05
-        assert abs(complex(dev2.develop_at(r.w[-1])) - p(1.0)) < 1e-9
+        r = track_level_curve(dev2, p, dp, w0, g0=g0, max_step=0.08, first_step=0.1, slope0=0j)
+        assert r.status == "stalled"
+        assert r.reason == "step size underflow at s = 0"
+        assert list(r.w) == [w0] and r.slope == 0j
+        assert calls == []
 
     def test_targets_are_python_complex(self):
         for p, dp in (
@@ -224,16 +217,18 @@ class TestDerivativeBudget:
     # an accepted step makes one call per quadrature level of each chord
     # it moves through (the predictor's and mostly one Newton chord),
     # whose end value serves as the next Newton slope or the next step's
-    # slope; only a track's first slope is a call of its own. These tracks
-    # take 2.3 calls per step, where RK4 stages as single points take 5.3-5.8
+    # slope; the first slope is the caller's slope0, so a track makes no
+    # call of its own outside its chords. These tracks take about 2.3
+    # calls per step
 
     def test_corner_approach(self, monkeypatch):
         dev = DevelopingMap.from_aspect(1000.0, Z1_K1000)
         w0 = Z1_K1000 + 0.2
         g0 = complex(dev.develop_at(w0))
         p, dp = segment_target(g0, CORNER + 1e-3 * (g0 - CORNER) / abs(g0 - CORNER))
+        gp0 = dev.derivative(w0)
         calls = _count_derivative_calls(monkeypatch)
-        r = track_level_curve(dev, p, dp, w0, g0=g0, max_step=0.004, max_steps=4000)
+        r = track_level_curve(dev, p, dp, w0, g0=g0, max_step=0.004, max_steps=4000, slope0=gp0)
         steps = len(r.s) - 1
         assert r.completed and steps > 50
         assert len(calls) <= 3.0 * steps
@@ -243,8 +238,9 @@ class TestDerivativeBudget:
         w0 = 3.0 + 0j
         g0 = complex(lim.develop_at(w0))
         p, dp = segment_target(g0, g0 + 1.2j)
+        gp0 = lim.derivative(w0)
         calls = _count_derivative_calls(monkeypatch)
-        r = track_level_curve(lim, p, dp, w0, g0=g0)
+        r = track_level_curve(lim, p, dp, w0, g0=g0, slope0=gp0)
         steps = len(r.s) - 1
         assert r.completed and steps > 10
         assert len(calls) <= 3.0 * steps
@@ -279,36 +275,37 @@ class TestChordEnd:
         if mm:
             point *= dev2.K**mm
         assert np.complex128(gp).tobytes() == np.complex128(point).tobytes()
-        assert np.complex128(gp).tobytes() == np.complex128(_slope(dev2, b, mm)).tobytes()
 
-    def test_chord_ending_on_a_slit_leaves_the_end_to_the_point_evaluation(self, dev2):
+    def test_chord_ending_on_a_slit_has_no_end_value(self, dev2):
+        # g' has no value on a slit, so a chord that ends there fails
         sx, _ = dev2.slits[0]
         end = complex(sx, 0.2)
-        inc, mm, gp = _alone(dev2, _chord_increment(dev2, end + 0.1 + 0.05j, end, 0, 1e-12))
-        assert gp is None
         with pytest.raises(ArithmeticError, match="slit"):
-            _slope(dev2, end, mm)
-        # on the slit's line but clear of the slit, the point has its value
+            _alone(dev2, _chord_increment(dev2, end + 0.1 + 0.05j, end, 0, 1e-12))
+        # on the slit's line but clear of the slit, the end has its value
         clear = complex(sx, 2.0)
         inc, mm, gp = _alone(dev2, _chord_increment(dev2, clear + 0.1 + 0.05j, clear, 0, 1e-12))
-        assert gp is None and _slope(dev2, clear, mm) == dev2.derivative(clear)
+        assert mm == 0
+        assert _same_bits(gp, dev2.derivative(clear))
 
     def test_a_track_hands_on_the_slope_at_its_end(self, dev2, seed2, monkeypatch):
         # a track's slope is its last point's single-point value, on its
         # sheet, bit for bit; a track that starts there with it as slope0
-        # makes one derivative call fewer and tracks the same points
-        w0, g0 = seed2
+        # makes the same derivative calls and tracks the same points as one
+        # given that value afresh
+        w0, g0, gp0 = seed2
         p, dp = circle(g0, -1.0)
-        r = track_level_curve(dev2, p, dp, w0, g0=g0, max_step=0.08)
+        r = track_level_curve(dev2, p, dp, w0, g0=g0, max_step=0.08, slope0=gp0)
         w, m = complex(r.w[-1]), int(r.branch[-1])
         assert r.completed and m != 0
-        assert np.complex128(r.slope).tobytes() == np.complex128(_slope(dev2, w, m)).tobytes()
+        point = dev2.derivative(w) * dev2.K**m
+        assert type(r.slope) is complex and _same_bits(r.slope, point)
         p, dp = circle(complex(r.g[-1]), +0.25)
         calls = _count_derivative_calls(monkeypatch)
-        fresh = track_level_curve(dev2, p, dp, w, g0=complex(r.g[-1]), branch0=m, max_step=0.08)
+        fresh = track_level_curve(dev2, p, dp, w, g0=complex(r.g[-1]), branch0=m, max_step=0.08, slope0=point)
         n_fresh = len(calls)
         carried = track_level_curve(dev2, p, dp, w, g0=complex(r.g[-1]), branch0=m, max_step=0.08, slope0=r.slope)
-        assert len(calls) - n_fresh == n_fresh - 1
+        assert len(calls) - n_fresh == n_fresh
         for a, b in ((fresh.w, carried.w), (fresh.g, carried.g), (fresh.slope, carried.slope)):
             assert _same_bits(a, b)
 
@@ -353,7 +350,7 @@ class TestLockStep:
         assert batched.notes == solo.notes
 
     def test_a_request_inside_the_pole_guard_fails_only_its_own_track(self, dev2, seed2, monkeypatch):
-        w0, g0 = seed2
+        w0, g0, gp0 = seed2
         z = dev2.poles[0]
         # off the slit's line, 1e-3 from the prevertex: the first step's
         # tangent ends 1e-14 from it, inside the pole clearance, so that
@@ -365,9 +362,9 @@ class TestLockStep:
 
         def tracks():
             return [
-                level_curve_track(dev2, *circle(g0, +1.0), w0, g0=g0, max_step=0.08),
-                level_curve_track(dev2, *aim, near, g0=g_near, first_step=1.0),
-                level_curve_track(dev2, *segment_target(g0, g0 + 0.4 + 0.3j), w0, g0=g0),
+                level_curve_track(dev2, *circle(g0, +1.0), w0, g0=g0, max_step=0.08, slope0=gp0),
+                level_curve_track(dev2, *aim, near, g0=g_near, first_step=1.0, slope0=dev2.derivative(near)),
+                level_curve_track(dev2, *segment_target(g0, g0 + 0.4 + 0.3j), w0, g0=g0, slope0=gp0),
             ]
 
         refused = []
@@ -395,6 +392,37 @@ class TestLockStep:
             for field in ("s", "w", "g", "branch"):
                 assert _same_bits(getattr(got, field), getattr(want, field))
 
+    def test_a_chord_ending_on_a_slit_fails_alone_and_pooled(self, dev2, seed2):
+        # the chord's last crossing is its end, so it has no last piece and
+        # no end value: it raises alone, and pooled with a healthy track it
+        # raises into its own generator only, while the healthy track
+        # completes bit for bit as it does alone
+        sx, _ = dev2.slits[0]
+        end = complex(sx, 0.2)
+
+        def chord():
+            return _chord_increment(dev2, end + 0.1 + 0.05j, end, 0, 1e-12)
+
+        def caught(track):
+            try:
+                return (yield from track)
+            except ArithmeticError as exc:
+                return exc
+
+        w0, g0, gp0 = seed2
+
+        def healthy():
+            return level_curve_track(dev2, *circle(g0, +1.0), w0, g0=g0, max_step=0.08, slope0=gp0)
+
+        with pytest.raises(ArithmeticError, match="slit"):
+            _alone(dev2, chord())
+        refused, pooled = lock_step(dev2, [caught(chord()), healthy()])
+        solo = _alone(dev2, healthy())
+        assert isinstance(refused, ArithmeticError) and "slit" in str(refused)
+        assert pooled.completed and (pooled.status, pooled.reason) == (solo.status, solo.reason)
+        for field in ("s", "w", "g", "branch", "slope"):
+            assert _same_bits(getattr(pooled, field), getattr(solo, field)), field
+
     def test_no_tracks(self, dev2):
         assert lock_step(dev2, []) == []
 
@@ -405,15 +433,15 @@ class TestLockStep:
             raise ValueError("operands could not be broadcast together")
 
         monkeypatch.setattr(tracking, "gk15_level", broken)
-        w0, g0 = seed2
+        w0, g0, gp0 = seed2
         with pytest.raises(ValueError, match="broadcast"):
-            track_level_curve(dev2, *circle(g0, +1.0), w0, g0=g0, max_step=0.08)
+            track_level_curve(dev2, *circle(g0, +1.0), w0, g0=g0, max_step=0.08, slope0=gp0)
 
     def test_a_lone_track_is_sent_its_own_requests(self, dev2, seed2, monkeypatch):
         # a track yields only panels (4-tuples); a lone track's panel is one
-        # array of its own 15 nodes and its end node, and the only single
-        # point is the track's first slope, evaluated in the track
-        w0, g0 = seed2
+        # array of its own 15 nodes and its end node, and no call is a
+        # single point: the first slope is the caller's slope0
+        w0, g0, gp0 = seed2
         requests, calls = [], []
 
         def recorded(track):
@@ -433,12 +461,11 @@ class TestLockStep:
 
         monkeypatch.setattr(DevelopingMap, "derivative", watched)
         p, dp = segment_target(g0, g0 + 0.4 + 0.3j)
-        [r] = lock_step(dev2, [recorded(level_curve_track(dev2, p, dp, w0, g0=g0))])
+        [r] = lock_step(dev2, [recorded(level_curve_track(dev2, p, dp, w0, g0=g0, slope0=gp0))])
         assert r.completed
         assert requests and all(type(w) is tuple and len(w) == 4 for w in requests)
-        assert calls[0] == w0 and np.ndim(calls[0]) == 0
-        assert len(calls) == 1 + len(requests)
-        for got, (lo, hi, _, end) in zip(calls[1:], requests):
+        assert len(calls) == len(requests)
+        for got, (lo, hi, _, end) in zip(calls, requests):
             nodes = gk15_nodes(np.array([lo]), np.array([hi]))[1].ravel()
             assert _same_bits(got, np.append(nodes, () if end is None else end))
         assert all(end is not None for *_, end in requests)
