@@ -70,6 +70,8 @@ def _seed(value) -> int:
 
 # the most aspects a start:stop:count span may ask for; each is a solve
 MAX_SPAN_COUNT = 1000
+# the finest curve sampling; render --k 2 writes 29 MB at twice this
+MAX_DENSITY = 1e5
 
 
 def _aspects(name: str, raw, spans: bool = False) -> Tuple[float, ...]:
@@ -128,7 +130,7 @@ class RunConfig:
     tol_solver: float = _setting(1e-10, "T")
     tol_quad: float = _setting(1e-12, "T")
     theta_max: float = _setting(8.0 * math.pi, "R", "spiral winding cutoff in radians")
-    density: float = _setting(250.0, "D", "curve sampling, points per unit length")
+    density: float = _setting(250.0, "D", f"curve sampling, points per unit length, at most {MAX_DENSITY:g}")
     out: str = _setting("out", "PATH", "output directory, or a .json path for the report")
     seed: int = _setting(0, "N", "seed for sampled checks")
     format: str = _setting("svg", "{svg,txt}")
@@ -142,6 +144,8 @@ class RunConfig:
             if not (math.isfinite(v) and v > 0):
                 raise UsageError(f"{name} must be a positive number, got {v!r}")
             object.__setattr__(self, name, v)
+        if self.density > MAX_DENSITY:
+            raise UsageError(f"density must be at most {MAX_DENSITY:g}, got {self.density!r}")
         if not self.tol_solver > self.tol_quad:
             raise UsageError(f"tol_solver {self.tol_solver!r} must be above tol_quad {self.tol_quad!r}")
         if command == "verify" and not self.tol_solver < checks.SOLVER_RESIDUAL_MAX:

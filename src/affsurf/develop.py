@@ -7,13 +7,16 @@ closed form
 
     g'(w) = exp(beta * (Log((w-z4)/(w-z1)) + Log((w-z2)/(w-z3)))),
 
-principal logarithms, beta = log(K)/(2*pi*i). Each Moebius ratio sends the
-vertical segment joining its pole pair to the negative reals, so this
-expression is single-valued and holomorphic exactly off the two closed
-vertical slits between conjugate poles, and crossing a slit multiplies g'
-by K or 1/K; DevelopingMap.slit_crossings finds the crossings of a segment
-and states the sign convention. develop() refuses slit-crossing paths; the
-curve tracker carries an explicit winding count instead.
+principal logarithms, beta = log(K)/(2*pi*i) = -i b with b real. So with
+r1, r2 the two ratios, log g' = b (arg r1 + arg r2) - i (b/2) (ln|r1|^2 +
+ln|r2|^2): one real log and one atan2 per ratio, never a complex log.
+Each Moebius ratio sends the vertical segment joining its pole pair to the
+negative reals, so this expression is single-valued and holomorphic
+exactly off the two closed vertical slits between conjugate poles, and
+crossing a slit multiplies g' by K or 1/K; DevelopingMap.slit_crossings
+finds the crossings of a segment and states the sign convention. develop()
+refuses slit-crossing paths; the curve tracker carries an explicit winding
+count instead.
 
 In the limit the pole pairs merge and
 
@@ -51,30 +54,6 @@ def prevertex_ring(z1: complex) -> tuple[complex, complex, complex, complex]:
     return (z1, -z1.conjugate(), -z1, z1.conjugate())
 
 
-def _log1p_c(u):
-    """Principal log(1+u) for complex arrays, accurate for small |u|.
-
-    numpy's complex log1p computes log(1+u) verbatim and loses the real
-    part when |u| is near rounding scale.
-    """
-    u = np.asarray(u, dtype=complex)
-    small = np.abs(u) < 1e-4
-    if not small.any():
-        # the common case; skips the series on an empty selection, which
-        # costs dozens of numpy calls on a single point
-        return np.log(1.0 + u)
-    out = np.empty_like(u)
-    us = u[small]
-    acc = np.zeros_like(us)
-    term = np.ones_like(us)
-    for k in range(1, 9):
-        term = term * us
-        acc = acc + ((-1.0) ** (k - 1) / k) * term
-    out[small] = acc
-    out[~small] = np.log(1.0 + u[~small])
-    return out
-
-
 class DevelopingMap:
     """One family member: its connection, and the derivative, tail expansion
     and path integration of its developing map.
@@ -94,6 +73,7 @@ class DevelopingMap:
                 raise ValueError(f"prevertex must lie in the open first quadrant, got {z1}")
             self.K = float(K)
             self.beta = math.log(K) / (2j * math.pi)
+            self._b = math.log(K) / (2.0 * math.pi)
             self.poles = prevertex_ring(z1)
             p1, p2, p3, p4 = self.poles
             # numerators of the two Moebius ratios in log g'
@@ -104,14 +84,13 @@ class DevelopingMap:
             if not (x0 > 0 and tau > 0):
                 raise ValueError(f"need x0 > 0 and tau > 0, got {x0}, {tau}")
             self.K = math.inf
-            self.beta = 0j
             self.x0, self.tau = float(x0), float(tau)
             self.poles = (x0 + 0j, -x0 + 0j)
             self.slits = ()
         else:
             raise ValueError(f"unknown kind {kind!r}")
         # pole array and scale are fixed per member; the pointwise methods
-        # run once per tracker stage and must not rebuild them per call
+        # run once per lock-step round and must not rebuild them per call
         self._pole_array = np.array(self.poles, dtype=complex)
         self._pole_scale = 1.0 + max(abs(p) for p in self.poles)
         self.tail_radius = 10.0 * self._pole_scale
@@ -152,12 +131,25 @@ class DevelopingMap:
         return complex(out) if arr.ndim == 0 else out
 
     def _log_derivative(self, arr: np.ndarray):
-        """log g' on a complex ndarray, before the public methods' scalar conversion."""
+        """log g' on a complex ndarray, the pointwise methods' shared kernel."""
         offsets = self._pole_offsets(arr, 1e-13)
         if self.kind == "finite":
-            # both Moebius logs in one call: (z1-z4)/(w-z1) and (z3-z2)/(w-z3)
-            logs = _log1p_c(self._numerators / offsets[..., 0::2])
-            return self.beta * (logs[..., 0] + logs[..., 1])
+            # r = 1 + u, u = (z1-z4)/(w-z1) and (z3-z2)/(w-z3). ln|r|^2 takes
+            # log1p where |u| < 1e-3, where the plain log loses u's digits,
+            # and only there: near u = -1 x(2+x) cancels to log1p(-1) = -inf
+            u = self._numerators / offsets[..., 0::2]
+            x, y = u.real, u.imag
+            v = 1.0 + x
+            mod2 = np.log(v * v + y * y)
+            small = np.abs(u) < 1e-3
+            if small.any():
+                xs, ys = x[small], y[small]
+                mod2[small] = np.log1p(xs * (2.0 + xs) + ys * ys)
+            arg = np.arctan2(y, v)
+            out = np.empty(arr.shape, dtype=complex)
+            out.real = self._b * (arg[..., 0] + arg[..., 1])
+            out.imag = -0.5 * self._b * (mod2[..., 0] + mod2[..., 1])
+            return out
         # 1/(w-x0) - 1/(w+x0) written without cancellation at large w, with
         # w-x0 and w+x0 the pole offsets, divided one at a time as their
         # product overflows far out. They are arrays (0-d for a single
@@ -172,6 +164,7 @@ class DevelopingMap:
         return complex(out) if arr.ndim == 0 else out
 
     def derivative(self, w):
+        """g' = exp(log g'), principal branch. Scalar or ndarray."""
         arr = np.asarray(w, dtype=complex)
         out = np.exp(self._log_derivative(arr))
         return complex(out) if arr.ndim == 0 else out

@@ -49,9 +49,10 @@ distances between them are meaningful at that resolution.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Generator, Optional, Sequence, Tuple
+from typing import Dict, Generator, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -479,6 +480,16 @@ def _curve_and_stall(track: Generator) -> Generator[tuple, tuple, Tuple[np.ndarr
     return r.w, r.reason
 
 
+def _spiral_stops(name: str, theta_max: float) -> Iterator[Tuple[float, str]]:
+    """limit_image_cloud's (depth, label) stops of one spiral end, one at a time."""
+    yield 0.0, f"seam_{name}"
+    for n in itertools.count(1):
+        for depth, edge in ((2 * math.pi * n - 0.5 * math.pi, "a"), (2 * math.pi * n, "b")):
+            if not _within_depth(depth, theta_max):
+                return
+            yield depth, f"flank_{name}_n{n}{edge}"
+
+
 def limit_image_cloud(
     x0: float,
     tau: float,
@@ -513,7 +524,6 @@ def limit_image_cloud(
     """
     dev = DevelopingMap.merged_limit(x0, tau)
     cloud = CurveCloud()
-    n_max = max(1, int(round(theta_max / (2 * math.pi))))
 
     # the real-axis seed and its mirror start each side's two mouth curves
     # and the bridges of its two spiral assemblies
@@ -535,15 +545,7 @@ def limit_image_cloud(
         seam, orient = SPIRAL_SEAM[name]
         th = seam - 0.5 * math.pi * orient
         (w, g, gp), m = seeds["right" if corner.real > 0 else "left"], 0
-        # stops by depth from the seam: the seam, then the two edges of
-        # each sheet's rectangle window
-        stops = [(0.0, f"seam_{name}")]
-        for n in range(1, n_max + 2):
-            stops.append((2 * math.pi * n - 0.5 * math.pi, f"flank_{name}_n{n}a"))
-            stops.append((2 * math.pi * n, f"flank_{name}_n{n}b"))
-        for depth, label in stops:
-            if not _within_depth(depth, theta_max):
-                break
+        for depth, label in _spiral_stops(name, theta_max):
             angle = seam + orient * depth
             cap = min(0.05, 0.5 * tau / max(depth, math.pi))
             # bridge to the next stop angle, at least pi/2 on; not part of

@@ -263,6 +263,15 @@ class TestExitCodes:
         with pytest.raises(UsageError, match="^k_grid "):
             make_config("sweep", k_grid=f"1e1:1e3:{cli.MAX_SPAN_COUNT + 1}")
 
+    def test_density_limit_is_inclusive(self, tmp_path, capsys):
+        # render --k 2 --density 1e8 ran numpy out of memory in np.interp
+        assert make_config("render", k=2, density="1e5").density == cli.MAX_DENSITY == 1e5
+        with pytest.raises(UsageError, match="^density must be at most 100000"):
+            make_config("render", k=2, density=1.0000001e5)
+        assert main(["render", "--k", "2", "--density", "1e8", "--out", str(tmp_path / "u")]) == 2
+        assert capsys.readouterr().err.startswith("usage error: density ")
+        assert not (tmp_path / "u").exists()
+
     def test_unknown_flag_is_two(self, tmp_path):
         assert main(["solve", "--k", "2", "--frobnicate"]) == 2
 

@@ -1,5 +1,4 @@
 import cmath
-import math
 import re
 import warnings
 
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from affsurf.develop import DevelopingMap, _log1p_c
+from affsurf.develop import DevelopingMap
 from affsurf.quadrature import (
     _PAIR_WEIGHTS,
     GK_NODES,
@@ -286,12 +285,19 @@ def _same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _close_to_log1p(got: complex, u: complex) -> bool:
-    """Real and imaginary part each within 1e-12 relative of log(1+u)."""
-    re_ref = 0.5 * math.log1p(2 * u.real + abs(u) ** 2)
-    im_ref = math.atan2(u.imag, 1 + u.real)
-    return (got.real == pytest.approx(re_ref, rel=1e-12, abs=0)
-            and got.imag == pytest.approx(im_ref, rel=1e-12, abs=0))
+def _ratio_parts(dev: DevelopingMap, w: np.ndarray):
+    """u of both Moebius ratios r = 1 + u at each point, as the kernel forms
+    them, and the kernel's log g' rebuilt from the parts (x, y) of u by a
+    reference rule for ln|1+u|^2 and arg(1+u)."""
+    u = dev._numerators / (w[:, None] - dev._pole_array[0::2])
+
+    def assemble(mod2, arg):
+        out = np.empty(len(w), dtype=complex)
+        out.real = dev._b * (arg[:, 0] + arg[:, 1])
+        out.imag = -0.5 * dev._b * (mod2[:, 0] + mod2[:, 1])
+        return out
+
+    return u, assemble
 
 
 # the direct-solve limit parameters
@@ -333,6 +339,63 @@ class TestPoleGuard:
         assert out.shape == (0,)
 
 
+# solved prevertices, and the probes of the mpmath oracle: far field, mid
+# field, then 2x the pole clearance inward of each prevertex in ring order
+ORACLE_MEMBERS = {
+    2.0: 1.2480751115729267 + 0.7676444105598118j,
+    1e3: 1.8834468489387146 + 0.1579183269810614j,
+    1e6: 1.9066636028168291 + 0.07896314688048475j,
+    1e12: 1.9117075815487001 + 0.039472905519489496j,
+}
+ORACLE_FIELD = (1e4 + 2j, 3e5 - 1e5j, 1e7 + 3e6j, 1.5 + 0.7j, -2 + 3j, 0.3 - 0.4j, 5 + 1e-3j)
+# the error of log g' at each probe with numpy's complex log (measured
+# against mpmath at 40 digits, rounded up to two digits); at the zeros of
+# the ratios, z2 and z4, both kernels lose digits to 1 + u
+ORACLE_ERRORS = {
+    2.0: (1.4e-18, 2.5e-23, 4.2e-24, 1.8e-17, 9.5e-18, 3.8e-17, 7.2e-18,
+          1.5e-16, 6.4e-05, 1.5e-16, 6.4e-05),
+    1e3: (2.3e-21, 1.9e-23, 4e-24, 2.5e-17, 1.2e-16, 5.1e-17, 4.8e-17,
+          3.5e-15, 4.8e-05, 3.5e-15, 4.8e-05),
+    1e6: (6.8e-22, 1.7e-22, 4.4e-24, 3.2e-16, 3.5e-16, 5.6e-17, 6.2e-17,
+          7.6e-16, 3.2e-05, 7.6e-16, 3.2e-05),
+    1e12: (4.5e-21, 8.2e-23, 1.3e-24, 4e-16, 5.1e-18, 1.2e-16, 4.4e-17,
+           7.4e-15, 1.4e-04, 7.4e-15, 1.4e-04),
+}
+
+
+class TestKernelOracle:
+    @pytest.mark.parametrize("K", list(ORACLE_MEMBERS), ids=lambda K: f"K{K:g}")
+    def test_against_mpmath(self, K):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            self._check(mp, K)
+
+    @staticmethod
+    def _check(mp, K):
+        dev = DevelopingMap.from_aspect(K, ORACLE_MEMBERS[K])
+        clearance = 1e-13 * (1.0 + max(abs(p) for p in dev.poles))
+        probes = ORACLE_FIELD + tuple(p - 2.0 * clearance * p / abs(p) for p in dev.poles)
+        z1, z2, z3, z4 = (mp.mpc(p.real, p.imag) for p in dev.poles)
+        beta = mp.log(mp.mpf(K)) / (2j * mp.pi)
+        logs = dev.log_derivative(np.array(probes))
+        derivs = dev.derivative(np.array(probes))
+        for w, log_g, deriv, today in zip(probes, logs, derivs, ORACLE_ERRORS[K]):
+            wm = mp.mpc(w.real, w.imag)
+            l1, l2 = mp.log((wm - z4) / (wm - z1)), mp.log((wm - z2) / (wm - z3))
+            exact = beta * (l1 + l2)
+            # below today's error where that exceeds ten roundings of the
+            # two-ratio sum; beneath that floor the error is the luck of
+            # the last bits, not the kernel
+            floor = 10 * 2.0**-52 * float(abs(beta) * (abs(l1) + abs(l2)))
+            bound = max(today, floor)
+            err = float(abs(mp.mpc(log_g.real, log_g.imag) - exact))
+            assert err <= bound, (w, err, today, floor)
+            # g' = exp(log g'): its relative error adds exp's rounding
+            g = mp.exp(exact)
+            rel = float(abs(mp.mpc(deriv.real, deriv.imag) - g) / abs(g))
+            assert rel <= bound + 2.0**-51, (w, rel)
+
+
 _POINTS = st.lists(
     st.one_of(
         st.complex_numbers(max_magnitude=6.0, allow_nan=False, allow_infinity=False),
@@ -370,50 +433,88 @@ class TestScalarArrayAgreement:
 
 
 class TestSeries:
+    # the kernel of log g': one real log and one atan2 per Moebius ratio
+
     def test_log1p_zero_dim(self):
-        big, small = np.array(0.3 + 0.1j), np.array(1e-6 - 2e-6j)
-        assert np.ndim(_log1p_c(big)) == 0
-        assert _same_bits(_log1p_c(big), np.log(1 + big))
-        got = _log1p_c(small)
-        assert np.ndim(got) == 0
-        assert _close_to_log1p(complex(got), complex(small))
+        # a 0-d point comes back a complex equal to its element in an
+        # array; far out both ratios take the small-u log1p, near the poles
+        # neither does
+        for w in (1e5 + 3e4j, 0.9 + 0.6j):
+            for method in ("log_derivative", "derivative", "derivative_minus_one"):
+                got = getattr(K2, method)(np.array(w))
+                assert type(got) is complex
+                assert _same_bits(got, getattr(K2, method)(np.array([w]))[0])
 
     def test_log1p_all_large_is_plain_log(self):
-        u = np.array([1e-4, -1e-4j, 0.3 + 0.1j, -0.999, 5e3 - 7e2j])
-        assert _same_bits(_log1p_c(u), np.log(1 + u))
+        # every |u| >= 1e-3: the plain real log of |1+u|^2, and close to
+        # numpy's complex log of 1 + u
+        w = np.array([2.0 + 1j, -0.3 + 0.2j, 5 - 7j, 0.8 + 0.5j, 40 + 300j])
+        u, assemble = _ratio_parts(K2, w)
+        assert (np.abs(u) >= 1e-3).all()
+        v = 1 + u.real
+        plain = assemble(np.log(v * v + u.imag**2), np.arctan2(u.imag, v))
+        assert _same_bits(K2.log_derivative(w), plain)
+        clog = K2.beta * np.log(1 + u).sum(axis=1)
+        assert np.abs(K2.log_derivative(w) - clog).max() <= 8 * np.finfo(float).eps
 
     def test_log1p_all_small(self):
-        # where the plain log of 1 + u loses the real part to rounding
-        u = np.array([1e-18 + 1e-18j, -3e-9, 9.9e-5j, 7e-5 - 7e-5j])
-        got = _log1p_c(u)
-        assert got.shape == u.shape
-        for g, x in zip(got, u):
-            assert _close_to_log1p(complex(g), complex(x))
+        # every |u| < 1e-3: ln|1+u|^2 = log1p(x(2 + x) + y^2), where the
+        # plain log of |1 + u|^2 keeps only the digits of u above rounding
+        # (the far probes of TestKernelOracle measure the accuracy)
+        w = np.array([3e3 + 1e3j, -1e4 + 2e5j, 1e12 - 1e11j, 7e15j])
+        u, assemble = _ratio_parts(K2, w)
+        assert (np.abs(u) < 1e-3).all()
+        x, y = u.real, u.imag
+        arg = np.arctan2(y, 1 + x)
+        small = np.log1p(x * (2 + x) + y * y)
+        assert _same_bits(K2.log_derivative(w), assemble(small, arg))
+        plain = np.log((1 + x) ** 2 + y * y)
+        assert np.abs(plain[2:] / small[2:] - 1).min() > 1e-5
 
     def test_log1p_empty(self):
-        got = _log1p_c(np.array([], dtype=complex))
-        assert got.shape == (0,)
+        for method in ("log_derivative", "derivative", "derivative_minus_one"):
+            assert getattr(K2, method)(np.array([], dtype=complex)).shape == (0,)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
-        large=st.lists(st.complex_numbers(min_magnitude=1e-4, max_magnitude=1e6,
-                                          allow_nan=False, allow_infinity=False),
-                       min_size=1, max_size=8),
-        small=st.lists(st.complex_numbers(max_magnitude=9e-5, allow_nan=False,
-                                          allow_infinity=False), max_size=4),
+        near=st.lists(st.complex_numbers(max_magnitude=6.0, allow_nan=False, allow_infinity=False),
+                      min_size=1, max_size=8),
+        far=st.lists(st.complex_numbers(min_magnitude=2e3, max_magnitude=1e8,
+                                        allow_nan=False, allow_infinity=False), max_size=4),
     )
-    def test_log1p_large_elements_are_plain_log(self, large, small):
-        # with or without small neighbours in the same array
-        u = np.array(large + small, dtype=complex)
-        big = np.abs(u) >= 1e-4
-        assert _same_bits(_log1p_c(u)[big], np.log(1 + u[big]))
+    def test_log1p_large_elements_are_plain_log(self, near, far):
+        # with or without small-u neighbours in the same array
+        assume(all(min(abs(w - p) for p in K2.poles) > 1e-3 for w in near))
+        w = np.array(near + far, dtype=complex)
+        u, assemble = _ratio_parts(K2, w)
+        big = (np.abs(u) >= 1e-3).all(axis=1)
+        v = 1 + u.real
+        plain = assemble(np.log(v * v + u.imag**2), np.arctan2(u.imag, v))
+        assert _same_bits(K2.log_derivative(w)[big], plain[big])
 
     def test_log1p_small(self):
-        u = np.array([1e-18 + 1e-18j, 1e-6 - 2e-6j, 0.3 + 0.1j])
-        got = _log1p_c(u)
-        assert got[0] == pytest.approx(1e-18 + 1e-18j, rel=1e-12)
-        assert got[1] == pytest.approx(cmath.log(1 + 1e-6 - 2e-6j), rel=1e-12)
-        assert got[2] == pytest.approx(cmath.log(1.3 + 0.1j), rel=1e-14)
+        # in one array, points whose ratios both have |u| < 1e-3 take
+        # log1p and the others the plain log
+        w = np.array([1e9 + 1e9j, 2.0 + 1j, 3e3 - 1e3j, -0.3 + 0.2j])
+        u, assemble = _ratio_parts(K2, w)
+        x, y = u.real, u.imag
+        v = 1 + x
+        small = np.abs(u) < 1e-3
+        assert small.all(axis=1).tolist() == [True, False, True, False]
+        assert not (small.any(axis=1) & ~small.all(axis=1)).any()
+        mod2 = np.where(small, np.log1p(x * (2 + x) + y * y), np.log(v * v + y * y))
+        assert _same_bits(K2.log_derivative(w), assemble(mod2, np.arctan2(y, v)))
+
+    def test_log1p_near_minus_one_stays_finite(self):
+        # 2x the pole clearance from z2 and z4, the zeros of the ratios,
+        # x(2 + x) cancels and log1p would give -inf
+        clearance = 1e-13 * (1.0 + max(abs(p) for p in K2.poles))
+        zeros = np.array([p - 2.0 * clearance * p / abs(p) for p in K2.poles[1::2]])
+        got = K2.log_derivative(zeros)
+        assert np.isfinite(got).all()
+        # Im log g' = -(b/2)(ln|r1|^2 + ln|r2|^2), and the vanishing ratio
+        # has |r| near clearance / Im z1
+        assert (got.imag / K2._b > 25).all()
 
     def test_coefficients_against_highprec_oracle(self):
         mp = pytest.importorskip("mpmath")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -664,6 +665,31 @@ class TestLimitCloud:
             assert np.abs(whole.pieces[name] - pts).max() <= 1e-9, name
         assert whole.notes == ramp.notes
         assert whole.depths == ramp.depths
+
+    def test_spiral_stops_come_one_at_a_time(self):
+        # no list of every stop up to theta_max is built first: at 1e300
+        # the first stops come at once
+        first = list(itertools.islice(limitset._spiral_stops("ur", 1e300), 5))
+        assert first == [
+            (0.0, "seam_ur"),
+            (1.5 * math.pi, "flank_ur_n1a"), (2 * math.pi, "flank_ur_n1b"),
+            (3.5 * math.pi, "flank_ur_n2a"), (4 * math.pi, "flank_ur_n2b"),
+        ]
+        assert list(limitset._spiral_stops("bl", 2 * math.pi)) == [
+            (0.0, "seam_bl"), (1.5 * math.pi, "flank_bl_n1a"), (2 * math.pi, "flank_bl_n1b"),
+        ]
+
+    def test_deep_cutoff_stops_where_the_bridges_stall(self):
+        # every assembly's bridge stalls by sheet 135, so a cutoff of 1e9
+        # gives the cloud of 3000, piece for piece
+        deep = limit_image_cloud(X0, TAU, theta_max=1e9)
+        ref = limit_image_cloud(X0, TAU, theta_max=3000.0)
+        assert list(deep.pieces) == list(ref.pieces)
+        for name, pts in ref.pieces.items():
+            assert _same_bits(deep.pieces[name], pts), name
+        assert deep.notes == ref.notes
+        assert deep.depths == ref.depths
+        assert sum(note.startswith("unreached:") for note in deep.notes.values()) == 4
 
     def test_bridge_steps_are_not_set_by_a_ramp(self, monkeypatch):
         # a ramp up from 0.005 takes 504 accepted bridge steps at the
