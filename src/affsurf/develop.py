@@ -33,6 +33,7 @@ residues +-beta at finite aspect, two double poles at +-x0 in the limit.
 from __future__ import annotations
 
 import math
+import operator
 from functools import cached_property
 from typing import Sequence
 
@@ -178,39 +179,51 @@ class DevelopingMap:
     # -- expansion at infinity -----------------------------------------------
 
     @cached_property
-    def series_coefficients(self) -> np.ndarray:
-        """E_k with g' - 1 = sum_{k>=2} E_k w^{-k} (E_0 = 1, E_1 = 0)."""
-        n = SERIES_TERMS
-        p = np.zeros(n + 1, dtype=complex)
-        for k in range(2, n + 1):
-            if self.kind == "finite":
-                z1, z2, z3, z4 = self.poles
-                p[k] = self.beta * (z1**k - z4**k + z3**k - z2**k) / k
-            else:
-                p[k] = self.tau * (self.x0 ** (k - 1) - (-self.x0) ** (k - 1))
-        e = np.zeros(n + 1, dtype=complex)
-        e[0] = 1.0
+    def series_coefficients(self) -> tuple:
+        """E_k with g' - 1 = sum_{k>=2} E_k w^{-k} (E_0 = 1, E_1 = 0), as floats.
+
+        log g' = sum_k p_k w^{-k} with p_k = beta (z1^k - z4^k + z3^k - z2^k)/k
+        at finite aspect and tau (x0^(k-1) - (-x0)^(k-1)) in the limit, and
+        E_m = (1/m) sum_{j<=m} j p_j E_{m-j}. The prevertices come in
+        opposite pairs, z3 = -z1 and z2 = -z4 = -conj z1, so p_k vanishes
+        for odd k, and then so does every odd E_k: they are exactly 0. For
+        even k, p_k = 2 beta (z1^k - conj z1^k)/k = 4 b Im(z1^k)/k and, in
+        the limit, 2 tau x0^(k-1), both real. So the even terms alone run
+        the recursion, E_2n = (1/2n) sum_{i<=n} q_i E_2n-2i with
+        q_i = 2i p_2i, in Python floats.
+        """
+        n = SERIES_TERMS // 2
+        if self.kind == "finite":
+            z1 = self.poles[0]
+            q = [4.0 * self._b * (z1 ** (2 * i)).imag for i in range(1, n + 1)]
+        else:
+            q = [4.0 * i * self.tau * self.x0 ** (2 * i - 1) for i in range(1, n + 1)]
+        even = [1.0]
         for m in range(1, n + 1):
-            e[m] = sum(j * p[j] * e[m - j] for j in range(1, m + 1)) / m
-        return e
+            # q_1 E_2m-2 + ... + q_m E_0
+            even.append(sum(map(operator.mul, q, reversed(even))) / (2 * m))
+        e = [0.0] * (SERIES_TERMS + 1)
+        e[::2] = even
+        return tuple(e)
 
     def tail_integral(self, w: complex) -> complex:
         """Integral of g'-1 from infinity to w; g(w) = w + tail_integral(w).
 
         Valid for |w| >= tail_radius, where the expansion converges far past
-        machine precision.
+        machine precision. Only the even E_k are nonzero, so the sum
+        -sum_k E_k w^(1-k)/(k-1) is a polynomial in 1/w^2, times 1/w, taken
+        by Horner's rule.
         """
         w = complex(w)
         if abs(w) < 0.999 * self.tail_radius:
             raise ValueError(f"|w| = {abs(w):.3g} is inside the tail radius {self.tail_radius:.3g}")
         e = self.series_coefficients
-        acc = 0j
         iw = 1.0 / w
-        power = iw  # w^{1-k} starting at k = 2
-        for k in range(2, len(e)):
-            acc -= e[k] * power / (k - 1)
-            power *= iw
-        return acc
+        iw2 = iw * iw
+        acc = 0j
+        for k in range(2 * (SERIES_TERMS // 2), 1, -2):
+            acc = acc * iw2 - e[k] / (k - 1)
+        return acc * iw
 
     # -- branch-cut geometry ---------------------------------------------
 

@@ -269,32 +269,62 @@ def _axis_seeds(dev: DevelopingMap, d: complex) -> Tuple[Tuple[complex, complex,
     The crossing w = t*d solves Re g = 1 on the real axis
     (_real_crossing) and Im g = 1 on the imaginary one, keeping the g the
     solve left. Only the first value the solve takes comes from
-    develop_at; every later one is developed from the nearest value
-    already developed on the axis, along the axis segment between them,
-    with a share of _SEED_TOL proportional to the segment's length, as
-    develop spreads its tolerance along a path. No such segment meets a
-    slit: the real axis is searched right of the prevertex, and the
-    imaginary axis lies between the slits. The mirror's seed is the
-    reflection of the solved one, (-conj w, -conj g) or (conj w, conj g),
-    since g(-conj w) = -conj g(w) and g(conj w) = conj g(w). Each seed's
-    slope g' is dev.derivative at that seed, the mirror's evaluated at the
-    mirror rather than reflected, and is the slope0 of every track started
+    develop_at (on a finite map's imaginary axis, the centre's); every
+    later one is developed from the nearest value already developed on
+    the axis, along the axis segment between them, with a share of
+    _SEED_TOL proportional to the segment's length, as develop spreads
+    its tolerance along a path. No such segment meets a slit: the real
+    axis is searched right of the prevertex, and the imaginary axis lies
+    between the slits. The mirror's seed is the reflection of the solved
+    one, (-conj w, -conj g) or (conj w, conj g), since g(-conj w) =
+    -conj g(w) and g(conj w) = conj g(w). Each seed's slope g' is
+    dev.derivative at that seed, the mirror's evaluated at the mirror
+    rather than reflected, and is the slope0 of every track started
     there; no slit passes through a seed. At the square, where g is the
     identity, the crossings are 1 and i.
 
-    On the imaginary axis the crossing height sinks like 1.44/K as the top
-    edge flattens onto the real axis, so the inner bracket end is 1e-9 up
-    to K = 1e7 and 1e-2/K beyond. Im g(i v) dips below the edge height
-    near v = 0 by only about 0.05/K, and from about K = 1e11 the errors of
-    the prevertex solve and of the developed values, 1e-11 to 1e-12 at the
-    inner end, are larger than the dip. The bracket still changes sign, but
-    the root found is where those errors cross zero: v*K reads 1.43 at
-    K = 1e10, 5.3 at 1e11, 25 at 1e12 and 3.5e4 at 1e16. Its developed
-    value still lies on the top edge to within those errors, so it remains
-    a seed on the boundary.
+    On a finite map's imaginary axis the crossing sinks like 1.438/K as
+    the top edge flattens onto the real axis: measured, Im g(iv) - 1 is
+    about -1/K as v -> 0, rises with slope g' ~ 0.695 and crosses zero at
+    vK ~ 1.438. That solve starts at the rectangle's centre w = 0: only
+    g(0) comes from develop_at, and the solve finds Im g(0) + Im h(v) = 1
+    for h(v) = g(iv) - g(0), developed from h(0) = 0 with the same
+    nearest-value rule and a Brent tolerance 1e-13 times the level
+    1 - Im g(0). h carries its relative accuracy at every aspect, and the
+    seed is g(0) + h, in the frame of develop_at like the real-axis seed.
+    The reflection w -> conj w maps the surface to itself and exchanges
+    the top and bottom sides, so the real segment between the slits,
+    which it fixes, is the preimage of the rectangle's horizontal midline
+    Im z = 0; the top gluing z -> z + i - i/K (surface.gluing_map) carries
+    that line to Im g = 1 - 1/K, and w -> -conj w fixes the imaginary
+    axis, where Re g = 0. So g(0) = i - i/K for the exact member, and
+    g(0) keeps only the imaginary part of develop_at's value, whose real
+    part is rounding: the two top tracks leave the seed in opposite
+    directions, and near the corners, where |g'| falls to about 1e-9 at
+    far aspects, a start 4e-15 off the mirror line split them by up to
+    1.5e-5. For a prevertex solved to residual r, develop_at(0) differs
+    from i - i/K by at most about 0.41 r (measured from K = 1.5 to 1e300;
+    up to 0.98 r for prevertices moved off the solution), which from
+    about K = 1e11 is larger than 1/K. Where it is, the crossing follows
+    the solve's error, at vK ~ 5.3 for K = 1e11 and ~ 4e4 for 1e16, and
+    where that error lifts g(0) onto or above the top edge, so that no
+    crossing lies above the centre, the seed is taken from i - i/K + h
+    instead, and lies off develop_at's frame, and the left and right
+    sides, by that error. The limit, whose g(0) this does not establish,
+    solves Im g = 1 from develop_at(0).
     """
-    # g at every t tried: _brent returns one of them
-    values: Dict[float, complex] = {}
+    if dev.kind == "finite" and d != 1:
+        # values hold h = g - g(0), and the solve finds Im g(0) + Im h = 1;
+        # Re g(0) = 0 by the reflection w -> -conj w
+        base = 1j * complex(dev.develop_at(0j)).imag
+        level = 1.0 - base.imag
+        if not level > 0.0:
+            # the developed centre lies on or above the top edge
+            base, level = 1j - 1j / dev.K, 1.0 / dev.K
+        values = {0.0: 0j}
+    else:
+        # values hold g at every t tried: _brent returns one of them
+        base, level, values = 0j, 1.0, {}
 
     def f(t: float) -> float:
         if t not in values:
@@ -304,8 +334,8 @@ def _axis_seeds(dev: DevelopingMap, d: complex) -> Tuple[Tuple[complex, complex,
                 values[t] = values[near] + integrate_segment(dev.derivative, near * d, t * d, share)
             else:
                 values[t] = complex(dev.develop_at(complex(t * d)))
-        g = values[t]
-        return (g.real if d == 1 else g.imag) - 1.0
+        v = values[t]
+        return (v.real if d == 1 else v.imag) - level
 
     if dev.K == 1.0:
         t = 1.0
@@ -313,8 +343,8 @@ def _axis_seeds(dev: DevelopingMap, d: complex) -> Tuple[Tuple[complex, complex,
     elif d == 1:
         t = _real_crossing(dev, f)
     else:
-        t = _brent(f, min(1e-9, 1e-2 / dev.K), 0.95 * dev.tail_radius, 1e-13)
-    w, g = complex(t * d), values[t]
+        t = _brent(f, 0.0, 0.95 * dev.tail_radius, 1e-13 * level)
+    w, g = complex(t * d), base + values[t]
     if d == 1:
         w_mirror, g_mirror = -w.conjugate(), -g.conjugate()
     else:

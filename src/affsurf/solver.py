@@ -15,6 +15,7 @@ rank-one updates carry it from step to step.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -37,34 +38,89 @@ class SolveResult:
     converged: bool
 
 
+# samples of the ray's analytic factor H on the circle |t| = 2r, and the
+# DFT matrix that takes them to the scaled Taylor coefficients c_k r^k =
+# (1/64) sum_j H(2r e^(2 pi i j/64)) e^(-2 pi i jk/64) / 2^k; its entries
+# are the sample points' conjugates, indexed by jk mod 64
+_END_SAMPLES = 64
+_END_CIRCLE = np.exp(2j * np.pi * np.arange(_END_SAMPLES) / _END_SAMPLES)
+_END_DFT = np.conj(
+    _END_CIRCLE[np.arange(_END_SAMPLES)[:, None] * np.arange(_END_SAMPLES) % _END_SAMPLES]
+) / (_END_SAMPLES * 2.0 ** np.arange(_END_SAMPLES)[:, None])
+
+
+def _ray_factor(z1: complex, b: float, t):
+    """H(t) = (2 Im z1 + t)^beta ((2 Re z1 + it)/(2 z1 + it))^beta, beta = -i b.
+
+    The analytic factor of g'(z1 + it) = t^(-beta) H(t) (corner_residual).
+    All three factors have positive real part for |t| < rho = 2 min(Re z1,
+    Im z1), and their arguments stay within pi/6 of their values at t = 0
+    on |t| <= rho/2, so arg A of their product A lies in (-pi, pi/2) there
+    and beta Log A = b arg A - i (b/2) ln|A|^2 is analytic: one real log
+    and one atan2 per point, as in the developing map's kernel.
+    """
+    a = (2.0 * z1.imag + t) * (2.0 * z1.real + 1j * t) / (2.0 * z1 + 1j * t)
+    x, y = a.real, a.imag
+    return np.exp(b * np.arctan2(y, x) - 0.5j * b * np.log(x * x + y * y))
+
+
 def corner_residual(K: float, prevertex: complex, quad_tol: float = 1e-12) -> complex:
     """g(prevertex) - (1+i), approached along the vertical ray from above.
 
     The ray runs from the tail radius, where the tail expansion supplies
-    g, down to delta = 1e-12*(1+|prevertex|) above the prevertex; since
-    |g'| <= 1 on the ray the truncation error is below delta. Near the
-    prevertex g' ~ (w - z1)^(-beta) h(w) with beta purely imaginary, so
-    it oscillates in log|w - z1|. The first quadrature level is therefore
-    graded geometrically, in the Schwarz-Christoffel manner: break points
-    at distances from z1 halving from tail_radius - Im z1 down to delta,
-    about 43 panels on each of which the integrand is smooth, so one or two
-    refinement levels finish the ray. The quadrature error budget is
-    quad_tol, shared over the ray in proportion to panel length with a
-    floor of 1e-4*quad_tol per panel; with the truncation the residual is
-    accurate to about quad_tol + delta.
+    g, down to the prevertex z1. On it, with w = z1 + it, t > 0, the two
+    Moebius ratios of g' are (w-z4)/(w-z1) = (2 Im z1 + t)/t, a positive
+    real, and (w-z2)/(w-z3) = (2 Re z1 + it)/(2 z1 + it), whose factors
+    both lie in the first quadrant, so the principal logs split and
+
+        g'(z1 + it) = t^(-beta) H(t),
+        H(t) = (2 Im z1 + t)^beta ((2 Re z1 + it)/(2 z1 + it))^beta,
+
+    with beta = log K/(2 pi i) purely imaginary, so |t^(-beta)| = 1. The
+    singular factor t^(-beta) oscillates in log t; H is analytic on
+    |t| < rho = 2 min(Re z1, Im z1), where its nearest branch point lies
+    (_ray_factor). The ray is split at z1 + ir, r = rho/(4 max(1, |beta|)).
+
+    The head, from the tail radius down to z1 + ir, is integrated by GK15
+    on a first level graded geometrically in the distance t from z1, in
+    the Schwarz-Christoffel manner, at a ratio of at most sqrt(2): on each
+    panel the integrand is smooth enough that the first level is accepted
+    up to about K = 1e11; from about 1e30, where t^(-beta) turns by
+    several radians a panel, it is refined. Its error budget is quad_tol.
+
+    The end, from z1 + ir to z1, is product integration of the known
+    singular factor (Trefethen, SIAM J. Sci. Stat. Comput. 1, 1980):
+    with H = sum c_k t^k,
+
+        int_{z1+ir}^{z1} g' dw = -i sum_k c_k r^(k+1-beta)/(k+1-beta).
+
+    The c_k r^k come from 64 samples of H on |t| = 2r through a fixed
+    DFT matrix. Why r shrinks with |beta|: |H(t)| = exp(b arg A(t)) with
+    b = |beta| (_ray_factor), and on |t| = s each of A's three factors
+    turns by at most asin(s/rho) from its value at t = 0, so |H| can
+    grow by up to exp(3 b asin(s/rho)). At s = rho/2, the circle of a
+    plain r = rho/4, that is K^(1/4), and the series would lose as many
+    digits. At s = 2r = rho/(2 max(1, |beta|)) it is at most e^(pi/2) at
+    any aspect, and |H(0)| = exp(-b arg z1) <= 1. So Cauchy's bound on
+    that circle gives |c_k| r^k <= e^(pi/2) 2^(-k), and with
+    r <= Im z1/2 <= 1/2 on the family the terms after the first n add at
+    most 5 * 2^(-n)/(n+1); n = log2(1/quad_tol) terms keep that below
+    quad_tol. Aliasing from the 64 samples is below 2^-64 in the same
+    scale, so the whole residual is accurate to about quad_tol.
     """
     z1 = complex(prevertex)
     dev = DevelopingMap.from_aspect(K, z1)
-    delta = 1e-12 * (1.0 + abs(z1))
+    r = 2.0 * min(z1.real, z1.imag) / (4.0 * max(1.0, abs(dev.beta)))
     anchor = complex(z1.real, dev.tail_radius)
-    end = z1 + 1j * delta
-    grid = []
-    d = 0.5 * (dev.tail_radius - z1.imag)
-    while d > 2.0 * delta:
-        grid.append(z1 + 1j * d)
-        d *= 0.5
-    ray = integrate_segment(dev.derivative, anchor, end, quad_tol, points=grid)
-    return anchor + dev.tail_integral(anchor) + ray - CORNER_TARGET
+    top = dev.tail_radius - z1.imag
+    panels = math.ceil(2.0 * math.log2(top / r))
+    grid = z1 + 1j * r * (top / r) ** (np.arange(1, panels) / panels)
+    head = integrate_segment(dev.derivative, anchor, z1 + 1j * r, quad_tol, points=grid)
+    terms = min(_END_SAMPLES, max(1, math.ceil(-math.log2(quad_tol))))
+    coeffs = _END_DFT[:terms] @ _ray_factor(z1, dev._b, 2.0 * r * _END_CIRCLE)
+    k1 = np.arange(1, terms + 1) - dev.beta
+    end = -1j * r * cmath.exp(-dev.beta * math.log(r)) * complex(np.sum(coeffs / k1))
+    return anchor + dev.tail_integral(anchor) + head + end - CORNER_TARGET
 
 
 # an accepted step that leaves |r| above this fraction of its previous

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from affsurf.develop import DevelopingMap
+from affsurf.develop import SERIES_TERMS, DevelopingMap
 from affsurf.quadrature import (
     _PAIR_WEIGHTS,
     GK_NODES,
@@ -74,6 +74,20 @@ def _wave(omega):
 
 
 class TestQuadrature:
+    def test_rule_weights_to_full_precision(self):
+        # the Kronrod rule integrates x^k exactly up to k = 22 and the
+        # embedded Gauss rule up to k = 13, each to a few ulp; weights cut
+        # to 15 digits summed to 2 - 6e-15
+        gauss = _PAIR_WEIGHTS[:, 1]
+        for k in range(0, 23):
+            exact = (1.0 - (-1.0) ** (k + 1)) / (k + 1)
+            assert abs(GK_WEIGHTS @ GK_NODES**k - exact) <= 4e-16, k
+            if k <= 13:
+                assert abs(gauss @ GK_NODES**k - exact) <= 4e-16, k
+        x, w = np.polynomial.legendre.leggauss(7)
+        assert np.abs(GK_NODES[1::2] - x).max() <= 2.3e-16
+        assert np.abs(gauss[1::2] - w).max() <= 4.5e-16
+
     def test_polynomial_exact_in_one_panel(self):
         val = integrate_segment(lambda w: 3 * w**2 + 2 * w, 1 - 1j, 2 + 1j)
         a, b = 1 - 1j, 2 + 1j
@@ -406,6 +420,15 @@ _POINTS = st.lists(
 )
 
 
+def _assert_series_matches(e, coeffs):
+    """Even E_k within 1e-14 relative of the oracle's; odd ones 0 where its are noise."""
+    for k in range(2, SERIES_TERMS + 1):
+        if k % 2:
+            assert e[k] == 0.0 and abs(coeffs[k]) < 1e-30, k
+        else:
+            assert abs(e[k] - coeffs[k]) <= 1e-14 * abs(coeffs[k]), k
+
+
 class TestScalarArrayAgreement:
     # an axis seed's slope is a single point and every tracker chord an
     # array of nodes and its end, so a point must develop the same way in
@@ -517,6 +540,9 @@ class TestSeries:
         assert (got.imag / K2._b > 25).all()
 
     def test_coefficients_against_highprec_oracle(self):
+        # every even coefficient to 1e-14 relative, and every odd one
+        # exactly 0 where the oracle's is 40-digit noise: the prevertices
+        # come in opposite pairs, and in the limit so do the singular points
         mp = pytest.importorskip("mpmath")
         K, z1 = 2.0, mp.mpc("0.8", "0.55")
         beta = mp.log(K) / (2j * mp.pi)
@@ -529,12 +555,31 @@ class TestSeries:
                 beta * (mp.log((1 - z4 * u) / (1 - z1 * u)) + mp.log((1 - z2 * u) / (1 - z3 * u)))
             )
 
-        coeffs = mp.taylor(f, 0, 8)
-        d = DevelopingMap.from_aspect(2.0, 0.8 + 0.55j)
-        e = d.series_coefficients
-        assert abs(e[1]) < 1e-15
-        for k in range(2, 9):
-            assert complex(coeffs[k]) == pytest.approx(complex(e[k]), abs=1e-12)
+        with mp.workdps(40):
+            coeffs = [complex(c) for c in mp.taylor(f, 0, SERIES_TERMS)]
+        e = DevelopingMap.from_aspect(2.0, 0.8 + 0.55j).series_coefficients
+        assert len(e) == SERIES_TERMS + 1
+        _assert_series_matches(e, coeffs)
+
+    @pytest.mark.parametrize("dev", [K2, LIMIT, DevelopingMap.from_aspect(1e12, 1.91 + 0.0395j)],
+                             ids=["finite", "limit", "far"])
+    def test_odd_coefficients_vanish(self, dev):
+        e = dev.series_coefficients
+        assert e[0] == 1.0
+        assert all(e[k] == 0.0 for k in range(1, SERIES_TERMS + 1, 2))
+        assert all(e[k] != 0.0 for k in range(2, SERIES_TERMS + 1, 2))
+
+    def test_limit_coefficients_against_highprec_oracle(self):
+        mp = pytest.importorskip("mpmath")
+        x0, tau = mp.mpf("0.5"), mp.mpf("0.6")
+
+        def f(u):
+            # g'(1/u) = exp(tau/(1/u - x0) - tau/(1/u + x0))
+            return mp.exp(tau * u / (1 - x0 * u) - tau * u / (1 + x0 * u))
+
+        with mp.workdps(40):
+            coeffs = [complex(c) for c in mp.taylor(f, 0, SERIES_TERMS)]
+        _assert_series_matches(DevelopingMap.merged_limit(0.5, 0.6).series_coefficients, coeffs)
 
     def test_tail_matches_quadrature(self):
         d = K2

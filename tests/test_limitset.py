@@ -27,7 +27,7 @@ from affsurf.limitset import (
     rectangle_image_boundary,
     resample_curve,
 )
-from affsurf.solver import continuation_sweep, extract_limit, solve_prevertex
+from affsurf.solver import continuation_sweep, corner_residual, extract_limit, solve_prevertex
 from affsurf.surface import SPIRAL_SEAM
 from affsurf.tracking import level_curve_track, lock_step, track_level_curve
 
@@ -426,18 +426,65 @@ class TestFiniteBoundary:
         assert calls["per_axis"] == [1, 1]
         assert calls["develop_at"] == 2
 
-    @pytest.mark.parametrize("K", [2.0, 1e3, 1e6, 1e10, 1e16, None])
+    @pytest.mark.parametrize("K", [2.0, 1e3, 1e6, 1e10, 1e16, 1e30, None])
     def test_seed_values_match_develop_at(self, K):
         # every later Brent value is developed from the nearest one on the
         # axis, not from infinity; each seed still lies within 1e-13 of
-        # develop_at there (measured at most 8e-15; K None is the limit,
-        # whose cloud seeds on the real axis only); each seed's slope is
-        # the single-point derivative there, bit for bit
+        # develop_at there (measured at most 1.1e-14; K None is the limit,
+        # whose cloud seeds on the real axis only), and there the developed
+        # value lies on its side's edge; each seed's slope is the
+        # single-point derivative there, bit for bit
         dev = DevelopingMap.merged_limit(X0, TAU) if K is None else DevelopingMap.from_aspect(K, _prevertex(K))
         for d in (1,) if K is None else (1, 1j):
             for w, g, slope in _axis_seeds(dev, d):
-                assert abs(g - complex(dev.develop_at(w))) <= 1e-13, (d, w)
+                developed = complex(dev.develop_at(w))
+                assert abs(g - developed) <= 1e-13, (d, w)
+                assert abs(abs(developed.real if d == 1 else developed.imag) - 1.0) <= 1e-13, (d, w)
                 assert _same_bits(slope, dev.derivative(w)), (d, w)
+
+    @pytest.mark.parametrize("K", [1.5, 1e3, 1e16, 1e300])
+    def test_centre_value(self, K):
+        # the upper seed's start: w = 0 develops to the rectangle's centre
+        # carried through the top gluing, g(0) = i - i/K, to the accuracy
+        # of the member's corner condition, at most 0.41 of its residual
+        # (measured from K = 1.5 to 1e300) over develop_at's own error
+        # (measured at most 8.2e-15 on members solved to 1e-13)
+        for tol, quad_tol, bound in ((1e-10, 1e-12, None), (1e-13, 1e-14, 1e-13)):
+            res = solve_prevertex(K, tol=tol, quad_tol=quad_tol)
+            dev = DevelopingMap.from_aspect(K, res.prevertex)
+            defect = abs(complex(dev.develop_at(0j, tol=1e-12)) - (1j - 1j / K))
+            assert defect <= (0.5 * res.residual + 1e-14 if bound is None else bound), (tol, defect)
+
+    @pytest.mark.parametrize("K", [1e15, 1e16])
+    def test_far_boundary_is_mirror_symmetric(self, K):
+        # the two top tracks leave the upper seed in opposite directions
+        # into corners where |g'| falls to about 1e-9; with g(0) taken
+        # whole from develop_at, the rounding in its real part (4e-15)
+        # split them by 1.6e-6 at 1e15 (measured 4.8e-11 and 2.3e-9 with
+        # Re g(0) = 0), against the reflection-symmetry bound 1e-6
+        pts = rectangle_image_boundary(DevelopingMap.from_aspect(K, _prevertex(K))).points
+        assert hausdorff_distance(pts, -np.conj(pts)) < 1e-6
+
+    @pytest.mark.parametrize("K", [1e16, 1e30])
+    def test_upper_seed_when_the_centre_develops_too_high(self, K):
+        # a prevertex 1e-11 above the solution lifts the developed centre
+        # g(0) above the top edge by more than 1/K, so no crossing of
+        # Im g = 1 lies above it: the upper seed then starts from the
+        # exact centre i - i/K, crosses at vK ~ 1.438, and lies off
+        # develop_at by the centre's defect, which the corner residual
+        # bounds; the boundary completes
+        z1 = _prevertex(K) + 1e-11j
+        dev = DevelopingMap.from_aspect(K, z1)
+        centre = complex(dev.develop_at(0j))
+        assert centre.imag > 1.0
+        (w, g, slope), _ = _axis_seeds(dev, 1j)
+        assert abs(w.imag * K - 1.438) < 0.01
+        assert abs(g.imag - 1.0) <= 1e-15
+        defect = abs(centre - (1j - 1j / K))
+        assert abs(abs(g - complex(dev.develop_at(w))) - defect) <= 1e-13
+        assert defect <= abs(corner_residual(K, z1, 1e-14))
+        cloud = rectangle_image_boundary(dev)
+        assert len(cloud.points) > 0
 
     def test_stages_reuse_the_last_slope(self, monkeypatch):
         # each stage, bridge and ray starts from the slope its predecessor

@@ -63,20 +63,26 @@ class TestSolve:
     @pytest.mark.parametrize(
         "K, z1", [(2.0, Z1_K2), (5.0, Z1_K5), (1e3, Z1_K1000), (1e6, Z1_K1E6)]
     )
-    def test_graded_ray_matches_plain_bisection(self, K, z1):
-        # reference: the same ray by plain bisection at a tenfold stricter
-        # tolerance, without break points
-        dev = DevelopingMap.from_aspect(K, z1)
-        anchor = complex(z1.real, dev.tail_radius)
-        end = z1 + 1e-12j * (1.0 + abs(z1))
-        ray = integrate_segment(dev.derivative, anchor, end, 1e-13)
-        reference = anchor + dev.tail_integral(anchor) + ray - (1 + 1j)
-        assert abs(corner_residual(K, z1) - reference) < 1e-12
+    def test_graded_ray_matches_plain_bisection(self, K, z1, monkeypatch):
+        # the ray's head on its graded first level against the same
+        # segment by plain bisection at a tenfold stricter tolerance,
+        # without break points
+        heads = []
+
+        def recorded(f, a, b, tol, **kwargs):
+            heads.append((f, a, b, integrate_segment(f, a, b, tol, **kwargs)))
+            return heads[-1][-1]
+
+        monkeypatch.setattr(solver, "integrate_segment", recorded)
+        corner_residual(K, z1)
+        (f, a, b, head), = heads
+        assert abs(head - integrate_segment(f, a, b, 1e-13)) < 1e-12
 
     @pytest.mark.parametrize("K, z1", [(2.0, Z1_K2), (5.0, Z1_K5), (1e3, Z1_K1000)])
     def test_residual_makes_few_derivative_calls(self, K, z1, monkeypatch):
-        # one vectorised call per refinement level on a graded first level;
-        # per-panel evaluation would take over a hundred calls
+        # the head's graded first level is accepted, and the end takes no
+        # derivative at all; per-panel evaluation would take over a
+        # hundred calls
         calls = []
         derivative = DevelopingMap.derivative
 
@@ -86,7 +92,7 @@ class TestSolve:
 
         monkeypatch.setattr(DevelopingMap, "derivative", counted)
         corner_residual(K, z1)
-        assert 1 <= len(calls) <= 4
+        assert 1 <= len(calls) <= 2
 
     def test_tolerance_must_exceed_quadrature_tolerance(self):
         with pytest.raises(ArithmeticError, match="residual"):
@@ -102,6 +108,84 @@ class TestSolve:
             solve_prevertex(0.5)
         with pytest.raises(ValueError):
             solve_prevertex(math.inf)
+
+
+# from near the square to the far end, where the ray's end shrinks with
+# |beta| (at 1e300, |beta| = 110)
+ORACLE_ASPECTS = [1 + 1e-8, 2.0, 1e3, 1e6, 1e11, 1e30, 1e300]
+
+
+def _oracle_residual(mp, K, z1):
+    """g(z1) - (1+i) with an end independent of the series.
+
+    The head down to z1 + ic, c = min(Re z1, Im z1)/(2 max(1, |beta|)), by
+    integrate_segment at 1e-14, and the end, -i times the integral of
+    t^(-beta) H(t) over [0, c], by mpmath.quad after t = e^(-s), on
+    intervals of two turns of the phase b*s each.
+    """
+    dev = DevelopingMap.from_aspect(K, z1)
+    c = 0.5 * min(z1.real, z1.imag) / max(1.0, abs(dev.beta))
+    anchor = complex(z1.real, dev.tail_radius)
+    head = integrate_segment(dev.derivative, anchor, z1 + 1j * c, 1e-14)
+    with mp.workdps(20):
+        x, y = mp.mpf(z1.real), mp.mpf(z1.imag)
+        beta = mp.log(mp.mpf(K)) / (2j * mp.pi)
+
+        def integrand(s):
+            t = mp.exp(-s)
+            logs = mp.log(2 * y + t) + mp.log(2 * x + 1j * t) - mp.log(2 * mp.mpc(x, y) + 1j * t)
+            h = mp.exp(beta * logs)
+            return mp.exp(-s * (1 - beta)) * h
+
+        # past s = 40 the end adds at most e^-40 e^(pi/2), below 1e-16
+        s0, s1 = -mp.log(c), 40
+        n = int(math.ceil((s1 - s0) * max(1.0, dev._b) / (4 * math.pi)))
+        end = mp.quad(integrand, mp.linspace(s0, s1, n + 1), method="gauss-legendre")
+        end += mp.quad(integrand, [s1, mp.inf])
+    return anchor + dev.tail_integral(anchor) + head - 1j * complex(end) - (1 + 1j)
+
+
+class TestResidualOracle:
+    @pytest.mark.parametrize("K", ORACLE_ASPECTS, ids=lambda K: f"K{K:g}")
+    def test_residual_matches_oracle(self, K):
+        # the closed-form end against mpmath (measured at most 1.5e-14), at
+        # the start each solve takes, which lies near the solution
+        mp = pytest.importorskip("mpmath")
+        z1 = solver._start(K)
+        assert abs(corner_residual(K, z1) - _oracle_residual(mp, K, z1)) < 1e-13
+
+    @pytest.mark.parametrize("K", ORACLE_ASPECTS, ids=lambda K: f"K{K:g}")
+    def test_ray_factor_takes_the_principal_branch(self, K):
+        # t^(-beta) H(t) is the principal g' along the ray, from the end's
+        # radius r down to the pole clearance and up to the tail radius
+        z1 = solver._start(K)
+        dev = DevelopingMap.from_aspect(K, z1)
+        r = 0.5 * min(z1.real, z1.imag) / max(1.0, abs(dev.beta))
+        w = z1 + 1j * np.geomspace(1e-12, dev.tail_radius - z1.imag, 60)
+        # the distance of each w as rounded, which the kernel sees
+        t = (w - z1).imag
+        split = np.exp(-dev.beta * np.log(t)) * solver._ray_factor(z1, dev._b, t.astype(complex))
+        # both sides round the phase b*ln(t), up to 3,000 radians at 1e300
+        floor = 10 * 2.0**-52 * dev._b * np.abs(np.log(t))
+        assert (np.abs(split / dev.derivative(w) - 1) < np.maximum(1e-13, floor)).all()
+        assert t[0] < r < t[-1]
+
+    def test_end_series_needs_the_beta_scaled_radius(self):
+        # at K = 1e300 the solve lands in the open quadrant with a small
+        # residual; a plain r = rho/4 there puts |H| up to K^(1/4) on the
+        # sampling circle, where the scaled radius keeps it below e^(pi/2)
+        res = solve_prevertex(1e300)
+        assert res.prevertex.real > 0 and res.prevertex.imag > 0
+        assert res.residual < 1e-10
+        z1 = res.prevertex
+        dev = DevelopingMap.from_aspect(1e300, z1)
+        rho = 2.0 * min(z1.real, z1.imag)
+        scaled, plain = (
+            np.abs(solver._ray_factor(z1, dev._b, 2.0 * r * solver._END_CIRCLE)).max()
+            for r in (rho / (4.0 * abs(dev.beta)), rho / 4.0)
+        )
+        assert scaled <= math.exp(math.pi / 2)
+        assert plain > 1e6
 
 
 def _count_calls(monkeypatch, name):

@@ -66,5 +66,9 @@ python -m affsurf limit --theta-max 6.283185307179586 --out limit2pi
 exits 2 python -m affsurf verify --tol-solver 1e-6 --tol-quad 1e-8 --out verifytol
 # top and bottom approaches clipped 1e-303 from the corners: stage chains end at float64 resolution
 python -m affsurf render --k 1e300 --format txt --density 30 --out render1e300
+# the upper axis crossing at 1.44e-30, solved from the rectangle's centre
+python -m affsurf render --k 1e30 --format txt --density 30 --out render1e30
+# |beta| = 110: the residual's closed-form end shrinks its radius with |beta|
+python -m affsurf solve --k 1e300 --out solvefar
 # cutoff 3 against its alternative 2 pi moves the final distance 0.0296 by 0.0097, over a fifth: inconclusive (exit 1)
 exits 1 python -m affsurf hausdorff --theta-max 3 --out hausdorff3
