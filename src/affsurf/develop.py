@@ -121,14 +121,15 @@ class DevelopingMap:
     def connection(self, w):
         """The rational connection g''/g' = d/dw log g'. Scalar or ndarray."""
         arr = np.asarray(w, dtype=complex)
-        self._pole_offsets(arr, 1e-12)
+        offsets = self._pole_offsets(arr, 1e-12)
         if self.kind == "finite":
             out = np.zeros_like(arr)
-            for sign, p in zip(PREVERTEX_SIGNS, self.poles):
-                out += sign / (arr - p)
+            for k, sign in enumerate(PREVERTEX_SIGNS):
+                out += sign / offsets[..., k]
             out *= self.beta
         else:
-            out = -self.tau / (arr - self.x0) ** 2 + self.tau / (arr + self.x0) ** 2
+            # w - x0 and w + x0, 0-d arrays for a single point, as in _log_derivative
+            out = -self.tau / offsets[..., 0] ** 2 + self.tau / offsets[..., 1] ** 2
         return complex(out) if arr.ndim == 0 else out
 
     def _log_derivative(self, arr: np.ndarray):

@@ -26,7 +26,7 @@ steps, not the 804 of a ramp up from 0.02 in every stage, at the same
 largest deviation from a track on an eight times smaller step cap.
 Every track that starts where another one ended (a stage, a bridge, a
 stop's two rays) also starts from the slope g' that track ended on
-(TrackResult.slope), and every track from an axis seed from the seed's
+(TrackResult.end), and every track from an axis seed from the seed's
 slope, so a cloud evaluates one single-point slope per seed: four per
 boundary and two per limit cloud, where starting afresh took 80 at
 K = 1e6 and 128 in the default limit cloud.
@@ -401,8 +401,8 @@ def _track_toward_corner(
     singular point). The stages are alike on their shrinking scales, so
     each one after the first starts at the step in s its previous stage
     had grown to (TrackResult.next_step) instead of ramping up again from
-    the first stage's 0.02, and from the slope that stage ended on
-    (TrackResult.slope); the first stage starts from the seed's, which is
+    the first stage's 0.02, and from the point, sheet and slope that stage
+    ended on (TrackResult.end); the first stage starts from the seed, which is
     (w, g, g') on branch 0 as _axis_seeds gives it. The chain ends at
     developed distance clip, or before a stage whose end would lie within
     2 ulp of the corner's coordinates, where float64 barely tells its
@@ -437,7 +437,7 @@ def _track_toward_corner(
             first_step=first_step, max_steps=4000, slope0=gp,
         )
         pieces.append(r.w)
-        w, g, m, gp = complex(r.w[-1]), complex(r.g[-1]), int(r.branch[-1]), r.slope
+        w, g, m, gp = r.end
         first_step = r.next_step
         if not r.completed:
             return np.concatenate(pieces), r.reason
@@ -591,7 +591,7 @@ def limit_image_cloud(
                 cloud.notes[label] = f"unreached: bridge {br.reason}"
                 cloud.depths[label] = depth
                 break
-            w, g, m, gp = complex(br.w[-1]), complex(br.g[-1]), int(br.branch[-1]), br.slope
+            w, g, m, gp = br.end
             th = angle
             for tag, r1 in (("in", CORNER_CLIP), ("out", STRIP_DEPTH + 1.0)):
                 cloud.depths[f"{label}_{tag}"] = depth

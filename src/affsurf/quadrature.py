@@ -137,14 +137,14 @@ def integrate_segment(
     total = abs(b - a)
     if total == 0.0:
         return 0j
-    edges = [a, b]
+    edges = np.array([a, b])
     if len(points):
-        t = [(complex(p) - a) / (b - a) for p in points]
-        if any(not 0.0 < u.real < 1.0 or abs(u.imag) > 1e-9 for u in t):
+        points = np.asarray(points, dtype=complex)
+        t = (points - a) / (b - a)
+        if not np.all((0.0 < t.real) & (t.real < 1.0) & (np.abs(t.imag) <= 1e-9)):
             raise ValueError("break points must lie strictly inside the segment")
-        order = sorted(range(len(t)), key=lambda i: t[i].real)
-        edges = [a] + [complex(points[i]) for i in order] + [b]
-    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+        edges = np.concatenate(([a], points[np.argsort(t.real, kind="stable")], [b]))
+    lo, hi = edges[:-1], edges[1:]
     acc = 0j
     splits = 0
     while True:

@@ -131,8 +131,8 @@ _SLOW_STEP = 0.1
 _MAX_ITER = 60
 
 
-def _fd_jacobian(K, z, quad_tol):
-    """Real 2x2 Jacobian of the residual at z by central differences.
+def _fd_jacobian(residual, z):
+    """Real 2x2 Jacobian of residual at z by central differences.
 
     The residual is not holomorphic in z, so both columns are probed:
     four residuals.
@@ -140,13 +140,13 @@ def _fd_jacobian(K, z, quad_tol):
     jac = np.empty((2, 2))
     for col, h in enumerate((1e-6 * (1 + abs(z.real)), 1e-6 * (1 + abs(z.imag)))):
         dz = h if col == 0 else 1j * h
-        d = (corner_residual(K, z + dz, quad_tol) - corner_residual(K, z - dz, quad_tol)) / (2 * h)
+        d = (residual(z + dz) - residual(z - dz)) / (2 * h)
         jac[0, col], jac[1, col] = d.real, d.imag
     return jac
 
 
-def _broyden(K, z0, tol, quad_tol):
-    """Damped Broyden iteration (Broyden, Math. Comp. 19, 1965) from z0.
+def _broyden(residual, z0, tol):
+    """Damped Broyden iteration (Broyden, Math. Comp. 19, 1965) on residual from z0.
 
     The first step takes a finite-difference Jacobian, and each accepted
     step updates it by rank one. A fresh one is taken only after a failed
@@ -155,14 +155,14 @@ def _broyden(K, z0, tol, quad_tol):
     Returns (z, |r|, iterations, residuals, converged).
     """
     z = complex(z0)
-    r = corner_residual(K, z, quad_tol)
+    r = residual(z)
     evals = 1
     refresh = True
     for it in range(_MAX_ITER):
         if abs(r) <= tol:
             return z, abs(r), it, evals, True
         if refresh:
-            jac = _fd_jacobian(K, z, quad_tol)
+            jac = _fd_jacobian(residual, z)
             evals += 4
         fresh, refresh = refresh, False
         try:
@@ -175,7 +175,7 @@ def _broyden(K, z0, tol, quad_tol):
         for _ in range(8):
             cand = z + lam * step
             if cand.real > 0 and cand.imag > 0:
-                r_new = corner_residual(K, cand, quad_tol)
+                r_new = residual(cand)
                 evals += 1
                 if abs(r_new) < abs(r) * (1 - 0.25 * lam) or abs(r_new) <= tol:
                     accepted = True
@@ -233,7 +233,8 @@ def solve_prevertex(
         raise ArithmeticError(
             f"residual tolerance {tol:.1e} is not above the quadrature tolerance {quad_tol:.1e}"
         )
-    z, res, its, evals, ok = _broyden(K, _start(K) if initial is None else initial, tol, quad_tol)
+    z0 = _start(K) if initial is None else initial
+    z, res, its, evals, ok = _broyden(lambda z: corner_residual(K, z, quad_tol), z0, tol)
     if not ok:
         raise ArithmeticError(f"no convergence at aspect {K:.6g}: residual {res:.2e} after {its} iterations")
     return SolveResult(float(K), z, res, its, evals, True)

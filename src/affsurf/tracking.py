@@ -12,33 +12,35 @@ chord the iteration moves through.
 The predictor evaluates no derivative. It extrapolates the slopes
 k = p'(s)/g'(w) at the last two accepted points linearly in s, and steps
 w + h*k1 + h**2/2 * (k1 - k_prev)/h_prev; a track's first step is the
-tangent w + h*k1. The corrector pins every accepted point to tol whatever
-the predictor, and max_step caps the accepted move. Each g' comes from a
-chord's quadrature, which evaluates the chord's end as one more node of
-its first level, in the same derivative call: that value is the Newton
-slope at the chord's end and, once the step is accepted, the slope of the
-next step ("first same as last", Dormand & Prince 1980). The same reuse
-runs across tracks: a TrackResult carries the slope at its last point, and
-a track that goes on from there takes it as slope0, as a continuation
-restarts from the tangent it holds (Allgower & Georg, ch. 2); a track
-from a bare seed takes the seed's single-point value. A chord that ends on
-a slit has no end value and fails its step. On a finite map an array
-element equals the single-point value bit for bit, so where a slope comes
-from changes no tracked point; on the limit map the two can differ by a
-few ulp.
+tangent w + h*k1. The corrector pins every accepted point to tol
+whatever the predictor, and max_step caps the accepted move. Each g'
+comes from a chord's quadrature: the first level of every piece of the
+chord evaluates the piece's hi as one more node, in the same derivative
+call, and the last piece's hi is the chord's end. That value is the
+Newton slope at the chord's end and, once the step is accepted, the
+slope of the next step ("first same as last", Dormand & Prince 1980).
+The same reuse runs across tracks: a TrackResult carries the slope at
+its last point, and a track that goes on from there takes it as slope0,
+as a continuation restarts from the tangent it holds (Allgower & Georg,
+ch. 2); a track from a bare seed takes the seed's single-point value. A
+chord that ends on a slit has no last piece, so no end value, and fails
+its step. An array element equals the single-point value bit for bit
+(TestScalarArrayAgreement), so where a slope comes from changes no
+tracked point.
 
 The step logic is written once, as the generator level_curve_track: it
 yields every quadrature request it needs and is sent the outcome. Each
-request is a GK15 panel (lo, hi, tol, end), one piece of a chord between
-slit crossings. It is sent the piece's integral when its first level is
-accepted and else the first level's values, with which the piece finishes
-in its own quadrature.integrate_segment call. track_level_curve runs one
-track alone. lock_step runs several tracks together, one derivative call
-per round on the panels of all live tracks: the round's panels are one
-first level, their nodes placed by one quadrature.gk15_nodes call and
-their sums and accept tests taken by one quadrature.gk15_level pass,
-whose stacked rows round each panel as its segment alone would. limitset
-uses lock_step for each cloud's corner approaches, a rectangle boundary's
+chord is one generator, _chord_increment, and each request a GK15 panel
+(lo, hi, tol), one piece of the chord between slit crossings. It is sent
+(integral, first-level values, g' at hi), integral None where the first
+level is refined; the chord then finishes that piece in its own
+quadrature.integrate_segment call. track_level_curve runs one track
+alone. lock_step runs several tracks together, one derivative call per
+round on the panels of all live tracks: the round's panels are one first
+level, their nodes placed by one quadrature.gk15_nodes call and their
+sums and accept tests taken by one quadrature.gk15_level pass, whose
+stacked rows round each panel as its segment alone would. limitset uses
+lock_step for each cloud's corner approaches, a rectangle boundary's
 eight half sides and the limit cloud's four mouth curves, and for the
 limit cloud's spiral rays.
 The pooled call changes no bit of any track: the derivative is
@@ -79,49 +81,32 @@ from .develop import DevelopingMap
 from .quadrature import gk15_level, gk15_nodes, integrate_segment
 
 
-def _piece(dev: DevelopingMap, lo: complex, hi: complex, tol: float, end: complex | None = None):
-    """(integral of the derivative along [lo, hi], the derivative at end or None).
-
-    A lock_step track: requests the first GK15 level of [lo, hi] as the
-    panel (lo, hi, tol, end), end None where no end value is wanted. It is
-    sent the panel's integral where the first level is accepted, and else
-    the first level's values, with which integrate_segment goes on at the
-    second level, evaluating dev.derivative itself. A piece of zero length
-    makes no request.
-    """
-    lo, hi = complex(lo), complex(hi)
-    if lo == hi:
-        return 0j, None
-    integral, first, end_value = yield (lo, hi, tol, end)
-    if integral is None:
-        integral = integrate_segment(dev.derivative, lo, hi, tol, first=first)
-    return integral, end_value
-
-
 def _chord_increment(dev: DevelopingMap, a: complex, b: complex, m: int, quad_tol: float):
     """(integral of the continued derivative along [a, b], exponent at b,
     continued g'(b)).
 
-    A lock_step track: requests the quadrature of each piece between slit
-    crossings. The end value comes with the first level of the chord's
-    last piece, whose panel request takes b as its end node. Where that
-    piece is missing or rounds to zero length, the chord ends on a slit,
-    where g' has no value, or within rounding of a crossing or of its own
-    start; it then raises ArithmeticError, which fails the step.
+    A lock_step track: requests each piece of the chord between slit
+    crossings as the GK15 panel (lo, hi, tol) and, where the piece's first
+    level is refined, finishes it with integrate_segment from that level's
+    values. Every outcome brings g' at the piece's hi; the last piece's,
+    at b, is the chord's end value. A piece of zero length makes no
+    request. Where the last piece is missing or rounds to zero length,
+    the chord ends on a slit, where g' has no value, or within rounding
+    of a crossing or of its own start; it then raises ArithmeticError,
+    which fails the step.
     """
-    total = 0j
-    mm = m
-    t_prev = 0.0
-    for t, dm in dev.slit_crossings(a, b):
-        if t > t_prev:
-            piece, _ = yield from _piece(dev, a + t_prev * (b - a), a + t * (b - a), quad_tol)
-            total += piece * (dev.K**mm if mm else 1.0)
+    total, mm, t_prev = 0j, m, 0.0
+    # b itself closes the last piece, where m does not change
+    for t, dm in (*dev.slit_crossings(a, b), (1.0, 0)):
+        lo, hi = a + t_prev * (b - a), (a + t * (b - a) if t < 1.0 else b)
+        end = None
+        if t > t_prev and lo != hi:
+            integral, first, end = yield (lo, hi, quad_tol)
+            if integral is None:
+                integral = integrate_segment(dev.derivative, lo, hi, quad_tol, first=first)
+            total += integral * (dev.K**mm if mm else 1.0)
         mm += dm
         t_prev = t
-    end = None
-    if t_prev < 1.0:
-        piece, end = yield from _piece(dev, a + t_prev * (b - a), b, quad_tol, b)
-        total += piece * (dev.K**mm if mm else 1.0)
     if end is None:
         raise ArithmeticError(f"chord {a} -> {b} ends on a branch slit or rounds to a point")
     gp = complex(end)
@@ -133,15 +118,15 @@ def _chord_increment(dev: DevelopingMap, a: complex, b: complex, m: int, quad_to
 def lock_step(dev: DevelopingMap, tracks: Sequence[Generator]) -> list:
     """Run tracks together; their return values, in order.
 
-    A track is a generator that yields GK15 panel requests (lo, hi, tol,
-    end), end a point or None, and is sent (integral, first, end value):
-    integral is None where quadrature.gk15_level's accept test refines the
-    panel, first holds the derivative on the panel's 15 nodes, and the end
-    value is None where end is. Each round takes the outcomes of all live
-    tracks' panels from _outcomes, and sends each track its outcome or
-    throws into it, at the yield, the ArithmeticError its own panel raised,
-    as running that track alone would do. An error that a track does not
-    catch, and any exception that is not an ArithmeticError, propagates.
+    A track is a generator that yields GK15 panel requests (lo, hi, tol)
+    and is sent (integral, first, g' at hi): integral is None where
+    quadrature.gk15_level's accept test refines the panel, and first holds
+    the derivative on the panel's 15 nodes. Each round takes the outcomes
+    of all live tracks' panels from _outcomes, and sends each track its
+    outcome or throws into it, at the yield, the ArithmeticError its own
+    panel raised, as running that track alone would do. An error that a
+    track does not catch, and any exception that is not an
+    ArithmeticError, propagates.
     """
     results: list = [None] * len(tracks)
     live, outcomes = list(enumerate(tracks)), [None] * len(tracks)
@@ -162,10 +147,10 @@ def lock_step(dev: DevelopingMap, tracks: Sequence[Generator]) -> list:
 def _outcomes(dev: DevelopingMap, panels: list) -> list:
     """The outcome of each panel (see lock_step), or the error it raises.
 
-    The panels share one derivative call on their nodes and ends, and
+    The panels share one derivative call on each one's 15 nodes and hi, and
     their sums and accept tests are one gk15_level pass over their stacked
     rows. Where that call raises an ArithmeticError, each panel is
-    evaluated alone, its 15 nodes and end in one call, and its
+    evaluated alone, its 15 nodes and hi in one call, and its
     ArithmeticError is its outcome; a lone panel is evaluated once.
     """
     if len(panels) > 1:
@@ -184,20 +169,19 @@ def _outcomes(dev: DevelopingMap, panels: list) -> list:
 
 def _shared(dev: DevelopingMap, panels: list) -> list:
     """The outcomes of panels from one derivative call; see _outcomes."""
-    lo, hi, tol, end = zip(*panels)
+    lo, hi, tol = zip(*panels)
     h, nodes = gk15_nodes(np.array(lo), np.array(hi))
     n = len(panels)
-    vals = dev.derivative(np.concatenate((nodes.ravel(), [e for e in end if e is not None])))
-    first = vals[:15 * n].reshape(n, 15)
-    ends = iter(vals[15 * n:])
+    vals = dev.derivative(np.concatenate((nodes.ravel(), hi)))
+    first, ends = vals[:15 * n].reshape(n, 15), vals[15 * n:]
     # each panel is its own segment, its length taken by Python's abs as
     # integrate_segment takes it (numpy's complex abs can differ in the
     # last bit)
     total = np.array([abs(b - a) for a, b in zip(lo, hi)])
     sums, _, live = gk15_level(first[:, None], h[:, None], np.array(tol)[:, None], total[:, None])
     return [
-        (None if refine else integral, row, None if e is None else next(ends))
-        for integral, refine, row, e in zip(sums[:, 0, 0].tolist(), live[:, 0].tolist(), first, end)
+        (None if refine else integral, row, end)
+        for integral, refine, row, end in zip(sums[:, 0, 0].tolist(), live[:, 0].tolist(), first, ends)
     ]
 
 
@@ -207,7 +191,7 @@ class TrackResult:
     w: np.ndarray
     g: np.ndarray
     branch: np.ndarray
-    status: str  # "completed" or "stalled"
+    # why the track stalled, "" where it completed
     reason: str
     # the step in s the track had grown to when its final step was cut to
     # the remainder 1 - s: a first_step for a track that goes on from here
@@ -219,7 +203,13 @@ class TrackResult:
 
     @property
     def completed(self) -> bool:
-        return self.status == "completed"
+        return not self.reason
+
+    @property
+    def end(self) -> tuple[complex, complex, int, complex]:
+        """(w, g, branch, slope) at the last point: the w0, g0, branch0 and
+        slope0 of a track that goes on from here."""
+        return complex(self.w[-1]), complex(self.g[-1]), int(self.branch[-1]), self.slope
 
 
 def segment_target(a: complex, b: complex):
@@ -286,8 +276,8 @@ def level_curve_track(
     feature scale of the curve (a petal four sheets in is far smaller than
     the mouth of a strip); a predictor chord longer than it is refused
     before any quadrature. A track that cannot proceed, or whose step
-    in s falls under _MIN_STEP, returns the partial curve with status
-    "stalled" rather than raising.
+    in s falls under _MIN_STEP, returns the partial curve with the reason
+    it stalled rather than raising.
     """
     w = complex(w0)
     m = int(branch0)
@@ -302,7 +292,7 @@ def level_curve_track(
 
     ss, ws, gs, ms = [0.0], [w], [g], [m]
     s = 0.0
-    status, reason = "completed", ""
+    reason = ""
     steps = 0
     # continued g'(w), given or carried from the accepted chord's end, and
     # the slope and step of the previous accepted point
@@ -310,7 +300,7 @@ def level_curve_track(
     k_prev = h_prev = None
     while s < 1.0 - 1e-14:
         if steps >= max_steps:
-            status, reason = "stalled", f"step budget {max_steps} exhausted"
+            reason = f"step budget {max_steps} exhausted"
             break
         steps += 1
         grown, h = h, min(h, 1.0 - s)
@@ -354,14 +344,13 @@ def level_curve_track(
         else:
             h *= 0.5
             if h < _MIN_STEP:
-                status, reason = "stalled", f"step size underflow at s = {s:.6g}"
+                reason = f"step size underflow at s = {s:.6g}"
                 break
     return TrackResult(
         s=np.array(ss),
         w=np.array(ws),
         g=np.array(gs),
         branch=np.array(ms, dtype=int),
-        status=status,
         reason=reason,
         next_step=grown,
         slope=gp,

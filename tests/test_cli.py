@@ -486,7 +486,7 @@ def stalled_tracks(monkeypatch):
 
     def stalled(*args, **kwargs):
         result = yield from track(*args, **kwargs)
-        return dataclasses.replace(result, status="stalled", reason="forced stall")
+        return dataclasses.replace(result, reason="forced stall")
 
     monkeypatch.setattr(tracking, "level_curve_track", stalled)
     monkeypatch.setattr(limitset, "level_curve_track", stalled)

@@ -378,7 +378,7 @@ class TestFiniteBoundary:
 
         def stalled(*args, **kwargs):
             r = yield from level_curve_track(*args, **kwargs)
-            return dataclasses.replace(r, status="stalled", reason="forced stall")
+            return dataclasses.replace(r, reason="forced stall")
 
         monkeypatch.setattr("affsurf.limitset.level_curve_track", stalled)
         cloud = rectangle_image_boundary(DevelopingMap.from_aspect(2.0, Z1_K2))
@@ -657,7 +657,7 @@ class TestLimitCloud:
         # bridges go through tracking unpatched and reach every stop
         def stalled(*args, **kwargs):
             r = yield from level_curve_track(*args, **kwargs)
-            return dataclasses.replace(r, status="stalled", reason="forced stall")
+            return dataclasses.replace(r, reason="forced stall")
 
         monkeypatch.setattr("affsurf.limitset.level_curve_track", stalled)
         cloud = limit_image_cloud(X0, TAU, theta_max=2 * math.pi)

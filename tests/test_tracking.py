@@ -14,7 +14,6 @@ from affsurf.limitset import rectangle_image_boundary
 from affsurf.solver import continuation_sweep
 from affsurf.tracking import (
     _chord_increment,
-    _piece,
     arc_target,
     level_curve_track,
     lock_step,
@@ -151,7 +150,7 @@ class TestStepControl:
         w0, g0, gp0 = seed2
         p, dp = circle(g0, +1.0)
         r = track_level_curve(dev2, p, dp, w0, g0=g0, max_step=0.08, max_steps=3, slope0=gp0)
-        assert r.status == "stalled"
+        assert not r.completed
         assert "budget" in r.reason
         assert len(r.w) == 4
         assert 0 < np.abs(np.diff(r.w)).sum() < 1
@@ -186,7 +185,7 @@ class TestStepControl:
         calls = _count_derivative_calls(monkeypatch)
         p, dp = circle(g0, +0.25)
         r = track_level_curve(dev2, p, dp, w0, g0=g0, max_step=0.08, first_step=0.1, slope0=0j)
-        assert r.status == "stalled"
+        assert not r.completed
         assert r.reason == "step size underflow at s = 0"
         assert list(r.w) == [w0] and r.slope == 0j
         assert calls == []
@@ -388,7 +387,7 @@ class TestLockStep:
         assert list(batched[1].s) == [0.0, 0.5, 1.0]
         assert all(r.completed for r in batched)
         for got, want in zip(batched, solo):
-            assert (got.status, got.reason) == (want.status, want.reason)
+            assert got.reason == want.reason
             for field in ("s", "w", "g", "branch"):
                 assert _same_bits(getattr(got, field), getattr(want, field))
 
@@ -419,7 +418,7 @@ class TestLockStep:
         refused, pooled = lock_step(dev2, [caught(chord()), healthy()])
         solo = _alone(dev2, healthy())
         assert isinstance(refused, ArithmeticError) and "slit" in str(refused)
-        assert pooled.completed and (pooled.status, pooled.reason) == (solo.status, solo.reason)
+        assert pooled.completed and pooled.reason == solo.reason
         for field in ("s", "w", "g", "branch", "slope"):
             assert _same_bits(getattr(pooled, field), getattr(solo, field)), field
 
@@ -438,9 +437,9 @@ class TestLockStep:
             track_level_curve(dev2, *circle(g0, +1.0), w0, g0=g0, max_step=0.08, slope0=gp0)
 
     def test_a_lone_track_is_sent_its_own_requests(self, dev2, seed2, monkeypatch):
-        # a track yields only panels (4-tuples); a lone track's panel is one
-        # array of its own 15 nodes and its end node, and no call is a
-        # single point: the first slope is the caller's slope0
+        # a track yields only panels (lo, hi, tol); a lone track's panel is
+        # one array of its own 15 nodes and its hi, and no call is a single
+        # point: the first slope is the caller's slope0
         w0, g0, gp0 = seed2
         requests, calls = [], []
 
@@ -463,12 +462,11 @@ class TestLockStep:
         p, dp = segment_target(g0, g0 + 0.4 + 0.3j)
         [r] = lock_step(dev2, [recorded(level_curve_track(dev2, p, dp, w0, g0=g0, slope0=gp0))])
         assert r.completed
-        assert requests and all(type(w) is tuple and len(w) == 4 for w in requests)
+        assert requests and all(type(w) is tuple and len(w) == 3 for w in requests)
         assert len(calls) == len(requests)
-        for got, (lo, hi, _, end) in zip(calls, requests):
+        for got, (lo, hi, _) in zip(calls, requests):
             nodes = gk15_nodes(np.array([lo]), np.array([hi]))[1].ravel()
-            assert _same_bits(got, np.append(nodes, () if end is None else end))
-        assert all(end is not None for *_, end in requests)
+            assert _same_bits(got, np.append(nodes, hi))
 
     def test_a_boundary_requests_only_panels_in_few_rounds(self, solved, monkeypatch):
         # the predictor evaluates no derivative, so every request is a
@@ -484,7 +482,7 @@ class TestLockStep:
         monkeypatch.setattr(tracking, "_outcomes", counted)
         rectangle_image_boundary(DevelopingMap.from_aspect(1e6, solved[1e6]))
         assert len(rounds) <= 220
-        assert all(type(r) is tuple and len(r) == 4 for panels in rounds for r in panels)
+        assert all(type(r) is tuple and len(r) == 3 for panels in rounds for r in panels)
 
     def test_pooling_keeps_the_nodes_in_fewer_calls(self, solved, monkeypatch):
         dev = DevelopingMap.from_aspect(1e3, solved[1e3])
@@ -499,18 +497,26 @@ class TestLockStep:
 
 
 class TestPooledPanels:
-    """A round's pooled first levels give each piece what integrate_segment
-    gives it alone, bit for bit, and evaluate no first level twice."""
+    """A round's pooled first levels give each chord what integrate_segment
+    gives its pieces alone, bit for bit, and evaluate no first level twice."""
 
-    # (lo, hi, end): lengths from 1e-6 to 2.5, with and without an end
-    # node; the last three are refined past their first level, the last
-    # from near a prevertex
+    # (a, b): chords of one piece, of lengths from 1e-6 to 2.5; the last
+    # three are refined past their first level, the last from near a
+    # prevertex
     PIECES = [
-        (Z1_K2 + 0.1, Z1_K2 + 0.1 + 1e-6j, None),
-        (Z1_K2 + 0.1, Z1_K2 + 0.1 + 0.02j, Z1_K2 + 0.1 + 0.02j),
-        (-0.4 + 0.2j, 0.6 - 0.3j, None),
-        (2.5 - 1.0j, 2.0 + 1.5j, 2.0 + 1.5j),
-        (Z1_K2 + 0.3, Z1_K2 + 0.02, Z1_K2 + 0.02),
+        (Z1_K2 + 0.1, Z1_K2 + 0.1 + 1e-6j),
+        (Z1_K2 + 0.1, Z1_K2 + 0.1 + 0.02j),
+        (-0.4 + 0.2j, 0.6 - 0.3j),
+        (2.5 - 1.0j, 2.0 + 1.5j),
+        (Z1_K2 + 0.3, Z1_K2 + 0.02),
+    ]
+
+    # chords across one slit and across both, the middle pieces with an
+    # end value that no step uses; the third is refined after its crossing
+    CROSSING = [
+        (1.5 + 0.3j, 1.0 + 0.2j),
+        (1.5 + 0.3j, -1.5 + 0.1j),
+        (-1.45 + 0.87j, 0.4 - 0.2j),
     ]
 
     @staticmethod
@@ -519,13 +525,13 @@ class TestPooledPanels:
         rng = np.random.default_rng(5)
         lo = rng.uniform(-0.9, 0.9, n) + 1j * rng.uniform(-0.9, 0.9, n)
         hi = lo + 10.0 ** rng.uniform(-6, -0.5, n) * np.exp(2j * np.pi * rng.uniform(size=n))
-        return [(a, b, b if i % 2 else None) for i, (a, b) in enumerate(zip(lo, hi))]
+        return list(zip(lo.tolist(), hi.tolist()))
 
     def test_pooled_panels_match_integrate_segment_alone(self, dev2, monkeypatch):
         tol = 1e-12
         pieces = self.PIECES + self._random_pieces(40)
-        solo, want_ends = [], []
-        for lo, hi, end in pieces:
+        solo = []
+        for lo, hi in pieces:
             sizes = []
 
             def counted(w):
@@ -533,26 +539,47 @@ class TestPooledPanels:
                 return dev2.derivative(w)
 
             solo.append((integrate_segment(counted, lo, hi, tol), sum(sizes), len(sizes)))
-            want_ends.append(None if end is None else dev2.derivative(end))
         levels = [n for *_, n in solo]
         assert [n > 1 for n in levels[:len(self.PIECES)]] == [False, False, True, True, True]
-        lone = [lock_step(dev2, [_piece(dev2, lo, hi, tol, end)])[0] for lo, hi, end in pieces]
+        lone = [_alone(dev2, _chord_increment(dev2, lo, hi, 0, tol)) for lo, hi in pieces]
 
         calls = _count_derivative_calls(monkeypatch)
-        pooled = lock_step(dev2, [_piece(dev2, lo, hi, tol, end) for lo, hi, end in pieces])
+        pooled = lock_step(dev2, [_chord_increment(dev2, lo, hi, 0, tol) for lo, hi in pieces])
         # one shared call for every first level and end node, then each
         # refined piece's own call for each of its later levels
-        ends = sum(end is not None for *_, end in pieces)
-        assert sum(calls) == sum(nodes for _, nodes, _ in solo) + ends
+        assert sum(calls) == sum(nodes for _, nodes, _ in solo) + len(pieces)
         assert len(calls) == 1 + sum(n - 1 for n in levels)
 
-        for got, alone, (want, _, _), want_end in zip(pooled, lone, solo, want_ends):
-            assert _same_bits(got[0], want) and _same_bits(alone[0], want)
-            if want_end is None:
-                assert got[1] is None and alone[1] is None
-            else:
-                assert _same_bits(complex(got[1]), want_end)
-                assert _same_bits(complex(alone[1]), want_end)
+        for got, alone, (want, _, _), (_, hi) in zip(pooled, lone, solo, pieces):
+            want_end = dev2.derivative(hi)
+            for chord in (got, alone):
+                assert _same_bits(chord[0], want) and chord[1] == 0
+                assert _same_bits(chord[2], want_end)
+
+    @pytest.mark.parametrize("m", [0, 1, -2])
+    def test_chords_across_slits_pooled_match_alone(self, dev2, m, monkeypatch):
+        # every piece's first level evaluates its hi, the middle pieces'
+        # too: alone, one call of 15 nodes and the hi per piece
+        tol = 1e-12
+        calls = _count_derivative_calls(monkeypatch)
+        lone = [_alone(dev2, _chord_increment(dev2, a, b, m, tol)) for a, b in self.CROSSING]
+        lone_calls = list(calls)
+        calls.clear()
+        pooled = lock_step(dev2, [_chord_increment(dev2, a, b, m, tol) for a, b in self.CROSSING])
+        pieces = [len(dev2.slit_crossings(a, b)) + 1 for a, b in self.CROSSING]
+        assert pieces == [2, 3, 2]
+        assert lone_calls.count(16) == sum(pieces)
+        # a chord's pieces come one a round, so the first levels take
+        # three rounds, pooled across the chords
+        assert sum(calls) == sum(lone_calls)
+        assert len(calls) == len(lone_calls) - sum(pieces) + 3
+        for got, alone, (a, b) in zip(pooled, lone, self.CROSSING):
+            assert got[1] == alone[1] == m + sum(dm for _, dm in dev2.slit_crossings(a, b))
+            assert _same_bits(got[0], alone[0]) and _same_bits(got[2], alone[2])
 
     def test_a_piece_of_zero_length_makes_no_request(self, dev2):
-        assert lock_step(dev2, [_piece(dev2, 1 + 1j, 1 + 1j, 1e-12, 1 + 1j)]) == [(0j, None)]
+        # a chord of zero length has no last piece, so no end value: its
+        # first advance raises, before any request
+        chord = _chord_increment(dev2, 1 + 1j, 1 + 1j, 0, 1e-12)
+        with pytest.raises(ArithmeticError, match="rounds to a point"):
+            next(chord)

@@ -72,3 +72,7 @@ python -m affsurf render --k 1e30 --format txt --density 30 --out render1e30
 python -m affsurf solve --k 1e300 --out solvefar
 # cutoff 3 against its alternative 2 pi moves the final distance 0.0296 by 0.0097, over a fifth: inconclusive (exit 1)
 exits 1 python -m affsurf hausdorff --theta-max 3 --out hausdorff3
+# near the square the corner holonomy's fixed points are off by 2.1e-11 against a 1e-12 bound (ROADMAP item 5): fails (exit 1)
+exits 1 python -m affsurf verify --k 1.000001 --density 60 --out verifynearsquare
+# far out the upper axis seed follows the solve's error and the sides' reflection asymmetry reads 2.2e-6 against 1e-6 (ROADMAP item 9): fails (exit 1)
+exits 1 python -m affsurf verify --k 1e30 --density 60 --out verify1e30
