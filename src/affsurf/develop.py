@@ -76,6 +76,7 @@ class DevelopingMap:
             self.beta = math.log(K) / (2j * math.pi)
             self._b = math.log(K) / (2.0 * math.pi)
             self.poles = prevertex_ring(z1)
+            self._z1_parts = (z1.real, z1.imag)
             p1, p2, p3, p4 = self.poles
             # numerators of the two Moebius ratios in log g'
             self._numerators = np.array([p1 - p4, p3 - p2])
@@ -94,6 +95,9 @@ class DevelopingMap:
         # run once per lock-step round and must not rebuild them per call
         self._pole_array = np.array(self.poles, dtype=complex)
         self._pole_scale = 1.0 + max(abs(p) for p in self.poles)
+        # a point whose squared distance to every pole is at least this lies
+        # outside the connection's clearance 1e-12 * _pole_scale
+        self._screen = (2e-12 * self._pole_scale) ** 2
         self.tail_radius = 10.0 * self._pole_scale
 
     @classmethod
@@ -119,18 +123,63 @@ class DevelopingMap:
         return offsets
 
     def connection(self, w):
-        """The rational connection g''/g' = d/dw log g'. Scalar or ndarray."""
-        arr = np.asarray(w, dtype=complex)
-        offsets = self._pole_offsets(arr, 1e-12)
+        """The rational connection g''/g' = d/dw log g'. Scalar or ndarray.
+
+        Written in real arithmetic, 1/(w - z) = (dx - i dy)/(dx^2 + dy^2)
+        for the offset w - z = dx + i dy, by _connection_parts: a single
+        point, as the tracker takes one at every chord end, runs on Python
+        floats and an array on numpy, by the same IEEE operations, so a
+        point equals its array element bit for bit. The terms are paired
+        so that both reflections only swap or negate them:
+        c(conj w) = conj c(w) and c(-conj w) = -conj c(w) hold exactly, and
+        c is exactly real on the real axis.
+        """
+        if type(w) is not complex:
+            arr = np.asarray(w, dtype=complex)
+            if arr.ndim:
+                self._pole_offsets(arr, 1e-12)
+                # beyond |w| ~ 1e154 dx^2 overflows to inf and the term to
+                # 0, as Python floats do without a warning
+                with np.errstate(over="ignore"):
+                    re, im = self._connection_parts(arr.real, arr.imag)
+                out = np.empty(arr.shape, dtype=complex)
+                out.real, out.imag = re, im
+                return out
+            w = complex(arr)
+        re, im = self._connection_parts(w.real, w.imag, w)
+        return complex(re, im)
+
+    def _connection_parts(self, x, y, point=None):
+        """(Re, Im) of the connection at x + iy, floats or arrays alike.
+
+        A single point passes itself as point: its squared pole distances
+        screen the pole clearance, and only a point within twice the
+        clearance goes on to _pole_offsets, which connection applies to an
+        array first.
+        """
         if self.kind == "finite":
-            out = np.zeros_like(arr)
-            for k, sign in enumerate(PREVERTEX_SIGNS):
-                out += sign / offsets[..., k]
-            out *= self.beta
-        else:
-            # w - x0 and w + x0, 0-d arrays for a single point, as in _log_derivative
-            out = -self.tau / offsets[..., 0] ** 2 + self.tau / offsets[..., 1] ** 2
-        return complex(out) if arr.ndim == 0 else out
+            # the offsets w - z_k in ring order are (xm, ym), (xp, ym),
+            # (xp, yp) and (xm, yp). With t_k = 1/(w - z_k) and beta = -i b,
+            # c = beta * sum of PREVERTEX_SIGNS[k] t_k
+            #   = beta ((t4 - t1) + (t2 - t3)),
+            # each pair swapped or negated by one reflection
+            a, b = self._z1_parts
+            xm, xp, ym, yp = x - a, x + a, y - b, y + b
+            xm2, xp2, ym2, yp2 = xm * xm, xp * xp, ym * ym, yp * yp
+            d1, d2, d3, d4 = xm2 + ym2, xp2 + ym2, xp2 + yp2, xm2 + yp2
+            s = self._screen
+            if point is not None and (d1 < s or d2 < s or d3 < s or d4 < s):
+                self._pole_offsets(np.array(point), 1e-12)
+            return (self._b * ((ym / d1 - yp / d4) + (yp / d3 - ym / d2)),
+                    -self._b * ((xm / d4 - xm / d1) + (xp / d2 - xp / d3)))
+        # c = tau (t1^2 - t0^2), t0 = 1/(w - x0) = r0 - i q0, t1 = 1/(w + x0)
+        xm, xp, y2 = x - self.x0, x + self.x0, y * y
+        d0, d1 = xm * xm + y2, xp * xp + y2
+        if point is not None and (d0 < self._screen or d1 < self._screen):
+            self._pole_offsets(np.array(point), 1e-12)
+        r0, q0, r1, q1 = xm / d0, y / d0, xp / d1, y / d1
+        return (self.tau * ((r1 * r1 - q1 * q1) - (r0 * r0 - q0 * q0)),
+                self.tau * (2.0 * r0 * q0 - 2.0 * r1 * q1))
 
     def _log_derivative(self, arr: np.ndarray):
         """log g' on a complex ndarray, the pointwise methods' shared kernel."""

@@ -23,7 +23,8 @@ scales, so each stage after the first starts at the step in s its
 previous stage had grown to, as an integrator restarts (Hairer, Norsett &
 Wanner, Solving ODEs I, II.4): a K = 1e6 boundary takes 352 accepted
 steps, not the 804 of a ramp up from 0.02 in every stage, at the same
-largest deviation from a track on an eight times smaller step cap.
+largest deviation from a track on an eight times smaller step cap. Its
+steps take 772 chords, 2.2 a step, in 135 lock-step rounds.
 Every track that starts where another one ended (a stage, a bridge, a
 stop's two rays) also starts from the slope g' that track ended on
 (TrackResult.end), and every track from an axis seed from the seed's
@@ -36,11 +37,12 @@ tracks. Every point is bit-identical to tracking it alone, because the
 derivative is element-wise and a round whose pooled call meets the pole
 clearance is evaluated request by request. Only the limit's bridges
 between spiral stops run one at a time, since each starts where the
-previous one ended. A bridge keeps only its end point, which the Newton
+previous one ended. A bridge keeps only its end point, which the
 corrector pins to the tracking tolerance at any step schedule, so its
 first step is its whole arc, cut down by the step cap alone, rather than
 a small one that the step growth must ramp up: the end is the same to
-about 1e-12, in a sixth of the steps. Spiral stops are placed by depth
+within 6e-12, in an eighth of the steps (60 against 504 from a first
+step of 1/200, on the default cloud). Spiral stops are placed by depth
 from the seams of surface.SPIRAL_SEAM, so mirror corners and the
 embedding module's spiral charts number the sheets alike.
 Clouds are resampled to uniform arc-length spacing so that Hausdorff
@@ -424,15 +426,15 @@ def _track_toward_corner(
         rho_next = max(clip, rho / 4.0)
         if rho_next <= floor:
             break
-        p, dp = segment_target(corner + rho * direction, corner + rho_next * direction)
+        target = segment_target(corner + rho * direction, corner + rho_next * direction)
         near = min(abs(w - z) for z in dev.poles)
         step = max(2e-4, 0.2 * near)
         # the derivative collapses with the developed scale near the
         # prevertex, so the on-curve tolerance must shrink with it or
-        # the Newton correction goes slack in w
+        # the correction goes slack in w
         tol = float(np.clip(1e-3 * rho_next, 1e-13, 1e-10))
         r = yield from level_curve_track(
-            dev, p, dp, w, g0=g, branch0=m, max_step=step, tol=tol,
+            dev, *target, w, g0=g, branch0=m, max_step=step, tol=tol,
             quad_tol=min(quad_tol, 0.1 * tol),
             first_step=first_step, max_steps=4000, slope0=gp,
         )
@@ -489,7 +491,8 @@ def _within_depth(depth: float, theta_max: float) -> bool:
 
 
 def _ray_target(center: complex, theta: float, r0: float, r1: float):
-    """Radial developed-plane target, log-uniform in radius."""
+    """Radial developed-plane target, log-uniform in radius: (p, dp, d2p),
+    d2p = (lr1 - lr0) dp."""
     center = complex(center)
     lr0, lr1 = math.log(r0), math.log(r1)
     e = complex(math.cos(theta), math.sin(theta))
@@ -500,7 +503,10 @@ def _ray_target(center: complex, theta: float, r0: float, r1: float):
     def dp(s):
         return (lr1 - lr0) * math.exp(lr0 + s * (lr1 - lr0)) * e
 
-    return p, dp
+    def d2p(s):
+        return (lr1 - lr0) * dp(s)
+
+    return p, dp, d2p
 
 
 def _curve_and_stall(track: Generator) -> Generator[tuple, tuple, Tuple[np.ndarray, str]]:
@@ -581,9 +587,8 @@ def limit_image_cloud(
             # bridge to the next stop angle, at least pi/2 on; not part of
             # the cloud, so it starts on its whole arc and the step cap
             # sizes its first chord (see the module docstring)
-            p, dp = arc_target(corner, 1.0, th, angle)
             br = track_level_curve(
-                dev, p, dp, w, g0=g, branch0=m,
+                dev, *arc_target(corner, 1.0, th, angle), w, g0=g, branch0=m,
                 max_step=cap, quad_tol=quad_tol,
                 max_steps=20000, first_step=1.0, slope0=gp,
             )
@@ -595,10 +600,9 @@ def limit_image_cloud(
             th = angle
             for tag, r1 in (("in", CORNER_CLIP), ("out", STRIP_DEPTH + 1.0)):
                 cloud.depths[f"{label}_{tag}"] = depth
-                p, dp = _ray_target(corner, angle, 1.0, r1)
                 tracks[f"{label}_{tag}"] = _curve_and_stall(level_curve_track(
-                    dev, p, dp, w, g0=g, branch0=m, max_step=cap,
-                    quad_tol=quad_tol, max_steps=20000, first_step=0.002, slope0=gp,
+                    dev, *_ray_target(corner, angle, 1.0, r1), w, g0=g, branch0=m,
+                    max_step=cap, quad_tol=quad_tol, max_steps=20000, first_step=0.002, slope0=gp,
                 ))
 
     # the mouths and every stop's rays are independent once seeded

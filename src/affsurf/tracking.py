@@ -4,21 +4,31 @@ The geometric output of the toolkit is curves in the uniformized plane
 along which the developed value follows a prescribed path: boundary images
 of the glued rectangle, seam rays, spiral flanks. Given a target path p(s)
 in the developed plane and a seed on the curve, the tracker advances the
-preimage along w' = p'(s)/g'(w) by a predictor and a Newton corrector
-(Allgower & Georg, Numerical Continuation Methods, 1990, ch. 2),
+preimage along w' = p'(s)/g'(w) by a third-order predictor and a Halley
+corrector (Allgower & Georg, Numerical Continuation Methods, 1990, ch. 2),
 maintaining the developed value incrementally by quadrature along every
 chord the iteration moves through.
 
-The predictor evaluates no derivative. It extrapolates the slopes
-k = p'(s)/g'(w) at the last two accepted points linearly in s, and steps
-w + h*k1 + h**2/2 * (k1 - k_prev)/h_prev; a track's first step is the
-tangent w + h*k1. The corrector pins every accepted point to tol
-whatever the predictor, and max_step caps the accepted move. Each g'
-comes from a chord's quadrature: the first level of every piece of the
-chord evaluates the piece's hi as one more node, in the same derivative
-call, and the last piece's hi is the chord's end. That value is the
-Newton slope at the chord's end and, once the step is accepted, the
-slope of the next step ("first same as last", Dormand & Prince 1980).
+Both follow the curve's bending, which the member's affine structure
+gives in closed form: the connection c = g''/g' (DevelopingMap.connection,
+one point in scalar arithmetic). Differentiating g'(w) w' = p' gives
+w'' = p''/g' - c k**2 with k = p'/g', and a target carries p'' as its
+d2p. The predictor steps w + h*k + h**2/2 * w'' + h**3/6 * (w'' -
+w''_prev)/h_prev, the last term from the previous accepted point's w''
+(a track's first step has none). The corrector is Halley's (Traub,
+Iterative Methods for the Solution of Equations, 1964): the Newton step
+dw_N = -(g - p)/g' becomes dw_N/(1 + c*dw_N/2), with c at the chord's
+end. A K = 1e6 boundary takes its 352 accepted steps in 2.2 chords
+each. The corrector pins every accepted point to tol whatever the
+predictor, and max_step caps the accepted move. Each g' comes from a
+chord's quadrature: the first level of every piece of the chord
+evaluates the piece's hi as one more node, in the same derivative call,
+and the last piece's hi is the chord's end. That value is the corrector's slope at the chord's end
+and, once the step is accepted, the slope of the next step ("first same
+as last", Dormand & Prince 1980). c is taken once at each chord's end
+and carried with g' in the same way; only a track's start takes it
+afresh. A chord end inside the connection's pole clearance fails its
+step, as the derivative's refusal does.
 The same reuse runs across tracks: a TrackResult carries the slope at
 its last point, and a track that goes on from there takes it as slope0,
 as a continuation restarts from the tangent it holds (Allgower & Georg,
@@ -54,11 +64,11 @@ propagates.
 
 Target paths return Python complex: segment_target's straight line,
 arc_target's circle (cmath.exp) and limitset's rays (math.exp). The
-step arithmetic on p(s) and dp(s) then runs on Python scalars, which are
-faster than numpy's and round division as Python does. A slope derivative
-of exactly zero raises ZeroDivisionError, an ArithmeticError that fails
-the step like the pole clearance does, where a numpy scalar quotient
-would only warn and go on with inf.
+step arithmetic on p(s), dp(s) and d2p(s) then runs on Python scalars,
+which are faster than numpy's and round division as Python does. A slope
+derivative of exactly zero raises ZeroDivisionError, an ArithmeticError
+that fails the step like the pole clearance does, where a numpy scalar
+quotient would only warn and go on with inf.
 
 Branches: crossing a branch slit multiplies the continued derivative by
 the aspect or its reciprocal. An integer exponent per point records the
@@ -121,7 +131,9 @@ def lock_step(dev: DevelopingMap, tracks: Sequence[Generator]) -> list:
     A track is a generator that yields GK15 panel requests (lo, hi, tol)
     and is sent (integral, first, g' at hi): integral is None where
     quadrature.gk15_level's accept test refines the panel, and first holds
-    the derivative on the panel's 15 nodes. Each round takes the outcomes
+    the derivative on the panel's 15 nodes. The connection at a chord's
+    end is no part of the outcome: each track takes it alone, in scalar
+    arithmetic, which costs less than pooling it. Each round takes the outcomes
     of all live tracks' panels from _outcomes, and sends each track its
     outcome or throws into it, at the yield, the ArithmeticError its own
     panel raised, as running that track alone would do. An error that a
@@ -213,16 +225,18 @@ class TrackResult:
 
 
 def segment_target(a: complex, b: complex):
-    """Straight developed-plane target from a to b on s in [0, 1]."""
+    """Straight developed-plane target from a to b on s in [0, 1]: (p, dp,
+    d2p), d2p = 0."""
     a, b = complex(a), complex(b)
-    return (lambda s: a + s * (b - a)), (lambda s: b - a)
+    return (lambda s: a + s * (b - a)), (lambda s: b - a), (lambda s: 0j)
 
 
 def arc_target(center: complex, radius: float, th0: float, th1: float):
     """Developed-plane circular arc around center from angle th0 to th1.
 
-    s in [0, 1] covers the arc; th1 > th0 winds counterclockwise. p and dp
-    return Python complex, by cmath.exp, as segment_target's do.
+    s in [0, 1] covers the arc; th1 > th0 winds counterclockwise. p, dp and
+    d2p = i om dp return Python complex, by cmath.exp, as segment_target's
+    do.
     """
     center, radius, th0 = complex(center), float(radius), float(th0)
     om = float(th1) - th0
@@ -233,7 +247,10 @@ def arc_target(center: complex, radius: float, th0: float, th1: float):
     def dp(s):
         return radius * 1j * om * cmath.exp(1j * (th0 + om * s))
 
-    return p, dp
+    def d2p(s):
+        return 1j * om * dp(s)
+
+    return p, dp, d2p
 
 
 # relative mismatch allowed between g(w0) and p(0), and the step in s
@@ -251,6 +268,7 @@ def level_curve_track(
     dev: DevelopingMap,
     p: Callable[[float], complex],
     dp: Callable[[float], complex],
+    d2p: Callable[[float], complex],
     w0: complex,
     g0: complex,
     branch0: int = 0,
@@ -266,13 +284,15 @@ def level_curve_track(
 
     A lock_step track that returns the TrackResult; track_level_curve runs
     one alone.
+    p, dp and d2p are the target path and its first two derivatives in s,
+    as segment_target, arc_target and limitset's rays return them.
     w0 must satisfy g(w0) = p(0), to _ANCHOR_TOL relative, on the branch
     given by branch0 and g0. slope0 is the continued g'(w0) on that
     branch: the slope of the TrackResult that ended at w0, or the seed's
     dev.derivative(w0) times K**branch0. A zero slope0 fails every step
     with a ZeroDivisionError, so the track stalls.
     max_step caps the w-plane distance |w_new - w| of each accepted step,
-    checked after the Newton correction, so it should be set below the
+    checked after the correction, so it should be set below the
     feature scale of the curve (a petal four sheets in is far smaller than
     the mouth of a strip); a predictor chord longer than it is refused
     before any quadrature. A track that cannot proceed, or whose step
@@ -294,10 +314,15 @@ def level_curve_track(
     s = 0.0
     reason = ""
     steps = 0
-    # continued g'(w), given or carried from the accepted chord's end, and
-    # the slope and step of the previous accepted point
+    # continued g'(w), given or carried from the accepted chord's end; the
+    # connection g''/g' at w, carried likewise, or taken inside the first
+    # step so that a seed inside its pole clearance stalls the track
+    # instead of raising; and w'' and the step of the previous accepted
+    # point
     gp = complex(slope0)
-    k_prev = h_prev = None
+    c = None
+    connection = dev.connection
+    w2_prev = h_prev = None
     while s < 1.0 - 1e-14:
         if steps >= max_steps:
             reason = f"step budget {max_steps} exhausted"
@@ -307,13 +332,17 @@ def level_curve_track(
         s_new = s + h
         ok = False
         try:
-            k1 = dp(s) / gp
-            w_pred = w + h * k1
-            if k_prev is not None:
-                w_pred += 0.5 * h * h * (k1 - k_prev) / h_prev
+            if c is None:
+                c = connection(w)
+            k = dp(s) / gp
+            w2 = d2p(s) / gp - c * k * k
+            w_pred = w + h * k + 0.5 * h * h * w2
+            if w2_prev is not None:
+                w_pred += h * h * h / 6.0 * (w2 - w2_prev) / h_prev
             chord = abs(w_pred - w)
             if chord <= max_step:
                 inc, m_cur, gp_cur = yield from _chord_increment(dev, w, w_pred, m, quad_tol)
+                c_cur = connection(w_pred)
                 g_cur = g + inc
                 w_cur = w_pred
                 p_new = complex(p(s_new))
@@ -324,21 +353,24 @@ def level_curve_track(
                     if abs(r) <= tol * scale:
                         ok = abs(w_cur - w) <= max_step
                         break
+                    # Halley: the Newton step dw_N = -r/g' over 1 + c dw_N/2
                     dw = -r / gp_cur
+                    dw /= 1.0 + 0.5 * c_cur * dw
                     if abs(dw) > move_cap:
                         break
                     inc, m_cur, gp_cur = yield from _chord_increment(
                         dev, w_cur, w_cur + dw, m_cur, quad_tol
                     )
                     w_cur += dw
+                    c_cur = connection(w_cur)
                     g_cur += inc
         except ArithmeticError:
             # pole clearance, a chord along or onto a slit, a zero slope, or
             # exhausted quadrature: retry shorter
             ok = False
         if ok:
-            s, w, g, m, gp = s_new, w_cur, g_cur, m_cur, gp_cur
-            k_prev, h_prev = k1, h
+            s, w, g, m, gp, c = s_new, w_cur, g_cur, m_cur, gp_cur, c_cur
+            w2_prev, h_prev = w2, h
             ss.append(s), ws.append(w), gs.append(g), ms.append(m)
             h = min(h * 1.4, 1.0)
         else:

@@ -278,6 +278,17 @@ class TestDerivative:
             far = LIMIT.derivative(np.array([1e200 + 1e200j, 1e160j, -1e300]))
         assert (far == 1).all()
 
+    def test_connection_far_from_the_poles_does_not_overflow(self):
+        # |w - z|^2 overflows where |w| is above about 1e154; each term is
+        # then 0, in an array as for a single point
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for dev in (K2, LIMIT):
+                far = np.array([1e200 + 1e200j, 1e160j, -1e300])
+                vals = dev.connection(far)
+                assert np.all(vals == 0)
+                assert all(_same_bits(dev.connection(complex(w)), v) for w, v in zip(far, vals))
+
     def test_derivative_solves_connection_ode(self):
         # independent route: log g' is a primitive of the connection
         K, z1 = 3.0, 0.75 + 0.4j
@@ -448,8 +459,8 @@ class TestScalarArrayAgreement:
     @given(ws=_POINTS)
     def test_limit_scalar_equals_array_element(self, ws):
         assume(all(min(abs(w - p) for p in LIMIT.poles) > 1e-3 for w in ws))
-        # the connection divides by the pole offsets as 0-d arrays, as
-        # log_derivative does, so a point rounds as its array element
+        # the connection runs the same real operations on a point's Python
+        # floats as on its array element, so the two round alike
         for method in ("log_derivative", "derivative", "derivative_minus_one", "connection"):
             evaluate = getattr(LIMIT, method)
             batch = evaluate(np.array(ws, dtype=complex))

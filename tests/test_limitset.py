@@ -521,10 +521,10 @@ class TestFiniteBoundary:
         dev = DevelopingMap.from_aspect(1e6, _prevertex(1e6))
         carried = rectangle_image_boundary(dev)
 
-        def afresh(dev, p, dp, w0, **kwargs):
+        def afresh(dev, p, dp, d2p, w0, **kwargs):
             m = kwargs["branch0"]
             slope0 = dev.derivative(w0) * dev.K**m if m else dev.derivative(w0)
-            return (yield from level_curve_track(dev, p, dp, w0, **{**kwargs, "slope0": slope0}))
+            return (yield from level_curve_track(dev, p, dp, d2p, w0, **{**kwargs, "slope0": slope0}))
 
         monkeypatch.setattr(limitset, "level_curve_track", afresh)
         fresh = rectangle_image_boundary(dev)

@@ -47,8 +47,8 @@ def seed2(dev2):
 class TestBasics:
     def test_trivial_aspect_is_identity(self):
         dev = DevelopingMap.from_aspect(1.0, 1 + 1j)
-        p, dp = segment_target(2.0 + 0j, 2.0 + 1.5j)
-        r = track_level_curve(dev, p, dp, 2.0 + 0j, g0=2.0 + 0j, slope0=dev.derivative(2.0))
+        p, dp, d2p = segment_target(2.0 + 0j, 2.0 + 1.5j)
+        r = track_level_curve(dev, p, dp, d2p, 2.0 + 0j, g0=2.0 + 0j, slope0=dev.derivative(2.0))
         assert r.completed
         gaps = [abs(r.w[i] - p(r.s[i])) for i in range(len(r.s))]
         assert max(gaps) < 1e-12
@@ -57,8 +57,8 @@ class TestBasics:
         # at aspect 1 g' has no jump and the member no slits: a track
         # across the lines x = +-1 stays exact
         dev = DevelopingMap.from_aspect(1.0, 1 + 1j)
-        p, dp = segment_target(2 + 0.5j, -2 + 0.5j)
-        r = track_level_curve(dev, p, dp, 2 + 0.5j, g0=2 + 0.5j, slope0=dev.derivative(2 + 0.5j))
+        p, dp, d2p = segment_target(2 + 0.5j, -2 + 0.5j)
+        r = track_level_curve(dev, p, dp, d2p, 2 + 0.5j, g0=2 + 0.5j, slope0=dev.derivative(2 + 0.5j))
         assert r.completed
         assert max(abs(r.w[i] - p(r.s[i])) for i in range(len(r.s))) < 1e-12
 
@@ -66,16 +66,16 @@ class TestBasics:
         lim = DevelopingMap.merged_limit(1.9132015196, 0.3470332389)
         w0 = 3.0 + 0j
         g0 = complex(lim.develop_at(w0))
-        p, dp = segment_target(g0, g0 + 1.2j)
-        r = track_level_curve(lim, p, dp, w0, g0=g0, slope0=lim.derivative(w0))
+        p, dp, d2p = segment_target(g0, g0 + 1.2j)
+        r = track_level_curve(lim, p, dp, d2p, w0, g0=g0, slope0=lim.derivative(w0))
         assert r.completed
         assert (r.branch == 0).all()
         assert abs(complex(lim.develop_at(r.w[-1])) - p(1.0)) < 1e-9
 
     def test_endpoint_develops_to_target(self, dev2, seed2):
         w0, g0, gp0 = seed2
-        p, dp = segment_target(g0, g0 + 0.4 + 0.3j)
-        r = track_level_curve(dev2, p, dp, w0, g0=g0, slope0=gp0)
+        p, dp, d2p = segment_target(g0, g0 + 0.4 + 0.3j)
+        r = track_level_curve(dev2, p, dp, d2p, w0, g0=g0, slope0=gp0)
         assert r.completed
         assert abs(complex(dev2.develop_at(r.w[-1])) - p(1.0)) < 1e-9
         assert (r.branch == 0).all()
@@ -83,9 +83,9 @@ class TestBasics:
 
     def test_wrong_seed_rejected(self, dev2, seed2):
         w0, g0, gp0 = seed2
-        p, dp = segment_target(g0 + 0.3, g0 + 1)
+        p, dp, d2p = segment_target(g0 + 0.3, g0 + 1)
         with pytest.raises(ValueError):
-            track_level_curve(dev2, p, dp, w0, g0=g0, slope0=gp0)
+            track_level_curve(dev2, p, dp, d2p, w0, g0=g0, slope0=gp0)
 
 
 class TestHolonomyLoops:
@@ -100,8 +100,8 @@ class TestHolonomyLoops:
 
     def test_ccw_loop(self, dev2, seed2):
         w0, g0, gp0 = seed2
-        p, dp = circle(g0, +1.0)
-        r = track_level_curve(dev2, p, dp, w0, g0=g0, max_step=0.08, slope0=gp0)
+        p, dp, d2p = circle(g0, +1.0)
+        r = track_level_curve(dev2, p, dp, d2p, w0, g0=g0, max_step=0.08, slope0=gp0)
         assert r.completed
         assert r.branch[-1] == -1
         assert abs(r.g[-1] - p(1.0)) < 1e-9
@@ -112,8 +112,8 @@ class TestHolonomyLoops:
 
     def test_cw_loop(self, dev2, seed2):
         w0, g0, gp0 = seed2
-        p, dp = circle(g0, -1.0)
-        r = track_level_curve(dev2, p, dp, w0, g0=g0, max_step=0.08, slope0=gp0)
+        p, dp, d2p = circle(g0, -1.0)
+        r = track_level_curve(dev2, p, dp, d2p, w0, g0=g0, max_step=0.08, slope0=gp0)
         assert r.completed
         assert r.branch[-1] == +1
         predicted = CORNER + 0.5 * (g0 - CORNER)
@@ -124,8 +124,8 @@ class TestHolonomyLoops:
     def test_two_turns(self, dev2):
         w0 = Z1_K2 + 0.05
         g0 = complex(dev2.develop_at(w0))
-        p, dp = circle(g0, -2.0)
-        r = track_level_curve(dev2, p, dp, w0, g0=g0, max_step=0.006, first_step=1 / 400, slope0=dev2.derivative(w0))
+        p, dp, d2p = circle(g0, -2.0)
+        r = track_level_curve(dev2, p, dp, d2p, w0, g0=g0, max_step=0.006, first_step=1 / 400, slope0=dev2.derivative(w0))
         assert r.completed
         assert r.branch[-1] == +2
         predicted = CORNER + 0.25 * (g0 - CORNER)
@@ -134,11 +134,11 @@ class TestHolonomyLoops:
     def test_loop_composition_returns_home(self, dev2, seed2):
         # ccw then cw around the same developed circle: back to the seed
         w0, g0, gp0 = seed2
-        p, dp = circle(g0, +1.0)
-        out = track_level_curve(dev2, p, dp, w0, g0=g0, max_step=0.08, slope0=gp0)
-        p2, dp2 = circle(g0, -1.0)
+        p, dp, d2p = circle(g0, +1.0)
+        out = track_level_curve(dev2, p, dp, d2p, w0, g0=g0, max_step=0.08, slope0=gp0)
+        p2, dp2, d2p2 = circle(g0, -1.0)
         back = track_level_curve(
-            dev2, p2, dp2, out.w[-1], g0=out.g[-1], branch0=out.branch[-1], max_step=0.08, slope0=out.slope
+            dev2, p2, dp2, d2p2, out.w[-1], g0=out.g[-1], branch0=out.branch[-1], max_step=0.08, slope0=out.slope
         )
         assert back.completed
         assert back.branch[-1] == 0
@@ -148,8 +148,8 @@ class TestHolonomyLoops:
 class TestStepControl:
     def test_budget_exhaustion_reports_stall(self, dev2, seed2):
         w0, g0, gp0 = seed2
-        p, dp = circle(g0, +1.0)
-        r = track_level_curve(dev2, p, dp, w0, g0=g0, max_step=0.08, max_steps=3, slope0=gp0)
+        p, dp, d2p = circle(g0, +1.0)
+        r = track_level_curve(dev2, p, dp, d2p, w0, g0=g0, max_step=0.08, max_steps=3, slope0=gp0)
         assert not r.completed
         assert "budget" in r.reason
         assert len(r.w) == 4
@@ -159,8 +159,8 @@ class TestStepControl:
         # the target ends at the singular value itself; the track must
         # either stall cleanly or end next to the prevertex, never raise
         w0, g0, gp0 = seed2
-        p, dp = segment_target(g0, CORNER)
-        r = track_level_curve(dev2, p, dp, w0, g0=g0, max_step=0.004, max_steps=2000, slope0=gp0)
+        p, dp, d2p = segment_target(g0, CORNER)
+        r = track_level_curve(dev2, p, dp, d2p, w0, g0=g0, max_step=0.004, max_steps=2000, slope0=gp0)
         if r.completed:
             assert abs(r.w[-1] - Z1_K2) < 1e-6
         else:
@@ -169,8 +169,8 @@ class TestStepControl:
 
     def test_monotone_parameter(self, dev2, seed2):
         w0, g0, gp0 = seed2
-        p, dp = segment_target(g0, g0 + 0.5j)
-        r = track_level_curve(dev2, p, dp, w0, g0=g0, slope0=gp0)
+        p, dp, d2p = segment_target(g0, g0 + 0.5j)
+        r = track_level_curve(dev2, p, dp, d2p, w0, g0=g0, slope0=gp0)
         assert (np.diff(r.s) > 0).all()
         assert r.s[0] == 0.0 and r.s[-1] == pytest.approx(1.0, abs=1e-12)
 
@@ -183,21 +183,52 @@ class TestStepControl:
         # replaced, so the track stalls where it started and raises nothing
         w0, g0, _ = seed2
         calls = _count_derivative_calls(monkeypatch)
-        p, dp = circle(g0, +0.25)
-        r = track_level_curve(dev2, p, dp, w0, g0=g0, max_step=0.08, first_step=0.1, slope0=0j)
+        p, dp, d2p = circle(g0, +0.25)
+        r = track_level_curve(dev2, p, dp, d2p, w0, g0=g0, max_step=0.08, first_step=0.1, slope0=0j)
         assert not r.completed
         assert r.reason == "step size underflow at s = 0"
         assert list(r.w) == [w0] and r.slope == 0j
         assert calls == []
 
+    def test_a_seed_inside_the_connection_clearance_stalls(self, dev2):
+        # the connection's pole clearance (1e-12 of the pole scale) is ten
+        # times the derivative's, so a seed between the two has a slope but
+        # no connection: every step fails and the track stalls where it
+        # started, raising nothing
+        z = dev2.poles[0]
+        w0 = z + 5e-13 * (1.0 + max(abs(p) for p in dev2.poles)) * (0.6 + 0.8j)
+        g0 = 1 + 1j
+        r = track_level_curve(dev2, *segment_target(g0, g0 + 1e-3), w0, g0=g0, slope0=dev2.derivative(w0))
+        assert not r.completed
+        assert r.reason == "step size underflow at s = 0"
+        assert list(r.w) == [w0]
+        with pytest.raises(ArithmeticError, match="singular point"):
+            dev2.connection(w0)
+
     def test_targets_are_python_complex(self):
-        for p, dp in (
+        for target in (
+            segment_target(np.complex128(CORNER), 0.5),
             circle(CORNER + 0.3, +1.0),
             arc_target(np.complex128(CORNER), np.float64(0.5), np.float64(0.0), 3.0),
             limitset._ray_target(np.complex128(CORNER), 0.5, 1.0, 1e-3),
         ):
             for s in (0.0, 0.37, 1.0):
-                assert type(p(s)) is complex and type(dp(s)) is complex
+                assert all(type(f(s)) is complex for f in target)
+
+    @pytest.mark.parametrize("target", [
+        segment_target(0.3 + 0.2j, -1.1 + 0.7j),
+        arc_target(CORNER, 0.5, 0.3, -5.0),
+        limitset._ray_target(CORNER, 0.5, 1.0, 1e-3),
+        limitset._ray_target(-CORNER, 2.0, 1.0, 11.0),
+    ], ids=["segment", "arc", "ray-in", "ray-out"])
+    def test_second_derivative_is_the_slope_of_dp(self, target):
+        # d2p against a central difference of dp, whose error is about
+        # e^2 |p^(4)|/6 plus dp's rounding over e
+        _, dp, d2p = target
+        e = 1e-5
+        for s in (0.0, 0.37, 1.0):
+            diff = (dp(s + e) - dp(s - e)) / (2 * e)
+            assert abs(d2p(s) - diff) <= 1e-8 * (1.0 + abs(dp(s))), s
 
 
 def _count_derivative_calls(monkeypatch):
@@ -214,35 +245,45 @@ def _count_derivative_calls(monkeypatch):
 
 class TestDerivativeBudget:
     # an accepted step makes one call per quadrature level of each chord
-    # it moves through (the predictor's and mostly one Newton chord),
-    # whose end value serves as the next Newton slope or the next step's
-    # slope; the first slope is the caller's slope0, so a track makes no
-    # call of its own outside its chords. These tracks take about 2.3
-    # calls per step
+    # it moves through (the predictor's and mostly one Halley chord),
+    # whose end value serves as the next corrector slope or the next
+    # step's slope; the first slope is the caller's slope0, so a track
+    # makes no call of its own outside its chords. These tracks take
+    # about 2.0 calls per step
 
     def test_corner_approach(self, monkeypatch):
         dev = DevelopingMap.from_aspect(1000.0, Z1_K1000)
         w0 = Z1_K1000 + 0.2
         g0 = complex(dev.develop_at(w0))
-        p, dp = segment_target(g0, CORNER + 1e-3 * (g0 - CORNER) / abs(g0 - CORNER))
+        p, dp, d2p = segment_target(g0, CORNER + 1e-3 * (g0 - CORNER) / abs(g0 - CORNER))
         gp0 = dev.derivative(w0)
         calls = _count_derivative_calls(monkeypatch)
-        r = track_level_curve(dev, p, dp, w0, g0=g0, max_step=0.004, max_steps=4000, slope0=gp0)
+        r = track_level_curve(dev, p, dp, d2p, w0, g0=g0, max_step=0.004, max_steps=4000, slope0=gp0)
         steps = len(r.s) - 1
         assert r.completed and steps > 50
-        assert len(calls) <= 3.0 * steps
+        assert len(calls) <= 2.5 * steps
 
     def test_limit_ray(self, monkeypatch):
         lim = DevelopingMap.merged_limit(1.9132015196, 0.3470332389)
         w0 = 3.0 + 0j
         g0 = complex(lim.develop_at(w0))
-        p, dp = segment_target(g0, g0 + 1.2j)
+        p, dp, d2p = segment_target(g0, g0 + 1.2j)
         gp0 = lim.derivative(w0)
         calls = _count_derivative_calls(monkeypatch)
-        r = track_level_curve(lim, p, dp, w0, g0=g0, slope0=gp0)
+        r = track_level_curve(lim, p, dp, d2p, w0, g0=g0, slope0=gp0)
         steps = len(r.s) - 1
         assert r.completed and steps > 10
-        assert len(calls) <= 3.0 * steps
+        assert len(calls) <= 2.5 * steps
+
+
+def _steps_counted(steps):
+    """level_curve_track, appending each track's accepted steps to steps."""
+    def counted(*args, **kwargs):
+        r = yield from level_curve_track(*args, **kwargs)
+        steps.append(len(r.s) - 1)
+        return r
+
+    return counted
 
 
 def _alone(dev, request):
@@ -293,17 +334,17 @@ class TestChordEnd:
         # makes the same derivative calls and tracks the same points as one
         # given that value afresh
         w0, g0, gp0 = seed2
-        p, dp = circle(g0, -1.0)
-        r = track_level_curve(dev2, p, dp, w0, g0=g0, max_step=0.08, slope0=gp0)
+        p, dp, d2p = circle(g0, -1.0)
+        r = track_level_curve(dev2, p, dp, d2p, w0, g0=g0, max_step=0.08, slope0=gp0)
         w, m = complex(r.w[-1]), int(r.branch[-1])
         assert r.completed and m != 0
         point = dev2.derivative(w) * dev2.K**m
         assert type(r.slope) is complex and _same_bits(r.slope, point)
-        p, dp = circle(complex(r.g[-1]), +0.25)
+        p, dp, d2p = circle(complex(r.g[-1]), +0.25)
         calls = _count_derivative_calls(monkeypatch)
-        fresh = track_level_curve(dev2, p, dp, w, g0=complex(r.g[-1]), branch0=m, max_step=0.08, slope0=point)
+        fresh = track_level_curve(dev2, p, dp, d2p, w, g0=complex(r.g[-1]), branch0=m, max_step=0.08, slope0=point)
         n_fresh = len(calls)
-        carried = track_level_curve(dev2, p, dp, w, g0=complex(r.g[-1]), branch0=m, max_step=0.08, slope0=r.slope)
+        carried = track_level_curve(dev2, p, dp, d2p, w, g0=complex(r.g[-1]), branch0=m, max_step=0.08, slope0=r.slope)
         assert len(calls) - n_fresh == n_fresh
         for a, b in ((fresh.w, carried.w), (fresh.g, carried.g), (fresh.slope, carried.slope)):
             assert _same_bits(a, b)
@@ -352,12 +393,17 @@ class TestLockStep:
         w0, g0, gp0 = seed2
         z = dev2.poles[0]
         # off the slit's line, 1e-3 from the prevertex: the first step's
-        # tangent ends 1e-14 from it, inside the pole clearance, so that
-        # chord's panel is refused and the track retries at half the step
+        # predicted point ends 1e-14 from it, inside the pole clearance, so
+        # that chord's panel is refused and the track retries at half the
+        # step. A segment has p'' = 0, so a whole first step predicts
+        # w + k - c k^2/2, with k = p'/g' and c the connection at w; k is
+        # the root of k - c k^2/2 = d near d
         off = 0.6 + 0.8j
         near = z + 1e-3 * off
         g_near = complex(dev2.develop_at(near))
-        aim = segment_target(g_near, g_near - dev2.derivative(near) * (near - z - 1e-14 * off))
+        d = z + 1e-14 * off - near
+        k = 2.0 * d / (1.0 + cmath.sqrt(1.0 - 2.0 * dev2.connection(near) * d))
+        aim = segment_target(g_near, g_near + dev2.derivative(near) * k)
 
         def tracks():
             return [
@@ -459,8 +505,8 @@ class TestLockStep:
             return derivative(self, w)
 
         monkeypatch.setattr(DevelopingMap, "derivative", watched)
-        p, dp = segment_target(g0, g0 + 0.4 + 0.3j)
-        [r] = lock_step(dev2, [recorded(level_curve_track(dev2, p, dp, w0, g0=g0, slope0=gp0))])
+        p, dp, d2p = segment_target(g0, g0 + 0.4 + 0.3j)
+        [r] = lock_step(dev2, [recorded(level_curve_track(dev2, p, dp, d2p, w0, g0=g0, slope0=gp0))])
         assert r.completed
         assert requests and all(type(w) is tuple and len(w) == 3 for w in requests)
         assert len(calls) == len(requests)
@@ -469,10 +515,11 @@ class TestLockStep:
             assert _same_bits(got, np.append(nodes, hi))
 
     def test_a_boundary_requests_only_panels_in_few_rounds(self, solved, monkeypatch):
-        # the predictor evaluates no derivative, so every request is a
-        # GK15 panel: a K = 1e6 boundary's corner approaches take 180
-        # rounds, where RK4 stages requested as single points take 328
-        rounds = []
+        # the predictor's g'' comes from the connection, in scalar
+        # arithmetic, so every request is a GK15 panel: a K = 1e6
+        # boundary's corner approaches take 352 accepted steps in 135
+        # rounds, about 2.2 chords a step
+        rounds, steps = [], []
         outcomes = tracking._outcomes
 
         def counted(dev, panels):
@@ -480,9 +527,31 @@ class TestLockStep:
             return outcomes(dev, panels)
 
         monkeypatch.setattr(tracking, "_outcomes", counted)
+        monkeypatch.setattr(limitset, "level_curve_track", _steps_counted(steps))
         rectangle_image_boundary(DevelopingMap.from_aspect(1e6, solved[1e6]))
-        assert len(rounds) <= 220
+        assert sum(steps) == 352
+        assert len(rounds) <= 140
         assert all(type(r) is tuple and len(r) == 3 for panels in rounds for r in panels)
+
+    @pytest.mark.parametrize("K", [2.0, 1e6])
+    def test_every_carried_point_meets_the_corrector_gate(self, K, solved, monkeypatch):
+        # each accepted (s, g) lies on its target to tol (1 + |p(s)|), and
+        # each accepted step moves w by at most max_step
+        tracks = []
+
+        def recorded(dev, p, dp, d2p, w0, **kwargs):
+            r = yield from level_curve_track(dev, p, dp, d2p, w0, **kwargs)
+            tracks.append((p, kwargs["tol"], kwargs["max_step"], r))
+            return r
+
+        monkeypatch.setattr(limitset, "level_curve_track", recorded)
+        rectangle_image_boundary(DevelopingMap.from_aspect(K, solved[K]))
+        assert len(tracks) > 8 and all(r.completed for *_, r in tracks)
+        for p, tol, max_step, r in tracks:
+            for s, g in zip(r.s[1:].tolist(), r.g[1:].tolist()):
+                target = complex(p(s))
+                assert abs(g - target) <= tol * (1.0 + abs(target))
+            assert np.all(np.abs(np.diff(r.w)) <= max_step)
 
     def test_pooling_keeps_the_nodes_in_fewer_calls(self, solved, monkeypatch):
         dev = DevelopingMap.from_aspect(1e3, solved[1e3])

@@ -74,5 +74,9 @@ python -m affsurf solve --k 1e300 --out solvefar
 exits 1 python -m affsurf hausdorff --theta-max 3 --out hausdorff3
 # near the square the corner holonomy's fixed points are off by 2.1e-11 against a 1e-12 bound (ROADMAP item 5): fails (exit 1)
 exits 1 python -m affsurf verify --k 1.000001 --density 60 --out verifynearsquare
-# far out the upper axis seed follows the solve's error and the sides' reflection asymmetry reads 2.2e-6 against 1e-6 (ROADMAP item 9): fails (exit 1)
-exits 1 python -m affsurf verify --k 1e30 --density 60 --out verify1e30
+# far out the upper axis seed follows the solve's error (ROADMAP item 9), so the sides' reflection asymmetry
+# reads wherever the accepted points sit within the tracking tolerance: 1.5e-8 against 1e-6 here
+python -m affsurf verify --k 1e30 --density 60 --out verify1e30
+# the same at the far end: 9.0e-7 against 1e-6, a thin margin that a change in where the tracker's
+# accepted points sit within its tolerance can cross
+python -m affsurf verify --k 1e300 --density 60 --out verify1e300
