@@ -48,6 +48,10 @@ MONODROMY_TERMS = 48
 # residue sign of the connection at each prevertex, in prevertex_ring order
 PREVERTEX_SIGNS = (-1.0, +1.0, -1.0, +1.0)
 
+# default tolerance of develop, develop_at and loop_integral, shared out
+# over a path's segments in proportion to their number or length
+DEVELOP_TOL = 1e-11
+
 
 def prevertex_ring(z1: complex) -> tuple[complex, complex, complex, complex]:
     """The four prevertices in counterclockwise order from the first quadrant."""
@@ -313,7 +317,7 @@ class DevelopingMap:
 
     # -- integration -------------------------------------------------------
 
-    def develop(self, path: Sequence[complex], tol: float = 1e-11) -> np.ndarray:
+    def develop(self, path: Sequence[complex], tol: float = DEVELOP_TOL) -> np.ndarray:
         """Values of g at the nodes of a polyline anchored near infinity.
 
         path[0] must satisfy |path[0]| >= tail_radius; the anchor value comes
@@ -341,7 +345,7 @@ class DevelopingMap:
             out[i + 1] = out[i] + integrate_segment(self.derivative, a, b, share)
         return out
 
-    def develop_at(self, w: complex, tol: float = 1e-11) -> complex:
+    def develop_at(self, w: complex, tol: float = DEVELOP_TOL) -> complex:
         """g at a single point, routed radially or vertically from infinity.
 
         A point on a slit has no straight approach: develop raises
@@ -357,7 +361,7 @@ class DevelopingMap:
         anchor = complex(w.real, abs(w.imag) + self.tail_radius + 2.0)
         return complex(self.develop([anchor, w], tol)[-1])
 
-    def loop_integral(self, center: complex, radius: float, tol: float = 1e-11) -> complex:
+    def loop_integral(self, center: complex, radius: float, tol: float = DEVELOP_TOL) -> complex:
         """Counterclockwise circle integral of g', the additive monodromy of g.
 
         The circle must not meet a branch slit (it may enclose one).

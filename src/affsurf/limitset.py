@@ -12,7 +12,8 @@ Both clouds start from the boundary's axis crossings, each solved once by
 _axis_seeds, whose Brent values after the first are developed from the
 nearest one already developed on the axis rather than from infinity, and
 whose mirror seeds are the reflections of the solved ones, value and all.
-Each seed carries its slope g', one single-point evaluation.
+Each seed is a track's start (w, g, branch 0, g'), its slope one
+single-point evaluation.
 They reach the square's corners one way: a finite boundary's eight half
 sides and the limit's four mouth curves are corner approaches
 (_track_toward_corner) into the corners SIDE_CORNERS gives each side, and
@@ -25,12 +26,12 @@ Wanner, Solving ODEs I, II.4): a K = 1e6 boundary takes 352 accepted
 steps, not the 804 of a ramp up from 0.02 in every stage, at the same
 largest deviation from a track on an eight times smaller step cap. Its
 steps take 772 chords, 2.2 a step, in 135 lock-step rounds.
-Every track that starts where another one ended (a stage, a bridge, a
-stop's two rays) also starts from the slope g' that track ended on
-(TrackResult.end), and every track from an axis seed from the seed's
-slope, so a cloud evaluates one single-point slope per seed: four per
-boundary and two per limit cloud, where starting afresh took 80 at
-K = 1e6 and 128 in the default limit cloud.
+Every track starts from an axis seed or from the TrackResult.end of the
+track before it (a stage, a bridge, a stop's two rays), the point,
+sheet and slope g' that track ended on, so a cloud evaluates one
+single-point slope per seed: four per boundary and two per limit cloud,
+where starting afresh took 80 at K = 1e6 and 128 in the default limit
+cloud.
 Each cloud runs its tracks, the limit's spiral rays among them, in one
 tracking.lock_step: each round makes one derivative call for all live
 tracks. Every point is bit-identical to tracking it alone, because the
@@ -58,7 +59,7 @@ from typing import Dict, Generator, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .develop import DevelopingMap
+from .develop import DEVELOP_TOL, DevelopingMap
 from .quadrature import integrate_segment
 from .surface import CORNER_COORD, SPIRAL_SEAM
 from .solver import LimitEstimate, SolveResult
@@ -259,33 +260,29 @@ def _brent(
     raise ArithmeticError(f"Brent bracket {bracket}: no convergence in {_BRENT_MAXITER} iterations")
 
 
-# develop_at's default tolerance; an axis segment between two seed values
-# gets the share of it that its length is of the tail radius
-_SEED_TOL = 1e-11
-
-
-def _axis_seeds(dev: DevelopingMap, d: complex) -> Tuple[Tuple[complex, complex, complex], ...]:
-    """Seeds (w, g(w), g'(w)) on the boundary's crossing of the axis along
-    d, 1 or 1j, and on the crossing's mirror, -conj(w) or conj(w).
+def _axis_seeds(dev: DevelopingMap, d: complex) -> Tuple[Tuple[complex, complex, int, complex], ...]:
+    """Track starts (w, g(w), 0, g'(w)) on the boundary's crossing of the
+    axis along d, 1 or 1j, and on the crossing's mirror, -conj(w) or
+    conj(w), both on branch 0.
 
     The crossing w = t*d solves Re g = 1 on the real axis
     (_real_crossing) and Im g = 1 on the imaginary one, keeping the g the
     solve left. Only the first value the solve takes comes from
-    develop_at (on a finite map's imaginary axis, the centre's); every
-    later one is developed from the nearest value already developed on
-    the axis, along the axis segment between them, with a share of
-    _SEED_TOL proportional to the segment's length, as develop spreads
-    its tolerance along a path. No such segment meets a slit: the real
-    axis is searched right of the prevertex, and the imaginary axis lies
-    between the slits. The mirror's seed is the reflection of the solved
-    one, (-conj w, -conj g) or (conj w, conj g), since g(-conj w) =
-    -conj g(w) and g(conj w) = conj g(w). Each seed's slope g' is
-    dev.derivative at that seed, the mirror's evaluated at the mirror
-    rather than reflected, and is the slope0 of every track started
-    there; no slit passes through a seed. At the square, where g is the
-    identity, the crossings are 1 and i.
+    develop_at (on the imaginary axis, the centre's); every later one is
+    developed from the nearest value already developed on the axis, along
+    the axis segment between them, with the share of develop_at's
+    DEVELOP_TOL that the segment's length is of the tail radius, as
+    develop spreads its tolerance along a path. No such segment meets a
+    slit: the real axis is searched right of the prevertex, and the
+    imaginary axis lies between the slits. The mirror's seed is the
+    reflection of the solved one, (-conj w, -conj g) or (conj w, conj g),
+    since g(-conj w) = -conj g(w) and g(conj w) = conj g(w). Each seed's
+    slope g' is dev.derivative at that seed, the mirror's evaluated at the
+    mirror rather than reflected; no slit passes through a seed. At the
+    square, where g is the identity, the crossings are 1 and i.
 
-    On a finite map's imaginary axis the crossing sinks like 1.438/K as
+    Only finite boundaries seed on the imaginary axis; the limit cloud
+    seeds on the real axis alone. There the crossing sinks like 1.438/K as
     the top edge flattens onto the real axis: measured, Im g(iv) - 1 is
     about -1/K as v -> 0, rises with slope g' ~ 0.695 and crosses zero at
     vK ~ 1.438. That solve starts at the rectangle's centre w = 0: only
@@ -312,10 +309,9 @@ def _axis_seeds(dev: DevelopingMap, d: complex) -> Tuple[Tuple[complex, complex,
     where that error lifts g(0) onto or above the top edge, so that no
     crossing lies above the centre, the seed is taken from i - i/K + h
     instead, and lies off develop_at's frame, and the left and right
-    sides, by that error. The limit, whose g(0) this does not establish,
-    solves Im g = 1 from develop_at(0).
+    sides, by that error.
     """
-    if dev.kind == "finite" and d != 1:
+    if d != 1:
         # values hold h = g - g(0), and the solve finds Im g(0) + Im h = 1;
         # Re g(0) = 0 by the reflection w -> -conj w
         base = 1j * complex(dev.develop_at(0j)).imag
@@ -332,7 +328,7 @@ def _axis_seeds(dev: DevelopingMap, d: complex) -> Tuple[Tuple[complex, complex,
         if t not in values:
             if values:
                 near = min(values, key=lambda u: abs(u - t))
-                share = _SEED_TOL * abs(t - near) / dev.tail_radius
+                share = DEVELOP_TOL * abs(t - near) / dev.tail_radius
                 values[t] = values[near] + integrate_segment(dev.derivative, near * d, t * d, share)
             else:
                 values[t] = complex(dev.develop_at(complex(t * d)))
@@ -351,7 +347,7 @@ def _axis_seeds(dev: DevelopingMap, d: complex) -> Tuple[Tuple[complex, complex,
         w_mirror, g_mirror = -w.conjugate(), -g.conjugate()
     else:
         w_mirror, g_mirror = w.conjugate(), g.conjugate()
-    return (w, g, dev.derivative(w)), (w_mirror, g_mirror, dev.derivative(w_mirror))
+    return (w, g, 0, dev.derivative(w)), (w_mirror, g_mirror, 0, dev.derivative(w_mirror))
 
 
 def _real_crossing(dev: DevelopingMap, f) -> float:
@@ -393,7 +389,7 @@ SIDE_CORNERS = {"right": ("ur", "br"), "left": ("ul", "bl"), "top": ("ur", "ul")
 
 
 def _track_toward_corner(
-    dev: DevelopingMap, corner: complex, seed: Tuple[complex, complex, complex], clip: float, quad_tol: float
+    dev: DevelopingMap, corner: complex, start: Tuple[complex, complex, int, complex], clip: float, quad_tol: float
 ) -> Generator[tuple, tuple, Tuple[np.ndarray, str]]:
     """Follow the square side radially into a corner value.
 
@@ -403,44 +399,40 @@ def _track_toward_corner(
     singular point). The stages are alike on their shrinking scales, so
     each one after the first starts at the step in s its previous stage
     had grown to (TrackResult.next_step) instead of ramping up again from
-    the first stage's 0.02, and from the point, sheet and slope that stage
-    ended on (TrackResult.end); the first stage starts from the seed, which is
-    (w, g, g') on branch 0 as _axis_seeds gives it. The chain ends at
-    developed distance clip, or before a stage whose end would lie within
-    2 ulp of the corner's coordinates, where float64 barely tells its
-    points from the corner (the top and bottom sides, clipped at
-    CORNER_CLIP/K, reach that floor from about K = 1e13). A
+    the first stage's 0.02, and from the start that stage ended on
+    (TrackResult.end); the first stage starts from an _axis_seeds start.
+    The chain ends at developed distance clip, or before a stage whose
+    end would lie within 2 ulp of the corner's coordinates, where float64
+    barely tells its points from the corner (the top and bottom sides,
+    clipped at CORNER_CLIP/K, reach that floor from about K = 1e13). A
     tracking.lock_step track that returns the joined stage curves and the
     reason the approach stalled ("" when it reached its clip or the floor).
     """
-    w0, g0, gp = seed
+    w0, g0 = start[:2]
     rho = abs(g0 - corner)
     direction = (g0 - corner) / rho
     # no stage ends within 2 ulp of the corner's coordinates, where its
     # target would be rounding noise
     floor = 2.0 * math.ulp(max(abs(corner.real), abs(corner.imag)))
     pieces = []
-    w, g, m = w0, g0, 0
     first_step = 0.02
     while rho > clip:
         rho_next = max(clip, rho / 4.0)
         if rho_next <= floor:
             break
         target = segment_target(corner + rho * direction, corner + rho_next * direction)
-        near = min(abs(w - z) for z in dev.poles)
+        near = min(abs(start[0] - z) for z in dev.poles)
         step = max(2e-4, 0.2 * near)
         # the derivative collapses with the developed scale near the
         # prevertex, so the on-curve tolerance must shrink with it or
         # the correction goes slack in w
         tol = float(np.clip(1e-3 * rho_next, 1e-13, 1e-10))
         r = yield from level_curve_track(
-            dev, *target, w, g0=g, branch0=m, max_step=step, tol=tol,
-            quad_tol=min(quad_tol, 0.1 * tol),
-            first_step=first_step, max_steps=4000, slope0=gp,
+            dev, *target, start, max_step=step, tol=tol,
+            quad_tol=min(quad_tol, 0.1 * tol), first_step=first_step,
         )
         pieces.append(r.w)
-        w, g, m, gp = r.end
-        first_step = r.next_step
+        start, first_step = r.end, r.next_step
         if not r.completed:
             return np.concatenate(pieces), r.reason
         rho = rho_next
@@ -548,11 +540,11 @@ def limit_image_cloud(
     flank_<corner>_n<n>a and _n<n>b at 2 pi n - pi/2 and 2 pi n, the edges
     of sheet n's rectangle window. Each spiral assembly first walks its
     bridges in order from the axis seed, the collar's outer edge
-    u = -pi/2, one track_level_curve per stop, and seeds the stop's rays
+    u = -pi/2, one track_level_curve per stop, and starts the stop's rays
     <stop>_in and <stop>_out where the bridge ends, recording their depth,
     or the stop's "unreached:" note where the bridge stalls. An assembly's
-    first bridge starts from the axis seed's slope; each later bridge, and
-    both rays of a stop, from the slope the bridge before them ended on. A
+    first bridge starts from the axis seed; each later bridge, and both
+    rays of a stop, from the TrackResult.end of the bridge before them. A
     bridge's first step is its whole arc, which the step cap alone cuts
     down: only its end point is kept, and that is pinned to the tracking
     tolerance however many steps lead to it. The mouth curves and all rays
@@ -580,7 +572,7 @@ def limit_image_cloud(
         # the bridge starts on the axis seed, at the collar's outer edge
         seam, orient = SPIRAL_SEAM[name]
         th = seam - 0.5 * math.pi * orient
-        (w, g, gp), m = seeds["right" if corner.real > 0 else "left"], 0
+        start = seeds["right" if corner.real > 0 else "left"]
         for depth, label in _spiral_stops(name, theta_max):
             angle = seam + orient * depth
             cap = min(0.05, 0.5 * tau / max(depth, math.pi))
@@ -588,21 +580,19 @@ def limit_image_cloud(
             # the cloud, so it starts on its whole arc and the step cap
             # sizes its first chord (see the module docstring)
             br = track_level_curve(
-                dev, *arc_target(corner, 1.0, th, angle), w, g0=g, branch0=m,
-                max_step=cap, quad_tol=quad_tol,
-                max_steps=20000, first_step=1.0, slope0=gp,
+                dev, *arc_target(corner, 1.0, th, angle), start,
+                max_step=cap, quad_tol=quad_tol, first_step=1.0,
             )
             if not br.completed:
                 cloud.notes[label] = f"unreached: bridge {br.reason}"
                 cloud.depths[label] = depth
                 break
-            w, g, m, gp = br.end
-            th = angle
+            start, th = br.end, angle
             for tag, r1 in (("in", CORNER_CLIP), ("out", STRIP_DEPTH + 1.0)):
                 cloud.depths[f"{label}_{tag}"] = depth
                 tracks[f"{label}_{tag}"] = _curve_and_stall(level_curve_track(
-                    dev, *_ray_target(corner, angle, 1.0, r1), w, g0=g, branch0=m,
-                    max_step=cap, quad_tol=quad_tol, max_steps=20000, first_step=0.002, slope0=gp,
+                    dev, *_ray_target(corner, angle, 1.0, r1), start,
+                    max_step=cap, quad_tol=quad_tol, first_step=0.002,
                 ))
 
     # the mouths and every stop's rays are independent once seeded

@@ -71,6 +71,9 @@ _PAIR_WEIGHTS[1::2, 1] = G7_WEIGHTS
 # a discrepancy at most this share of a panel's integral of |f| is rounding
 _ROUNDOFF = 50.0 * np.finfo(float).eps
 
+# panel bisections after which integrate_segment gives up
+MAX_PANELS = 16384
+
 
 def gk15_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(half-widths, nodes) of the GK15 panels [lo, hi], one row of 15 nodes a panel."""
@@ -104,7 +107,7 @@ def gk15_level(vals: np.ndarray, h: np.ndarray, tol, total) -> tuple[np.ndarray,
     err = np.abs(sums[..., 0] - sums[..., 1])
     length = 2.0 * np.abs(h)
     # the absolute floor keeps short panels near an endpoint from being
-    # starved by the length-proportional share; with <= max_panels panels
+    # starved by the length-proportional share; with <= MAX_PANELS panels
     # the accepted error still sums to O(tol)
     live = (err > np.maximum((tol / total) * length, 1e-4 * tol)) & (length > 1e-15 * total)
     # the tracker calls this once a round on a few panels, where
@@ -119,7 +122,6 @@ def integrate_segment(
     a: complex,
     b: complex,
     tol: float = 1e-11,
-    max_panels: int = 16384,
     points: Sequence[complex] = (),
     first: np.ndarray | None = None,
 ) -> complex:
@@ -131,7 +133,7 @@ def integrate_segment(
     bisected, and each level evaluates f once on the nodes of all its live
     panels. A caller that already holds f on the first level's nodes passes
     those values as first, and f is then evaluated from the second level
-    on. Raises QuadratureError after more than max_panels bisections.
+    on. Raises QuadratureError after more than MAX_PANELS bisections.
     """
     a, b = complex(a), complex(b)
     total = abs(b - a)
@@ -157,9 +159,9 @@ def integrate_segment(
         acc += sums[~live, 0].sum()
         lo, hi = lo[live], hi[live]
         splits += lo.size
-        if splits > max_panels:
+        if splits > MAX_PANELS:
             raise QuadratureError(
-                f"no convergence after {max_panels} panel splits "
+                f"no convergence after {MAX_PANELS} panel splits "
                 f"(err {err[live].max():.2e}, tol {tol:.2e})"
             )
         mid = 0.5 * (lo + hi)

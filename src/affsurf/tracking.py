@@ -29,12 +29,13 @@ as last", Dormand & Prince 1980). c is taken once at each chord's end
 and carried with g' in the same way; only a track's start takes it
 afresh. A chord end inside the connection's pole clearance fails its
 step, as the derivative's refusal does.
-The same reuse runs across tracks: a TrackResult carries the slope at
-its last point, and a track that goes on from there takes it as slope0,
-as a continuation restarts from the tangent it holds (Allgower & Georg,
-ch. 2); a track from a bare seed takes the seed's single-point value. A
-chord that ends on a slit has no last piece, so no end value, and fails
-its step. An array element equals the single-point value bit for bit
+The same reuse runs across tracks: a track starts from one value, start =
+(w, g, branch, slope), which is what TrackResult.end gives, so a track
+that goes on from another starts from the point, sheet and slope it
+ended on, as a continuation restarts from the state it holds (Allgower
+& Georg, ch. 2); a track from a bare seed takes the seed's single-point
+slope. A chord that ends on a slit has no last piece, so no end value,
+and fails its step. An array element equals the single-point value bit for bit
 (TestScalarArrayAgreement), so where a slope comes from changes no
 tracked point.
 
@@ -182,14 +183,15 @@ def _outcomes(dev: DevelopingMap, panels: list) -> list:
 def _shared(dev: DevelopingMap, panels: list) -> list:
     """The outcomes of panels from one derivative call; see _outcomes."""
     lo, hi, tol = zip(*panels)
-    h, nodes = gk15_nodes(np.array(lo), np.array(hi))
-    n = len(panels)
-    vals = dev.derivative(np.concatenate((nodes.ravel(), hi)))
-    first, ends = vals[:15 * n].reshape(n, 15), vals[15 * n:]
     # each panel is its own segment, its length taken by Python's abs as
     # integrate_segment takes it (numpy's complex abs can differ in the
     # last bit)
     total = np.array([abs(b - a) for a, b in zip(lo, hi)])
+    hi = np.array(hi)
+    h, nodes = gk15_nodes(np.array(lo), hi)
+    n = len(panels)
+    vals = dev.derivative(np.concatenate((nodes.ravel(), hi)))
+    first, ends = vals[:15 * n].reshape(n, 15), vals[15 * n:]
     sums, _, live = gk15_level(first[:, None], h[:, None], np.array(tol)[:, None], total[:, None])
     return [
         (None if refine else integral, row, end)
@@ -208,9 +210,8 @@ class TrackResult:
     # the step in s the track had grown to when its final step was cut to
     # the remainder 1 - s: a first_step for a track that goes on from here
     next_step: float
-    # continued g' at the last point, on its sheet: slope0 where no step
-    # was accepted, else the last accepted chord's end value; a slope0 for
-    # a track that goes on from here
+    # continued g' at the last point, on its sheet: the start's slope
+    # where no step was accepted, else the last accepted chord's end value
     slope: complex
 
     @property
@@ -219,8 +220,8 @@ class TrackResult:
 
     @property
     def end(self) -> tuple[complex, complex, int, complex]:
-        """(w, g, branch, slope) at the last point: the w0, g0, branch0 and
-        slope0 of a track that goes on from here."""
+        """(w, g, branch, slope) at the last point: the start of a track
+        that goes on from here."""
         return complex(self.w[-1]), complex(self.g[-1]), int(self.branch[-1]), self.slope
 
 
@@ -253,10 +254,14 @@ def arc_target(center: complex, radius: float, th0: float, th1: float):
     return p, dp, d2p
 
 
-# relative mismatch allowed between g(w0) and p(0), and the step in s
-# below which a track stalls
+# relative mismatch allowed between a start's g and p(0), and the step in
+# s below which a track stalls
 _ANCHOR_TOL = 1e-6
 _MIN_STEP = 1e-10
+# step attempts after which a track stalls, far above any track's need:
+# over render --k 1.5, 2, 1e6, 1e16 and 1e300 and limit --theta-max 16 pi
+# no corner stage made more than 11 attempts, no bridge or ray more than 16
+_MAX_STEPS = 20000
 
 
 def track_level_curve(dev: DevelopingMap, *args, **kwargs) -> TrackResult:
@@ -269,16 +274,11 @@ def level_curve_track(
     p: Callable[[float], complex],
     dp: Callable[[float], complex],
     d2p: Callable[[float], complex],
-    w0: complex,
-    g0: complex,
-    branch0: int = 0,
+    start: tuple[complex, complex, int, complex],
     tol: float = 1e-10,
     quad_tol: float = 1e-13,
     max_step: float = 0.1,
     first_step: float = 1.0 / 200.0,
-    max_steps: int = 20000,
-    *,
-    slope0: complex,
 ) -> Generator[tuple, tuple, TrackResult]:
     """Track the curve g(w(s)) = p(s), 0 <= s <= 1, from a seed on it.
 
@@ -286,22 +286,22 @@ def level_curve_track(
     one alone.
     p, dp and d2p are the target path and its first two derivatives in s,
     as segment_target, arc_target and limitset's rays return them.
-    w0 must satisfy g(w0) = p(0), to _ANCHOR_TOL relative, on the branch
-    given by branch0 and g0. slope0 is the continued g'(w0) on that
-    branch: the slope of the TrackResult that ended at w0, or the seed's
-    dev.derivative(w0) times K**branch0. A zero slope0 fails every step
-    with a ZeroDivisionError, so the track stalls.
+    start = (w, g, branch, slope) is the state the track starts from, the
+    TrackResult.end of the track it goes on from or an axis seed: g(w) =
+    p(0), to _ANCHOR_TOL relative, on the sheet of that branch, and slope
+    the continued g'(w) there, a seed's dev.derivative(w) times K**branch.
+    It is taken as Python scalars, whatever it is built from. A zero slope
+    fails every step with a ZeroDivisionError, so the track stalls.
     max_step caps the w-plane distance |w_new - w| of each accepted step,
     checked after the correction, so it should be set below the
     feature scale of the curve (a petal four sheets in is far smaller than
     the mouth of a strip); a predictor chord longer than it is refused
-    before any quadrature. A track that cannot proceed, or whose step
-    in s falls under _MIN_STEP, returns the partial curve with the reason
-    it stalled rather than raising.
+    before any quadrature. A track that cannot proceed, whose step in s
+    falls under _MIN_STEP, or that has made _MAX_STEPS step attempts,
+    returns the partial curve with the reason it stalled rather than
+    raising.
     """
-    w = complex(w0)
-    m = int(branch0)
-    g = complex(g0)
+    w, g, m, gp = complex(start[0]), complex(start[1]), int(start[2]), complex(start[3])
     target0 = complex(p(0.0))
     if abs(g - target0) > _ANCHOR_TOL * (1.0 + abs(target0)):
         raise ValueError(
@@ -314,18 +314,17 @@ def level_curve_track(
     s = 0.0
     reason = ""
     steps = 0
-    # continued g'(w), given or carried from the accepted chord's end; the
-    # connection g''/g' at w, carried likewise, or taken inside the first
-    # step so that a seed inside its pole clearance stalls the track
-    # instead of raising; and w'' and the step of the previous accepted
-    # point
-    gp = complex(slope0)
+    # gp, the continued g'(w), comes with the start and then from the
+    # accepted chord's end; the connection g''/g' at w is carried likewise,
+    # or taken inside the first step so that a seed inside its pole
+    # clearance stalls the track instead of raising; and w'' and the step
+    # of the previous accepted point
     c = None
     connection = dev.connection
     w2_prev = h_prev = None
     while s < 1.0 - 1e-14:
-        if steps >= max_steps:
-            reason = f"step budget {max_steps} exhausted"
+        if steps >= _MAX_STEPS:
+            reason = f"step budget {_MAX_STEPS} exhausted"
             break
         steps += 1
         grown, h = h, min(h, 1.0 - s)

@@ -257,7 +257,7 @@ class TestBrent:
 
         monkeypatch.setattr(limitset, "_brent", recording)
         dev = self.MAPS[name]
-        (w, _, slope), _ = _axis_seeds(dev, d)
+        (w, _, _, slope), _ = _axis_seeds(dev, d)
         assert _same_bits(slope, dev.derivative(w))
         root = w.real if d == 1 else w.imag
         assert len(solves) == 1
@@ -282,7 +282,8 @@ class TestBrent:
         # develop_at at the mirror gives to rounding, and its slope is the
         # derivative evaluated at the mirror, not reflected
         dev = DevelopingMap.from_aspect(1.0, 1 + 1j) if name == "square" else self.MAPS[name]
-        (w, g, slope), (w_mirror, g_mirror, slope_mirror) = _axis_seeds(dev, d)
+        (w, g, m, slope), (w_mirror, g_mirror, m_mirror, slope_mirror) = _axis_seeds(dev, d)
+        assert m == m_mirror == 0
         assert _same_bits(slope, dev.derivative(w))
         assert _same_bits(slope_mirror, dev.derivative(w_mirror))
         expected = complex(-w.real) if d == 1 else complex(0.0, -w.imag)
@@ -432,11 +433,12 @@ class TestFiniteBoundary:
         # axis, not from infinity; each seed still lies within 1e-13 of
         # develop_at there (measured at most 1.1e-14; K None is the limit,
         # whose cloud seeds on the real axis only), and there the developed
-        # value lies on its side's edge; each seed's slope is the
-        # single-point derivative there, bit for bit
+        # value lies on its side's edge; each seed starts on branch 0, and
+        # its slope is the single-point derivative there, bit for bit
         dev = DevelopingMap.merged_limit(X0, TAU) if K is None else DevelopingMap.from_aspect(K, _prevertex(K))
         for d in (1,) if K is None else (1, 1j):
-            for w, g, slope in _axis_seeds(dev, d):
+            for w, g, m, slope in _axis_seeds(dev, d):
+                assert m == 0
                 developed = complex(dev.develop_at(w))
                 assert abs(g - developed) <= 1e-13, (d, w)
                 assert abs(abs(developed.real if d == 1 else developed.imag) - 1.0) <= 1e-13, (d, w)
@@ -477,7 +479,7 @@ class TestFiniteBoundary:
         dev = DevelopingMap.from_aspect(K, z1)
         centre = complex(dev.develop_at(0j))
         assert centre.imag > 1.0
-        (w, g, slope), _ = _axis_seeds(dev, 1j)
+        (w, g, _, _), _ = _axis_seeds(dev, 1j)
         assert abs(w.imag * K - 1.438) < 0.01
         assert abs(g.imag - 1.0) <= 1e-15
         defect = abs(centre - (1j - 1j / K))
@@ -521,10 +523,10 @@ class TestFiniteBoundary:
         dev = DevelopingMap.from_aspect(1e6, _prevertex(1e6))
         carried = rectangle_image_boundary(dev)
 
-        def afresh(dev, p, dp, d2p, w0, **kwargs):
-            m = kwargs["branch0"]
-            slope0 = dev.derivative(w0) * dev.K**m if m else dev.derivative(w0)
-            return (yield from level_curve_track(dev, p, dp, d2p, w0, **{**kwargs, "slope0": slope0}))
+        def afresh(dev, p, dp, d2p, start, **kwargs):
+            w, g, m, _ = start
+            slope = dev.derivative(w) * dev.K**m if m else dev.derivative(w)
+            return (yield from level_curve_track(dev, p, dp, d2p, (w, g, m, slope), **kwargs))
 
         monkeypatch.setattr(limitset, "level_curve_track", afresh)
         fresh = rectangle_image_boundary(dev)

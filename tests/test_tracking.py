@@ -39,16 +39,16 @@ def dev2():
 
 @pytest.fixture(scope="module")
 def seed2(dev2):
-    # (w, g, g') as limitset's axis seeds hand them to their tracks
+    # a start (w, g, 0, g') as limitset's axis seeds hand them to their tracks
     w0 = Z1_K2 + 0.1
-    return w0, complex(dev2.develop_at(w0)), dev2.derivative(w0)
+    return w0, complex(dev2.develop_at(w0)), 0, dev2.derivative(w0)
 
 
 class TestBasics:
     def test_trivial_aspect_is_identity(self):
         dev = DevelopingMap.from_aspect(1.0, 1 + 1j)
         p, dp, d2p = segment_target(2.0 + 0j, 2.0 + 1.5j)
-        r = track_level_curve(dev, p, dp, d2p, 2.0 + 0j, g0=2.0 + 0j, slope0=dev.derivative(2.0))
+        r = track_level_curve(dev, p, dp, d2p, (2.0 + 0j, 2.0 + 0j, 0, dev.derivative(2.0)))
         assert r.completed
         gaps = [abs(r.w[i] - p(r.s[i])) for i in range(len(r.s))]
         assert max(gaps) < 1e-12
@@ -58,7 +58,7 @@ class TestBasics:
         # across the lines x = +-1 stays exact
         dev = DevelopingMap.from_aspect(1.0, 1 + 1j)
         p, dp, d2p = segment_target(2 + 0.5j, -2 + 0.5j)
-        r = track_level_curve(dev, p, dp, d2p, 2 + 0.5j, g0=2 + 0.5j, slope0=dev.derivative(2 + 0.5j))
+        r = track_level_curve(dev, p, dp, d2p, (2 + 0.5j, 2 + 0.5j, 0, dev.derivative(2 + 0.5j)))
         assert r.completed
         assert max(abs(r.w[i] - p(r.s[i])) for i in range(len(r.s))) < 1e-12
 
@@ -67,25 +67,25 @@ class TestBasics:
         w0 = 3.0 + 0j
         g0 = complex(lim.develop_at(w0))
         p, dp, d2p = segment_target(g0, g0 + 1.2j)
-        r = track_level_curve(lim, p, dp, d2p, w0, g0=g0, slope0=lim.derivative(w0))
+        r = track_level_curve(lim, p, dp, d2p, (w0, g0, 0, lim.derivative(w0)))
         assert r.completed
         assert (r.branch == 0).all()
         assert abs(complex(lim.develop_at(r.w[-1])) - p(1.0)) < 1e-9
 
     def test_endpoint_develops_to_target(self, dev2, seed2):
-        w0, g0, gp0 = seed2
+        g0 = seed2[1]
         p, dp, d2p = segment_target(g0, g0 + 0.4 + 0.3j)
-        r = track_level_curve(dev2, p, dp, d2p, w0, g0=g0, slope0=gp0)
+        r = track_level_curve(dev2, p, dp, d2p, seed2)
         assert r.completed
         assert abs(complex(dev2.develop_at(r.w[-1])) - p(1.0)) < 1e-9
         assert (r.branch == 0).all()
         assert np.abs(np.diff(r.w)).sum() > 0
 
     def test_wrong_seed_rejected(self, dev2, seed2):
-        w0, g0, gp0 = seed2
+        g0 = seed2[1]
         p, dp, d2p = segment_target(g0 + 0.3, g0 + 1)
         with pytest.raises(ValueError):
-            track_level_curve(dev2, p, dp, d2p, w0, g0=g0, slope0=gp0)
+            track_level_curve(dev2, p, dp, d2p, seed2)
 
 
 class TestHolonomyLoops:
@@ -99,9 +99,9 @@ class TestHolonomyLoops:
     """
 
     def test_ccw_loop(self, dev2, seed2):
-        w0, g0, gp0 = seed2
+        w0, g0 = seed2[:2]
         p, dp, d2p = circle(g0, +1.0)
-        r = track_level_curve(dev2, p, dp, d2p, w0, g0=g0, max_step=0.08, slope0=gp0)
+        r = track_level_curve(dev2, p, dp, d2p, seed2, max_step=0.08)
         assert r.completed
         assert r.branch[-1] == -1
         assert abs(r.g[-1] - p(1.0)) < 1e-9
@@ -111,9 +111,9 @@ class TestHolonomyLoops:
         assert ratio == pytest.approx(2.0, rel=0.05)
 
     def test_cw_loop(self, dev2, seed2):
-        w0, g0, gp0 = seed2
+        w0, g0 = seed2[:2]
         p, dp, d2p = circle(g0, -1.0)
-        r = track_level_curve(dev2, p, dp, d2p, w0, g0=g0, max_step=0.08, slope0=gp0)
+        r = track_level_curve(dev2, p, dp, d2p, seed2, max_step=0.08)
         assert r.completed
         assert r.branch[-1] == +1
         predicted = CORNER + 0.5 * (g0 - CORNER)
@@ -125,7 +125,7 @@ class TestHolonomyLoops:
         w0 = Z1_K2 + 0.05
         g0 = complex(dev2.develop_at(w0))
         p, dp, d2p = circle(g0, -2.0)
-        r = track_level_curve(dev2, p, dp, d2p, w0, g0=g0, max_step=0.006, first_step=1 / 400, slope0=dev2.derivative(w0))
+        r = track_level_curve(dev2, p, dp, d2p, (w0, g0, 0, dev2.derivative(w0)), max_step=0.006, first_step=1 / 400)
         assert r.completed
         assert r.branch[-1] == +2
         predicted = CORNER + 0.25 * (g0 - CORNER)
@@ -133,23 +133,22 @@ class TestHolonomyLoops:
 
     def test_loop_composition_returns_home(self, dev2, seed2):
         # ccw then cw around the same developed circle: back to the seed
-        w0, g0, gp0 = seed2
+        w0, g0 = seed2[:2]
         p, dp, d2p = circle(g0, +1.0)
-        out = track_level_curve(dev2, p, dp, d2p, w0, g0=g0, max_step=0.08, slope0=gp0)
+        out = track_level_curve(dev2, p, dp, d2p, seed2, max_step=0.08)
         p2, dp2, d2p2 = circle(g0, -1.0)
-        back = track_level_curve(
-            dev2, p2, dp2, d2p2, out.w[-1], g0=out.g[-1], branch0=out.branch[-1], max_step=0.08, slope0=out.slope
-        )
+        back = track_level_curve(dev2, p2, dp2, d2p2, out.end, max_step=0.08)
         assert back.completed
         assert back.branch[-1] == 0
         assert abs(back.w[-1] - w0) < 1e-8
 
 
 class TestStepControl:
-    def test_budget_exhaustion_reports_stall(self, dev2, seed2):
-        w0, g0, gp0 = seed2
+    def test_budget_exhaustion_reports_stall(self, dev2, seed2, monkeypatch):
+        g0 = seed2[1]
+        monkeypatch.setattr(tracking, "_MAX_STEPS", 3)
         p, dp, d2p = circle(g0, +1.0)
-        r = track_level_curve(dev2, p, dp, d2p, w0, g0=g0, max_step=0.08, max_steps=3, slope0=gp0)
+        r = track_level_curve(dev2, p, dp, d2p, seed2, max_step=0.08)
         assert not r.completed
         assert "budget" in r.reason
         assert len(r.w) == 4
@@ -158,9 +157,9 @@ class TestStepControl:
     def test_into_the_prevertex(self, dev2, seed2):
         # the target ends at the singular value itself; the track must
         # either stall cleanly or end next to the prevertex, never raise
-        w0, g0, gp0 = seed2
+        g0 = seed2[1]
         p, dp, d2p = segment_target(g0, CORNER)
-        r = track_level_curve(dev2, p, dp, d2p, w0, g0=g0, max_step=0.004, max_steps=2000, slope0=gp0)
+        r = track_level_curve(dev2, p, dp, d2p, seed2, max_step=0.004)
         if r.completed:
             assert abs(r.w[-1] - Z1_K2) < 1e-6
         else:
@@ -168,9 +167,9 @@ class TestStepControl:
         assert len(r.w) > 5
 
     def test_monotone_parameter(self, dev2, seed2):
-        w0, g0, gp0 = seed2
+        g0 = seed2[1]
         p, dp, d2p = segment_target(g0, g0 + 0.5j)
-        r = track_level_curve(dev2, p, dp, d2p, w0, g0=g0, slope0=gp0)
+        r = track_level_curve(dev2, p, dp, d2p, seed2)
         assert (np.diff(r.s) > 0).all()
         assert r.s[0] == 0.0 and r.s[-1] == pytest.approx(1.0, abs=1e-12)
 
@@ -181,10 +180,10 @@ class TestStepControl:
         # step like any ArithmeticError, where a numpy scalar would only warn.
         # Every retry divides by the same zero slope, which no chord end has
         # replaced, so the track stalls where it started and raises nothing
-        w0, g0, _ = seed2
+        w0, g0 = seed2[:2]
         calls = _count_derivative_calls(monkeypatch)
         p, dp, d2p = circle(g0, +0.25)
-        r = track_level_curve(dev2, p, dp, d2p, w0, g0=g0, max_step=0.08, first_step=0.1, slope0=0j)
+        r = track_level_curve(dev2, p, dp, d2p, (w0, g0, 0, 0j), max_step=0.08, first_step=0.1)
         assert not r.completed
         assert r.reason == "step size underflow at s = 0"
         assert list(r.w) == [w0] and r.slope == 0j
@@ -198,7 +197,7 @@ class TestStepControl:
         z = dev2.poles[0]
         w0 = z + 5e-13 * (1.0 + max(abs(p) for p in dev2.poles)) * (0.6 + 0.8j)
         g0 = 1 + 1j
-        r = track_level_curve(dev2, *segment_target(g0, g0 + 1e-3), w0, g0=g0, slope0=dev2.derivative(w0))
+        r = track_level_curve(dev2, *segment_target(g0, g0 + 1e-3), (w0, g0, 0, dev2.derivative(w0)))
         assert not r.completed
         assert r.reason == "step size underflow at s = 0"
         assert list(r.w) == [w0]
@@ -247,7 +246,7 @@ class TestDerivativeBudget:
     # an accepted step makes one call per quadrature level of each chord
     # it moves through (the predictor's and mostly one Halley chord),
     # whose end value serves as the next corrector slope or the next
-    # step's slope; the first slope is the caller's slope0, so a track
+    # step's slope; the first slope is the start's, so a track
     # makes no call of its own outside its chords. These tracks take
     # about 2.0 calls per step
 
@@ -258,7 +257,7 @@ class TestDerivativeBudget:
         p, dp, d2p = segment_target(g0, CORNER + 1e-3 * (g0 - CORNER) / abs(g0 - CORNER))
         gp0 = dev.derivative(w0)
         calls = _count_derivative_calls(monkeypatch)
-        r = track_level_curve(dev, p, dp, d2p, w0, g0=g0, max_step=0.004, max_steps=4000, slope0=gp0)
+        r = track_level_curve(dev, p, dp, d2p, (w0, g0, 0, gp0), max_step=0.004)
         steps = len(r.s) - 1
         assert r.completed and steps > 50
         assert len(calls) <= 2.5 * steps
@@ -270,7 +269,7 @@ class TestDerivativeBudget:
         p, dp, d2p = segment_target(g0, g0 + 1.2j)
         gp0 = lim.derivative(w0)
         calls = _count_derivative_calls(monkeypatch)
-        r = track_level_curve(lim, p, dp, d2p, w0, g0=g0, slope0=gp0)
+        r = track_level_curve(lim, p, dp, d2p, (w0, g0, 0, gp0))
         steps = len(r.s) - 1
         assert r.completed and steps > 10
         assert len(calls) <= 2.5 * steps
@@ -330,24 +329,39 @@ class TestChordEnd:
 
     def test_a_track_hands_on_the_slope_at_its_end(self, dev2, seed2, monkeypatch):
         # a track's slope is its last point's single-point value, on its
-        # sheet, bit for bit; a track that starts there with it as slope0
+        # sheet, bit for bit; a track that starts there with it as its slope
         # makes the same derivative calls and tracks the same points as one
         # given that value afresh
-        w0, g0, gp0 = seed2
+        g0 = seed2[1]
         p, dp, d2p = circle(g0, -1.0)
-        r = track_level_curve(dev2, p, dp, d2p, w0, g0=g0, max_step=0.08, slope0=gp0)
+        r = track_level_curve(dev2, p, dp, d2p, seed2, max_step=0.08)
         w, m = complex(r.w[-1]), int(r.branch[-1])
         assert r.completed and m != 0
         point = dev2.derivative(w) * dev2.K**m
         assert type(r.slope) is complex and _same_bits(r.slope, point)
         p, dp, d2p = circle(complex(r.g[-1]), +0.25)
         calls = _count_derivative_calls(monkeypatch)
-        fresh = track_level_curve(dev2, p, dp, d2p, w, g0=complex(r.g[-1]), branch0=m, max_step=0.08, slope0=point)
+        fresh = track_level_curve(dev2, p, dp, d2p, (w, complex(r.g[-1]), m, point), max_step=0.08)
         n_fresh = len(calls)
-        carried = track_level_curve(dev2, p, dp, d2p, w, g0=complex(r.g[-1]), branch0=m, max_step=0.08, slope0=r.slope)
+        carried = track_level_curve(dev2, p, dp, d2p, r.end, max_step=0.08)
         assert len(calls) - n_fresh == n_fresh
         for a, b in ((fresh.w, carried.w), (fresh.g, carried.g), (fresh.slope, carried.slope)):
             assert _same_bits(a, b)
+
+    def test_a_start_of_numpy_scalars_tracks_as_python_scalars(self, dev2, seed2):
+        # the start is taken as Python scalars, so the last elements of a
+        # TrackResult's arrays start a track bit for bit as TrackResult.end
+        # does, off branch 0
+        r = track_level_curve(dev2, *circle(seed2[1], -1.0), seed2, max_step=0.08)
+        numpy_start = (r.w[-1], r.g[-1], r.branch[-1], np.complex128(r.slope))
+        assert [type(x) for x in numpy_start] == [np.complex128, np.complex128, np.int64, np.complex128]
+        assert numpy_start[2] != 0
+        target = circle(complex(r.g[-1]), +0.25)
+        numpy = track_level_curve(dev2, *target, numpy_start, max_step=0.08)
+        python = track_level_curve(dev2, *target, r.end, max_step=0.08)
+        assert numpy.completed and type(numpy.slope) is complex
+        for field in ("s", "w", "g", "branch", "slope", "next_step"):
+            assert _same_bits(getattr(numpy, field), getattr(python, field)), field
 
     def test_end_inside_the_pole_guard_fails_the_chord(self, dev2):
         # the end node shares the chord's derivative request, so the chord
@@ -390,7 +404,7 @@ class TestLockStep:
         assert batched.notes == solo.notes
 
     def test_a_request_inside_the_pole_guard_fails_only_its_own_track(self, dev2, seed2, monkeypatch):
-        w0, g0, gp0 = seed2
+        g0 = seed2[1]
         z = dev2.poles[0]
         # off the slit's line, 1e-3 from the prevertex: the first step's
         # predicted point ends 1e-14 from it, inside the pole clearance, so
@@ -407,9 +421,9 @@ class TestLockStep:
 
         def tracks():
             return [
-                level_curve_track(dev2, *circle(g0, +1.0), w0, g0=g0, max_step=0.08, slope0=gp0),
-                level_curve_track(dev2, *aim, near, g0=g_near, first_step=1.0, slope0=dev2.derivative(near)),
-                level_curve_track(dev2, *segment_target(g0, g0 + 0.4 + 0.3j), w0, g0=g0, slope0=gp0),
+                level_curve_track(dev2, *circle(g0, +1.0), seed2, max_step=0.08),
+                level_curve_track(dev2, *aim, (near, g_near, 0, dev2.derivative(near)), first_step=1.0),
+                level_curve_track(dev2, *segment_target(g0, g0 + 0.4 + 0.3j), seed2),
             ]
 
         refused = []
@@ -454,10 +468,10 @@ class TestLockStep:
             except ArithmeticError as exc:
                 return exc
 
-        w0, g0, gp0 = seed2
+        g0 = seed2[1]
 
         def healthy():
-            return level_curve_track(dev2, *circle(g0, +1.0), w0, g0=g0, max_step=0.08, slope0=gp0)
+            return level_curve_track(dev2, *circle(g0, +1.0), seed2, max_step=0.08)
 
         with pytest.raises(ArithmeticError, match="slit"):
             _alone(dev2, chord())
@@ -478,15 +492,15 @@ class TestLockStep:
             raise ValueError("operands could not be broadcast together")
 
         monkeypatch.setattr(tracking, "gk15_level", broken)
-        w0, g0, gp0 = seed2
+        g0 = seed2[1]
         with pytest.raises(ValueError, match="broadcast"):
-            track_level_curve(dev2, *circle(g0, +1.0), w0, g0=g0, max_step=0.08, slope0=gp0)
+            track_level_curve(dev2, *circle(g0, +1.0), seed2, max_step=0.08)
 
     def test_a_lone_track_is_sent_its_own_requests(self, dev2, seed2, monkeypatch):
         # a track yields only panels (lo, hi, tol); a lone track's panel is
         # one array of its own 15 nodes and its hi, and no call is a single
-        # point: the first slope is the caller's slope0
-        w0, g0, gp0 = seed2
+        # point: the first slope is the start's
+        g0 = seed2[1]
         requests, calls = [], []
 
         def recorded(track):
@@ -506,7 +520,7 @@ class TestLockStep:
 
         monkeypatch.setattr(DevelopingMap, "derivative", watched)
         p, dp, d2p = segment_target(g0, g0 + 0.4 + 0.3j)
-        [r] = lock_step(dev2, [recorded(level_curve_track(dev2, p, dp, d2p, w0, g0=g0, slope0=gp0))])
+        [r] = lock_step(dev2, [recorded(level_curve_track(dev2, p, dp, d2p, seed2))])
         assert r.completed
         assert requests and all(type(w) is tuple and len(w) == 3 for w in requests)
         assert len(calls) == len(requests)
@@ -539,8 +553,8 @@ class TestLockStep:
         # each accepted step moves w by at most max_step
         tracks = []
 
-        def recorded(dev, p, dp, d2p, w0, **kwargs):
-            r = yield from level_curve_track(dev, p, dp, d2p, w0, **kwargs)
+        def recorded(dev, p, dp, d2p, start, **kwargs):
+            r = yield from level_curve_track(dev, p, dp, d2p, start, **kwargs)
             tracks.append((p, kwargs["tol"], kwargs["max_step"], r))
             return r
 

@@ -32,7 +32,7 @@ python -m affsurf render --k 3 --format txt --out render3
 python -m affsurf render --k 1e5 --format txt --out render1e5
 # the benchmark's top band, where the eight corner approaches pool their chord panels
 python -m affsurf render --k 1e6 --format txt --out render1e6
-# chords that need a second GK15 level (16 per cloud), going on from the pooled first level
+# chord pieces that need a second GK15 level (40 per cloud), going on from the pooled first level
 python -m affsurf limit --out limit
 # 88 spiral rays in lock step with the four mouth curves
 python -m affsurf limit --theta-max 31.41592653589793 --out limit10pi
@@ -46,7 +46,7 @@ python -m affsurf verify --out verify
 python -m affsurf render --k 2 --k 7 --k inf --format txt --out render27
 # the property suite at other aspects and another seed
 python -m affsurf verify --k 1,3 --seed 4 --out verify13
-# top and bottom axis crossings near 1.44/K, bracketed below 1e-9
+# top and bottom axis crossings near 1.44/K, the upper one solved from the rectangle's centre on [0, 0.95 tail_radius]
 python -m affsurf render --k 1e10 --format txt --out render1e10
 # the square: no slits, solved in one residual
 python -m affsurf render --k 1 --k 1.5 --format txt --out render1
