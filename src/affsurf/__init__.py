@@ -29,7 +29,7 @@ from .limitset import (
     resample_curve,
 )
 from .pointcloud import PointCloud, read_points, write_points
-from .quadrature import QuadratureError, integrate_polyline, integrate_segment
+from .quadrature import QuadratureError, integrate_segment
 from .solver import (
     LimitEstimate,
     SolveResult,
@@ -57,7 +57,6 @@ __all__ = [
     "DevelopingMap",
     "prevertex_ring",
     "QuadratureError",
-    "integrate_polyline",
     "integrate_segment",
     "LimitEstimate",
     "SolveResult",

@@ -5,7 +5,9 @@ Each check takes values its caller has already computed (solve results,
 a limit fit, developing maps, point arrays, a distance report, a
 quadrature tolerance) and returns ``(problems, detail)``: one string per
 violated clause, empty when the check passes, and the detail dict that
-the command writes into its report.
+the command writes into its report. A check that needs a family member
+takes it from its solve or its fit (`SolveResult.member`,
+`LimitEstimate.member`), so callers that share a result share the member.
 """
 
 from __future__ import annotations
@@ -44,9 +46,9 @@ def k_label(K: float) -> str:
     return label if float(label) == K else repr(K)
 
 
-def square_identity(sol: SolveResult, dev: DevelopingMap, points: np.ndarray) -> Outcome:
+def square_identity(sol: SolveResult, points: np.ndarray) -> Outcome:
     """The K = 1 member is the identity: exact solve, zero connection, square image."""
-    zeta_sup = float(np.max(np.abs(dev.connection(1j * np.linspace(-2.0, 2.0, 100)))))
+    zeta_sup = float(np.max(np.abs(sol.member.connection(1j * np.linspace(-2.0, 2.0, 100)))))
     square_dev = float(np.max(np.abs(np.maximum(abs(points.real), abs(points.imag)) - 1.0)))
     problems = []
     if sol.prevertex != 1.0 + 1.0j:
@@ -130,7 +132,7 @@ def hole_loop_translation(solutions: Iterable[SolveResult], tol: float) -> Outco
     per = {}
     for sol in solutions:
         K, z1 = sol.K, sol.prevertex
-        dev = DevelopingMap.from_aspect(K, z1)
+        dev = sol.member
         radius = 2.2 * z1.imag
         right = dev.loop_integral(complex(z1.real, 0.0), radius, tol=tol)
         left = dev.loop_integral(complex(-z1.real, 0.0), radius, tol=tol)
@@ -297,7 +299,7 @@ def separation_scenarios(scenarios: Sequence[tuple] = SEPARATION_SCENARIOS) -> O
 def hole_shift(fit: LimitEstimate) -> float:
     """Magnitude of the additive monodromy at x0 of the fit's limit map,
     the hole translation, which the paper puts at 2."""
-    return abs(DevelopingMap.merged_limit(fit.x0, fit.tau).additive_monodromy_series(complex(fit.x0)))
+    return abs(fit.member.additive_monodromy_series(complex(fit.x0)))
 
 
 def limit_data(sweep: Sequence[SolveResult], fit: LimitEstimate) -> Outcome:
@@ -336,11 +338,10 @@ def connection_convergence(sweep: Sequence[SolveResult], fit: LimitEstimate) -> 
     decrease strictly along the sweep (increasing aspects), and at K = 1e8
     be under a tenth of its value at K = 1e2; the sweep must hold both.
     """
-    ref = DevelopingMap.merged_limit(fit.x0, fit.tau).connection(CONNECTION_SAMPLES)
+    ref = fit.member.connection(CONNECTION_SAMPLES)
     sups = {}
     for r in sweep:
-        member = DevelopingMap.from_aspect(r.K, r.prevertex)
-        sups[r.K] = float(np.max(np.abs(member.connection(CONNECTION_SAMPLES) - ref)))
+        sups[r.K] = float(np.max(np.abs(r.member.connection(CONNECTION_SAMPLES) - ref)))
     gaps = list(sups.values())
     ratio = sups[1e8] / sups[1e2]
     problems = []

@@ -24,7 +24,6 @@ import numpy as np
 
 from . import checks
 from .checks import k_label
-from .develop import DevelopingMap
 from .limitset import (
     STRIP_DEPTH,
     convergence_report,
@@ -391,8 +390,7 @@ def _drawn(config: RunConfig, K: float, fit):
         header.update(source="limit-boundary", truncation=truncation)
         return cloud, {"points": len(cloud.points)}, header
     sol = solve_prevertex(K, tol=config.tol_solver, quad_tol=config.tol_quad)
-    dev = DevelopingMap.from_aspect(K, sol.prevertex)
-    cloud = rectangle_image_boundary(dev, spacing=spacing, quad_tol=config.tol_quad)
+    cloud = rectangle_image_boundary(sol.member, spacing=spacing, quad_tol=config.tol_quad)
     header["source"] = "rectangle-boundary"
     return cloud, {"residual": sol.residual, "points": len(cloud.points)}, header
 
@@ -477,14 +475,11 @@ def _run_verify(config: RunConfig, rec: _Recorder) -> dict:
     def solve(K):
         return solve_prevertex(K, tol=config.tol_solver, quad_tol=config.tol_quad)
 
-    def member(K):
-        return DevelopingMap.from_aspect(K, solve(K).prevertex)
-
     incomplete = {}
 
     def boundary(K):
         cloud = rectangle_image_boundary(
-            member(K), spacing=1.0 / config.density, quad_tol=config.tol_quad
+            solve(K).member, spacing=1.0 / config.density, quad_tol=config.tol_quad
         )
         if cloud.incomplete:
             incomplete[f"k={k_label(K)}"] = cloud.incomplete
@@ -507,7 +502,7 @@ def _run_verify(config: RunConfig, rec: _Recorder) -> dict:
 
     def reflection():
         problems, detail = checks.reflection_symmetry(
-            {label: boundary(sym_k)}, [(label, member(sym_k), xs)]
+            {label: boundary(sym_k)}, [(label, solve(sym_k).member, xs)]
         )
         return problems, {"k": label, **detail}
 
@@ -515,7 +510,7 @@ def _run_verify(config: RunConfig, rec: _Recorder) -> dict:
     # computed when it runs, so a numerical failure still leaves the steps
     # before it in the report
     suite = (
-        ("square-identity", lambda: checks.square_identity(solve(1.0), member(1.0), boundary(1.0))),
+        ("square-identity", lambda: checks.square_identity(solve(1.0), boundary(1.0))),
         ("solver-residuals", residuals),
         ("corner-holonomy", lambda: checks.corner_holonomy(config.k)),
         (

@@ -28,6 +28,8 @@ them adds 2*pi*i*Res(g') to g.
 The rational connection g''/g' = d/dw log g' carries the degeneration in
 its pole structure: four simple poles at the prevertices with alternating
 residues +-beta at finite aspect, two double poles at +-x0 in the limit.
+It has one kernel, on Python floats, which takes an array point by point;
+log g' and g' take arrays on numpy.
 """
 
 from __future__ import annotations
@@ -129,38 +131,23 @@ class DevelopingMap:
     def connection(self, w):
         """The rational connection g''/g' = d/dw log g'. Scalar or ndarray.
 
-        Written in real arithmetic, 1/(w - z) = (dx - i dy)/(dx^2 + dy^2)
-        for the offset w - z = dx + i dy, by _connection_parts: a single
-        point, as the tracker takes one at every chord end, runs on Python
-        floats and an array on numpy, by the same IEEE operations, so a
-        point equals its array element bit for bit. The terms are paired
-        so that both reflections only swap or negate them:
-        c(conj w) = conj c(w) and c(-conj w) = -conj c(w) hold exactly, and
-        c is exactly real on the real axis.
+        One kernel, on Python floats; an array is evaluated point by point,
+        so each element is its point's value by construction. In real
+        arithmetic, 1/(w - z) = (dx - i dy)/(dx^2 + dy^2) for the offset
+        w - z = dx + i dy; beyond |w| ~ 1e154 dx^2 overflows to inf and the
+        term to 0, without a warning. The terms are paired so that both
+        reflections only swap or negate them: c(conj w) = conj c(w) and
+        c(-conj w) = -conj c(w) hold exactly, and c is exactly real on the
+        real axis. A point whose squared pole distances fall within twice
+        the clearance goes on to _pole_offsets, which refuses one inside it.
         """
         if type(w) is not complex:
             arr = np.asarray(w, dtype=complex)
             if arr.ndim:
-                self._pole_offsets(arr, 1e-12)
-                # beyond |w| ~ 1e154 dx^2 overflows to inf and the term to
-                # 0, as Python floats do without a warning
-                with np.errstate(over="ignore"):
-                    re, im = self._connection_parts(arr.real, arr.imag)
-                out = np.empty(arr.shape, dtype=complex)
-                out.real, out.imag = re, im
-                return out
+                out = [self.connection(p) for p in arr.ravel().tolist()]
+                return np.array(out, dtype=complex).reshape(arr.shape)
             w = complex(arr)
-        re, im = self._connection_parts(w.real, w.imag, w)
-        return complex(re, im)
-
-    def _connection_parts(self, x, y, point=None):
-        """(Re, Im) of the connection at x + iy, floats or arrays alike.
-
-        A single point passes itself as point: its squared pole distances
-        screen the pole clearance, and only a point within twice the
-        clearance goes on to _pole_offsets, which connection applies to an
-        array first.
-        """
+        x, y = w.real, w.imag
         if self.kind == "finite":
             # the offsets w - z_k in ring order are (xm, ym), (xp, ym),
             # (xp, yp) and (xm, yp). With t_k = 1/(w - z_k) and beta = -i b,
@@ -172,18 +159,18 @@ class DevelopingMap:
             xm2, xp2, ym2, yp2 = xm * xm, xp * xp, ym * ym, yp * yp
             d1, d2, d3, d4 = xm2 + ym2, xp2 + ym2, xp2 + yp2, xm2 + yp2
             s = self._screen
-            if point is not None and (d1 < s or d2 < s or d3 < s or d4 < s):
-                self._pole_offsets(np.array(point), 1e-12)
-            return (self._b * ((ym / d1 - yp / d4) + (yp / d3 - ym / d2)),
-                    -self._b * ((xm / d4 - xm / d1) + (xp / d2 - xp / d3)))
+            if d1 < s or d2 < s or d3 < s or d4 < s:
+                self._pole_offsets(np.array(w), 1e-12)
+            return complex(self._b * ((ym / d1 - yp / d4) + (yp / d3 - ym / d2)),
+                           -self._b * ((xm / d4 - xm / d1) + (xp / d2 - xp / d3)))
         # c = tau (t1^2 - t0^2), t0 = 1/(w - x0) = r0 - i q0, t1 = 1/(w + x0)
         xm, xp, y2 = x - self.x0, x + self.x0, y * y
         d0, d1 = xm * xm + y2, xp * xp + y2
-        if point is not None and (d0 < self._screen or d1 < self._screen):
-            self._pole_offsets(np.array(point), 1e-12)
+        if d0 < self._screen or d1 < self._screen:
+            self._pole_offsets(np.array(w), 1e-12)
         r0, q0, r1, q1 = xm / d0, y / d0, xp / d1, y / d1
-        return (self.tau * ((r1 * r1 - q1 * q1) - (r0 * r0 - q0 * q0)),
-                self.tau * (2.0 * r0 * q0 - 2.0 * r1 * q1))
+        return complex(self.tau * ((r1 * r1 - q1 * q1) - (r0 * r0 - q0 * q0)),
+                       self.tau * (2.0 * r0 * q0 - 2.0 * r1 * q1))
 
     def _log_derivative(self, arr: np.ndarray):
         """log g' on a complex ndarray, the pointwise methods' shared kernel."""

@@ -648,8 +648,7 @@ def convergence_report(
 
     rows = []
     for K in ks:
-        dev = DevelopingMap.from_aspect(K, by_k[K].prevertex)
-        cloud = rectangle_image_boundary(dev, spacing=spacing, quad_tol=quad_tol)
+        cloud = rectangle_image_boundary(by_k[K].member, spacing=spacing, quad_tol=quad_tol)
         if cloud.incomplete:
             incomplete[f"K={K:g}"] = cloud.incomplete
         d = hausdorff_distance(cloud.points, lim_pts)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,12 +31,20 @@ CORNER_TARGET = 1 + 1j
 
 @dataclass(frozen=True)
 class SolveResult:
+    """A solved aspect, the solve's cost and its member. converged is
+    always True: a solve that does not converge raises."""
+
     K: float
     prevertex: complex
     residual: float
     iterations: int
     evaluations: int
     converged: bool
+
+    @cached_property
+    def member(self) -> DevelopingMap:
+        """The aspect-K developing map at the solved prevertex, built once."""
+        return DevelopingMap.from_aspect(self.K, self.prevertex)
 
 
 # samples of the ray's analytic factor H on the circle |t| = 2r, and the
@@ -278,6 +287,11 @@ class LimitEstimate:
     def __post_init__(self) -> None:
         if not (self.x0 > 0 and self.tau > 0):
             raise ArithmeticError(f"no limit map for the fit x0 {self.x0}, tau {self.tau}")
+
+    @cached_property
+    def member(self) -> DevelopingMap:
+        """The limit map of the fit, built once."""
+        return DevelopingMap.merged_limit(self.x0, self.tau)
 
 
 # Neville order of the limit fit; the stability fit is one lower

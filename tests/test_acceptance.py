@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from affsurf import checks
-from affsurf.develop import DevelopingMap
 from affsurf.limitset import convergence_report, limit_image_cloud, rectangle_image_boundary
 from affsurf.solver import continuation_sweep, extract_limit, solve_prevertex
 
@@ -73,9 +72,8 @@ def limit_cloud_points(limit_fit):
 def test_criterion_01_square_exactness():
     t0 = time.perf_counter()
     sol = solve_prevertex(1.0)
-    dev = DevelopingMap.from_aspect(1.0, sol.prevertex)
-    pts = rectangle_image_boundary(dev, spacing=0.004).points
-    problems, _ = checks.square_identity(sol, dev, pts)
+    pts = rectangle_image_boundary(sol.member, spacing=0.004).points
+    problems, _ = checks.square_identity(sol, pts)
     elapsed = time.perf_counter() - t0
     if elapsed >= 1.0:
         problems.append(f"took {elapsed:.2f}s, budget 1s")
@@ -138,11 +136,9 @@ def test_criterion_09_symmetry_suite(cold_solutions, limit_fit, limit_cloud_poin
     xs = np.random.default_rng(20260817).uniform(-6.0, 6.0, 128)
     axis = []
     for K, sol in cold_solutions.items():
-        dev = DevelopingMap.from_aspect(K, sol.prevertex)
-        clouds[f"k={K:g}"] = rectangle_image_boundary(dev, spacing=0.01).points
-        axis.append((f"k={K:g}", dev, xs))
-    limit = DevelopingMap.merged_limit(limit_fit.x0, limit_fit.tau)
-    axis.append(("limit", limit, xs[np.abs(np.abs(xs) - limit_fit.x0) > 0.3]))
+        clouds[f"k={K:g}"] = rectangle_image_boundary(sol.member, spacing=0.01).points
+        axis.append((f"k={K:g}", sol.member, xs))
+    axis.append(("limit", limit_fit.member, xs[np.abs(np.abs(xs) - limit_fit.x0) > 0.3]))
     problems, _ = checks.reflection_symmetry(clouds, axis)
     _criterion(9, "reflection symmetries and real axis reality", problems)
 

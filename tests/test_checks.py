@@ -15,7 +15,6 @@ import pytest
 
 from affsurf import checks
 from affsurf.cli import main
-from affsurf.develop import DevelopingMap
 from affsurf.embedding import (
     VirtualPointRep,
     edge_strip_chart,
@@ -49,10 +48,11 @@ def decades():
 
 def test_square_identity_needs_the_square_prevertex():
     sol = SolveResult(1.0, 1 + 1j, 0.0, 0, 1, True)
-    dev = DevelopingMap.from_aspect(1.0, 1 + 1j)
-    assert checks.square_identity(sol, dev, SQUARE)[0] == []
+    assert checks.square_identity(sol, SQUARE)[0] == []
+    # at K = 1 the connection vanishes at any prevertex, so only the
+    # prevertex clause reads the moved solve
     off = dataclasses.replace(sol, prevertex=1 + 1.001j)
-    problems, _ = checks.square_identity(off, dev, SQUARE)
+    problems, _ = checks.square_identity(off, SQUARE)
     assert len(problems) == 1 and problems[0].startswith("prevertex")
 
 
@@ -80,7 +80,7 @@ def test_hole_loop_translation_needs_the_solved_prevertex(sol2):
 
 
 def test_reflection_symmetry_catches_a_shifted_cloud(sol2):
-    dev = DevelopingMap.from_aspect(2.0, sol2.prevertex)
+    dev = sol2.member
     xs = np.linspace(-6.0, 6.0, 64)
     assert checks.reflection_symmetry({"square": SQUARE}, [("k=2", dev, xs)])[0] == []
     # a real shift keeps z -> conj z and breaks z -> -conj z

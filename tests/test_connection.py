@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -68,8 +69,10 @@ def test_pole_evaluation_rejected():
     c = DevelopingMap.from_aspect(2.0, 0.8 + 0.3j)
     with pytest.raises(ArithmeticError):
         c.connection(0.8 + 0.3j)
-    with pytest.raises(ArithmeticError):
-        c.connection(np.array([5.0, -0.8 + 0.3j]))
+    # an array is refused at its first point inside the clearance, here
+    # the second, naming that point's pole
+    with pytest.raises(ArithmeticError, match=re.escape(str(c.poles[1]))):
+        c.connection(np.array([5.0, -0.8 + 0.3j, 0.8 - 0.3j]))
 
 
 def test_limit_shape():

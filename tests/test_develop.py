@@ -282,14 +282,14 @@ class TestDerivative:
 
     def test_connection_far_from_the_poles_does_not_overflow(self):
         # |w - z|^2 overflows where |w| is above about 1e154; each term is
-        # then 0, in an array as for a single point
+        # then 0, in an array, of any shape, as for a single point
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             for dev in (K2, LIMIT):
-                far = np.array([1e200 + 1e200j, 1e160j, -1e300])
-                vals = dev.connection(far)
-                assert np.all(vals == 0)
-                assert all(_same_bits(dev.connection(complex(w)), v) for w, v in zip(far, vals))
+                far = np.array([1e200 + 1e200j, 1e160j, -1e300, 1e160 - 1e300j, 3e250 + 1e160j, -1e160])
+                vals = dev.connection(far.reshape(2, 3))
+                assert vals.shape == (2, 3) and np.all(vals == 0)
+                assert all(_same_bits(dev.connection(complex(w)), v) for w, v in zip(far, vals.ravel()))
 
     def test_derivative_solves_connection_ode(self):
         # independent route: log g' is a primitive of the connection

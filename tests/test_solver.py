@@ -6,6 +6,7 @@ search (4 rounds of 21x21 refinement on |g(z1)-(1+i)|, final grid pitch
 notes. The grid oracle resolves the K=2 prevertex to ~5e-7.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -270,6 +271,37 @@ class TestSolvedGeometry:
         assert abs(g.imag - 0.5) < 1e-9
 
 
+def _bits(v: complex) -> tuple:
+    return v.real.hex(), v.imag.hex()
+
+
+class TestMember:
+    """A solve or a fit hands over its family member, built once."""
+
+    POINTS = (0.3 + 0.7j, -2.0 + 0.1j, 5.0 - 3.0j, 40.0j)
+
+    def test_solve_member_is_its_aspect_map(self):
+        sol = solve_prevertex(2.0)
+        assert sol.member is sol.member
+        ref = DevelopingMap.from_aspect(sol.K, sol.prevertex)
+        for w in self.POINTS:
+            assert _bits(sol.member.derivative(w)) == _bits(ref.derivative(w))
+            assert _bits(sol.member.connection(w)) == _bits(ref.connection(w))
+
+    def test_replaced_prevertex_gets_a_new_member(self):
+        sol = SolveResult(2.0, Z1_K2, 0.0, 0, 0, True)
+        moved = dataclasses.replace(sol, prevertex=sol.prevertex + 0.01)
+        assert moved.member is not sol.member
+        assert moved.member.poles[0] == moved.prevertex
+        assert sol.member.poles[0] == sol.prevertex
+
+    def test_fit_member_is_the_limit_map(self):
+        fit = LimitEstimate(X0_LIMIT, TAU_LIMIT, 0.0, 0.0, 8)
+        assert fit.member is fit.member
+        assert fit.member.kind == "limit"
+        assert (fit.member.x0, fit.member.tau) == (X0_LIMIT, TAU_LIMIT)
+
+
 class TestSweep:
     def test_short_sweep(self):
         res = continuation_sweep([10.0, 100.0, 1000.0])
@@ -349,7 +381,7 @@ class TestLimitConsistency:
         samples = np.linspace(-2j, 2j, 201)
         ref = lim.connection(samples)
         sups = [
-            np.max(np.abs(DevelopingMap.from_aspect(r.K, r.prevertex).connection(samples) - ref))
+            np.max(np.abs(r.member.connection(samples) - ref))
             for r in sweep
         ]
         assert sups[0] > sups[1] > sups[2]
