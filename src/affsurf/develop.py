@@ -122,7 +122,7 @@ class DevelopingMap:
         an ArithmeticError, which the tracker retries with a shorter step."""
         offsets = arr[..., None] - self._pole_array
         near = np.abs(offsets) < rel * self._pole_scale
-        if near.any():
+        if np.count_nonzero(near):
             # name the first pole in ring order that some point is too close to
             p = self.poles[int(near.reshape(-1, len(self.poles)).any(axis=0).argmax())]
             raise ArithmeticError(f"evaluation too close to the singular point {p}")
@@ -184,7 +184,7 @@ class DevelopingMap:
             v = 1.0 + x
             mod2 = np.log(v * v + y * y)
             small = np.abs(u) < 1e-3
-            if small.any():
+            if np.count_nonzero(small):
                 xs, ys = x[small], y[small]
                 mod2[small] = np.log1p(xs * (2.0 + xs) + ys * ys)
             arg = np.arctan2(y, v)
@@ -285,6 +285,8 @@ class DevelopingMap:
         raises ArithmeticError; one on the slit's line but clear of the
         slit has no crossing.
         """
+        if not self.slits:
+            return []
         dx = (b - a).real
         out = []
         for sx, hh in self.slits:

@@ -128,8 +128,11 @@ class CurveCloud:
 
 
 # query points per block of the nearest-neighbour pass, and the x-rank
-# neighbours on each side whose distances bound a query's nearest one
-_NN_BLOCK = 64
+# neighbours on each side whose distances bound a query's nearest one. A
+# rectangle boundary against the limit cloud visits about 1.5 times as many
+# blocks of 32 as of 64, but compares 10-27% fewer query-target pairs, and
+# measured faster
+_NN_BLOCK = 32
 _NN_RANK_WINDOW = 4
 
 
@@ -138,19 +141,29 @@ def _farthest_nearest_sq(qx, qy, tx, ty, slack: float) -> float:
 
     Exact: the minimum is over every target that can attain it. The
     targets are sorted by x; each query's distance to its x-rank
-    neighbours bounds its nearest distance from above. Queries go in
-    x-ordered blocks, each compared with the targets inside its x-slice
-    and y-box widened by the block's largest bound. Blocks run in order
-    of that bound, and the pass stops once no remaining block can raise
-    the maximum found so far. slack widens the boxes by more than the
+    neighbours bounds its nearest distance from above. The neighbours are
+    the targets of rank pos - W .. pos + W - 1, W = _NN_RANK_WINDOW and pos
+    the query's rank among them, clipped to the targets: on the sorted
+    targets padded with W copies of each end they are the window pos ..
+    pos + 2W - 1, so the bound is folded from 2W shifted gathers of the
+    padded arrays without an index array. Queries go in x-ordered blocks
+    of _NN_BLOCK, each compared with the targets inside its x-slice and
+    y-box widened by the block's largest bound. Blocks run in order of
+    that bound, and the pass stops once no remaining block can raise the
+    maximum found so far. slack widens the boxes by more than the
     rounding of the bound's square root and of the box edges, a few ulp
     of the largest coordinate.
     """
     order = np.argsort(tx, kind="stable")
     tx, ty = tx[order], ty[order]
+    w = _NN_RANK_WINDOW
+    px = np.concatenate((np.full(w, tx[0]), tx, np.full(w, tx[-1])))
+    py = np.concatenate((np.full(w, ty[0]), ty, np.full(w, ty[-1])))
     pos = np.searchsorted(tx, qx)
-    near = np.clip(pos[:, None] + np.arange(-_NN_RANK_WINDOW, _NN_RANK_WINDOW), 0, len(tx) - 1)
-    bound = ((tx[near] - qx[:, None]) ** 2 + (ty[near] - qy[:, None]) ** 2).min(axis=1)
+    bound = (px[pos] - qx) ** 2 + (py[pos] - qy) ** 2
+    for shift in range(1, 2 * w):
+        at = pos + shift
+        np.minimum(bound, (px[at] - qx) ** 2 + (py[at] - qy) ** 2, out=bound)
     order = np.argsort(qx, kind="stable")
     qx, qy, bound = qx[order], qy[order], bound[order]
     starts = np.arange(0, len(qx), _NN_BLOCK)
@@ -421,12 +434,12 @@ def _track_toward_corner(
         if rho_next <= floor:
             break
         target = segment_target(corner + rho * direction, corner + rho_next * direction)
-        near = min(abs(start[0] - z) for z in dev.poles)
+        near = min([abs(start[0] - z) for z in dev.poles])
         step = max(2e-4, 0.2 * near)
         # the derivative collapses with the developed scale near the
         # prevertex, so the on-curve tolerance must shrink with it or
         # the correction goes slack in w
-        tol = float(np.clip(1e-3 * rho_next, 1e-13, 1e-10))
+        tol = min(max(1e-3 * rho_next, 1e-13), 1e-10)
         r = yield from level_curve_track(
             dev, *target, start, max_step=step, tol=tol,
             quad_tol=min(quad_tol, 0.1 * tol), first_step=first_step,

@@ -154,7 +154,7 @@ def integrate_segment(
         vals = f(nodes.ravel()) if first is None else first
         first = None
         sums, err, live = gk15_level(np.asarray(vals, dtype=complex).reshape(nodes.shape), h, tol, total)
-        if not live.any():
+        if not np.count_nonzero(live):
             return complex(acc + sums[:, 0].sum())
         acc += sums[~live, 0].sum()
         lo, hi = lo[live], hi[live]

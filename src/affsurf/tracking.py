@@ -44,16 +44,16 @@ yields every quadrature request it needs and is sent the outcome. Each
 chord is one generator, _chord_increment, and each request a GK15 panel
 (lo, hi, tol), one piece of the chord between slit crossings. It is sent
 (integral, first-level values, g' at hi), integral None where the first
-level is refined; the chord then finishes that piece in its own
-quadrature.integrate_segment call. track_level_curve runs one track
-alone. lock_step runs several tracks together, one derivative call per
-round on the panels of all live tracks: the round's panels are one first
-level, their nodes placed by one quadrature.gk15_nodes call and their
-sums and accept tests taken by one quadrature.gk15_level pass, whose
-stacked rows round each panel as its segment alone would. limitset uses
-lock_step for each cloud's corner approaches, a rectangle boundary's
-eight half sides and the limit cloud's four mouth curves, and for the
-limit cloud's spiral rays.
+level is refined, and the values None where it is not; the chord then
+finishes a refined piece in its own quadrature.integrate_segment call.
+track_level_curve runs one track alone. lock_step runs several tracks
+together, one derivative call per round on the panels of all live
+tracks: the round's panels are one first level, their nodes placed by
+one quadrature.gk15_nodes call and their sums and accept tests taken by
+one quadrature.gk15_level pass, whose stacked rows round each panel as
+its segment alone would. limitset uses lock_step for each cloud's corner
+approaches, a rectangle boundary's eight half sides and the limit
+cloud's four mouth curves, and for the limit cloud's spiral rays.
 The pooled call changes no bit of any track: the derivative is
 element-wise array arithmetic, so each element is the value its panel
 gets alone (TestScalarArrayAgreement checks single points against array
@@ -105,10 +105,29 @@ def _chord_increment(dev: DevelopingMap, a: complex, b: complex, m: int, quad_to
     the chord ends on a slit, where g' has no value, or within rounding
     of a crossing or of its own start; it then raises ArithmeticError,
     which fails the step.
+
+    A chord that meets no slit, as every chord on the square and the
+    limit does, is its one piece and skips the loop. It keeps the loop's
+    arithmetic, lo = a + 0*(b - a) and total = 0j + integral * K**m:
+    each can turn a negative zero positive, so both paths give the same
+    bits.
     """
+    crossings = dev.slit_crossings(a, b)
+    if not crossings:
+        lo = a + 0.0 * (b - a)
+        if lo == b:
+            raise ArithmeticError(f"chord {a} -> {b} rounds to a point")
+        integral, first, end = yield (lo, b, quad_tol)
+        if integral is None:
+            integral = integrate_segment(dev.derivative, lo, b, quad_tol, first=first)
+        gp = complex(end)
+        if m:
+            scale = dev.K**m
+            return 0j + integral * scale, m, gp * scale
+        return 0j + integral * 1.0, m, gp
     total, mm, t_prev = 0j, m, 0.0
     # b itself closes the last piece, where m does not change
-    for t, dm in (*dev.slit_crossings(a, b), (1.0, 0)):
+    for t, dm in (*crossings, (1.0, 0)):
         lo, hi = a + t_prev * (b - a), (a + t * (b - a) if t < 1.0 else b)
         end = None
         if t > t_prev and lo != hi:
@@ -131,8 +150,9 @@ def lock_step(dev: DevelopingMap, tracks: Sequence[Generator]) -> list:
 
     A track is a generator that yields GK15 panel requests (lo, hi, tol)
     and is sent (integral, first, g' at hi): integral is None where
-    quadrature.gk15_level's accept test refines the panel, and first holds
-    the derivative on the panel's 15 nodes. The connection at a chord's
+    quadrature.gk15_level's accept test refines the panel, and first then
+    holds the derivative on the panel's 15 nodes; for an accepted panel
+    first is None, as nothing reads it. The connection at a chord's
     end is no part of the outcome: each track takes it alone, in scalar
     arithmetic, which costs less than pooling it. Each round takes the outcomes
     of all live tracks' panels from _outcomes, and sends each track its
@@ -194,8 +214,10 @@ def _shared(dev: DevelopingMap, panels: list) -> list:
     first, ends = vals[:15 * n].reshape(n, 15), vals[15 * n:]
     sums, _, live = gk15_level(first[:, None], h[:, None], np.array(tol)[:, None], total[:, None])
     return [
-        (None if refine else integral, row, end)
-        for integral, refine, row, end in zip(sums[:, 0, 0].tolist(), live[:, 0].tolist(), first, ends)
+        (None, first[i], end) if refine else (integral, None, end)
+        for i, (integral, refine, end) in enumerate(
+            zip(sums[:, 0, 0].tolist(), live[:, 0].tolist(), ends.tolist())
+        )
     ]
 
 

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
@@ -159,10 +159,14 @@ def _cloud(kind, n, rng):
     if kind == "columns":
         # vertical lines in shuffled order: x-rank neighbours are poor bounds
         return rng.choice([-1.0, 0.0, 2.5], n) + 1j * rng.uniform(-50.0, 50.0, n)
+    if kind == "right":
+        # right of every other kind's cloud: each query of one cloud has
+        # its x-rank window at an end of the other's
+        return z + 1e4
     return z
 
 
-_CLOUD_KINDS = ("random", "duplicates", "single", "equal_x", "equal_y", "clusters", "columns")
+_CLOUD_KINDS = ("random", "duplicates", "single", "equal_x", "equal_y", "clusters", "columns", "right")
 
 
 class TestHausdorffMatchesKDTree:
@@ -174,6 +178,8 @@ class TestHausdorffMatchesKDTree:
         scale=st.sampled_from([1.0, 1e-9, 1e6]),
         shift=st.sampled_from([0j, 1e3 - 2e3j]),
     )
+    @example(kinds=("random", "right"), sizes=(700, 300), seed=3, scale=1.0, shift=0j)
+    @example(kinds=("right", "columns"), sizes=(300, 700), seed=4, scale=1e6, shift=1e3 - 2e3j)
     def test_same_float_as_kdtree(self, kinds, sizes, seed, scale, shift):
         rng = np.random.default_rng(seed)
         a = _cloud(kinds[0], sizes[0], rng) * scale + shift
@@ -186,6 +192,8 @@ class TestHausdorffMatchesKDTree:
         sizes=st.tuples(st.integers(1, 1500), st.integers(1, 1500)),
         seed=st.integers(0, 2**32 - 1),
     )
+    @example(kinds=("random", "right"), sizes=(700, 300), seed=3)
+    @example(kinds=("right", "clusters"), sizes=(300, 700), seed=4)
     def test_directed_pass_is_the_brute_force_maximum(self, kinds, sizes, seed):
         # the block pruning may skip work, never a query that sets the maximum
         rng = np.random.default_rng(seed)

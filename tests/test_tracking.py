@@ -290,6 +290,18 @@ def _alone(dev, request):
     return lock_step(dev, [request])[0]
 
 
+def _recorded(track, log):
+    """track, appending each (request, outcome) it makes and is sent to log."""
+    request = next(track)
+    while True:
+        outcome = yield request
+        log.append((request, outcome))
+        try:
+            request = track.send(outcome)
+        except StopIteration as done:
+            return done.value
+
+
 class TestChordEnd:
     """The end value a chord carries is the point evaluation it replaces."""
 
@@ -611,33 +623,49 @@ class TestPooledPanels:
         return list(zip(lo.tolist(), hi.tolist()))
 
     def test_pooled_panels_match_integrate_segment_alone(self, dev2, monkeypatch):
+        # each chord meets no slit, so it is one piece: one request of
+        # (a + 0*(b - a), b), sent its first level's values only where
+        # that level is refined, and it returns (integral K**m, m, g'(b) K**m)
         tol = 1e-12
-        pieces = self.PIECES + self._random_pieces(40)
-        solo = []
-        for lo, hi in pieces:
-            sizes = []
-
-            def counted(w):
-                sizes.append(np.size(w))
-                return dev2.derivative(w)
-
-            solo.append((integrate_segment(counted, lo, hi, tol), sum(sizes), len(sizes)))
-        levels = [n for *_, n in solo]
-        assert [n > 1 for n in levels[:len(self.PIECES)]] == [False, False, True, True, True]
-        lone = [_alone(dev2, _chord_increment(dev2, lo, hi, 0, tol)) for lo, hi in pieces]
-
+        # the last start's imaginary part is -0.0, which the request's lo
+        # turns into +0.0
+        pieces = self.PIECES + self._random_pieces(40) + [(complex(0.5, -0.0), 0.5 + 0.2j)]
+        limit = DevelopingMap.merged_limit(1.9132015196, 0.3470332389)
         calls = _count_derivative_calls(monkeypatch)
-        pooled = lock_step(dev2, [_chord_increment(dev2, lo, hi, 0, tol) for lo, hi in pieces])
-        # one shared call for every first level and end node, then each
-        # refined piece's own call for each of its later levels
-        assert sum(calls) == sum(nodes for _, nodes, _ in solo) + len(pieces)
-        assert len(calls) == 1 + sum(n - 1 for n in levels)
+        for dev, m in ((dev2, 0), (dev2, 1), (dev2, -2), (limit, 0)):
+            solo = []
+            for lo, hi in pieces:
+                sizes = []
 
-        for got, alone, (want, _, _), (_, hi) in zip(pooled, lone, solo, pieces):
-            want_end = dev2.derivative(hi)
-            for chord in (got, alone):
-                assert _same_bits(chord[0], want) and chord[1] == 0
-                assert _same_bits(chord[2], want_end)
+                def counted(w):
+                    sizes.append(np.size(w))
+                    return dev.derivative(w)
+
+                solo.append((integrate_segment(counted, lo, hi, tol), sum(sizes), len(sizes)))
+            levels = [n for *_, n in solo]
+            if dev is dev2:
+                assert [n > 1 for n in levels[:len(self.PIECES)]] == [False, False, True, True, True]
+            lone = [_alone(dev, _chord_increment(dev, lo, hi, m, tol)) for lo, hi in pieces]
+
+            calls.clear()
+            logs = [[] for _ in pieces]
+            pooled = lock_step(dev, [
+                _recorded(_chord_increment(dev, lo, hi, m, tol), log) for (lo, hi), log in zip(pieces, logs)
+            ])
+            # one shared call for every first level and end node, then each
+            # refined piece's own call for each of its later levels
+            assert sum(calls) == sum(nodes for _, nodes, _ in solo) + len(pieces)
+            assert len(calls) == 1 + sum(n - 1 for n in levels)
+
+            scale = dev.K**m if m else 1.0
+            for got, alone, (want, _, n), (a, b), log in zip(pooled, lone, solo, pieces, logs):
+                [(request, (integral, first, _))] = log
+                assert _same_bits(request, (a + 0.0 * (b - a), b, tol))
+                assert (integral is None) == (n > 1) and (first is None) == (n == 1)
+                want_end = dev.derivative(b)
+                for chord in (got, alone):
+                    assert _same_bits(chord[0], 0j + want * scale) and chord[1] == m
+                    assert _same_bits(chord[2], want_end * scale if m else want_end)
 
     @pytest.mark.parametrize("m", [0, 1, -2])
     def test_chords_across_slits_pooled_match_alone(self, dev2, m, monkeypatch):
